@@ -338,11 +338,15 @@ def _reduce_query(domain: PeriodicDomain, i: Interval, depth: int) -> Interval:
     pre, per = domain.pre, domain.per
     t = pre + 2 * depth * per
     x, y = i
-    while x >= t + per:
-        x -= per
-        y -= per
-    while y >= max(t, x + per + 1) + per:
-        y -= per
+    if x >= t + per:
+        # diagonal shifts until the left endpoint is below t + per
+        k = (x - t - per) // per + 1
+        x -= k * per
+        y -= k * per
+    low = max(t, x + per + 1) + per
+    if y >= low:
+        # right-endpoint shifts until y is below low
+        y -= ((y - low) // per + 1) * per
     return (x, y)
 
 

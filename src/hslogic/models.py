@@ -79,11 +79,15 @@ def canonical_interval(domain, i: Interval) -> Interval:
             raise ValueError("interval %r outside the domain" % (i,))
         return i
     pre, per = domain.pre, domain.per
-    while x >= pre + per:
-        x -= per
-        y -= per
-    while y >= pre + per and y - per > x:
-        y -= per
+    cut = pre + per
+    if x >= cut:
+        # diagonal shifts until the left endpoint is below pre + per
+        k = (x - cut) // per + 1
+        x -= k * per
+        y -= k * per
+    if y >= cut and y - per > x:
+        # right-endpoint shifts while y >= pre + per and y - per > x
+        y -= ((y - max(cut, x + per + 1)) // per + 1) * per
     return (x, y)
 
 

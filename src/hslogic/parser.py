@@ -16,6 +16,11 @@ MOD is one of A iA B iB D iD E iE L iL O iO. IDENT matches
 [a-z_][a-zA-Z0-9_]*; names beginning with two underscores are reserved for
 generated letters but parse normally so rendered output round-trips.
 Whitespace is insignificant and "#" starts a comment running to end of line.
+
+A formula may nest at most MAX_NESTING (100) levels deep: no branch of its
+tree may carry more than that many operators, and no more than that many
+parentheses may be open at once. Deeper input raises ParseError ("nested too
+deeply"), so the recursive functions over formulas never run out of stack.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import re
 
 from .syntax import (
     Atom, Box, Diamond, Formula, Fragment, Implies, And, Or, Not,
-    TRUE, FALSE, MODALITIES_BY_NAME,
+    TRUE, FALSE, MAX_NESTING, MODALITIES_BY_NAME, nesting_depth,
 )
 
 
@@ -34,6 +39,8 @@ class ParseError(ValueError):
         self.line = line
         self.col = col
 
+
+_TOO_DEEP = "formula nested too deeply (more than %d levels)" % MAX_NESTING
 
 _IDENT_RE = re.compile(r"[a-z_][a-zA-Z0-9_]*")
 _MOD_RE = re.compile(r"[A-Za-z]+")
@@ -114,10 +121,20 @@ def _tokenize(text: str):
     return tokens
 
 
+_PREFIX = ("not", "diamond", "box")
+
+
+def _checked(node: Formula, tok: _Token) -> Formula:
+    if nesting_depth(node) > MAX_NESTING:
+        raise ParseError(_TOO_DEEP, tok.line, tok.col)
+    return node
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.open_parens = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -135,37 +152,53 @@ class _Parser:
 
     def impl(self) -> Formula:
         lhs = self.disj()
-        if self.peek().kind == "implies":
-            self.take("implies")
-            return Implies(lhs, self.impl())
-        return lhs
+        if self.peek().kind != "implies":
+            return lhs
+        # right associative: collect the chain, then fold from the right
+        parts = [lhs]
+        arrows = []
+        while self.peek().kind == "implies":
+            arrows.append(self.take("implies"))
+            parts.append(self.disj())
+        out = parts.pop()
+        while parts:
+            out = _checked(Implies(parts.pop(), out), arrows.pop())
+        return out
 
     def disj(self) -> Formula:
         out = self.conj()
         while self.peek().kind == "or":
-            self.take("or")
-            out = Or(out, self.conj())
+            tok = self.take("or")
+            out = _checked(Or(out, self.conj()), tok)
         return out
 
     def conj(self) -> Formula:
         out = self.unary()
         while self.peek().kind == "and":
-            self.take("and")
-            out = And(out, self.unary())
+            tok = self.take("and")
+            out = _checked(And(out, self.unary()), tok)
         return out
 
     def unary(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "not":
-            self.take("not")
-            return Not(self.unary())
-        if tok.kind == "diamond":
-            self.take("diamond")
-            return Diamond(tok.value, self.unary())
-        if tok.kind == "box":
-            self.take("box")
-            return Box(tok.value, self.unary())
-        return self.atom()
+        if tok.kind not in _PREFIX:
+            return self.atom()
+        # collect the prefix operators, then apply them from the inside out
+        ops = []
+        while tok.kind in _PREFIX:
+            ops.append(tok)
+            self.pos += 1
+            tok = self.peek()
+        out = self.atom()
+        for tok in reversed(ops):
+            if tok.kind == "not":
+                node = Not(out)
+            elif tok.kind == "diamond":
+                node = Diamond(tok.value, out)
+            else:
+                node = Box(tok.value, out)
+            out = _checked(node, tok)
+        return out
 
     def atom(self) -> Formula:
         tok = self.peek()
@@ -180,8 +213,12 @@ class _Parser:
             return Atom(tok.value)
         if tok.kind == "lparen":
             self.take("lparen")
+            self.open_parens += 1
+            if self.open_parens > MAX_NESTING:
+                raise ParseError(_TOO_DEEP, tok.line, tok.col)
             inner = self.formula()
             self.take("rparen")
+            self.open_parens -= 1
             return inner
         raise ParseError("expected a formula, found %r" % (tok.value,),
                          tok.line, tok.col)

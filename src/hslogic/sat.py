@@ -27,8 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .checking import (_TableEngine, _scan_frontier, NotStabilized,
-                       mc_finite, mc_periodic)
+from .checking import _scan_frontier, NotStabilized, mc_finite, mc_periodic
 from .models import (
     FiniteDomain, Interval, IntervalModel, PeriodicDomain, allen_related,
     canonical_cells, canonical_interval, finite_model, periodic_model,

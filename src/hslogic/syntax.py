@@ -12,7 +12,7 @@ that drive the periodic-model bound used by the satisfiability engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Dict, Iterable, Iterator, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -73,73 +73,172 @@ _MIRROR = {
 }
 
 
-class Formula:
-    """Base class for formula nodes. Instances are immutable and hashable."""
+# Every formula node is interned (hash-consed): building a node looks up its
+# class and fields here and hands back the node already made for them, if any.
+# Structurally equal formulas are therefore the same object, and equality and
+# hashing are the identity defaults inherited from object. The table keeps its
+# nodes for the life of the process.
+_INTERNED: Dict[tuple, "Formula"] = {}
 
+_new_node = object.__new__
+
+
+class Formula:
+    """Base class for formula nodes. Nodes are interned and immutable; each
+    records its modal depth and its nesting depth when it is built."""
+
+    __slots__ = ("_depth", "_height")
+    _fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("formula nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("formula nodes are immutable")
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f) for f in self._fields))
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+
+# Nodes are filled in through their slot descriptors, since the immutable
+# __setattr__ refuses assignment.
+_set_depth = Formula._depth.__set__
+_set_height = Formula._height.__set__
+
+
+def _record(key: tuple, node: Formula, depth: int, height: int) -> Formula:
+    _set_depth(node, depth)
+    _set_height(node, height)
+    _INTERNED[key] = node
+    return node
+
+
+class Atom(Formula):
+    __slots__ = ("name",)
+    _fields = ("name",)
+
+    def __new__(cls, name: str):
+        key = (cls, name)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _new_node(cls)
+            _set_name(node, name)
+            _record(key, node, 0, 0)
+        return node
+
+
+_set_name = Atom.name.__set__
+
+
+class _Constant(Formula):
     __slots__ = ()
 
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
+    def __new__(cls):
+        key = (cls,)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _record(key, _new_node(cls), 0, 0)
+        return node
 
 
-@dataclass(frozen=True)
-class Atom(Formula):
-    name: str
+class TrueConst(_Constant):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TrueConst(Formula):
-    pass
+class FalseConst(_Constant):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FalseConst(Formula):
-    pass
-
-
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    __slots__ = ("sub",)
+    _fields = ("sub",)
+
+    def __new__(cls, sub: Formula):
+        key = (cls, sub)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _new_node(cls)
+            _set_not_sub(node, sub)
+            _record(key, node, sub._depth, sub._height + 1)
+        return node
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    lhs: Formula
-    rhs: Formula
+_set_not_sub = Not.sub.__set__
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    lhs: Formula
-    rhs: Formula
+class _Binary(Formula):
+    __slots__ = ("lhs", "rhs")
+    _fields = ("lhs", "rhs")
+
+    def __new__(cls, lhs: Formula, rhs: Formula):
+        key = (cls, lhs, rhs)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _new_node(cls)
+            _set_lhs(node, lhs)
+            _set_rhs(node, rhs)
+            _record(key, node, max(lhs._depth, rhs._depth),
+                    max(lhs._height, rhs._height) + 1)
+        return node
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    lhs: Formula
-    rhs: Formula
+_set_lhs = _Binary.lhs.__set__
+_set_rhs = _Binary.rhs.__set__
 
 
-@dataclass(frozen=True)
-class Diamond(Formula):
-    mod: Modality
-    sub: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Box(Formula):
-    mod: Modality
-    sub: Formula
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class _Modal(Formula):
+    __slots__ = ("mod", "sub")
+    _fields = ("mod", "sub")
+
+    def __new__(cls, mod: Modality, sub: Formula):
+        # the modality enters the key by its fields, which hash in C
+        key = (cls, mod.base, mod.inverted, sub)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _new_node(cls)
+            _set_mod(node, mod)
+            _set_modal_sub(node, sub)
+            _record(key, node, sub._depth + 1, sub._height + 1)
+        return node
+
+
+_set_mod = _Modal.mod.__set__
+_set_modal_sub = _Modal.sub.__set__
+
+
+class Diamond(_Modal):
+    __slots__ = ()
+
+
+class Box(_Modal):
+    __slots__ = ()
 
 
 TRUE = TrueConst()
 FALSE = FalseConst()
+
+# Deepest nesting parse_formula accepts (see nesting_depth). The recursive
+# functions over formulas (render, desugar, mirror_formula, ast_size, repr,
+# checking.postorder, the satisfiability encoders) spend at most a few stack
+# frames per level, and the parser six per pair of parentheses, so formulas
+# within this depth stay well inside Python's default recursion limit.
+MAX_NESTING = 100
 
 # Letter reserved for the boolean-constant rewriting in desugar().
 RESERVED_TAUTOLOGY_LETTER = "__t"
@@ -306,15 +405,14 @@ def ast_size(phi: Formula) -> int:
 
 
 def modal_depth(phi: Formula) -> int:
-    if isinstance(phi, (Atom, TrueConst, FalseConst)):
-        return 0
-    if isinstance(phi, Not):
-        return modal_depth(phi.sub)
-    if isinstance(phi, (And, Or, Implies)):
-        return max(modal_depth(phi.lhs), modal_depth(phi.rhs))
-    if isinstance(phi, (Diamond, Box)):
-        return 1 + modal_depth(phi.sub)
-    raise TypeError("not a formula: %r" % (phi,))
+    """Greatest number of modalities on one branch; recorded at build time."""
+    return phi._depth
+
+
+def nesting_depth(phi: Formula) -> int:
+    """Greatest number of operators on one branch (0 for an atom or a
+    constant); recorded at build time."""
+    return phi._height
 
 
 def letters_of(phi: Formula) -> set:
@@ -421,9 +519,6 @@ class Fragment:
 
     def __le__(self, other: "Fragment") -> bool:
         return self.modalities <= other.modalities
-
-    def union(self, other: "Fragment") -> "Fragment":
-        return Fragment(self.modalities | other.modalities)
 
     def __str__(self) -> str:
         return self.name

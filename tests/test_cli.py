@@ -1,6 +1,7 @@
 """Command line surface: grammars, exit codes, output determinism."""
 
 import json
+import time
 
 from hslogic.automata import ifz_automaton, save_automaton
 from hslogic.cli import main
@@ -172,3 +173,24 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "mc", "--model", "/nonexistent.ism",
                        "--interval", "0", "1", "--formula", "p")
     assert code == 2 and "error" in err
+
+
+def test_mc_far_interval_is_fast(capsys, tmp_path):
+    path = tmp_path / "p.ism"
+    path.write_text("order periodic pre=1 per=1\nval p 0 1\n",
+                    encoding="ascii")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "mc", "--model", str(path),
+                       "--interval", "0", "100000000", "--formula", "p")
+    assert (code, out) == (0, "true\n")
+    code, out, _ = run(capsys, "mc", "--model", str(path),
+                       "--interval", "100000000", "100000001",
+                       "--formula", "p")
+    assert (code, out) == (1, "false\n")
+    assert time.perf_counter() - start < 2.0
+
+
+def test_parse_too_deep_exits_2(capsys):
+    code, out, err = run(capsys, "parse", "~" * 3000 + "p")
+    assert code == 2 and out == ""
+    assert "nested too deeply" in err and "Traceback" not in err

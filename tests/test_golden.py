@@ -27,6 +27,8 @@ BBLL_CASES = [
     "[B] p & <iB> ~p",
     "<B> p & <iB> ~p & <L> q & <iL> (p & q)",
     "<L> (p & [B] q) & <iL> <iB> ~q",
+    # p's variables come before q's, so the lex-least model sets q
+    "<B> (p | q)",
     "<B> p & [B] ~p",
     "<iB> (p & q) & [iB] ~(p & q)",
     "<iB> (p -> q) & [iB] ~(p -> q)",
@@ -55,6 +57,8 @@ bbll <B> p & <iB> ~p & <L> q & <iL> (p & q)
   Sat (6, 9) 'order periodic pre=1 per=2\\nval p 2 4\\nval q 2 4\\n'
 bbll <L> (p & [B] q) & <iL> <iB> ~q
   Sat (2, 3) 'order periodic pre=1 per=1\\nval p 1 2\\n'
+bbll <B> (p | q)
+  Sat (1, 3) 'order periodic pre=1 per=1\\nval q 1 2\\n'
 bbll <B> p & [B] ~p
   Unsat 'no model within the periodic bound'
 bbll <iB> (p & q) & [iB] ~(p & q)

@@ -2,10 +2,12 @@
 
 import pytest
 
+from hslogic.checking import postorder
 from hslogic.parser import ParseError, parse_formula, parse_fragment
 from hslogic.syntax import (
     A, iA, B, iB, L, iL, And, Atom, Box, Diamond, FALSE, Fragment,
-    Implies, Not, Or, TRUE, dia,
+    Implies, MAX_NESTING, Not, Or, TRUE, closure, desugar, dia,
+    mirror_formula, nesting_depth, render,
 )
 
 p, q = Atom("p"), Atom("q")
@@ -60,3 +62,32 @@ def test_fragments():
 def test_encoder_namespace_reparses():
     phi = parse_formula("<A> (__conf & ~__sb)")
     assert phi == dia(A, And(Atom("__conf"), Not(Atom("__sb"))))
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: "~" * n + "p",
+    lambda n: "<B> " * n + "p",
+    lambda n: "(" * n + "p" + ")" * n,
+    lambda n: "p" + " & q" * n,
+    lambda n: "p" + " -> q" * n,
+    lambda n: "[iL] (" * n + "p" + ")" * n,
+])
+def test_nesting_cap(make):
+    # make(n) is formula text nested n levels deep
+    phi = parse_formula(make(MAX_NESTING))
+    assert nesting_depth(phi) <= MAX_NESTING
+    # every recursive function over formulas handles the cap
+    assert parse_formula(render(phi)) is phi
+    assert mirror_formula(mirror_formula(phi)) is phi
+    assert closure(phi)
+    assert desugar(phi) is not None
+    assert postorder(phi)[-1] is phi
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_formula(make(MAX_NESTING + 1))
+
+
+def test_very_deep_input_is_a_parse_error():
+    for text in ("~" * 2000 + "p", "(" * 3000 + "p" + ")" * 3000,
+                 " & ".join(["p"] * 5000)):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_formula(text)
