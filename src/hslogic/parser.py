@@ -44,6 +44,8 @@ _TOO_DEEP = "formula nested too deeply (more than %d levels)" % MAX_NESTING
 
 _IDENT_RE = re.compile(r"[a-z_][a-zA-Z0-9_]*")
 _MOD_RE = re.compile(r"[A-Za-z]+")
+_PUNCT_KINDS = {"(": "lparen", ")": "rparen", "&": "and", "|": "or",
+                "~": "not"}
 
 
 class _Token:
@@ -77,10 +79,8 @@ def _tokenize(text: str):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if c in "()&|~":
-            kinds = {"(": "lparen", ")": "rparen", "&": "and",
-                     "|": "or", "~": "not"}
-            tokens.append(_Token(kinds[c], c, line, col))
+        if c in _PUNCT_KINDS:
+            tokens.append(_Token(_PUNCT_KINDS[c], c, line, col))
             i += 1
             continue
         if c == "-":

@@ -118,10 +118,11 @@ def _prop_unsat(phi: Formula) -> bool:
 class _Cnf:
     """Clause store with a constant-true variable and folding gates.
 
-    Variable 1 is pinned true. define_or and define_and drop constants,
-    collapse complementary pairs, and cache gates by literal set, so the
-    encodings of a diamond and of the matching negated box meet in the same
-    variable and contradictions between them surface as constants."""
+    Variable 1 is pinned true. define_or, and define_or2/define_and2 for
+    two inputs, drop constants, collapse complementary pairs, and cache
+    gates by literal set, so the encodings of a diamond and of the matching
+    negated box meet in the same variable and contradictions between them
+    surface as constants."""
 
     def __init__(self):
         self.nvars = 1
@@ -157,15 +158,33 @@ class _Cnf:
         self._gate[key] = g
         return g
 
-    def define_and(self, lits: List[int]) -> int:
-        return -self.define_or([-lit for lit in lits])
+    def define_or2(self, a: int, b: int) -> int:
+        """define_or([a, b]) without the list: same folding, same gate
+        key and the same clauses in the same order."""
+        if a == _TRUE or b == _TRUE or a == -b:
+            return _TRUE
+        if a == _FALSE or a == b:
+            return b
+        if b == _FALSE:
+            return a
+        key = frozenset((a, b))
+        got = self._gate.get(key)
+        if got is not None:
+            return got
+        g = self.new_var()
+        self.clauses += ([-g, a, b], [g, -a], [g, -b])
+        self._gate[key] = g
+        return g
+
+    def define_and2(self, a: int, b: int) -> int:
+        return -self.define_or2(-a, -b)
 
     def solve(self) -> Optional[Solver]:
         s = Solver()
         for _ in range(self.nvars):
             s.new_var()
         for c in self.clauses:
-            if not s.add_clause(list(c)):
+            if not s.add_clause(c):
                 return None
         return s if s.solve() else None
 
@@ -188,6 +207,8 @@ class _PeriodicEncoder:
         self.atom_var = atom_var
         self.memo: Dict[Tuple[Formula, Interval], int] = {}
         self._shared: Dict[Tuple[Formula, int], int] = {}
+        # top rung built per B ladder (f, x) and per iL ladder f
+        self._top: Dict[object, int] = {}
 
     def _theta(self, child_depth: int) -> int:
         return self.pre + 2 * child_depth * self.per
@@ -204,51 +225,53 @@ class _PeriodicEncoder:
     def _build(self, f: Formula, cell: Interval) -> int:
         if cell[1] > self.h:
             raise RuntimeError("cell %r beyond the encoding horizon" % (cell,))
-        if isinstance(f, Atom):
+        t = type(f)
+        if t is Not:
+            return -self.lit(f.sub, cell)
+        if t is Diamond:
+            return self._diamond(f, cell)
+        if t is And:
+            return self.cnf.define_and2(self.lit(f.lhs, cell),
+                                        self.lit(f.rhs, cell))
+        if t is Or:
+            return self.cnf.define_or2(self.lit(f.lhs, cell),
+                                       self.lit(f.rhs, cell))
+        if t is Implies:
+            return self.cnf.define_or2(-self.lit(f.lhs, cell),
+                                       self.lit(f.rhs, cell))
+        if t is Atom:
             c = canonical_interval(self.domain, cell)
             return self.atom_var[(f.name, c)]
-        if isinstance(f, TrueConst):
+        if t is TrueConst:
             return _TRUE
-        if isinstance(f, FalseConst):
+        if t is FalseConst:
             return _FALSE
-        if isinstance(f, Not):
-            return -self.lit(f.sub, cell)
-        if isinstance(f, And):
-            return self.cnf.define_and(
-                [self.lit(f.lhs, cell), self.lit(f.rhs, cell)])
-        if isinstance(f, Or):
-            return self.cnf.define_or(
-                [self.lit(f.lhs, cell), self.lit(f.rhs, cell)])
-        if isinstance(f, Implies):
-            return self.cnf.define_or(
-                [-self.lit(f.lhs, cell), self.lit(f.rhs, cell)])
-        if isinstance(f, Box):
+        if t is Box:
             return -self.lit(Diamond(f.mod, neg(f.sub)), cell)
-        if isinstance(f, Diamond):
-            return self._diamond(f, cell)
         raise TypeError("not a formula: %r" % (f,))
 
     def _diamond(self, f: Diamond, cell: Interval) -> int:
         name = f.mod.name
         sub = f.sub
         x, y = cell
-        d = modal_depth(sub)
         if name == "B":
-            # shared ladder along the row: value at (x, y) extends (x, y-1)
-            acc = self.memo.get((f, (x, x + 1)))
-            if acc is None:
-                acc = _FALSE
-                self.memo[(f, (x, x + 1))] = acc
-            for y2 in range(x + 2, y + 1):
-                nxt = self.memo.get((f, (x, y2)))
-                if nxt is None:
-                    nxt = self.cnf.define_or(
-                        [acc, self.lit(sub, (x, y2 - 1))])
-                    self.memo[(f, (x, y2))] = nxt
-                acc = nxt
+            # shared ladder along the row: value at (x, y) extends (x, y-1).
+            # Rungs (x, x+1)..(x, top) are in memo, top in _top; lit() only
+            # gets here for y > top, so the ladder resumes at top + 1.
+            top = self._top.get((f, x))
+            if top is None:
+                top, acc = x + 1, _FALSE
+                self.memo[(f, (x, top))] = acc
+            else:
+                acc = self.memo[(f, (x, top))]
+            for y2 in range(top + 1, y + 1):
+                acc = self.cnf.define_or2(acc, self.lit(sub, (x, y2 - 1)))
+                self.memo[(f, (x, y2))] = acc
+            self._top[(f, x)] = y
             return acc
         if name == "iB":
-            cap = max(self._theta(d), x + self.per + 1, y + 1) + self.per - 1
+            theta = self._theta(modal_depth(sub))
+            cap = max(theta, x + self.per + 1, y + 1) + self.per - 1
             if cap > self.h:
                 raise RuntimeError("scan cap beyond the encoding horizon")
             return self.cnf.define_or(
@@ -257,12 +280,13 @@ class _PeriodicEncoder:
             got = self._shared.get((f, y))
             if got is not None:
                 return got
-            capx = max(self._theta(d), y + 1) + self.per - 1
+            theta = self._theta(modal_depth(sub))
+            capx = max(theta, y + 1) + self.per - 1
             if capx > self.h - 1:
                 raise RuntimeError("scan cap beyond the encoding horizon")
             rows = []
             for xp in range(y + 1, capx + 1):
-                cap = max(self._theta(d), xp + self.per + 1) + self.per - 1
+                cap = max(theta, xp + self.per + 1) + self.per - 1
                 if cap > self.h:
                     raise RuntimeError("scan cap beyond the encoding horizon")
                 rows.append(self.cnf.define_or(
@@ -272,16 +296,18 @@ class _PeriodicEncoder:
             self._shared[(f, y)] = val
             return val
         if name == "iL":
-            # depends on the left endpoint only; ladder over it
-            acc = _FALSE
-            for v in range(2, x + 1):
-                cached = self._shared.get((f, v))
-                if cached is not None:
-                    acc = cached
-                    continue
+            # depends on the left endpoint only; ladder over it. Rungs
+            # 2..top are in _shared under (f, v), top in _top under f, and
+            # a call past top resumes the ladder at top + 1.
+            top = self._top.get(f, 1)
+            if x <= top:
+                return self._shared[(f, x)] if x >= 2 else _FALSE
+            acc = self._shared[(f, top)] if top >= 2 else _FALSE
+            for v in range(top + 1, x + 1):
                 ended = [self.lit(sub, (x2, v - 1)) for x2 in range(0, v - 1)]
                 acc = self.cnf.define_or([acc] + ended)
                 self._shared[(f, v)] = acc
+            self._top[f] = x
             return acc
         raise UnsupportedFragmentError(
             "modality %s outside the begin/later fragment" % name)
@@ -307,29 +333,30 @@ class _FiniteEncoder:
         return v
 
     def _build(self, f: Formula, cell: Interval) -> int:
-        if isinstance(f, Atom):
-            return self.atom_var[(f.name, cell)]
-        if isinstance(f, TrueConst):
-            return _TRUE
-        if isinstance(f, FalseConst):
-            return _FALSE
-        if isinstance(f, Not):
+        t = type(f)
+        if t is Not:
             return -self.lit(f.sub, cell)
-        if isinstance(f, And):
-            return self.cnf.define_and(
-                [self.lit(f.lhs, cell), self.lit(f.rhs, cell)])
-        if isinstance(f, Or):
-            return self.cnf.define_or(
-                [self.lit(f.lhs, cell), self.lit(f.rhs, cell)])
-        if isinstance(f, Implies):
-            return self.cnf.define_or(
-                [-self.lit(f.lhs, cell), self.lit(f.rhs, cell)])
-        if isinstance(f, Box):
-            return -self.lit(Diamond(f.mod, neg(f.sub)), cell)
-        if isinstance(f, Diamond):
+        if t is Diamond:
             succ = allen_related(self.domain, cell, f.mod)
             return self.cnf.define_or(
                 [self.lit(f.sub, c) for c in succ])
+        if t is And:
+            return self.cnf.define_and2(self.lit(f.lhs, cell),
+                                        self.lit(f.rhs, cell))
+        if t is Or:
+            return self.cnf.define_or2(self.lit(f.lhs, cell),
+                                       self.lit(f.rhs, cell))
+        if t is Implies:
+            return self.cnf.define_or2(-self.lit(f.lhs, cell),
+                                       self.lit(f.rhs, cell))
+        if t is Atom:
+            return self.atom_var[(f.name, cell)]
+        if t is TrueConst:
+            return _TRUE
+        if t is FalseConst:
+            return _FALSE
+        if t is Box:
+            return -self.lit(Diamond(f.mod, neg(f.sub)), cell)
         raise TypeError("not a formula: %r" % (f,))
 
 

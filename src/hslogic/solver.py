@@ -7,61 +7,114 @@ unassigned variable and try false first. With that policy the first model
 found is the lexicographically least satisfying assignment over the
 variable order, which the satisfiability engine relies on to make witness
 enumeration deterministic.
+
+Per-literal state lives in plain lists of length 2n+1 indexed by the
+literal itself, after Een & Sorensson, "An Extensible SAT-solver" (SAT
+2003): literal l sits at index l and -l at index 2n+1-l through Python's
+negative indexing, so no lookup needs abs(). `vals[l]` is True, False or
+None (unassigned) and always equals `not vals[-l]` when set; `watches[l]`
+lists the clauses watching l; `level[l]` and `reason[l]` are written for
+the literal that became true. new_var only counts; the lists are rebuilt
+for the new size the next time add_clause, solve, value or model_value
+runs. Decisions scan upward from a cursor below which every variable is
+assigned, and backjumping lowers it to the least variable it unassigns, so
+the scan no longer restarts at variable 1. Neither change touches the
+decision policy or the propagation order: the search, and so the lex-least
+model, are step for step those of per-variable arrays and a full scan.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
+
+
+def _regrow(arr: list, old: int, fresh: list) -> list:
+    """Re-lay a literal-indexed list over old variables for more variables,
+    whose literals get the entries of fresh (two per new variable)."""
+    return arr[:old + 1] + fresh + arr[old + 1:]
 
 
 class Solver:
+    """CDCL solver over variables 1..nvars.
+
+    Counters, all plain ints that only ever grow:
+
+    * conflicts: conflicting clauses met by solve(), the final one at
+      decision level 0 of an unsatisfiable instance included;
+    * decisions: decision literals solve() put on the trail;
+    * propagations: assigned literals whose watch lists unit propagation
+      processed, whether they were decided, implied or added as units.
+    """
+
     def __init__(self):
         self.nvars = 0
         self.clauses: List[List[int]] = []
-        self.watches: Dict[int, List[int]] = {}
-        self.assign: List[Optional[bool]] = [None]  # 1-based
+        self._size = 0           # variables the literal-indexed lists cover
+        self.vals: List[Optional[bool]] = [None]
+        self.watches: List[List[int]] = [[]]
         self.level: List[int] = [0]
         self.reason: List[int] = [-1]
+        self.seen: List[bool] = [False]
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.qhead = 0
+        self.cursor = 1          # every variable below it is assigned
         self.ok = True
+        self.conflicts = 0
+        self.decisions = 0
+        self.propagations = 0
 
     def new_var(self) -> int:
         self.nvars += 1
-        self.assign.append(None)
-        self.level.append(0)
-        self.reason.append(-1)
         return self.nvars
 
-    def value(self, lit: int) -> Optional[bool]:
-        v = self.assign[abs(lit)]
-        if v is None:
-            return None
-        return v if lit > 0 else not v
+    def _grow(self):
+        old, new = self._size, self.nvars
+        k = 2 * (new - old)
+        self.vals = _regrow(self.vals, old, [None] * k)
+        self.watches = _regrow(self.watches, old, [[] for _ in range(k)])
+        self.level = _regrow(self.level, old, [0] * k)
+        self.reason = _regrow(self.reason, old, [-1] * k)
+        self.seen = _regrow(self.seen, old, [False] * k)
+        self._size = new
 
-    @property
-    def decision_level(self) -> int:
-        return len(self.trail_lim)
+    def _bad_literal(self, lit: int) -> ValueError:
+        return ValueError("literal %r outside variables 1..%d"
+                          % (lit, self.nvars))
+
+    def value(self, lit: int) -> Optional[bool]:
+        if not 0 < abs(lit) <= self.nvars:
+            raise self._bad_literal(lit)
+        if self._size != self.nvars:
+            self._grow()
+        return self.vals[lit]
 
     def add_clause(self, lits) -> bool:
-        """Add a clause; returns False if the instance is already
+        """Add a clause over the literals +-1..+-nvars (ValueError for any
+        other number); returns False if the instance is already
         unsatisfiable. Must be called before solve()."""
         if not self.ok:
             return False
+        if self._size != self.nvars:
+            self._grow()
+        vals = self.vals
+        level = self.level
+        n = self.nvars
         out = []
-        seen = set()
+        kept = set()
         for lit in lits:
-            if lit in seen:
+            if not -n <= lit <= n or lit == 0:
+                raise self._bad_literal(lit)
+            if lit in kept:
                 continue
-            if -lit in seen:
+            if -lit in kept:
                 return True  # tautology
-            v = self.value(lit)
-            if v is True and self.level[abs(lit)] == 0:
+            v = vals[lit]
+            if v is True and level[lit] == 0:
                 return True
-            if v is False and self.level[abs(lit)] == 0:
+            if v is False and level[-lit] == 0:
                 continue
-            seen.add(lit)
+            kept.add(lit)
             out.append(lit)
         if not out:
             self.ok = False
@@ -76,128 +129,164 @@ class Solver:
             return True
         ci = len(self.clauses)
         self.clauses.append(out)
-        self.watches.setdefault(out[0], []).append(ci)
-        self.watches.setdefault(out[1], []).append(ci)
+        self.watches[out[0]].append(ci)
+        self.watches[out[1]].append(ci)
         return True
 
     def _enqueue(self, lit: int, reason: int) -> bool:
-        v = self.value(lit)
+        vals = self.vals
+        v = vals[lit]
         if v is not None:
             return v
-        var = abs(lit)
-        self.assign[var] = lit > 0
-        self.level[var] = self.decision_level
-        self.reason[var] = reason
+        vals[lit] = True
+        vals[-lit] = False
+        self.level[lit] = len(self.trail_lim)
+        self.reason[lit] = reason
         self.trail.append(lit)
         return True
 
     def _propagate(self) -> Optional[int]:
         """Unit propagation; returns a conflicting clause index or None."""
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            falsified = -p
-            ws = self.watches.get(falsified, [])
+        trail = self.trail
+        vals = self.vals
+        watches = self.watches
+        clauses = self.clauses
+        level = self.level
+        reason = self.reason
+        lvl = len(self.trail_lim)
+        start = qhead = self.qhead
+        while qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            ws = watches[falsified]
             new_ws = []
             i = 0
             n = len(ws)
             while i < n:
                 ci = ws[i]
                 i += 1
-                cl = self.clauses[ci]
-                if cl[0] == falsified:
-                    cl[0], cl[1] = cl[1], cl[0]
-                # now cl[1] == falsified
+                cl = clauses[ci]
                 first = cl[0]
-                if self.value(first) is True:
+                if first == falsified:
+                    first = cl[1]
+                    cl[0] = first
+                    cl[1] = falsified
+                # now cl[1] == falsified
+                if vals[first] is True:
                     new_ws.append(ci)
                     continue
-                moved = False
                 for k in range(2, len(cl)):
-                    if self.value(cl[k]) is not False:
-                        cl[1], cl[k] = cl[k], cl[1]
-                        self.watches.setdefault(cl[1], []).append(ci)
-                        moved = True
+                    other = cl[k]
+                    if vals[other] is not False:
+                        cl[1] = other
+                        cl[k] = falsified
+                        watches[other].append(ci)
                         break
-                if moved:
-                    continue
-                new_ws.append(ci)
-                if self.value(first) is False:
-                    # conflict: keep remaining watches before reporting
-                    new_ws.extend(ws[i:])
-                    self.watches[falsified] = new_ws
-                    self.qhead = len(self.trail)
-                    return ci
-                self._enqueue(first, ci)
-            self.watches[falsified] = new_ws
+                else:
+                    new_ws.append(ci)
+                    if vals[first] is False:
+                        # conflict: keep remaining watches before reporting
+                        new_ws.extend(ws[i:])
+                        watches[falsified] = new_ws
+                        self.propagations += qhead - start
+                        self.qhead = len(trail)
+                        return ci
+                    vals[first] = True
+                    vals[-first] = False
+                    level[first] = lvl
+                    reason[first] = ci
+                    trail.append(first)
+            watches[falsified] = new_ws
+        self.propagations += qhead - start
+        self.qhead = qhead
         return None
 
     def _analyze(self, confl: int):
         """First-UIP conflict analysis; returns (learnt, backjump level)
-        with the asserting literal first."""
+        with the asserting literal first. seen is indexed by the true
+        literal of each variable and left all False on return."""
         learnt = [0]
-        seen = [False] * (self.nvars + 1)
+        seen = self.seen
+        level = self.level
+        trail = self.trail
         counter = 0
         p = 0  # implied literal whose reason is being expanded
-        idx = len(self.trail) - 1
-        cur_level = self.decision_level
+        idx = len(trail) - 1
+        cur_level = len(self.trail_lim)
         cl = self.clauses[confl]
         while True:
             for q in cl:
                 if q == p:
                     continue
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
-                    seen[v] = True
-                    if self.level[v] == cur_level:
+                t = -q
+                if not seen[t] and level[t] > 0:
+                    seen[t] = True
+                    if level[t] == cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[trail[idx]]:
                 idx -= 1
-            p = self.trail[idx]
-            v = abs(p)
-            seen[v] = False
+            p = trail[idx]
+            seen[p] = False
             idx -= 1
             counter -= 1
             if counter == 0:
                 break
-            cl = self.clauses[self.reason[v]]
+            cl = self.clauses[self.reason[p]]
         learnt[0] = -p
+        for q in learnt[1:]:
+            seen[-q] = False
         if len(learnt) == 1:
             return learnt, 0
-        back = max(self.level[abs(q)] for q in learnt[1:])
+        back = max(level[-q] for q in learnt[1:])
         # put a literal of the backjump level in the second watch slot
         for k in range(1, len(learnt)):
-            if self.level[abs(learnt[k])] == back:
+            if level[-learnt[k]] == back:
                 learnt[1], learnt[k] = learnt[k], learnt[1]
                 break
         return learnt, back
 
     def _cancel_until(self, lvl: int):
-        while self.decision_level > lvl:
-            bound = self.trail_lim.pop()
-            while len(self.trail) > bound:
-                lit = self.trail.pop()
-                self.assign[abs(lit)] = None
-        self.qhead = len(self.trail)
+        trail = self.trail
+        if len(self.trail_lim) > lvl:
+            bound = self.trail_lim[lvl]
+            del self.trail_lim[lvl:]
+            vals = self.vals
+            cursor = self.cursor
+            for lit in trail[bound:]:
+                vals[lit] = None
+                vals[-lit] = None
+                var = lit if lit > 0 else -lit
+                if var < cursor:
+                    cursor = var
+            del trail[bound:]
+            self.cursor = cursor
+        self.qhead = len(trail)
 
     def _next_decision(self) -> int:
-        for v in range(1, self.nvars + 1):
-            if self.assign[v] is None:
-                return v
-        return 0
+        vals = self.vals
+        v = self.cursor
+        n = self.nvars
+        while v <= n and vals[v] is not None:
+            v += 1
+        self.cursor = v
+        return v if v <= n else 0
 
     def solve(self) -> bool:
         if not self.ok:
             return False
+        if self._size != self.nvars:
+            self._grow()
         if self._propagate() is not None:
+            self.conflicts += 1
             self.ok = False
             return False
         while True:
             confl = self._propagate()
             if confl is not None:
-                if self.decision_level == 0:
+                self.conflicts += 1
+                if not self.trail_lim:
                     self.ok = False
                     return False
                 learnt, back = self._analyze(confl)
@@ -207,18 +296,23 @@ class Solver:
                 else:
                     ci = len(self.clauses)
                     self.clauses.append(learnt)
-                    self.watches.setdefault(learnt[0], []).append(ci)
-                    self.watches.setdefault(learnt[1], []).append(ci)
+                    self.watches[learnt[0]].append(ci)
+                    self.watches[learnt[1]].append(ci)
                     self._enqueue(learnt[0], ci)
             else:
                 v = self._next_decision()
                 if v == 0:
                     return True
+                self.decisions += 1
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(-v, -1)  # try false first
 
     def model_value(self, var: int) -> bool:
-        v = self.assign[var]
+        if not 0 < var <= self.nvars:
+            raise IndexError("no variable %r" % (var,))
+        if self._size != self.nvars:
+            self._grow()
+        v = self.vals[var]
         if v is None:
             raise RuntimeError("no model available")
         return v

@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from hslogic.solver import Solver
 
 
@@ -94,3 +96,152 @@ def test_contradictory_units():
     ok = s.add_clause([1])
     ok = ok and s.add_clause([-1])
     assert not (ok and s.solve())
+
+
+def lex_least_masks(num_vars, clauses):
+    """The lexicographically least model (False < True, variable 1 most
+    significant) by counting through all assignments as bit masks, or
+    None. Variable v is bit num_vars - v of the counter."""
+    masks = []
+    for cl in clauses:
+        pos = neg = 0
+        for lit in cl:
+            bit = 1 << (num_vars - abs(lit))
+            if lit > 0:
+                pos |= bit
+            else:
+                neg |= bit
+        masks.append((pos, neg))
+    full = (1 << num_vars) - 1
+    for a in range(1 << num_vars):
+        na = full ^ a
+        if all(a & pos or na & neg for pos, neg in masks):
+            return tuple(bool(a >> (num_vars - v) & 1)
+                         for v in range(1, num_vars + 1))
+    return None
+
+
+def test_wide_clauses_against_brute_force_and_lex_least():
+    rng = random.Random(4012)
+    sat_seen = unsat_seen = conflicts = 0
+    for _ in range(600):
+        num_vars = rng.randrange(1, 13)
+        clauses = []
+        for _ in range(rng.randrange(2 * num_vars, 6 * num_vars + 1)):
+            # units are rare: they settle small instances before any search
+            width = rng.choice((1,) + (2, 3, 3, 3, 3, 4, 5, 6) * 4)
+            clauses.append([rng.choice([-1, 1]) * rng.randrange(1, num_vars + 1)
+                            for _ in range(width)])
+        want = lex_least_masks(num_vars, clauses)
+        s = Solver()
+        for _ in range(num_vars):
+            s.new_var()
+        got = None
+        if all(s.add_clause(cl) for cl in clauses) and s.solve():
+            got = tuple(s.model_value(v) for v in range(1, num_vars + 1))
+        assert got == want, (num_vars, clauses)
+        conflicts += s.conflicts
+        if want is None:
+            unsat_seen += 1
+        else:
+            sat_seen += 1
+    assert sat_seen > 100 and unsat_seen > 100 and conflicts > 100
+
+
+def test_new_var_after_add_clause():
+    # variables added between clauses, after level-0 units, must see the
+    # earlier assignments and watches intact
+    rng = random.Random(77)
+    for _ in range(300):
+        s = Solver()
+        num_vars = 0
+        clauses = []
+        ok = True
+        for _ in range(rng.randrange(1, 14)):
+            for _ in range(rng.randrange(0, 3)):
+                if num_vars < 10:
+                    num_vars = s.new_var()
+            if num_vars == 0:
+                continue
+            cl = [rng.choice([-1, 1]) * rng.randrange(1, num_vars + 1)
+                  for _ in range(rng.randrange(1, 4))]
+            clauses.append(cl)
+            ok = s.add_clause(cl) and ok
+        if num_vars == 0:
+            continue
+        for v in range(1, num_vars + 1):
+            assert s.value(v) in (None, True, False)
+            if s.value(v) is not None:
+                assert s.value(-v) is (not s.value(v))
+        want = lex_least_masks(num_vars, clauses)
+        got = None
+        if ok and s.solve():
+            got = tuple(s.model_value(v) for v in range(1, num_vars + 1))
+        assert got == want, (num_vars, clauses)
+
+
+def test_level_zero_unit_survives_new_var():
+    s = Solver()
+    s.new_var()
+    assert s.add_clause([1])
+    v = s.new_var()
+    assert s.value(1) is True and s.value(-1) is False
+    assert s.value(v) is None
+    assert s.add_clause([-1, -v])
+    assert s.value(-v) is True
+    assert s.solve()
+    assert s.model_value(1) is True and s.model_value(v) is False
+
+
+def test_fresh_variable_has_no_value():
+    s = Solver()
+    v = s.new_var()
+    assert s.value(v) is None
+    assert s.value(-v) is None
+
+
+def test_model_value_before_solve_raises():
+    s = Solver()
+    s.new_var()
+    assert s.add_clause([1, -1])
+    with pytest.raises(RuntimeError):
+        s.model_value(1)
+
+
+def test_counters_on_unit_propagation_chain():
+    # the instance of test_unit_propagation_chain: every clause turns unit
+    # at level 0 while it is added, so solve() decides and conflicts nowhere
+    s = Solver()
+    for _ in range(4):
+        s.new_var()
+    for cl in ([1], [-1, 2], [-2, 3], [-3, 4]):
+        assert s.add_clause(cl)
+    assert s.solve()
+    assert (s.decisions, s.conflicts, s.propagations) == (0, 0, 4)
+
+
+def test_counters_on_one_conflict():
+    # decide -1, which implies 2 through [1, 2] and falsifies [1, -2];
+    # learn the unit 1, then decide -2. Propagated: -1, 1 and -2.
+    s = Solver()
+    for _ in range(2):
+        s.new_var()
+    assert s.add_clause([1, 2])
+    assert s.add_clause([1, -2])
+    assert s.solve()
+    assert (s.model_value(1), s.model_value(2)) == (True, False)
+    assert (s.decisions, s.conflicts, s.propagations) == (2, 1, 3)
+
+
+def test_literals_outside_the_variables_are_rejected():
+    # with literal-indexed lists, 3 would otherwise read the slot of -2
+    s = Solver()
+    for _ in range(2):
+        s.new_var()
+    for bad in ([3], [1, -3], [0]):
+        with pytest.raises(ValueError):
+            s.add_clause(bad)
+    with pytest.raises(ValueError):
+        s.value(3)
+    with pytest.raises(IndexError):
+        s.model_value(3)
