@@ -32,7 +32,7 @@ from .models import (
 )
 from .syntax import (
     And, Atom, Box, Diamond, FalseConst, Formula, Implies, Not, Or,
-    TrueConst, modal_depth, render,
+    TrueConst, modal_depth, postorder, render,
 )
 
 # three-valued lattice: 0 false, 1 undetermined, 2 true
@@ -51,31 +51,30 @@ class NotStabilized(Exception):
             % (render(subformula), cell[0], cell[1], rounds))
 
 
-def _children(f: Formula) -> Tuple[Formula, ...]:
-    if isinstance(f, Not):
-        return (f.sub,)
-    if isinstance(f, (And, Or, Implies)):
-        return (f.lhs, f.rhs)
-    if isinstance(f, (Diamond, Box)):
-        return (f.sub,)
-    return ()
+# The periodicity caps. A periodic domain repeats its valuation with the
+# period past the prefix, and the rule assumed here is that this lifts level
+# by level: once an endpoint clears pre + 2*depth*per, truth of a formula of
+# that modal depth repeats when the endpoint moves by one period (the right
+# endpoint alone, or both endpoints together). A scan that runs one period
+# past that threshold has then seen every value there is to see. These two
+# functions hold the only copy of the rule: the table checker's scans, the
+# horizon and query reductions below, and the SAT encoder's iB and L scans
+# (sat._Encoder) all cut where they say. The rule is known to fail where
+# truth depends on an interval's length (D, B and E nested under a
+# right-reaching modality); tests/test_known_faults.py pins such cases.
+
+def _row_cap(pre: int, per: int, depth: int, x: int, lo: int) -> int:
+    """Largest right endpoint y' a scan over [x, y'], y' > lo, must visit
+    for a child of the given depth."""
+    return max(pre + 2 * depth * per, x + per + 1, lo + 1) + per - 1
 
 
-def postorder(phi: Formula) -> List[Formula]:
-    """Unique subformulas, children before parents."""
-    seen = set()
-    out = []
-
-    def walk(f):
-        if f in seen:
-            return
-        seen.add(f)
-        for c in _children(f):
-            walk(c)
-        out.append(f)
-
-    walk(phi)
-    return out
+def _later_cap(pre: int, per: int, depth: int, y: int) -> int:
+    """Largest left endpoint x' a scan over the intervals after point y
+    must visit for a child of the given depth: the cap of a row scan past
+    y whose row starts one period before y, so that x + per + 1 adds
+    nothing to the bound."""
+    return _row_cap(pre, per, depth, y - per, y)
 
 
 class _TableEngine:
@@ -98,6 +97,9 @@ class _TableEngine:
         self.tables: Dict[Formula, Dict[Interval, int]] = {}
 
     def table(self, phi: Formula) -> Dict[Interval, int]:
+        got = self.tables.get(phi)
+        if got is not None:
+            return got
         for node in postorder(phi):
             if node not in self.tables:
                 self.tables[node] = self._compute(node)
@@ -133,10 +135,6 @@ class _TableEngine:
             dia = self._diamond(f.mod.name, neg_sub, modal_depth(f.sub))
             return {c: 2 - dia[c] for c in self.cells}
         raise TypeError("not a formula: %r" % (f,))
-
-    # threshold past which the child's truth repeats with the period
-    def _theta(self, child_depth: int) -> int:
-        return self.pre + 2 * child_depth * self.per
 
     def _diamond(self, name: str, C: Dict[Interval, int],
                  child_depth: int) -> Dict[Interval, int]:
@@ -272,8 +270,7 @@ class _TableEngine:
         if not self.periodic:
             hi, complete = h, True
         else:
-            theta = max(self._theta(child_depth), x + self.per + 1, lo + 1)
-            cap = theta + self.per - 1
+            cap = _row_cap(self.pre, self.per, child_depth, x, lo)
             hi, complete = min(h, cap), cap <= h
         best = _F
         for yp in range(lo + 1, hi + 1):
@@ -291,7 +288,7 @@ class _TableEngine:
         if not self.periodic:
             cx, x_complete = h - 1, True
         else:
-            capx = max(self._theta(child_depth), y + 1) + self.per - 1
+            capx = _later_cap(self.pre, self.per, child_depth, y)
             cx, x_complete = min(h - 1, capx), capx <= h - 1
         best = _F
         complete = x_complete
@@ -336,17 +333,18 @@ def _reduce_query(domain: PeriodicDomain, i: Interval, depth: int) -> Interval:
     periodicity shifts, staying within the region where truth of a formula
     of the given depth is invariant."""
     pre, per = domain.pre, domain.per
-    t = pre + 2 * depth * per
     x, y = i
-    if x >= t + per:
-        # diagonal shifts until the left endpoint is below t + per
-        k = (x - t - per) // per + 1
+    # the last left endpoint a later scan from point 0 visits
+    top = _later_cap(pre, per, depth, 0)
+    if x > top:
+        # diagonal shifts until the left endpoint is at most top
+        k = (x - top - 1) // per + 1
         x -= k * per
         y -= k * per
-    low = max(t, x + per + 1) + per
-    if y >= low:
-        # right-endpoint shifts until y is below low
-        y -= ((y - low) // per + 1) * per
+    cap = _row_cap(pre, per, depth, x, x)
+    if y > cap:
+        # right-endpoint shifts until y is at most cap
+        y -= ((y - cap - 1) // per + 1) * per
     return (x, y)
 
 
@@ -355,10 +353,9 @@ def _scan_frontier(pre: int, per: int, depth: int, y0: int) -> int:
     from a cell with right endpoint y0 stays inside the grid. Each modality
     level moves the frontier at most twice (the later modality scans rows
     from scanned start points), hence the doubled step count."""
-    theta_top = pre + 2 * depth * per
     f = y0
     for _ in range(2 * depth + 1):
-        f = max(theta_top, f + per + 1) + per - 1
+        f = _row_cap(pre, per, depth, f, f)
     return max(f, pre + per + 1)
 
 

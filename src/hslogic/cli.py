@@ -3,7 +3,8 @@
 One subcommand per invocation. Exit codes follow a single discipline:
 0 for an affirmative outcome (parsed, true, SAT, certified, decidable),
 1 for a negative one (false, UNSAT, UNKNOWN, not certified, Undecidable),
-2 for usage or input errors. The primary result goes to standard output,
+2 for usage or input errors and for a SAT certificate that fails its
+independent re-check. The primary result goes to standard output,
 diagnostics to standard error, and identical invocations produce
 byte-identical standard output.
 """
@@ -27,7 +28,7 @@ from .encoding import EncodingError, encode_ae_groups, encode_fragment
 from .models import FiniteDomain, ModelFormatError, load_model, save_model
 from .parser import ParseError, parse_formula, parse_fragment
 from .sat import (
-    Sat, Unsat, UnsupportedFragmentError,
+    CertificateError, Sat, Unsat, UnsupportedFragmentError,
     check_certificate, sat_bbll, sat_bounded_finite,
 )
 from .syntax import MODALITIES_BY_NAME, mirror_formula, mirror_fragment, render
@@ -263,7 +264,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (ParseError, ModelFormatError, AutomatonFormatError,
-            EncodingError, UnsupportedFragmentError) as exc:
+            EncodingError, UnsupportedFragmentError, CertificateError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except NotStabilized as exc:

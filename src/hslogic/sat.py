@@ -8,17 +8,20 @@ Two procedures with different scopes:
   the formula's metrics, encodes truth of the formula somewhere in the order
   as CNF over atom values on canonical cells, and hands the encoding to the
   clause-learning solver. Scans for the right-unbounded modalities are cut
-  at the same periodicity caps the model checker uses, and the horizon is
-  sized so every cut is conclusive, which makes a per-candidate refutation
-  sound. A positive answer carries a model and a witness interval that are
-  re-checked independently before being returned.
+  at the periodicity caps of the model checker (checking._row_cap and
+  checking._later_cap, the one copy of that rule), and the horizon is sized
+  so every cut is conclusive, which makes a per-candidate refutation sound.
 
 * sat_bounded_finite searches finite orders of growing size for the full
   modality set. It can only ever answer Sat or Unknown.
 
-Atom variables are allocated first, ordered by letter then cell, and the
-solver's first model is lexicographically least, so results are reproducible
-down to the returned valuation.
+Both build their candidates with one encoder, which differs between the two
+kinds of domain only in how it encodes a diamond, and both return a model
+and witness interval through one certificate path that re-checks them with
+the model checker; a failed re-check raises CertificateError. Atom variables
+are allocated first, ordered by letter then cell, and the solver's first
+model is lexicographically least, so results are reproducible down to the
+returned valuation.
 """
 
 from __future__ import annotations
@@ -27,10 +30,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .checking import _scan_frontier, NotStabilized, mc_finite, mc_periodic
+from .checking import (
+    _later_cap, _row_cap, _scan_frontier, NotStabilized, mc_finite,
+    mc_periodic,
+)
 from .models import (
     FiniteDomain, Interval, IntervalModel, PeriodicDomain, allen_related,
-    canonical_cells, canonical_interval, finite_model, periodic_model,
+    canonical_cells, canonical_interval,
 )
 from .solver import Solver
 from .syntax import (
@@ -42,6 +48,11 @@ from .syntax import (
 
 class UnsupportedFragmentError(ValueError):
     """The formula uses modalities the procedure does not handle."""
+
+
+class CertificateError(RuntimeError):
+    """A satisfiable encoding gave no witness, or its witness failed the
+    independent re-check: the encoder and the model checker disagree."""
 
 
 @dataclass(frozen=True)
@@ -189,29 +200,37 @@ class _Cnf:
         return s if s.solve() else None
 
 
-def _lit_value(solver: Solver, lit: int) -> bool:
-    v = solver.model_value(abs(lit))
-    return v if lit > 0 else not v
+class _Encoder:
+    """CNF truth of subformulas at grid cells over one candidate domain.
 
+    The atom variables come first, by letter then canonical cell, and an
+    atom at any cell reads the variable of its canonical cell. How a
+    diamond is encoded is fixed per domain when the encoder is made: over a
+    finite order it is the disjunction of the child over the exact
+    allen_related successors, for any of the twelve modalities; over a
+    periodic domain only B, iB, L and iL are encoded, with row ladders and
+    with scans cut at the model checker's periodicity caps."""
 
-class _PeriodicEncoder:
-    """CNF truth of subformulas at grid cells over a candidate domain,
-    mirroring the model checker's capped scans literal by literal."""
-
-    def __init__(self, cnf: _Cnf, domain: PeriodicDomain, horizon: int,
-                 atom_var: Dict[Tuple[str, Interval], int]):
-        self.cnf = cnf
+    def __init__(self, domain, horizon: int, letters: List[str]):
+        self.cnf = cnf = _Cnf()
         self.domain = domain
-        self.pre, self.per = domain.pre, domain.per
         self.h = horizon
-        self.atom_var = atom_var
+        cells = canonical_cells(domain)
+        self.atom_var: Dict[Tuple[str, Interval], int] = {
+            (letter, cell): cnf.new_var()
+            for letter in letters for cell in cells}
         self.memo: Dict[Tuple[Formula, Interval], int] = {}
-        self._shared: Dict[Tuple[Formula, int], int] = {}
-        # top rung built per B ladder (f, x) and per iL ladder f
-        self._top: Dict[object, int] = {}
-
-    def _theta(self, child_depth: int) -> int:
-        return self.pre + 2 * child_depth * self.per
+        # The plain function, called with self: a bound method kept on the
+        # instance would be a reference cycle, and every refuted candidate's
+        # memo and clauses would then wait for the cyclic collector.
+        if isinstance(domain, FiniteDomain):
+            self._diamond = _Encoder._finite_diamond
+        else:
+            self.pre, self.per = domain.pre, domain.per
+            self._shared: Dict[Tuple[Formula, int], int] = {}
+            # top rung built per B ladder (f, x) and per iL ladder f
+            self._top: Dict[object, int] = {}
+            self._diamond = _Encoder._periodic_diamond
 
     def lit(self, f: Formula, cell: Interval) -> int:
         key = (f, cell)
@@ -229,7 +248,7 @@ class _PeriodicEncoder:
         if t is Not:
             return -self.lit(f.sub, cell)
         if t is Diamond:
-            return self._diamond(f, cell)
+            return self._diamond(self, f, cell)
         if t is And:
             return self.cnf.define_and2(self.lit(f.lhs, cell),
                                         self.lit(f.rhs, cell))
@@ -250,7 +269,11 @@ class _PeriodicEncoder:
             return -self.lit(Diamond(f.mod, neg(f.sub)), cell)
         raise TypeError("not a formula: %r" % (f,))
 
-    def _diamond(self, f: Diamond, cell: Interval) -> int:
+    def _finite_diamond(self, f: Diamond, cell: Interval) -> int:
+        succ = allen_related(self.domain, cell, f.mod)
+        return self.cnf.define_or([self.lit(f.sub, c) for c in succ])
+
+    def _periodic_diamond(self, f: Diamond, cell: Interval) -> int:
         name = f.mod.name
         sub = f.sub
         x, y = cell
@@ -270,8 +293,7 @@ class _PeriodicEncoder:
             self._top[(f, x)] = y
             return acc
         if name == "iB":
-            theta = self._theta(modal_depth(sub))
-            cap = max(theta, x + self.per + 1, y + 1) + self.per - 1
+            cap = _row_cap(self.pre, self.per, modal_depth(sub), x, y)
             if cap > self.h:
                 raise RuntimeError("scan cap beyond the encoding horizon")
             return self.cnf.define_or(
@@ -280,13 +302,13 @@ class _PeriodicEncoder:
             got = self._shared.get((f, y))
             if got is not None:
                 return got
-            theta = self._theta(modal_depth(sub))
-            capx = max(theta, y + 1) + self.per - 1
+            depth = modal_depth(sub)
+            capx = _later_cap(self.pre, self.per, depth, y)
             if capx > self.h - 1:
                 raise RuntimeError("scan cap beyond the encoding horizon")
             rows = []
             for xp in range(y + 1, capx + 1):
-                cap = max(theta, xp + self.per + 1) + self.per - 1
+                cap = _row_cap(self.pre, self.per, depth, xp, xp)
                 if cap > self.h:
                     raise RuntimeError("scan cap beyond the encoding horizon")
                 rows.append(self.cnf.define_or(
@@ -313,67 +335,37 @@ class _PeriodicEncoder:
             "modality %s outside the begin/later fragment" % name)
 
 
-class _FiniteEncoder:
-    """Exact CNF truth over one finite order; all twelve modalities."""
-
-    def __init__(self, cnf: _Cnf, domain: FiniteDomain,
-                 atom_var: Dict[Tuple[str, Interval], int]):
-        self.cnf = cnf
-        self.domain = domain
-        self.atom_var = atom_var
-        self.memo: Dict[Tuple[Formula, Interval], int] = {}
-
-    def lit(self, f: Formula, cell: Interval) -> int:
-        key = (f, cell)
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        v = self._build(f, cell)
-        self.memo[key] = v
-        return v
-
-    def _build(self, f: Formula, cell: Interval) -> int:
-        t = type(f)
-        if t is Not:
-            return -self.lit(f.sub, cell)
-        if t is Diamond:
-            succ = allen_related(self.domain, cell, f.mod)
-            return self.cnf.define_or(
-                [self.lit(f.sub, c) for c in succ])
-        if t is And:
-            return self.cnf.define_and2(self.lit(f.lhs, cell),
-                                        self.lit(f.rhs, cell))
-        if t is Or:
-            return self.cnf.define_or2(self.lit(f.lhs, cell),
-                                       self.lit(f.rhs, cell))
-        if t is Implies:
-            return self.cnf.define_or2(-self.lit(f.lhs, cell),
-                                       self.lit(f.rhs, cell))
-        if t is Atom:
-            return self.atom_var[(f.name, cell)]
-        if t is TrueConst:
-            return _TRUE
-        if t is FalseConst:
-            return _FALSE
-        if t is Box:
-            return -self.lit(Diamond(f.mod, neg(f.sub)), cell)
-        raise TypeError("not a formula: %r" % (f,))
-
-
-def _valuation_from(solver: Solver,
-                    atom_var: Dict[Tuple[str, Interval], int]):
+def _certificate(enc: _Encoder, solver: Solver, phi: Formula) -> Sat:
+    """The solver's model with the least memoised cell where phi's literal
+    is true, re-checked independently before it is returned."""
     val: Dict[str, List[Interval]] = {}
-    for (letter, cell), var in atom_var.items():
+    for (letter, cell), var in enc.atom_var.items():
         if solver.model_value(var):
             val.setdefault(letter, []).append(cell)
-    return val
+    model = IntervalModel(enc.domain, val)
+    witness = None
+    for cell in sorted(c for (f, c) in enc.memo if f is phi):
+        lit = enc.memo[(phi, cell)]
+        if solver.model_value(abs(lit)) == (lit > 0):
+            witness = cell
+            break
+    if witness is None:
+        raise CertificateError("satisfiable encoding without a witness")
+    if not _recheck(phi, model, witness):
+        raise CertificateError("witness failed independent re-checking")
+    return Sat(model, witness)
 
 
-def _verify_rounds(domain: PeriodicDomain, phi: Formula, wy: int) -> int:
+def _recheck(phi: Formula, model: IntervalModel, witness: Interval) -> bool:
+    """Truth of phi at the witness by the model checker, with a periodic
+    round budget large enough for every capped scan to be conclusive."""
+    domain = model.domain
+    if isinstance(domain, FiniteDomain):
+        return mc_finite(model, witness, phi)
     depth = modal_depth(phi)
-    need = _scan_frontier(domain.pre, domain.per, depth, wy)
-    k = (need - domain.pre) // domain.per + 2
-    return max(k, depth + 2)
+    need = _scan_frontier(domain.pre, domain.per, depth, witness[1])
+    rounds = max((need - domain.pre) // domain.per + 2, depth + 2)
+    return mc_periodic(model, witness, phi, max_rounds=rounds)
 
 
 def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
@@ -398,31 +390,12 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
     for total in range(2, bound + 1):
         for pre in range(1, total):
             per = total - pre
-            domain = PeriodicDomain(pre, per)
-            horizon = _scan_frontier(pre, per, goal_depth, 1)
-            cnf = _Cnf()
-            atom_var = {}
-            for letter in letters:
-                for cell in canonical_cells(domain):
-                    atom_var[(letter, cell)] = cnf.new_var()
-            enc = _PeriodicEncoder(cnf, domain, horizon, atom_var)
-            root = enc.lit(goal, (0, 1))
-            cnf.clauses.append([root])
-            solver = cnf.solve()
-            if solver is None:
-                continue
-            model = periodic_model(pre, per, _valuation_from(solver, atom_var))
-            witness = None
-            for cell in sorted(c for (f, c) in enc.memo if f == phi):
-                if _lit_value(solver, enc.memo[(phi, cell)]):
-                    witness = cell
-                    break
-            if witness is None:
-                raise RuntimeError("satisfiable encoding without a witness")
-            rounds = _verify_rounds(domain, phi, witness[1])
-            if not mc_periodic(model, witness, phi, max_rounds=rounds):
-                raise RuntimeError("witness failed independent re-checking")
-            return Sat(model, witness)
+            enc = _Encoder(PeriodicDomain(pre, per),
+                           _scan_frontier(pre, per, goal_depth, 1), letters)
+            enc.cnf.clauses.append([enc.lit(goal, (0, 1))])
+            solver = enc.cnf.solve()
+            if solver is not None:
+                return _certificate(enc, solver, phi)
     if max_bound is not None and max_bound < own_bound:
         return Unknown("search truncated below the periodic bound")
     return Unsat("no model within the periodic bound")
@@ -436,31 +409,15 @@ def sat_bounded_finite(phi: Formula, max_points: int) -> SatResult:
     letters = sorted(letters_of(phi))
     for n in range(1, max_points + 1):
         domain = FiniteDomain(n)
-        cells = canonical_cells(domain)
-        cnf = _Cnf()
-        atom_var = {}
-        for letter in letters:
-            for cell in cells:
-                atom_var[(letter, cell)] = cnf.new_var()
-        enc = _FiniteEncoder(cnf, domain, atom_var)
-        root = cnf.define_or([enc.lit(phi, c) for c in cells])
+        enc = _Encoder(domain, n, letters)
+        root = enc.cnf.define_or(
+            [enc.lit(phi, c) for c in canonical_cells(domain)])
         if root == _FALSE:
             continue
-        cnf.clauses.append([root])
-        solver = cnf.solve()
-        if solver is None:
-            continue
-        model = finite_model(n, _valuation_from(solver, atom_var))
-        witness = None
-        for c in cells:
-            if _lit_value(solver, enc.lit(phi, c)):
-                witness = c
-                break
-        if witness is None:
-            raise RuntimeError("satisfiable encoding without a witness")
-        if not mc_finite(model, witness, phi):
-            raise RuntimeError("witness failed independent re-checking")
-        return Sat(model, witness)
+        enc.cnf.clauses.append([root])
+        solver = enc.cnf.solve()
+        if solver is not None:
+            return _certificate(enc, solver, phi)
     return Unknown("no model with at most %d points past the origin"
                    % max_points)
 
@@ -469,13 +426,7 @@ def check_certificate(phi: Formula, model: IntervalModel,
                       witness: Interval) -> bool:
     """Re-check a Sat certificate from scratch. NotStabilized counts as a
     failed check rather than an error."""
-    witness = tuple(witness)
     try:
-        if isinstance(model.domain, FiniteDomain):
-            return mc_finite(model, witness, phi)
-        rounds = _verify_rounds(model.domain, phi, witness[1])
-        return mc_periodic(model, witness, phi, max_rounds=rounds)
-    except NotStabilized:
-        return False
-    except ValueError:
+        return _recheck(phi, model, tuple(witness))
+    except (NotStabilized, ValueError):
         return False

@@ -12,7 +12,7 @@ that drive the periodic-model bound used by the satisfiability engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -235,9 +235,10 @@ FALSE = FalseConst()
 
 # Deepest nesting parse_formula accepts (see nesting_depth). The recursive
 # functions over formulas (render, desugar, mirror_formula, ast_size, repr,
-# checking.postorder, the satisfiability encoders) spend at most a few stack
-# frames per level, and the parser six per pair of parentheses, so formulas
-# within this depth stay well inside Python's default recursion limit.
+# the satisfiability encoder) spend at most a few stack frames per level,
+# and the parser six per pair of parentheses, so formulas within this depth
+# stay well inside Python's default recursion limit. postorder and
+# subformulas are iterative and have no such limit.
 MAX_NESTING = 100
 
 # Letter reserved for the boolean-constant rewriting in desugar().
@@ -364,23 +365,34 @@ def neg(phi: Formula) -> Formula:
     return Not(phi)
 
 
-def subformulas(phi: Formula) -> set:
-    """All structural subformulas of phi, phi included."""
-    out = set()
+def postorder(phi: Formula) -> List[Formula]:
+    """Unique subformulas of phi, phi included: children left to right
+    before parents, each at its first occurrence. Iterative, so nesting
+    depth is no limit."""
+    seen = set()
+    out = []
+    # a None on the stack means: the node below it has had its children
+    # emitted, so emit it
     stack = [phi]
     while stack:
         f = stack.pop()
-        if f in out:
-            continue
-        out.add(f)
-        if isinstance(f, Not):
-            stack.append(f.sub)
-        elif isinstance(f, (And, Or, Implies)):
-            stack.append(f.lhs)
-            stack.append(f.rhs)
-        elif isinstance(f, (Diamond, Box)):
-            stack.append(f.sub)
+        if f is None:
+            out.append(stack.pop())
+        elif f not in seen:
+            seen.add(f)
+            t = type(f)
+            if t is And or t is Or or t is Implies:
+                stack += (f, None, f.rhs, f.lhs)
+            elif t is Not or t is Diamond or t is Box:
+                stack += (f, None, f.sub)
+            else:
+                out.append(f)
     return out
+
+
+def subformulas(phi: Formula) -> set:
+    """All structural subformulas of phi, phi included."""
+    return set(postorder(phi))
 
 
 def closure(phi: Formula) -> set:

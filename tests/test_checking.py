@@ -6,11 +6,14 @@ import pytest
 
 from hslogic.checking import (
     FiniteEvaluator, NotStabilized, mc_finite, mc_periodic,
+    periodic_stable_tables, postorder,
 )
-from hslogic.models import finite_model, periodic_model, reverse_model
+from hslogic.models import (
+    canonical_cells, finite_model, periodic_model, reverse_model,
+)
 from hslogic.syntax import (
     ALL_MODALITIES, A, iA, B, iB, E, iE, L, iL, And, Atom, Box, Diamond,
-    Not, box, dia, mirror_formula,
+    Not, box, conj, dia, mirror_formula,
 )
 
 from . import oracle
@@ -122,6 +125,34 @@ def test_periodic_stabilized_answer_fixed_across_horizons():
         v1 = mc_periodic(m, (0, 1), phi)
         v2 = mc_periodic(m, (0, 1), phi, max_rounds=9)
         assert v1 == v2
+
+
+def test_periodic_stable_tables_agree_with_mc_periodic():
+    rng = random.Random(307)
+    checked = 0
+    for _ in range(100):
+        pre, per = rng.randrange(1, 3), rng.randrange(1, 3)
+        m = rand_periodic_model(rng, pre, per, ["p", "q"])
+        phi = rand_formula(rng, ["p", "q"], ALL_MODALITIES, 2)
+        tables, h = periodic_stable_tables(m, phi)
+        assert h >= pre + per
+        assert set(tables) == set(postorder(phi))
+        cells = canonical_cells(m.domain)
+        for node, grid in tables.items():
+            assert all(v is False or v is None or v is True
+                       for v in grid.values())
+            for c in cells:
+                if grid[c] is not None:
+                    assert grid[c] == mc_periodic(m, c, node), (node, c)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_deep_conjunction_checks_without_recursion():
+    phi = conj(Atom("p%d" % k) for k in range(1500))
+    m = finite_model(2, {"p%d" % k: [(0, 1)] for k in range(1500)})
+    assert mc_finite(m, (0, 1), phi)
+    assert not mc_finite(m, (1, 2), phi)
 
 
 def test_not_stabilized_raises_with_zero_budget():

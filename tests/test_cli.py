@@ -3,6 +3,7 @@
 import json
 import time
 
+import hslogic.sat
 from hslogic.automata import ifz_automaton, save_automaton
 from hslogic.cli import main
 from hslogic.models import finite_model, save_model
@@ -194,3 +195,12 @@ def test_parse_too_deep_exits_2(capsys):
     code, out, err = run(capsys, "parse", "~" * 3000 + "p")
     assert code == 2 and out == ""
     assert "nested too deeply" in err and "Traceback" not in err
+
+
+def test_sat_failed_recheck_exits_2(capsys, monkeypatch):
+    # a re-check that rejects every witness stands in for a real
+    # disagreement between the encoder and the model checker
+    monkeypatch.setattr(hslogic.sat, "mc_periodic", lambda *a, **k: False)
+    code, out, err = run(capsys, "sat", "<B> p")
+    assert (code, out) == (2, "")
+    assert err == "error: witness failed independent re-checking\n"

@@ -32,23 +32,19 @@ def _encoded_values(model, phi):
     the encoder's private names."""
     domain = model.domain
     letters = sorted(letters_of(phi))
-    cnf = sat._Cnf()
-    atom_var = {}
-    for letter in letters:
-        for cell in canonical_cells(domain):
-            atom_var[(letter, cell)] = cnf.new_var()
     if isinstance(domain, FiniteDomain):
-        enc = sat._FiniteEncoder(cnf, domain, atom_var)
+        enc = sat._Encoder(domain, domain.last_point, letters)
         for cell in canonical_cells(domain):
             enc.lit(phi, cell)
     else:
         goal = sat.later_somewhere(phi)
         horizon = _scan_frontier(domain.pre, domain.per, modal_depth(goal), 1)
-        enc = sat._PeriodicEncoder(cnf, domain, horizon, atom_var)
+        enc = sat._Encoder(domain, horizon, letters)
         enc.lit(goal, (0, 1))
-    for (letter, cell), var in atom_var.items():
-        cnf.clauses.append([var if model.holds_atom(cell, letter) else -var])
-    solver = cnf.solve()
+    for (letter, cell), var in enc.atom_var.items():
+        enc.cnf.clauses.append(
+            [var if model.holds_atom(cell, letter) else -var])
+    solver = enc.cnf.solve()
     assert solver is not None
     return [(f, cell, solver.model_value(abs(lit)) == (lit > 0))
             for (f, cell), lit in enc.memo.items()]
