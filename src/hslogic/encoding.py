@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from .automata import CounterAutomaton, Transition, ifz_automaton, run_exact
 from .models import FiniteDomain, IntervalModel, finite_model
 from .checking import FiniteEvaluator
+from .parser import is_letter
 from .syntax import (
     A, E, iA, L, Atom, FALSE, Formula, Implies, Not, TRUE, And,
     box, conj, dia, disj, iff, mirror_formula,
@@ -35,7 +36,7 @@ from .syntax import (
 
 
 class EncodingError(ValueError):
-    """The automaton's names clash with the encoding's letter inventory."""
+    """An automaton name is not a formula letter or taken by the encoding."""
 
 
 EPS_LETTER = "__eps"
@@ -76,6 +77,8 @@ def _check_names(auto: CounterAutomaton):
                             % sorted(states & letters))
     shown = {counter_letter(i) for i in range(1, auto.num_counters + 1)}
     for name in sorted(states | letters):
+        if not is_letter(name):
+            raise EncodingError("name %r is not a formula letter" % name)
         if name.startswith("__"):
             raise EncodingError("name %r uses the reserved prefix" % name)
         if name in shown:

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
+from .parser import is_letter
 from .syntax import Modality
 
 Interval = Tuple[int, int]
@@ -256,9 +257,6 @@ def reverse_model(model: IntervalModel) -> IntervalModel:
     return IntervalModel(model.domain, val)
 
 
-_LETTER_RE = re.compile(r"[a-z_][a-zA-Z0-9_]*$")
-
-
 def load_model(text: str) -> IntervalModel:
     """Parse the .ism model format.
 
@@ -308,7 +306,7 @@ def load_model(text: str) -> IntervalModel:
             if len(parts) != 4:
                 raise ModelFormatError("expected 'val LETTER X Y'", lineno)
             letter = parts[1]
-            if not _LETTER_RE.match(letter):
+            if not is_letter(letter):
                 raise ModelFormatError("bad letter %r" % letter, lineno)
             try:
                 x, y = int(parts[2]), int(parts[3])

@@ -12,15 +12,17 @@ Grammar, loosest binding first:
              | atom
     atom    := "true" | "false" | IDENT | "(" formula ")"
 
-MOD is one of A iA B iB D iD E iE L iL O iO. IDENT matches
-[a-z_][a-zA-Z0-9_]*; names beginning with two underscores are reserved for
-generated letters but parse normally so rendered output round-trips.
-Whitespace is insignificant and "#" starts a comment running to end of line.
+MOD is one of A iA B iB D iD E iE L iL O iO. IDENT matches [a-z_][a-zA-Z0-9_]*
+except true and false (is_letter); names beginning with two underscores are
+reserved for generated letters but parse normally so rendered output
+round-trips. Whitespace is insignificant and "#" starts a comment running to
+end of line.
 
 A formula may nest at most MAX_NESTING (100) levels deep: no branch of its
 tree may carry more than that many operators, and no more than that many
 parentheses may be open at once. Deeper input raises ParseError ("nested too
-deeply"), so the recursive functions over formulas never run out of stack.
+deeply"), so what still recurses over formulas (this parser, the SAT encoder
+and pickling) never runs out of stack.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ class ParseError(ValueError):
 _TOO_DEEP = "formula nested too deeply (more than %d levels)" % MAX_NESTING
 
 _IDENT_RE = re.compile(r"[a-z_][a-zA-Z0-9_]*")
+_KEYWORDS = ("true", "false")
 _MOD_RE = re.compile(r"[A-Za-z]+")
 _PUNCT_KINDS = {"(": "lparen", ")": "rparen", "&": "and", "|": "or",
                 "~": "not"}
@@ -108,12 +111,8 @@ def _tokenize(text: str):
         m = _IDENT_RE.match(text, i)
         if m:
             word = m.group(0)
-            if word == "true":
-                tokens.append(_Token("true", word, line, col))
-            elif word == "false":
-                tokens.append(_Token("false", word, line, col))
-            else:
-                tokens.append(_Token("ident", word, line, col))
+            kind = word if word in _KEYWORDS else "ident"
+            tokens.append(_Token(kind, word, line, col))
             i = m.end()
             continue
         raise ParseError("unexpected character %r" % c, line, col)
@@ -222,6 +221,12 @@ class _Parser:
             return inner
         raise ParseError("expected a formula, found %r" % (tok.value,),
                          tok.line, tok.col)
+
+
+def is_letter(name: str) -> bool:
+    """Whether parse_formula reads name as an atom: the one rule for
+    letters in formulas, model files and encoded automata."""
+    return _IDENT_RE.fullmatch(name) is not None and name not in _KEYWORDS
 
 
 def parse_formula(text: str) -> Formula:

@@ -26,7 +26,6 @@ returned valuation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -42,7 +41,7 @@ from .solver import Solver
 from .syntax import (
     And, Atom, Box, Diamond, FalseConst, Formula, Fragment, Implies, Not,
     Or, TrueConst, B, iB, L, iL, dia, fragment_of, letters_of, metrics,
-    modal_depth, neg,
+    modal_depth, neg, nesting_depth,
 )
 
 
@@ -85,45 +84,51 @@ def later_somewhere(phi: Formula) -> Formula:
 
 
 def _prop_unsat(phi: Formula) -> bool:
-    """Propositional refutation: treat every temporal subformula as an
-    opaque letter and brute-force the abstraction. Sound, never complete."""
-    keys: Dict[Formula, int] = {}
-
-    def collect(f: Formula):
-        if isinstance(f, (Atom, Diamond, Box)):
-            if f not in keys:
-                keys[f] = len(keys)
-            return
-        if isinstance(f, Not):
-            collect(f.sub)
-        elif isinstance(f, (And, Or, Implies)):
-            collect(f.lhs)
-            collect(f.rhs)
-
-    collect(phi)
-    if len(keys) > 12:
+    """Propositional refutation: treat every atom and modal subformula as
+    an opaque letter and evaluate the abstraction under all assignments at
+    once, as bit masks with bit j the value under assignment j. Sound,
+    never complete; skipped above 12 letters."""
+    if not isinstance(phi, Formula):
+        raise TypeError("not a formula: %r" % (phi,))
+    # the boolean skeleton of phi; the walk stops at the letters
+    mask: Dict[Formula, int] = {}
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if f not in mask:
+            mask[f] = 0
+            t = type(f)
+            if t is Not:
+                stack.append(f.sub)
+            elif t is And or t is Or or t is Implies:
+                stack += (f.rhs, f.lhs)
+    letters = [f for f in mask if type(f) in (Atom, Diamond, Box)]
+    if len(letters) > 12:
         return False
-
-    def ev(f: Formula, env) -> bool:
-        if isinstance(f, (Atom, Diamond, Box)):
-            return env[keys[f]]
-        if isinstance(f, TrueConst):
-            return True
-        if isinstance(f, FalseConst):
-            return False
-        if isinstance(f, Not):
-            return not ev(f.sub, env)
-        if isinstance(f, And):
-            return ev(f.lhs, env) and ev(f.rhs, env)
-        if isinstance(f, Or):
-            return ev(f.lhs, env) or ev(f.rhs, env)
-        if isinstance(f, Implies):
-            return not ev(f.lhs, env) or ev(f.rhs, env)
-        raise TypeError("not a formula: %r" % (f,))
-
-    return not any(ev(phi, env)
-                   for env in itertools.product([False, True],
-                                                repeat=len(keys)))
+    size = 1 << len(letters)
+    full = (1 << size) - 1
+    for k, f in enumerate(letters):
+        # letter k holds where bit k of the assignment is set: 2^k zeros
+        # then 2^k ones, doubled until the runs span every assignment
+        m, width = ((1 << (1 << k)) - 1) << (1 << k), 2 << k
+        while width < size:
+            m, width = m | m << width, width << 1
+        mask[f] = m
+    # operands nest less deeply than the nodes over them; false and the
+    # letters keep the masks they have
+    for f in sorted(mask, key=nesting_depth):
+        t = type(f)
+        if t is Not:
+            mask[f] = full ^ mask[f.sub]
+        elif t is And:
+            mask[f] = mask[f.lhs] & mask[f.rhs]
+        elif t is Or:
+            mask[f] = mask[f.lhs] | mask[f.rhs]
+        elif t is Implies:
+            mask[f] = (full ^ mask[f.lhs]) | mask[f.rhs]
+        elif t is TrueConst:
+            mask[f] = full
+    return mask[phi] == 0
 
 
 class _Cnf:

@@ -12,7 +12,8 @@ that drive the periodic-model bound used by the satisfiability engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from functools import reduce
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -89,6 +90,8 @@ class Formula:
 
     __slots__ = ("_depth", "_height")
     _fields: Tuple[str, ...] = ()
+    # the fields holding formulas, in the order fold passes their results
+    _operands: Tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
         raise AttributeError("formula nodes are immutable")
@@ -100,8 +103,7 @@ class Formula:
         return (type(self), tuple(getattr(self, f) for f in self._fields))
 
     def __repr__(self) -> str:
-        return "%s(%s)" % (type(self).__name__, ", ".join(
-            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+        return fold(self, _repr_case)
 
 
 # Nodes are filled in through their slot descriptors, since the immutable
@@ -155,7 +157,7 @@ class FalseConst(_Constant):
 
 class Not(Formula):
     __slots__ = ("sub",)
-    _fields = ("sub",)
+    _fields = _operands = ("sub",)
 
     def __new__(cls, sub: Formula):
         key = (cls, sub)
@@ -172,7 +174,7 @@ _set_not_sub = Not.sub.__set__
 
 class _Binary(Formula):
     __slots__ = ("lhs", "rhs")
-    _fields = ("lhs", "rhs")
+    _fields = _operands = ("lhs", "rhs")
 
     def __new__(cls, lhs: Formula, rhs: Formula):
         key = (cls, lhs, rhs)
@@ -205,6 +207,7 @@ class Implies(_Binary):
 class _Modal(Formula):
     __slots__ = ("mod", "sub")
     _fields = ("mod", "sub")
+    _operands = ("sub",)
 
     def __new__(cls, mod: Modality, sub: Formula):
         # the modality enters the key by its fields, which hash in C
@@ -233,12 +236,10 @@ class Box(_Modal):
 TRUE = TrueConst()
 FALSE = FalseConst()
 
-# Deepest nesting parse_formula accepts (see nesting_depth). The recursive
-# functions over formulas (render, desugar, mirror_formula, ast_size, repr,
-# the satisfiability encoder) spend at most a few stack frames per level,
-# and the parser six per pair of parentheses, so formulas within this depth
-# stay well inside Python's default recursion limit. postorder and
-# subformulas are iterative and have no such limit.
+# Deepest nesting parse_formula accepts (see nesting_depth). It keeps what
+# still recurses over formulas, the parser, sat._Encoder and pickling, well
+# inside Python's default recursion limit; the walks in this module are all
+# iterative and have no depth limit.
 MAX_NESTING = 100
 
 # Letter reserved for the boolean-constant rewriting in desugar().
@@ -256,27 +257,49 @@ def box(mod: Modality, sub: Formula) -> Formula:
 def conj(parts: Iterable[Formula]) -> Formula:
     """Left fold of a conjunction; the empty conjunction is true."""
     parts = list(parts)
-    if not parts:
-        return TRUE
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return reduce(And, parts) if parts else TRUE
 
 
 def disj(parts: Iterable[Formula]) -> Formula:
     """Left fold of a disjunction; the empty disjunction is false."""
     parts = list(parts)
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return reduce(Or, parts) if parts else FALSE
 
 
 def iff(a: Formula, b: Formula) -> Formula:
     return And(Implies(a, b), Implies(b, a))
+
+
+def fold(phi: Formula, case: Callable[[Formula, tuple], object]) -> object:
+    """Evaluate phi bottom-up: case(f, args) is called once per unique
+    node f, children first, where args holds the results for f's formula
+    operands left to right. Iterative, so nesting depth is no limit."""
+    order = postorder(phi)
+    # each result is dropped once the last node using it is done, so that
+    # a long chain of string results (render, repr) is not all held at once
+    last = {getattr(f, n): f for f in order for n in f._operands}
+    done = {}
+    for f in order:
+        kids = [getattr(f, n) for n in f._operands]
+        done[f] = case(f, tuple([done[g] for g in kids]))
+        for g in kids:
+            if last[g] is f:
+                done.pop(g, None)
+    return done[phi]
+
+
+def _repr_case(f: Formula, args: tuple) -> str:
+    shown = dict(zip(f._operands, args))
+    return "%s(%s)" % (type(f).__name__, ", ".join(
+        "%s=%s" % (n, shown[n] if n in shown else repr(getattr(f, n)))
+        for n in f._fields))
+
+
+def _rebuild(f: Formula, args: tuple, mods: Optional[dict] = None) -> Formula:
+    """f's node class over new operands, a modality mapped through mods."""
+    if isinstance(f, _Modal):
+        return type(f)(mods[f.mod] if mods else f.mod, *args)
+    return type(f)(*args) if args else f
 
 
 # Rendering precedence: implication binds loosest, then disjunction, then
@@ -287,45 +310,35 @@ _PREC_AND = 3
 _PREC_UNARY = 4
 _PREC_ATOM = 5
 
+# Per node class: template (modal ones take the modality name first), own
+# precedence, and the least precedence of each operand left unbracketed:
+# & and | are left associative, -> is right associative.
+_RENDER = {
+    TrueConst: ("true", _PREC_ATOM, ()),
+    FalseConst: ("false", _PREC_ATOM, ()),
+    Not: ("~%s", _PREC_UNARY, (_PREC_UNARY,)),
+    Diamond: ("<%s> %s", _PREC_UNARY, (_PREC_UNARY,)),
+    Box: ("[%s] %s", _PREC_UNARY, (_PREC_UNARY,)),
+    And: ("%s & %s", _PREC_AND, (_PREC_AND, _PREC_AND + 1)),
+    Or: ("%s | %s", _PREC_OR, (_PREC_OR, _PREC_OR + 1)),
+    Implies: ("%s -> %s", _PREC_IMPLIES, (_PREC_IMPLIES + 1, _PREC_IMPLIES)),
+}
+
 
 def render(phi: Formula) -> str:
     """Concrete syntax for a formula; parse(render(phi)) == phi."""
-    return _render(phi, 0)
+    return fold(phi, _render_case)[0]
 
 
-def _render(phi: Formula, min_prec: int) -> str:
-    if isinstance(phi, Atom):
-        return phi.name
-    if isinstance(phi, TrueConst):
-        return "true"
-    if isinstance(phi, FalseConst):
-        return "false"
-    if isinstance(phi, Not):
-        s = "~" + _render(phi.sub, _PREC_UNARY)
-        prec = _PREC_UNARY
-    elif isinstance(phi, Diamond):
-        s = "<%s> %s" % (phi.mod.name, _render(phi.sub, _PREC_UNARY))
-        prec = _PREC_UNARY
-    elif isinstance(phi, Box):
-        s = "[%s] %s" % (phi.mod.name, _render(phi.sub, _PREC_UNARY))
-        prec = _PREC_UNARY
-    elif isinstance(phi, And):
-        # left associative: right operand needs strictly higher precedence
-        s = "%s & %s" % (_render(phi.lhs, _PREC_AND), _render(phi.rhs, _PREC_AND + 1))
-        prec = _PREC_AND
-    elif isinstance(phi, Or):
-        s = "%s | %s" % (_render(phi.lhs, _PREC_OR), _render(phi.rhs, _PREC_OR + 1))
-        prec = _PREC_OR
-    elif isinstance(phi, Implies):
-        # right associative
-        s = "%s -> %s" % (_render(phi.lhs, _PREC_IMPLIES + 1),
-                          _render(phi.rhs, _PREC_IMPLIES))
-        prec = _PREC_IMPLIES
-    else:
-        raise TypeError("not a formula: %r" % (phi,))
-    if prec < min_prec:
-        return "(" + s + ")"
-    return s
+def _render_case(f: Formula, args: tuple) -> Tuple[str, int]:
+    if type(f) is Atom:
+        return f.name, _PREC_ATOM
+    template, prec, needs = _RENDER[type(f)]
+    parts = tuple(s if p >= need else "(" + s + ")"
+                  for (s, p), need in zip(args, needs))
+    if isinstance(f, _Modal):
+        parts = (f.mod.name,) + parts
+    return template % parts, prec
 
 
 def desugar(phi: Formula) -> Formula:
@@ -335,27 +348,17 @@ def desugar(phi: Formula) -> Formula:
     and false becomes the negation of that. The result uses only atoms,
     negation, conjunction, disjunction, diamonds, and boxes.
     """
-    if isinstance(phi, Atom):
-        return phi
-    if isinstance(phi, TrueConst):
-        t = Atom(RESERVED_TAUTOLOGY_LETTER)
-        return Or(t, Not(t))
-    if isinstance(phi, FalseConst):
-        t = Atom(RESERVED_TAUTOLOGY_LETTER)
-        return Not(Or(t, Not(t)))
-    if isinstance(phi, Not):
-        return Not(desugar(phi.sub))
-    if isinstance(phi, And):
-        return And(desugar(phi.lhs), desugar(phi.rhs))
-    if isinstance(phi, Or):
-        return Or(desugar(phi.lhs), desugar(phi.rhs))
-    if isinstance(phi, Implies):
-        return Or(Not(desugar(phi.lhs)), desugar(phi.rhs))
-    if isinstance(phi, Diamond):
-        return Diamond(phi.mod, desugar(phi.sub))
-    if isinstance(phi, Box):
-        return Box(phi.mod, desugar(phi.sub))
-    raise TypeError("not a formula: %r" % (phi,))
+    return fold(phi, _desugar_case)
+
+
+def _desugar_case(f: Formula, args: tuple) -> Formula:
+    t = type(f)
+    if t is Implies:
+        return Or(Not(args[0]), args[1])
+    if t is TrueConst or t is FalseConst:
+        a = Atom(RESERVED_TAUTOLOGY_LETTER)
+        return Or(a, Not(a)) if t is TrueConst else Not(Or(a, Not(a)))
+    return _rebuild(f, args)
 
 
 def neg(phi: Formula) -> Formula:
@@ -369,6 +372,8 @@ def postorder(phi: Formula) -> List[Formula]:
     """Unique subformulas of phi, phi included: children left to right
     before parents, each at its first occurrence. Iterative, so nesting
     depth is no limit."""
+    if not isinstance(phi, Formula):
+        raise TypeError("not a formula: %r" % (phi,))
     seen = set()
     out = []
     # a None on the stack means: the node below it has had its children
@@ -405,15 +410,7 @@ def closure(phi: Formula) -> set:
 def ast_size(phi: Formula) -> int:
     """Node count of the tree; each connective, modality, and atom occurrence
     counts as one symbol."""
-    if isinstance(phi, (Atom, TrueConst, FalseConst)):
-        return 1
-    if isinstance(phi, Not):
-        return 1 + ast_size(phi.sub)
-    if isinstance(phi, (And, Or, Implies)):
-        return 1 + ast_size(phi.lhs) + ast_size(phi.rhs)
-    if isinstance(phi, (Diamond, Box)):
-        return 1 + ast_size(phi.sub)
-    raise TypeError("not a formula: %r" % (phi,))
+    return fold(phi, lambda f, args: 1 + sum(args))
 
 
 def modal_depth(phi: Formula) -> int:
@@ -428,7 +425,13 @@ def nesting_depth(phi: Formula) -> int:
 
 
 def letters_of(phi: Formula) -> set:
-    return {f.name for f in subformulas(desugar(phi)) if isinstance(f, Atom)}
+    """The letters of desugar(phi): the atoms of phi, and the reserved
+    letter if phi has a constant."""
+    subs = subformulas(phi)
+    out = {f.name for f in subs if isinstance(f, Atom)}
+    if TRUE in subs or FALSE in subs:
+        out.add(RESERVED_TAUTOLOGY_LETTER)
+    return out
 
 
 def _temporal_core(member: Formula) -> Formula:
@@ -480,21 +483,7 @@ def metrics(phi: Formula) -> FormulaMetrics:
 
 def mirror_formula(phi: Formula) -> Formula:
     """Swap every modality for its time-reversed partner; an involution."""
-    if isinstance(phi, (Atom, TrueConst, FalseConst)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(mirror_formula(phi.sub))
-    if isinstance(phi, And):
-        return And(mirror_formula(phi.lhs), mirror_formula(phi.rhs))
-    if isinstance(phi, Or):
-        return Or(mirror_formula(phi.lhs), mirror_formula(phi.rhs))
-    if isinstance(phi, Implies):
-        return Implies(mirror_formula(phi.lhs), mirror_formula(phi.rhs))
-    if isinstance(phi, Diamond):
-        return Diamond(phi.mod.mirror(), mirror_formula(phi.sub))
-    if isinstance(phi, Box):
-        return Box(phi.mod.mirror(), mirror_formula(phi.sub))
-    raise TypeError("not a formula: %r" % (phi,))
+    return fold(phi, lambda f, args: _rebuild(f, args, _MIRROR))
 
 
 @dataclass(frozen=True)

@@ -204,3 +204,28 @@ def test_sat_failed_recheck_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "sat", "<B> p")
     assert (code, out) == (2, "")
     assert err == "error: witness failed independent re-checking\n"
+
+
+def test_encode_rejects_names_that_are_not_letters(capsys, tmp_path):
+    # a state named Q1 would print an unparsable formula, and one named
+    # true would re-parse as the constant
+    for state in ("Q1", "true"):
+        ica = tmp_path / "bad.ica"
+        ica.write_text(save_automaton(ifz_automaton()).replace("q0", state),
+                       encoding="ascii")
+        for target in ("AE", "iAB"):
+            code, out, err = run(capsys, "encode", "--ica", str(ica),
+                                 "--target", target)
+            assert (code, out) == (2, "")
+            assert err == "error: name %r is not a formula letter\n" % state
+
+
+def test_model_letters_follow_the_formula_rule(capsys, tmp_path):
+    for letter in ("true", "false", "Q1"):
+        path = tmp_path / "kw.ism"
+        path.write_text("order finite 2\nval %s 0 1\n" % letter,
+                        encoding="ascii")
+        code, out, err = run(capsys, "mc", "--model", str(path),
+                             "--interval", "0", "1", "--formula", "true")
+        assert (code, out) == (2, "")
+        assert err == "error: bad letter %r (line 2)\n" % letter

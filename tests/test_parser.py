@@ -3,7 +3,9 @@
 import pytest
 
 from hslogic.checking import postorder
-from hslogic.parser import ParseError, parse_formula, parse_fragment
+from hslogic.parser import (
+    ParseError, is_letter, parse_formula, parse_fragment,
+)
 from hslogic.syntax import (
     A, iA, B, iB, L, iL, And, Atom, Box, Diamond, FALSE, Fragment,
     Implies, MAX_NESTING, Not, Or, TRUE, closure, desugar, dia,
@@ -18,6 +20,24 @@ def test_atoms_and_keywords():
     assert parse_formula("true") == TRUE
     assert parse_formula("false") == FALSE
     assert parse_formula("_x9") == Atom("_x9")
+
+
+@pytest.mark.parametrize("name", ["p", "_x9", "q1", "trueish", "__conf",
+                                  "false_", "aB_3"])
+def test_letters_parse_as_atoms(name):
+    assert is_letter(name)
+    assert parse_formula(name) == Atom(name)
+
+
+@pytest.mark.parametrize("name", ["true", "false", "Q1", "1p", "p-q", "p q",
+                                  "", "p\n", "\u00e9"])
+def test_non_letters_do_not_parse_as_atoms(name):
+    assert not is_letter(name)
+    try:
+        phi = parse_formula(name)
+    except ParseError:
+        return
+    assert phi != Atom(name)
 
 
 def test_precedence():
