@@ -9,12 +9,17 @@ the true answer and is expected to fail; xfail_strict turns a mended case
 into a failing XPASS, to be made a plain test.
 """
 
+import random
+
 import pytest
 
 from hslogic.checking import mc_periodic
 from hslogic.models import load_model
 from hslogic.parser import parse_formula
 from hslogic.sat import CertificateError, Sat, Unsat, sat_bbll
+
+from . import oracle
+from .gen import all_mods, rand_formula, rand_periodic_model
 
 MODEL = load_model("order periodic pre=1 per=1\nval p 0 1\n")
 
@@ -45,3 +50,27 @@ def test_sat_bbll_refutes_a_valid_negation():
 @FAULT
 def test_sat_bbll_certifies_a_satisfiable_formula():
     assert isinstance(sat_bbll(parse_formula("<B> <B> p & <iL> q")), Sat)
+
+
+@FAULT
+def test_all_modalities_against_three_valued_oracle():
+    # every definite verdict of the horizon-13 oracle, at cells near the
+    # origin, for random formulas of depth <= 3 over all twelve modalities
+    rng = random.Random(20121011)
+    mods = all_mods()
+    cells = [(x, y) for x in range(6) for y in range(x + 1, 10)]
+    wrong = []
+    checked = 0
+    for _ in range(1500):
+        model = rand_periodic_model(rng, rng.randint(1, 2), rng.randint(1, 2),
+                                    ["p", "q"])
+        phi = rand_formula(rng, ["p", "q"], mods, 3)
+        for cell in rng.sample(cells, 3):
+            want = oracle.mc3_naive(model, cell, phi, 13)
+            if want is None:
+                continue
+            checked += 1
+            if mc_periodic(model, cell, phi) != want:
+                wrong.append((model.domain, cell, phi, want))
+    assert checked > 3500
+    assert wrong == []
