@@ -6,8 +6,10 @@ by dynamic programming, one pass per modality.
 Periodic models need more care. An atom's truth is invariant under the two
 periodicity shifts, and that invariance lifts level by level: the truth of a
 formula of modal depth d is invariant under right-endpoint shifts by one
-period once the endpoint clears roughly pre + 2*d*per, and under diagonal
-shifts once the left endpoint does. The evaluator exploits this twice over:
+period once the endpoint clears roughly pre + 2*d*per and the interval is
+longer than (2*d + 1)*per, and under diagonal shifts once the left
+endpoint clears pre + 2*d*per (the comment above _row_cap). The evaluator
+exploits this twice over:
 
 * scans for the five modalities that reach arbitrarily far right (A, iB, L,
   iD, O) are cut off at a cap derived from the child's invariance threshold,
@@ -52,29 +54,59 @@ class NotStabilized(Exception):
 
 
 # The periodicity caps. A periodic domain repeats its valuation with the
-# period past the prefix, and the rule assumed here is that this lifts level
-# by level: once an endpoint clears pre + 2*depth*per, truth of a formula of
-# that modal depth repeats when the endpoint moves by one period (the right
-# endpoint alone, or both endpoints together). A scan that runs one period
-# past that threshold has then seen every value there is to see. These two
+# period past the prefix: an atom has the same truth at [x, y] and at
+# [x, y + per] once y >= pre, and at [x + per, y + per] once x >= pre. The
+# rule used here is that this lifts level by level, with three thresholds
+# for a formula of modal depth d:
+#
+#   absolute right   y >= pre + 2*d*per
+#   length           y - x >= (2*d + 1)*per + 1
+#   diagonal         x >= pre + 2*d*per
+#
+# Past the first two, truth repeats when the right endpoint alone moves by
+# one period; past the third, when both endpoints do. Each modality lifts
+# its child's thresholds by one level:
+#
+# * B, E and D look inside [x, y]. Lengthening it by a period adds the
+#   subintervals that end, or start, in the new last period. A long one
+#   is matched by a right shift back a period and a short one by a
+#   diagonal shift, and the shifted interval stays inside [x, y] only when
+#   [x, y] is some periods longer than the child's length threshold: the
+#   length term. Without it, truth under nested D, B and E still depends on
+#   the interval's length past the absolute threshold.
+# * iB, A, L, iD and O reach right without bound. Their scans stop one
+#   period past the child's thresholds (the caps below), so every value
+#   further right repeats one already scanned, and moving [x, y] by a
+#   period moves the scanned values with it.
+# * iE, iA, iL and iO look left of the left endpoint or across it. A
+#   diagonal shift adds successors in the period before the new left
+#   endpoint, which repeat earlier ones once they clear the child's
+#   diagonal threshold.
+#
+# This is an argument, not a proof: the step of two periods per level and
+# the 2*d + 1 of the length term are fitted, not derived. They are the
+# values under which mc_periodic agrees with the independent three-valued
+# oracle on every definite verdict of an all-modality fuzz
+# (tests/test_known_faults.py), where a length term of per + 1 at every
+# depth gives wrong answers. A scan that runs one period past the
+# thresholds has then seen every value there is to see. These two
 # functions hold the only copy of the rule: the table checker's scans, the
 # horizon and query reductions below, and the SAT encoder's iB and L scans
-# (sat._Encoder) all cut where they say. The rule is known to fail where
-# truth depends on an interval's length (D, B and E nested under a
-# right-reaching modality); tests/test_known_faults.py pins such cases.
+# (sat._Encoder) all cut where they say.
 
 def _row_cap(pre: int, per: int, depth: int, x: int, lo: int) -> int:
     """Largest right endpoint y' a scan over [x, y'], y' > lo, must visit
-    for a child of the given depth."""
-    return max(pre + 2 * depth * per, x + per + 1, lo + 1) + per - 1
+    for a child of the given depth: one period past lo and past the
+    child's absolute-right and length thresholds."""
+    return max(pre + 2 * depth * per, x + (2 * depth + 1) * per + 1,
+               lo + 1) + per - 1
 
 
 def _later_cap(pre: int, per: int, depth: int, y: int) -> int:
     """Largest left endpoint x' a scan over the intervals after point y
-    must visit for a child of the given depth: the cap of a row scan past
-    y whose row starts one period before y, so that x + per + 1 adds
-    nothing to the bound."""
-    return _row_cap(pre, per, depth, y - per, y)
+    must visit for a child of the given depth: one period past y and past
+    the child's diagonal threshold, beyond which whole rows repeat."""
+    return max(pre + 2 * depth * per, y + 1) + per - 1
 
 
 class _TableEngine:

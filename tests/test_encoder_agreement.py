@@ -6,9 +6,10 @@ memoised must take the value mc_finite or mc_periodic gives at that cell.
 
 On finite models the two sides share nothing but the model, so agreement
 there is evidence of truth. On periodic models the encoder cuts its
-right-unbounded scans at the checker's own periodicity caps, so this test
-pins agreement between the two, not truth: a fault in the cap rule shows up
-on both sides alike.
+right-unbounded scans at the checker's own periodicity caps, so a fault in
+the cap rule would show up on both sides alike; the checker's side is held
+to truth by the all-modality differential against the independent oracle in
+tests/test_known_faults.py, so agreement here pins truth as well.
 """
 
 import random

@@ -23,7 +23,7 @@ def stepwise_reduce(pre, per, depth, x, y):
     while x >= t + per:
         x -= per
         y -= per
-    while y >= max(t, x + per + 1) + per:
+    while y >= max(t, x + (2 * depth + 1) * per + 1) + per:
         y -= per
     return (x, y)
 
