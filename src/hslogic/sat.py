@@ -3,14 +3,22 @@
 Two procedures with different scopes:
 
 * sat_bbll decides formulas built from the begin modalities and the later
-  modalities over unbounded strongly discrete orders. It enumerates
-  ultimately periodic valuations by prefix/period size up to the bound from
-  the formula's metrics, encodes truth of the formula somewhere in the order
-  as CNF over atom values on canonical cells, and hands the encoding to the
-  clause-learning solver. Scans for the right-unbounded modalities are cut
-  at the periodicity caps of the model checker (checking._row_cap and
-  checking._later_cap, the one copy of that rule), and the horizon is sized
-  so every cut is conclusive, which makes a per-candidate refutation sound.
+  modalities over unbounded strongly discrete orders. It searches
+  ultimately periodic valuations by prefix/period split up to the bound T
+  from the formula's metrics. For each candidate split it encodes truth of
+  the formula somewhere in the order as CNF over atom values on canonical
+  cells, and hands the encoding to the clause-learning solver. Scans for
+  the right-unbounded modalities are cut at the periodicity caps of the
+  model checker (checking._row_cap and checking._later_cap, the one copy of
+  that rule), and the horizon is sized so every cut is conclusive, which
+  makes a per-candidate refutation sound. A split covers every split with
+  a shorter or equal prefix and a period dividing its own, so Unsat needs
+  only the T - 1 maximal splits (T - per, per), not all T(T-1)/2. Sat
+  answers come from the ordered search (by total, then by prefix): first
+  over the totals up to T/4, and past a satisfiable maximal split again
+  from the next total, skipping covered splits, so the certificate is the
+  one the full ordered search gives. The sat_bbll docstring has the
+  schedule.
 
 * sat_bounded_finite searches finite orders of growing size for the full
   modality set. It can only ever answer Sat or Unknown.
@@ -380,7 +388,30 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
     ultimately periodic model and a witness interval, or Unsat once every
     prefix/period split up to the periodic bound is refuted. If max_bound
     trims the search below the formula's own bound the failure case is
-    reported as Unknown instead."""
+    reported as Unknown instead.
+
+    A split (pre, per) covers the splits (pre', per') with pre' <= pre and
+    per' dividing per: a canonical-cell valuation for (pre', per') reads the
+    same under the (pre'+1, per') and (pre', k*per') reductions of
+    canonical_interval, so it is also a valuation for (pre, per) that makes
+    the same formulas true at the same intervals. A candidate's encoding is
+    exact wherever the periodicity caps that cut its scans are (the
+    argument at checking._row_cap), so refuting the maximal splits
+    (bound - per, per) refutes every split up to the bound.
+    The search runs in three steps:
+
+    1. the ordered search (by total, then by prefix) over the totals t with
+       4*t <= bound, where cheap candidates answer most satisfiable
+       formulas;
+    2. the maximal splits, by ascending period, which have the smallest
+       horizons first; if all are refuted the answer is Unsat or Unknown;
+    3. once a maximal split is satisfiable, the ordered search from the
+       next total on, skipping the splits a refuted maximal split covers
+       and reusing the solved one when it comes up.
+
+    Skipped splits are unsatisfiable, so the first satisfiable split of
+    step 3 is the first of the full ordered search, and the certificate is
+    the one that search gives."""
     frag = fragment_of(phi)
     if not frag <= _BBLL:
         raise UnsupportedFragmentError(
@@ -392,15 +423,40 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
     goal = later_somewhere(phi)
     goal_depth = modal_depth(goal)
     letters = sorted(letters_of(phi))
-    for total in range(2, bound + 1):
-        for pre in range(1, total):
-            per = total - pre
-            enc = _Encoder(PeriodicDomain(pre, per),
-                           _scan_frontier(pre, per, goal_depth, 1), letters)
-            enc.cnf.clauses.append([enc.lit(goal, (0, 1))])
-            solver = enc.cnf.solve()
-            if solver is not None:
-                return _certificate(enc, solver, phi)
+    solved: Dict[Tuple[int, int], Tuple[_Encoder, Solver]] = {}
+
+    def candidate(pre: int, per: int) -> Tuple[_Encoder, Optional[Solver]]:
+        got = solved.get((pre, per))
+        if got is not None:
+            return got
+        enc = _Encoder(PeriodicDomain(pre, per),
+                       _scan_frontier(pre, per, goal_depth, 1), letters)
+        enc.cnf.clauses.append([enc.lit(goal, (0, 1))])
+        return enc, enc.cnf.solve()
+
+    def ordered(totals: range, refuted: List[int]) -> Optional[Sat]:
+        # refuted holds the periods q of the refuted maximal splits
+        for total in totals:
+            for pre in range(1, total):
+                per = total - pre
+                if any(q % per == 0 and pre <= bound - q for q in refuted):
+                    continue
+                enc, solver = candidate(pre, per)
+                if solver is not None:
+                    return _certificate(enc, solver, phi)
+        return None
+
+    head = bound // 4
+    res = ordered(range(2, head + 1), [])
+    if res is not None:
+        return res
+    refuted: List[int] = []
+    for per in range(1, bound):
+        enc, solver = candidate(bound - per, per)
+        if solver is not None:
+            solved[(bound - per, per)] = (enc, solver)
+            return ordered(range(head + 1, bound + 1), refuted)
+        refuted.append(per)
     if max_bound is not None and max_bound < own_bound:
         return Unknown("search truncated below the periodic bound")
     return Unsat("no model within the periodic bound")
