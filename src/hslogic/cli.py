@@ -148,6 +148,11 @@ def _cmd_bisim(args: argparse.Namespace) -> int:
         return 2
     ma = load_model(_read(args.left))
     mb = load_model(_read(args.right))
+    for path, model in ((args.left, ma), (args.right, mb)):
+        if not isinstance(model.domain, FiniteDomain):
+            print("error: %s: bisimulations need a finite model" % path,
+                  file=sys.stderr)
+            return 2
     frag = parse_fragment(args.fragment)
     if args.certify is not None:
         mod_name, letter, x, y, x2, y2 = args.certify

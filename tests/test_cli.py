@@ -159,6 +159,20 @@ def test_bisim_certify_and_pairs(capsys, tmp_path):
     assert "0 1 0 1" in out.splitlines()
 
 
+def test_bisim_rejects_a_periodic_model(capsys, tmp_path):
+    left = tmp_path / "a.ism"
+    right = tmp_path / "b.ism"
+    left.write_text("order periodic pre=1 per=2\n", encoding="ascii")
+    right.write_text("order finite 3\n", encoding="ascii")
+    for extra in ((), ("--certify", "L", "p", "0", "1", "0", "1")):
+        code, out, err = run(capsys, "bisim", "--left", str(left),
+                             "--right", str(right), "--fragment", "B iB",
+                             *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: %s: bisimulations need a finite model\n" \
+            % left
+
+
 def test_mirror(capsys):
     code, out, _ = run(capsys, "mirror", "<B> p")
     assert (code, out) == (0, "<E> p\n")
