@@ -67,13 +67,13 @@ class NotStabilized(Exception):
 # one period; past the third, when both endpoints do. Each modality lifts
 # its child's thresholds by one level:
 #
-# * B, E and D look inside [x, y]. Lengthening it by a period adds the
-#   subintervals that end, or start, in the new last period. A long one
-#   is matched by a right shift back a period and a short one by a
-#   diagonal shift, and the shifted interval stays inside [x, y] only when
-#   [x, y] is some periods longer than the child's length threshold: the
-#   length term. Without it, truth under nested D, B and E still depends on
-#   the interval's length past the absolute threshold.
+# * B, E and D look inside [x, y]. Each interval inside [x, y + per] is
+#   matched to one inside [x, y] with the same value: a long one by a
+#   right shift back a period, a short one near the new end by a diagonal
+#   shift. The match stays inside [x, y] only when [x, y] is some periods
+#   longer than the child's length threshold: the length term. Without it,
+#   truth under nested D, B and E still depends on the interval's length
+#   past the absolute threshold.
 # * iB, A, L, iD and O reach right without bound. Their scans stop one
 #   period past the child's thresholds (the caps below), so every value
 #   further right repeats one already scanned, and moving [x, y] by a

@@ -425,14 +425,18 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
     letters = sorted(letters_of(phi))
     solved: Dict[Tuple[int, int], Tuple[_Encoder, Solver]] = {}
 
-    def candidate(pre: int, per: int) -> Tuple[_Encoder, Optional[Solver]]:
+    def candidate(pre: int, per: int) -> Optional[Tuple[_Encoder, Solver]]:
+        """The encoder and solver of a satisfiable split, None for a
+        refuted one, whose encoding is then already released."""
         got = solved.get((pre, per))
-        if got is not None:
-            return got
-        enc = _Encoder(PeriodicDomain(pre, per),
-                       _scan_frontier(pre, per, goal_depth, 1), letters)
-        enc.cnf.clauses.append([enc.lit(goal, (0, 1))])
-        return enc, enc.cnf.solve()
+        if got is None:
+            enc = _Encoder(PeriodicDomain(pre, per),
+                           _scan_frontier(pre, per, goal_depth, 1), letters)
+            enc.cnf.clauses.append([enc.lit(goal, (0, 1))])
+            solver = enc.cnf.solve()
+            if solver is not None:
+                got = (enc, solver)
+        return got
 
     def ordered(totals: range, refuted: List[int]) -> Optional[Sat]:
         # refuted holds the periods q of the refuted maximal splits
@@ -441,9 +445,9 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
                 per = total - pre
                 if any(q % per == 0 and pre <= bound - q for q in refuted):
                     continue
-                enc, solver = candidate(pre, per)
-                if solver is not None:
-                    return _certificate(enc, solver, phi)
+                got = candidate(pre, per)
+                if got is not None:
+                    return _certificate(got[0], got[1], phi)
         return None
 
     head = bound // 4
@@ -452,9 +456,9 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
         return res
     refuted: List[int] = []
     for per in range(1, bound):
-        enc, solver = candidate(bound - per, per)
-        if solver is not None:
-            solved[(bound - per, per)] = (enc, solver)
+        got = candidate(bound - per, per)
+        if got is not None:
+            solved[(bound - per, per)] = got
             return ordered(range(head + 1, bound + 1), refuted)
         refuted.append(per)
     if max_bound is not None and max_bound < own_bound:
