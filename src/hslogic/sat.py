@@ -405,9 +405,12 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
        formulas;
     2. the maximal splits, by ascending period, which have the smallest
        horizons first; if all are refuted the answer is Unsat or Unknown;
-    3. once a maximal split is satisfiable, the ordered search from the
-       next total on, skipping the splits a refuted maximal split covers
-       and reusing the solved one when it comes up.
+    3. once a maximal split (bound - per, per) is satisfiable, the ordered
+       search from the next total on, skipping the splits a refuted maximal
+       split covers and reusing the solved one when it comes up. The
+       refuted maximal splits are those with the periods below per, so a
+       split is covered exactly when its period is below per: (bound - q, q)
+       covers every split of period q.
 
     Skipped splits are unsatisfiable, so the first satisfiable split of
     step 3 is the first of the full ordered search, and the certificate is
@@ -438,29 +441,23 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
                 got = (enc, solver)
         return got
 
-    def ordered(totals: range, refuted: List[int]) -> Optional[Sat]:
-        # refuted holds the periods q of the refuted maximal splits
+    def ordered(totals: range, least_per: int) -> Optional[Sat]:
         for total in totals:
-            for pre in range(1, total):
-                per = total - pre
-                if any(q % per == 0 and pre <= bound - q for q in refuted):
-                    continue
-                got = candidate(pre, per)
+            for pre in range(1, total - least_per + 1):
+                got = candidate(pre, total - pre)
                 if got is not None:
                     return _certificate(got[0], got[1], phi)
         return None
 
     head = bound // 4
-    res = ordered(range(2, head + 1), [])
+    res = ordered(range(2, head + 1), 1)
     if res is not None:
         return res
-    refuted: List[int] = []
     for per in range(1, bound):
         got = candidate(bound - per, per)
         if got is not None:
             solved[(bound - per, per)] = got
-            return ordered(range(head + 1, bound + 1), refuted)
-        refuted.append(per)
+            return ordered(range(head + 1, bound + 1), per)
     if max_bound is not None and max_bound < own_bound:
         return Unknown("search truncated below the periodic bound")
     return Unsat("no model within the periodic bound")
