@@ -207,9 +207,8 @@ class _Cnf:
         s = Solver()
         for _ in range(self.nvars):
             s.new_var()
-        for c in self.clauses:
-            if not s.add_clause(c):
-                return None
+        if not s.add_clauses(self.clauses):
+            return None
         return s if s.solve() else None
 
 

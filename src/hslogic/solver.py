@@ -15,8 +15,8 @@ negative indexing, so no lookup needs abs(). `vals[l]` is True, False or
 None (unassigned) and always equals `not vals[-l]` when set; `watches[l]`
 lists the clauses watching l; `level[l]` and `reason[l]` are written for
 the literal that became true. new_var only counts; the lists are rebuilt
-for the new size the next time add_clause, solve, value or model_value
-runs. Decisions scan upward from a cursor below which every variable is
+for the new size the next time add_clause, add_clauses, solve, value or
+model_value runs. Decisions scan upward from a cursor below which every variable is
 assigned, and backjumping lowers it to the least variable it unassigns, so
 the scan no longer restarts at variable 1. Neither change touches the
 decision policy or the propagation order: the search, and so the lex-least
@@ -131,6 +131,45 @@ class Solver:
         self.clauses.append(out)
         self.watches[out[0]].append(ci)
         self.watches[out[1]].append(ci)
+        return True
+
+    def add_clauses(self, clauses) -> bool:
+        """Add clauses in order, leaving the same clause list, watch lists
+        and trail as one add_clause call per clause; returns False once the
+        instance is unsatisfiable.
+
+        For clauses with no repeated and no complementary literals only:
+        add_clause's checks for those are skipped. The satisfiability
+        encoder's gates fold both away before a clause is made. A clause of
+        two or more literals over the variables, none of them assigned, is
+        stored and watched as it is; units and clauses that the range or
+        level-0 checks catch go through add_clause."""
+        if not self.ok:
+            return False
+        if self._size != self.nvars:
+            self._grow()
+        n = self.nvars
+        store = self.clauses
+        watches = self.watches
+        trail = self.trail
+        # the literals a clause may hold and still skip add_clause: those of
+        # the variables 1..nvars that are not assigned
+        free = set(range(-n, n + 1))
+        free.discard(0)
+        known = 0                # trail entries already taken out of free
+        for c in clauses:
+            if known != len(trail):
+                for lit in trail[known:]:
+                    free.discard(lit)
+                    free.discard(-lit)
+                known = len(trail)
+            if len(c) > 1 and free.issuperset(c):
+                ci = len(store)
+                store.append(list(c))
+                watches[c[0]].append(ci)
+                watches[c[1]].append(ci)
+            elif not self.add_clause(c):
+                return False
         return True
 
     def _enqueue(self, lit: int, reason: int) -> bool:

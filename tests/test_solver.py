@@ -245,3 +245,35 @@ def test_literals_outside_the_variables_are_rejected():
         s.value(3)
     with pytest.raises(IndexError):
         s.model_value(3)
+    for bad in ([3, 1], [1, -3], [0, 2]):
+        with pytest.raises(ValueError):
+            s.add_clauses([[1, 2], bad])
+
+
+def test_bulk_load_matches_one_add_clause_per_clause():
+    # clauses without repeated or complementary literals, as the encoder
+    # makes them; units among them assign literals of later clauses at
+    # level 0, and some instances become unsatisfiable while loading
+    rng = random.Random(402)
+    stopped = 0
+    for _ in range(1500):
+        num_vars = rng.randrange(1, 9)
+        clauses = []
+        for _ in range(rng.randrange(0, 20)):
+            width = min(num_vars, rng.choice([1, 1, 2, 3, 4]))
+            picked = rng.sample(range(1, num_vars + 1), width)
+            clauses.append([v * rng.choice([-1, 1]) for v in picked])
+        one, bulk = Solver(), Solver()
+        for s in (one, bulk):
+            for _ in range(num_vars):
+                s.new_var()
+        ok = all(one.add_clause(list(c)) for c in clauses)
+        assert bulk.add_clauses([list(c) for c in clauses]) == ok
+        stopped += not ok
+        # with no clause at all, add_clause never re-laid the lists
+        one.value(1)
+        assert (bulk.clauses, bulk.watches, bulk.trail, bulk.ok) == \
+            (one.clauses, one.watches, one.trail, one.ok)
+        assert bulk.solve() == one.solve()
+        assert (bulk.clauses, bulk.trail) == (one.clauses, one.trail)
+    assert stopped > 100
