@@ -21,8 +21,8 @@ end of line.
 A formula may nest at most MAX_NESTING (100) levels deep: no branch of its
 tree may carry more than that many operators, and no more than that many
 parentheses may be open at once. Deeper input raises ParseError ("nested too
-deeply"), so what still recurses over formulas (this parser, the SAT encoder
-and pickling) never runs out of stack.
+deeply"), so what still recurses over formulas (this parser and pickling)
+never runs out of stack.
 """
 
 from __future__ import annotations

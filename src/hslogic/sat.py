@@ -26,16 +26,21 @@ Two procedures with different scopes:
 Both build their candidates with one encoder, which differs between the two
 kinds of domain only in how it encodes a diamond, and both return a model
 and witness interval through one certificate path that re-checks them with
-the model checker; a failed re-check raises CertificateError. Atom variables
-are allocated first, ordered by letter then cell, and the solver's first
-model is lexicographically least, so results are reproducible down to the
-returned valuation.
+the model checker; a failed re-check raises CertificateError. Each call
+reads the formula's boxes as negated diamonds once (_core), and each
+candidate is encoded one subformula at a time in two iterative passes over
+the postorder of that formula: a demand pass from the root down works out
+the cells each subformula is needed at, and a build pass from the leaves up
+makes a table of literals for each subformula over exactly those cells.
+Atom variables are allocated first, ordered by letter then cell, gates node
+by node and cell by cell, and the solver's first model is lexicographically
+least, so results are reproducible down to the returned valuation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .checking import (
     _later_cap, _row_cap, _scan_frontier, NotStabilized, mc_finite,
@@ -48,8 +53,8 @@ from .models import (
 from .solver import Solver
 from .syntax import (
     And, Atom, Box, Diamond, FalseConst, Formula, Fragment, Implies, Not,
-    Or, TrueConst, B, iB, L, iL, dia, fragment_of, letters_of, metrics,
-    modal_depth, neg, nesting_depth,
+    Or, TrueConst, B, iB, L, iL, dia, fold, fragment_of, letters_of,
+    metrics, modal_depth, neg, nesting_depth, postorder,
 )
 
 
@@ -212,152 +217,272 @@ class _Cnf:
         return s if s.solve() else None
 
 
+def _core(phi: Formula) -> Formula:
+    """phi with every box [M] s read as ~<M> neg(s), the literal the
+    encoder gives it; the encoder takes no other node for a box."""
+    return fold(phi, _core_case)
+
+
+def _core_case(f: Formula, args: tuple) -> Formula:
+    t = type(f)
+    if t is Box:
+        return Not(Diamond(f.mod, neg(args[0])))
+    if t is Diamond:
+        return Diamond(f.mod, args[0])
+    return t(*args) if args else f
+
+
+def _operands(f: Formula) -> List[Formula]:
+    return [getattr(f, n) for n in f._operands]
+
+
+Table = Dict[Interval, int]
+
+
 class _Encoder:
     """CNF truth of subformulas at grid cells over one candidate domain.
 
     The atom variables come first, by letter then canonical cell, and an
-    atom at any cell reads the variable of its canonical cell. How a
-    diamond is encoded is fixed per domain when the encoder is made: over a
-    finite order it is the disjunction of the child over the exact
-    allen_related successors, for any of the twelve modalities; over a
-    periodic domain only B, iB, L and iL are encoded, with row ladders and
-    with scans cut at the model checker's periodicity caps."""
+    atom at any cell reads the variable of its canonical cell. tables()
+    encodes a _core formula one subformula at a time, in two passes over
+    its postorder:
+
+    * the demand pass, from the root down, works out the cells each node is
+      needed at: the root's own cells, and for every other node the union
+      of what its parents ask of it. A connective asks for its own cells;
+      a diamond asks for the cells its scan or ladder reads;
+    * the build pass, from the leaves up, fills each node's table (cell to
+      literal) through the folding gates of _Cnf, node by node and cell by
+      cell in ascending (x, y) order, so the variable numbering is fixed.
+
+    A table covers exactly the node's demanded cells, and for <B> also
+    every rung of its ladders. How a diamond is encoded is fixed per domain
+    when the encoder is made. Over a finite order it is the disjunction of
+    the operand over the exact allen_related successors, for any of the
+    twelve modalities. Over a periodic domain only B, iB, L and iL are
+    encoded, with ladders and with scans cut at the model checker's
+    periodicity caps:
+
+    * <B> at (x, y) is rung y of row x's ladder, which extends rung y-1 by
+      the operand at (x, y-1); a row's ladder runs up to its highest
+      demanded y;
+    * <iB> at (x, y) is the operand's disjunction over (x, y+1) .. (x, cap);
+    * <L> at (x, y) depends on y alone: the disjunction, over the rows x'
+      from y+1 up to the later cap, of the operand's disjunction along row
+      x' up to that row's cap;
+    * <iL> at (x, y) depends on x alone: rung x of a ladder over left
+      endpoints, which extends rung x-1 by the operand at every (a, x-1).
+    """
 
     def __init__(self, domain, horizon: int, letters: List[str]):
         self.cnf = cnf = _Cnf()
         self.domain = domain
         self.h = horizon
+        self.w = horizon + 1
         cells = canonical_cells(domain)
         self.atom_var: Dict[Tuple[str, Interval], int] = {
             (letter, cell): cnf.new_var()
             for letter in letters for cell in cells}
-        self.memo: Dict[Tuple[Formula, Interval], int] = {}
-        # The plain function, called with self: a bound method kept on the
+        # The plain functions, called with self: bound methods kept on the
         # instance would be a reference cycle, and every refuted candidate's
-        # memo and clauses would then wait for the cyclic collector.
+        # tables and clauses would then wait for the cyclic collector.
         if isinstance(domain, FiniteDomain):
-            self._diamond = _Encoder._finite_diamond
+            self._demand = _Encoder._finite_demand
+            self._build = _Encoder._finite_build
         else:
             self.pre, self.per = domain.pre, domain.per
-            self._shared: Dict[Tuple[Formula, int], int] = {}
-            # top rung built per B ladder (f, x) and per iL ladder f
-            self._top: Dict[object, int] = {}
-            self._diamond = _Encoder._periodic_diamond
+            self._demand = _Encoder._periodic_demand
+            self._build = _Encoder._periodic_build
 
-    def lit(self, f: Formula, cell: Interval) -> int:
-        key = (f, cell)
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        v = self._build(f, cell)
-        self.memo[key] = v
-        return v
+    def tables(self, order: List[Formula], cells: List[Interval],
+               keep: Sequence[Formula] = ()) -> Dict[Formula, Table]:
+        """The tables of order's root, demanded at cells, and of the nodes
+        in keep; order is the postorder of a _core formula. Each table
+        lists its cells in ascending order. Every other table is released
+        once the last node reading it is built.
 
-    def _build(self, f: Formula, cell: Interval) -> int:
-        if cell[1] > self.h:
-            raise RuntimeError("cell %r beyond the encoding horizon" % (cell,))
-        t = type(f)
-        if t is Not:
-            return -self.lit(f.sub, cell)
-        if t is Diamond:
-            return self._diamond(self, f, cell)
-        if t is And:
-            return self.cnf.define_and2(self.lit(f.lhs, cell),
-                                        self.lit(f.rhs, cell))
-        if t is Or:
-            return self.cnf.define_or2(self.lit(f.lhs, cell),
-                                       self.lit(f.rhs, cell))
-        if t is Implies:
-            return self.cnf.define_or2(-self.lit(f.lhs, cell),
-                                       self.lit(f.rhs, cell))
-        if t is Atom:
-            c = canonical_interval(self.domain, cell)
-            return self.atom_var[(f.name, c)]
-        if t is TrueConst:
-            return _TRUE
-        if t is FalseConst:
-            return _FALSE
-        if t is Box:
-            return -self.lit(Diamond(f.mod, neg(f.sub)), cell)
-        raise TypeError("not a formula: %r" % (f,))
-
-    def _finite_diamond(self, f: Diamond, cell: Interval) -> int:
-        succ = allen_related(self.domain, cell, f.mod)
-        return self.cnf.define_or([self.lit(f.sub, c) for c in succ])
-
-    def _periodic_diamond(self, f: Diamond, cell: Interval) -> int:
-        name = f.mod.name
-        sub = f.sub
-        x, y = cell
-        if name == "B":
-            # shared ladder along the row: value at (x, y) extends (x, y-1).
-            # Rungs (x, x+1)..(x, top) are in memo, top in _top; lit() only
-            # gets here for y > top, so the ladder resumes at top + 1.
-            top = self._top.get((f, x))
-            if top is None:
-                top, acc = x + 1, _FALSE
-                self.memo[(f, (x, top))] = acc
+        Inside, cell (x, y) is the key x * w + y with w = horizon + 1:
+        keys sort as cells do, and a run of cells along a row is a range."""
+        for cell in cells:
+            if cell[1] > self.h:
+                raise RuntimeError(
+                    "cell %r beyond the encoding horizon" % (cell,))
+        # Any other demanded cell lies inside a root cell or below a scan
+        # cap checked against the horizon, so it needs no check of its own.
+        w = self.w
+        root = order[-1]
+        need: Dict[Formula, set] = {f: set() for f in order}
+        need[root].update([x * w + y for x, y in cells])
+        plan = {}
+        for f in reversed(order):
+            got = sorted(need.pop(f))
+            t = type(f)
+            if t is Diamond:
+                plan[f] = self._demand(self, f, got, need[f.sub])
+                continue
+            plan[f] = got
+            if t is Not:
+                need[f.sub].update(got)
+            elif t is And or t is Or or t is Implies:
+                need[f.lhs].update(got)
+                need[f.rhs].update(got)
+        last = {g: f for f in order for g in _operands(f)}
+        kept = set(keep)
+        kept.add(root)
+        cnf = self.cnf
+        canon: Dict[int, Interval] = {}
+        table: Dict[Formula, Dict[int, int]] = {}
+        for f in order:
+            got = plan.pop(f)
+            t = type(f)
+            if t is Atom:
+                for k in got:
+                    if k not in canon:
+                        canon[k] = canonical_interval(self.domain,
+                                                      divmod(k, w))
+                var, name = self.atom_var, f.name
+                tab = {k: var[(name, canon[k])] for k in got}
+            elif t is Not:
+                sub = table[f.sub]
+                tab = {k: -sub[k] for k in got}
+            elif t is Diamond:
+                tab = self._build(self, f, got, table[f.sub])
+            elif t is And:
+                lhs, rhs, and2 = table[f.lhs], table[f.rhs], cnf.define_and2
+                tab = {k: and2(lhs[k], rhs[k]) for k in got}
+            elif t is Or:
+                lhs, rhs, or2 = table[f.lhs], table[f.rhs], cnf.define_or2
+                tab = {k: or2(lhs[k], rhs[k]) for k in got}
+            elif t is Implies:
+                lhs, rhs, or2 = table[f.lhs], table[f.rhs], cnf.define_or2
+                tab = {k: or2(-lhs[k], rhs[k]) for k in got}
+            elif t is TrueConst:
+                tab = dict.fromkeys(got, _TRUE)
+            elif t is FalseConst:
+                tab = dict.fromkeys(got, _FALSE)
             else:
-                acc = self.memo[(f, (x, top))]
-            for y2 in range(top + 1, y + 1):
-                acc = self.cnf.define_or2(acc, self.lit(sub, (x, y2 - 1)))
-                self.memo[(f, (x, y2))] = acc
-            self._top[(f, x)] = y
-            return acc
+                raise TypeError("not a core formula: %r" % (f,))
+            table[f] = tab
+            for g in _operands(f):
+                if last[g] is f and g not in kept:
+                    table.pop(g, None)
+        return {f: {divmod(k, w): lit for k, lit in table[f].items()}
+                for f in kept}
+
+    def _finite_demand(self, f: Diamond, cells: List[int],
+                       sub_need: set) -> Dict[int, List[int]]:
+        w = self.w
+        succ = {}
+        for k in cells:
+            succ[k] = got = [x * w + y for x, y in allen_related(
+                self.domain, divmod(k, w), f.mod)]
+            sub_need.update(got)
+        return succ
+
+    def _finite_build(self, f: Diamond, succ, sub: Dict[int, int]):
+        define_or = self.cnf.define_or
+        return {k: define_or([sub[j] for j in got])
+                for k, got in succ.items()}
+
+    def _periodic_demand(self, f: Diamond, cells: List[int], sub_need: set):
+        name = f.mod.name
+        pre, per, h, w = self.pre, self.per, self.h, self.w
+        if name == "B":
+            top = {}             # row -> highest demanded y (cells sorted)
+            for k in cells:
+                top[k // w] = k % w
+            for x, y in top.items():
+                sub_need.update(range(x * w + x + 1, x * w + y))
+            return top
         if name == "iB":
-            cap = _row_cap(self.pre, self.per, modal_depth(sub), x, y)
-            if cap > self.h:
-                raise RuntimeError("scan cap beyond the encoding horizon")
-            return self.cnf.define_or(
-                [self.lit(sub, (x, yp)) for yp in range(y + 1, cap + 1)])
-        if name == "L":
-            got = self._shared.get((f, y))
-            if got is not None:
-                return got
-            depth = modal_depth(sub)
-            capx = _later_cap(self.pre, self.per, depth, y)
-            if capx > self.h - 1:
-                raise RuntimeError("scan cap beyond the encoding horizon")
-            rows = []
-            for xp in range(y + 1, capx + 1):
-                cap = _row_cap(self.pre, self.per, depth, xp, xp)
-                if cap > self.h:
+            depth = modal_depth(f.sub)
+            scans = []
+            for k in cells:
+                x, y = divmod(k, w)
+                cap = _row_cap(pre, per, depth, x, y)
+                if cap > h:
                     raise RuntimeError("scan cap beyond the encoding horizon")
-                rows.append(self.cnf.define_or(
-                    [self.lit(sub, (xp, yp))
-                     for yp in range(xp + 1, cap + 1)]))
-            val = self.cnf.define_or(rows)
-            self._shared[(f, y)] = val
-            return val
+                scans.append((k, x * w + cap + 1))
+                sub_need.update(range(k + 1, x * w + cap + 1))
+            return scans
+        if name == "L":
+            depth = modal_depth(f.sub)
+            ends = {}            # y -> last row the scan after y visits
+            caps = {}            # row -> its cap
+            for k in cells:
+                y = k % w
+                if y in ends:
+                    continue
+                ends[y] = capx = _later_cap(pre, per, depth, y)
+                if capx > h - 1:
+                    raise RuntimeError("scan cap beyond the encoding horizon")
+                for xp in range(y + 1, capx + 1):
+                    if xp not in caps:
+                        caps[xp] = cap = _row_cap(pre, per, depth, xp, xp)
+                        if cap > h:
+                            raise RuntimeError(
+                                "scan cap beyond the encoding horizon")
+                        sub_need.update(range(xp * w + xp + 1, xp * w + cap + 1))
+            return cells, sorted(ends.items()), caps
         if name == "iL":
-            # depends on the left endpoint only; ladder over it. Rungs
-            # 2..top are in _shared under (f, v), top in _top under f, and
-            # a call past top resumes the ladder at top + 1.
-            top = self._top.get(f, 1)
-            if x <= top:
-                return self._shared[(f, x)] if x >= 2 else _FALSE
-            acc = self._shared[(f, top)] if top >= 2 else _FALSE
-            for v in range(top + 1, x + 1):
-                ended = [self.lit(sub, (x2, v - 1)) for x2 in range(0, v - 1)]
-                acc = self.cnf.define_or([acc] + ended)
-                self._shared[(f, v)] = acc
-            self._top[f] = x
-            return acc
+            top = cells[-1] // w if cells else 0     # highest demanded x
+            for a in range(top - 1):
+                sub_need.update(range(a * w + a + 1, a * w + top))
+            return cells, top
         raise UnsupportedFragmentError(
             "modality %s outside the begin/later fragment" % name)
 
+    def _periodic_build(self, f: Diamond, plan, sub: Dict[int, int]):
+        name = f.mod.name
+        cnf, w = self.cnf, self.w
+        if name == "B":
+            or2 = cnf.define_or2
+            tab = {}
+            for x, top in plan.items():
+                tab[x * w + x + 1] = acc = _FALSE
+                for k in range(x * w + x + 2, x * w + top + 1):
+                    tab[k] = acc = or2(acc, sub[k - 1])
+            return tab
+        define_or = cnf.define_or
+        if name == "iB":
+            return {k: define_or([sub[j] for j in range(k + 1, end)])
+                    for k, end in plan}
+        if name == "L":
+            cells, ends, caps = plan
+            rows: Dict[int, int] = {}
+            after: Dict[int, int] = {}
+            for y, capx in ends:
+                lits = []
+                for xp in range(y + 1, capx + 1):
+                    lit = rows.get(xp)
+                    if lit is None:
+                        rows[xp] = lit = define_or(
+                            [sub[j] for j in range(xp * w + xp + 1,
+                                                   xp * w + caps[xp] + 1)])
+                    lits.append(lit)
+                after[y] = define_or(lits)
+            return {k: after[k % w] for k in cells}
+        # iL
+        cells, top = plan
+        rung = [_FALSE, _FALSE]
+        for v in range(2, top + 1):
+            rung.append(define_or(
+                [rung[-1]] + [sub[a * w + v - 1] for a in range(v - 1)]))
+        return {k: rung[k // w] for k in cells}
 
-def _certificate(enc: _Encoder, solver: Solver, phi: Formula) -> Sat:
-    """The solver's model with the least memoised cell where phi's literal
-    is true, re-checked independently before it is returned."""
+
+def _certificate(enc: _Encoder, solver: Solver, table: Table,
+                 phi: Formula) -> Sat:
+    """The solver's model with the least cell of phi's table (tables list
+    their cells in ascending order) where phi's literal is true, re-checked
+    independently before it is returned."""
     val: Dict[str, List[Interval]] = {}
     for (letter, cell), var in enc.atom_var.items():
         if solver.model_value(var):
             val.setdefault(letter, []).append(cell)
     model = IntervalModel(enc.domain, val)
     witness = None
-    for cell in sorted(c for (f, c) in enc.memo if f is phi):
-        lit = enc.memo[(phi, cell)]
+    for cell, lit in table.items():
         if solver.model_value(abs(lit)) == (lit > 0):
             witness = cell
             break
@@ -422,22 +547,26 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
         return Unsat("propositional refutation")
     own_bound = metrics(phi).periodic_bound
     bound = own_bound if max_bound is None else max_bound
-    goal = later_somewhere(phi)
+    core = _core(phi)
+    goal = later_somewhere(core)
+    order = postorder(goal)
     goal_depth = modal_depth(goal)
     letters = sorted(letters_of(phi))
-    solved: Dict[Tuple[int, int], Tuple[_Encoder, Solver]] = {}
+    solved: Dict[Tuple[int, int], Tuple[_Encoder, Solver, Table]] = {}
 
-    def candidate(pre: int, per: int) -> Optional[Tuple[_Encoder, Solver]]:
-        """The encoder and solver of a satisfiable split, None for a
-        refuted one, whose encoding is then already released."""
+    def candidate(pre: int,
+                  per: int) -> Optional[Tuple[_Encoder, Solver, Table]]:
+        """The encoder, solver and phi's table of a satisfiable split,
+        None for a refuted one, whose encoding is then already released."""
         got = solved.get((pre, per))
         if got is None:
             enc = _Encoder(PeriodicDomain(pre, per),
                            _scan_frontier(pre, per, goal_depth, 1), letters)
-            enc.cnf.clauses.append([enc.lit(goal, (0, 1))])
+            tables = enc.tables(order, [(0, 1)], (core,))
+            enc.cnf.clauses.append([tables[goal][(0, 1)]])
             solver = enc.cnf.solve()
             if solver is not None:
-                got = (enc, solver)
+                got = (enc, solver, tables[core])
         return got
 
     def ordered(totals: range, least_per: int) -> Optional[Sat]:
@@ -445,7 +574,7 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
             for pre in range(1, total - least_per + 1):
                 got = candidate(pre, total - pre)
                 if got is not None:
-                    return _certificate(got[0], got[1], phi)
+                    return _certificate(*got, phi)
         return None
 
     head = bound // 4
@@ -468,17 +597,20 @@ def sat_bounded_finite(phi: Formula, max_points: int) -> SatResult:
     if max_points < 1:
         raise ValueError("need at least one point past the origin")
     letters = sorted(letters_of(phi))
+    core = _core(phi)
+    order = postorder(core)
     for n in range(1, max_points + 1):
         domain = FiniteDomain(n)
         enc = _Encoder(domain, n, letters)
-        root = enc.cnf.define_or(
-            [enc.lit(phi, c) for c in canonical_cells(domain)])
+        cells = canonical_cells(domain)
+        table = enc.tables(order, cells)[core]
+        root = enc.cnf.define_or([table[c] for c in cells])
         if root == _FALSE:
             continue
         enc.cnf.clauses.append([root])
         solver = enc.cnf.solve()
         if solver is not None:
-            return _certificate(enc, solver, phi)
+            return _certificate(enc, solver, table, phi)
     return Unknown("no model with at most %d points past the origin"
                    % max_points)
 

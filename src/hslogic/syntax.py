@@ -237,9 +237,9 @@ TRUE = TrueConst()
 FALSE = FalseConst()
 
 # Deepest nesting parse_formula accepts (see nesting_depth). It keeps what
-# still recurses over formulas, the parser, sat._Encoder and pickling, well
-# inside Python's default recursion limit; the walks in this module are all
-# iterative and have no depth limit.
+# still recurses over formulas, the parser and pickling, well inside
+# Python's default recursion limit; the walks in this module and the SAT
+# encoder are iterative and have no depth limit.
 MAX_NESTING = 100
 
 # Letter reserved for the boolean-constant rewriting in desugar().

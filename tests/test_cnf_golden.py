@@ -2,21 +2,32 @@
 
 Every candidate CNF that sat_bbll and sat_bounded_finite hand to the solver
 is captured by wrapping _Cnf.solve, and a SHA-256 of (nvars, clauses) is
-compared with digests taken before the encoders and the solver were tuned
-for speed. A second digest covers what the solver did with it: its clause
-list after the run (learnt clauses included, with each clause's literals
-in the order the watch scheme left them) and its final trail. Encoding or
-search changes that keep verdicts but move a gate, a clause or a
-propagation step show up here first.
+compared with a pinned digest. A second digest covers what the solver did
+with it: its clause list after the run (learnt clauses included, with each
+clause's literals in the order the watch scheme left them) and its final
+trail. Encoding or search changes that keep verdicts but move a gate, a
+clause or a propagation step show up here first. The same digests come out
+in fresh interpreters under two hash seeds.
+
+The digests were re-pinned when the encoder came to build its gates one
+subformula at a time rather than one cell at a time: that renumbers the gate
+variables, and tests/test_cnf_renaming.py shows that nothing else in the
+CNFs or verdicts moved.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hslogic import sat
 from hslogic.parser import parse_formula
+
+ROOT = Path(__file__).resolve().parent.parent
 
 CASES = [
     # single-step B and iB contradictions
@@ -37,28 +48,28 @@ CASES = [
 EXPECTED = {
     'bbll <B> p & [B] ~p': [
         # (5, 1)
-        ('2a636194b32abd826851cf457c35b1cbd14381742e689951992ebbbfe96aebdd',
-         '6f0740d553c3e79edf97dde21a5b4a4255bfd503dee75615df91a19d9e704b5a'),
+        ('ac61c627ed64f2370e88f434daee6df9754396bcfd5ee198cd47678c1c21ba90',
+         '532d542d6d855a16971e7d18c9754ef2a6c2c3a5db5611488f6edc2fbd0b8cc1'),
         # (4, 2)
-        ('925b7840c2233a89769d09270e59e457df0b0fed0545f9739252e985a23f7bc0',
-         'ba5d81b4fe422748f3506d4668edbf834a525d284f3e2ec5c5709da78f23a602'),
+        ('75c9679994dabc4118183fc1eeeabb13e5cfb77a8ce1d90bb4fe04ef10d8369e',
+         '8efab9da6f55450dc431baf946ca21c3adb3e361070f0e411ed5cfe993475941'),
         # (3, 3)
-        ('18e6416fa45fcc6066bca30c2524c7be8e2d0ff38cce9fa4047f93489d299ab0',
-         'bdc568bf004762f4a483a11c353fb5c5b9c55156f939cb9e7073a8c065dadebf'),
+        ('2c33108fff17f675d5b2fac8103eeafa452c5707e2eae67a461bb5a1776993de',
+         '75abc15f7f7a79e7002c48d7a5e40e677b3e74672becf4b751e5b38be98f2341'),
         # (2, 4)
-        ('b35fd2fdffb5ffc09d634fc225988de6a142248979a8f09004e93a233a53884b',
-         'd0b5c1df8f6137a66a9be478cba31506bd05d01cc21c41fd339389395c5a0662'),
+        ('b2f9c6f110c46fe5d48b4ccd1032276ce40def7997d1e392f52a7a02dc9e164f',
+         'a5dc913910362604936e0cd7e7fc8ac15003a36fdb192790a67e481020cd39ea'),
         # (1, 5)
-        ('abb6dc0d3f626e87ce211987f1a681a8baa585d32ed0df3569b01ee933c94af3',
-         '0b2f0b281cb4ef813be03bfbfe24336a3e46b1977b004e1fc58052cccef80e34'),
+        ('021e4fdaaf8325fb3198593ba0820c9973573ad87552663bd5eac965be96e655',
+         '8eda00f939f3de0f107c96d92bfed9f568cf5a005fb7fc5302141a13643df23f'),
     ],
     'bbll <iB> p & [iB] ~p': [
         # (5, 1)
-        ('bb5dd00e6e0f68bde1e7a6be1d38f84cae6ccb0a7473336845324fc5799e5ce5',
-         '7a9c63f8661a84607be8d5913bb0f2752217da2a2ebea32088551e6c561c18e1'),
+        ('38ff1f95472a644aabdd0e78ef1220ec6f962cb85151c9ca2ce61266722bfb4f',
+         '41ca3f4dc1d6155c01dda8dbb771f4f849ea35f5cf479c2df60da5717d93e0d5'),
         # (4, 2)
-        ('102a135a2326c5528277f8602ee07cddf13394dd26b47c9f76da7da7827bd6d0',
-         'a7457f486359a608230192caceaba8c6ae817324e5ca1659ed67a9f2db58d0a0'),
+        ('74559d8025ee9938cfa2d9e02d77962872f1cc39ba50f2f11b6cffda0963847e',
+         '9b5dae248b1dfdcc3995e5fc7101f848dd45e380fa672c038ad82e5cf96ab4ca'),
         # (3, 3)
         ('4385a67b88537b53efc9d52abfe905455c9b7cf58d044773724ef71d491c1723',
          '7c27d1d89bebe807a0c68933e24168703c7d08fbd996239d39abe7c4580c675c'),
@@ -74,40 +85,40 @@ EXPECTED = {
         ('d09a15d4d22e21a1518f79ce02da3e9b3362b80f0f143ce633208e900d0d8f6a',
          '1aad2dbda9ca9828b893fc6e256197e6b6e6a3e0fe7c95f334c96922360b4d18'),
         # (7, 1)
-        ('d703ac59de530a9f27c4c6ce2350f85e5e9f9401a7feceae07368aeecf6f12f5',
-         'c61aacf2a0376e466897c719e48251a03c41adbae3bdf596ea72fd1928cbbc91'),
+        ('897fbe713ac72a4a38dc0e1f2d24fae63b01ba402060f61093c345ac9bbfb73c',
+         '9ab90cdb184c372215c9c0ee2ba7275673b0ad9bbfecf257a88d0186cfa21dc2'),
         # (6, 2)
-        ('5db6d7907f16c9fbdf965dedbad1aceb790015c892cd32d6e532f5a23490a65c',
-         'f931ccbd2b6ceeb43c41a0f37c7e17e6f67bdf822850953f9c2af407a94cf730'),
+        ('6e1081f16589b6e31a01b50aa4aeda3fefd3b1113001bbeee10e3eb0dbe98c81',
+         '4bcb489c67629eaa43c06921d7ea765747a4fc225e0611429d09c718094ce7f2'),
         # (5, 3)
-        ('69d134f2012defb87130b66d6862ee07a1cc54d7ccb2b7dc7bf1065ca90b6416',
-         '83684d45c3bd86a1fcd1ca074e19cf8e2129586341f735838c229cd65d764a1d'),
+        ('64fb9c535cad23827ec96afc94896f52b8158b04e790d25493102f18a7bd3046',
+         'c34b173e966fdc05916c82ce088f483cbf8de709d0c36ee8636a807529feb539'),
         # (4, 4)
-        ('a3054caeeb7bdd0807f1e54da37c5970820bf37419873e9421826f13db7a482e',
-         'db6129d370b7bd45e0abdcfa0160353e3fda16f97a838a9ef194154a1fe58cc6'),
+        ('589c0ce48b8ae79c5cffd67ceb8d6adbe898abd02f37aa745c7e6a0aee17deb8',
+         'ee098ffcd704f7e14ffa4754845262bca3ac67c94eaba43d77eafaaf64d4ecbd'),
         # (3, 5)
-        ('70b441dbf441c2239a3be1390e6a5f44cd44bbfe0089a0668d9da41cd3810a29',
-         'e7fae3714a5c73cd1486fd25fe32b79fdd5ce88e738bfcb26e24aa065a4cac5b'),
+        ('0bd8d145b697367a8c57fbe05cd6c60ec31cee1baefb5ec7ef7d2e73b3a6c709',
+         'e709a365e00931015823e25f1350c6e0805b9e4fd4d2c15fd1ea40c45c6df7e1'),
         # (2, 6)
-        ('55ab2fbec9b5c04c686019697042557aa6bb14a4ab8b7b07bc6cdec6b43dccda',
-         '8824e6b255ee8d769d78d8dce164e2b9df020c4953cfbea2bdf1111bd228f6f6'),
+        ('ef0a938cfbbcd09f10c149d9c78858c2dc9a472d5843b5fc1dbce0714a07a315',
+         '6f596b88e4d4d110a17952e1a8e491900d8c257acf78984d156210b219977f61'),
         # (1, 7)
-        ('5eee7d5695e9ee2378c1668bc2f7c283cc16200815433c0281841a628c1edb8d',
-         '7bb11eca81348d70e4062ccd2bdf8e1abad13e31f9bc19234b05102e5cda446c'),
+        ('ef0ad8692b5b737df3d124155ba1ee366bda5ebe6cb82661c9922ab3fa036bee',
+         'c2efe2dae89aeb2064737198fff51ce2ee8e7c9efe1fc74b4d1d608def000c3f'),
     ],
     'bbll <B> p & <iB> ~p & <L> q & <iL> (p & q)': [
         ('ddf21e38830bc9405937bc39214db352d4270f497befb7799c47b8a2bbc5092d',
          'a8ce801f992d65d389bb3b452aa3c1ab0db4563945ab4b46a9dbf96397512e96'),
-        ('81cc2c849995585b00849c55e70bbf5e89a3ae141141a98c6e25657ddfd5ffbe',
-         'f4cc36ab35b34e96a4a8ad2d4d6c8f25c53ee61d2a8e03b72b057ac2e0da2f47'),
+        ('e778ddb50d8006451eb0bb8546bb8868c1724c6a4ab0b42f0e05cfbecc55ffe1',
+         '6bd104926534a2f901b4cd808c608962639176ac2a71c9a2153d5e2556c2f324'),
     ],
     'bbll <L> (p & [B] q) & <iL> <iB> ~q': [
-        ('f9417ef946b95e61d76b40f713c75e63919dc92f77532a68d73b3eb0ff661684',
-         '965622d6e7ec1ca4a7ee5467e315d0086c44682b3bdeb9623cd3f8ae4b227627'),
+        ('a212819c3966fde07ab7aab5c8e6ccffc050014460ba54f6c2e2100f6ef9aad2',
+         'e4397fe4fa6b4159c8bad3640fb8819fb14652350d420a4e7d703dc88aac35ab'),
     ],
     'finite 6 <A> p & <D> q & [O] ~p & <iE> (q | <iA> p)': [
-        ('1af7a20d20dddf0302538fba1d4d52d6936642d06845a7da6671107a85cf9cc4',
-         'e172b0cfb013261fe8dc451f6c583e06bf7cb8d3b37022b683d4d0d621fcffbe'),
+        ('9493550a01e24f0bfb1628cff57107641da7dc4395f0061bbc88e9a33221e443',
+         '9d68ef595f6ebc68f7652424b38d4a138aec93c86d0e1d2388bd3d400dd21206'),
     ],
 }
 
@@ -151,3 +162,35 @@ def _run_capturing(monkeypatch, kind, text):
 def test_candidate_cnfs_and_solver_runs(monkeypatch, kind, text):
     runs = _run_capturing(monkeypatch, kind, text)
     assert runs == [tuple(r) for r in EXPECTED[kind + " " + text]]
+
+
+def all_runs() -> dict:
+    """Every case's runs, keyed as in EXPECTED."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        out = {}
+        for kind, text in CASES:
+            out[kind + " " + text] = _run_capturing(monkeypatch, kind, text)
+            monkeypatch.undo()
+    return out
+
+
+def _runs_with_hash_seed(seed: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = seed
+    paths = [str(ROOT / "src"), str(ROOT)]
+    if env.get("PYTHONPATH"):
+        paths.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; from tests.test_cnf_golden import all_runs; "
+         "json.dump(all_runs(), sys.stdout)"],
+        cwd=str(ROOT), env=env, capture_output=True, text=True, timeout=300,
+        check=True)
+    return json.loads(proc.stdout)
+
+
+def test_digests_do_not_depend_on_the_hash_seed():
+    want = {key: [list(r) for r in runs] for key, runs in EXPECTED.items()}
+    assert _runs_with_hash_seed("0") == want
+    assert _runs_with_hash_seed("1") == want

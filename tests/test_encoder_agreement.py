@@ -17,7 +17,10 @@ import random
 from hslogic import sat
 from hslogic.checking import _scan_frontier, mc_finite, mc_periodic
 from hslogic.models import FiniteDomain, canonical_cells
-from hslogic.syntax import B, iB, L, iL, letters_of, modal_depth
+from hslogic.parser import parse_formula
+from hslogic.syntax import (
+    B, iB, L, iL, letters_of, modal_depth, postorder,
+)
 
 from .gen import all_mods, rand_finite_model, rand_formula, rand_periodic_model
 
@@ -25,30 +28,34 @@ LETTERS = ("p", "q")
 
 
 def _encoded_values(model, phi):
-    """(subformula, cell, value) for every literal memoised while encoding
-    phi over the model's domain, solved with the model's atoms fixed.
+    """(subformula, cell, value) for every literal in the encoder's tables
+    for phi over the model's domain, solved with the model's atoms fixed.
 
     phi is encoded at every cell of a finite domain, and as sat_bbll's goal
-    at [0, 1] on a periodic one. This is the only place the test touches
-    the encoder's private names."""
+    at [0, 1] on a periodic one, with its boxes read as negated diamonds as
+    the procedures read them. This is the only place the test touches the
+    encoder's private names."""
     domain = model.domain
     letters = sorted(letters_of(phi))
+    core = sat._core(phi)
     if isinstance(domain, FiniteDomain):
         enc = sat._Encoder(domain, domain.last_point, letters)
-        for cell in canonical_cells(domain):
-            enc.lit(phi, cell)
+        order = postorder(core)
+        cells = canonical_cells(domain)
     else:
-        goal = sat.later_somewhere(phi)
+        goal = sat.later_somewhere(core)
         horizon = _scan_frontier(domain.pre, domain.per, modal_depth(goal), 1)
         enc = sat._Encoder(domain, horizon, letters)
-        enc.lit(goal, (0, 1))
+        order = postorder(goal)
+        cells = [(0, 1)]
+    tables = enc.tables(order, cells, order)
     for (letter, cell), var in enc.atom_var.items():
         enc.cnf.clauses.append(
             [var if model.holds_atom(cell, letter) else -var])
     solver = enc.cnf.solve()
     assert solver is not None
     return [(f, cell, solver.model_value(abs(lit)) == (lit > 0))
-            for (f, cell), lit in enc.memo.items()]
+            for f, table in tables.items() for cell, lit in table.items()]
 
 
 def test_finite_encoder_agrees_with_mc_finite():
@@ -77,3 +84,41 @@ def test_periodic_encoder_agrees_with_mc_periodic():
             assert value == mc_periodic(model, cell, f), (f, cell)
             checked += 1
     assert checked > 4000
+
+
+# a box at the root, boxes under boxes, and boxes over negations, which the
+# procedures read as negated diamonds before encoding
+BOXED_FINITE = [
+    "[A] p",
+    "[D] [iE] ~p",
+    "~[O] ([B] q -> [iA] ~[L] p)",
+    "[iD] (p | [E] ~[E] q) & [iO] ~~p",
+]
+BOXED_PERIODIC = [
+    "[B] p",
+    "[iB] [B] ~p",
+    "~[iL] [B] ~p",
+    "[L] ~~p",
+    "~[L] [iL] p",
+]
+
+
+def test_boxes_agree_on_both_domains():
+    rng = random.Random(20121011)
+    checked = 0
+    for text in BOXED_FINITE:
+        phi = parse_formula(text)
+        for _ in range(8):
+            model = rand_finite_model(rng, rng.randint(1, 3), LETTERS)
+            for f, cell, value in _encoded_values(model, phi):
+                assert value == mc_finite(model, cell, f), (f, cell)
+                checked += 1
+    for text in BOXED_PERIODIC:
+        phi = parse_formula(text)
+        for _ in range(3):
+            model = rand_periodic_model(rng, rng.randint(1, 2),
+                                        rng.randint(1, 2), LETTERS)
+            for f, cell, value in _encoded_values(model, phi):
+                assert value == mc_periodic(model, cell, f), (f, cell)
+                checked += 1
+    assert checked > 1000

@@ -13,7 +13,7 @@ from hslogic.sat import (
     later_somewhere, sat_bbll, sat_bounded_finite,
 )
 from hslogic.syntax import (
-    A, B, iB, L, iL, And, Atom, Not, dia, metrics,
+    A, B, iB, L, iL, And, Atom, Not, conj, dia, metrics,
 )
 
 from .gen import rand_formula, rand_periodic_model
@@ -140,3 +140,17 @@ def test_check_certificate_rejects_wrong_claims():
     # model that does not satisfy the formula at the witness
     other = rand_periodic_model(random.Random(505), 1, 1, [])
     assert not check_certificate(dia(B, p), other, (1, 3))
+
+
+def test_deep_formulas_encode_without_recursion():
+    # the encoder walks formulas iteratively, so nesting past Python's
+    # recursion limit is no limit; the parser caps only text input
+    wide = conj([Atom("p%d" % i) for i in range(3000)])
+    assert isinstance(sat_bbll(wide), Sat)
+    assert isinstance(
+        sat_bounded_finite(conj([Atom("p%d" % i) for i in range(600)]), 1),
+        Sat)
+    nested = p
+    for _ in range(3000):
+        nested = Not(dia(B, nested))
+    assert isinstance(sat_bounded_finite(nested, 1), (Sat, Unknown))
