@@ -27,11 +27,12 @@ Both build their candidates with one encoder, which differs between the two
 kinds of domain only in how it encodes a diamond, and both return a model
 and witness interval through one certificate path that re-checks them with
 the model checker; a failed re-check raises CertificateError. Each call
-reads the formula's boxes as negated diamonds once (_core), and each
-candidate is encoded one subformula at a time in two iterative passes over
-the postorder of that formula: a demand pass from the root down works out
-the cells each subformula is needed at, and a build pass from the leaves up
-makes a table of literals for each subformula over exactly those cells.
+lists the formula's subformulas once, children first, with every box read
+as the negation of a diamond (_encoding_order), and each candidate is
+encoded one subformula at a time in two iterative passes over that list: a
+demand pass from the root down works out the cells each subformula is
+needed at, and a build pass from the leaves up makes a table of literals
+for each subformula over exactly those cells.
 Atom variables are allocated first, ordered by letter then cell, gates node
 by node and cell by cell, and the solver's first model is lexicographically
 least, so results are reproducible down to the returned valuation.
@@ -53,8 +54,8 @@ from .models import (
 from .solver import Solver
 from .syntax import (
     And, Atom, Box, Diamond, FalseConst, Formula, Fragment, Implies, Not,
-    Or, TrueConst, B, iB, L, iL, dia, fold, fragment_of, letters_of,
-    metrics, modal_depth, neg, nesting_depth, postorder,
+    Or, TrueConst, B, iB, L, iL, dia, fragment_of, letters_of, metrics,
+    modal_depth, neg, nesting_depth,
 )
 
 
@@ -217,23 +218,29 @@ class _Cnf:
         return s if s.solve() else None
 
 
-def _core(phi: Formula) -> Formula:
-    """phi with every box [M] s read as ~<M> neg(s), the literal the
-    encoder gives it; the encoder takes no other node for a box."""
-    return fold(phi, _core_case)
-
-
-def _core_case(f: Formula, args: tuple) -> Formula:
-    t = type(f)
-    if t is Box:
-        return Not(Diamond(f.mod, neg(args[0])))
-    if t is Diamond:
-        return Diamond(f.mod, args[0])
-    return t(*args) if args else f
-
-
-def _operands(f: Formula) -> List[Formula]:
-    return [getattr(f, n) for n in f._operands]
+def _encoding_order(phi: Formula) -> List[Tuple[Formula, tuple]]:
+    """The unique subformulas of phi with their operands, children left to
+    right before parents, as in postorder, except that a box [M] s has the
+    one operand <M> neg(s): the encoder gives a box the negated literal of
+    that diamond, so the box's twin is made once here, not once per cell.
+    Iterative, so nesting depth is no limit."""
+    out = []
+    seen = set()
+    # an entry with operands is a node whose operands are all listed
+    stack: List[Tuple[Formula, Optional[tuple]]] = [(phi, None)]
+    while stack:
+        f, kids = stack.pop()
+        if kids is not None:
+            out.append((f, kids))
+        elif f not in seen:
+            seen.add(f)
+            if type(f) is Box:
+                kids = (Diamond(f.mod, neg(f.sub)),)
+            else:
+                kids = tuple([getattr(f, n) for n in f._operands])
+            stack.append((f, kids))
+            stack += [(g, None) for g in reversed(kids)]
+    return out
 
 
 Table = Dict[Interval, int]
@@ -244,13 +251,14 @@ class _Encoder:
 
     The atom variables come first, by letter then canonical cell, and an
     atom at any cell reads the variable of its canonical cell. tables()
-    encodes a _core formula one subformula at a time, in two passes over
-    its postorder:
+    encodes a formula one subformula at a time, in two passes over its
+    _encoding_order:
 
     * the demand pass, from the root down, works out the cells each node is
       needed at: the root's own cells, and for every other node the union
-      of what its parents ask of it. A connective asks for its own cells;
-      a diamond asks for the cells its scan or ladder reads;
+      of what its parents ask of it. A connective, a negation or a box asks
+      for its own cells; a diamond asks for the cells its scan or ladder
+      reads;
     * the build pass, from the leaves up, fills each node's table (cell to
       literal) through the folding gates of _Cnf, node by node and cell by
       cell in ascending (x, y) order, so the variable numbering is fixed.
@@ -294,10 +302,11 @@ class _Encoder:
             self._demand = _Encoder._periodic_demand
             self._build = _Encoder._periodic_build
 
-    def tables(self, order: List[Formula], cells: List[Interval],
+    def tables(self, order: List[Tuple[Formula, tuple]],
+               cells: List[Interval],
                keep: Sequence[Formula] = ()) -> Dict[Formula, Table]:
         """The tables of order's root, demanded at cells, and of the nodes
-        in keep; order is the postorder of a _core formula. Each table
+        in keep; order is the _encoding_order of a formula. Each table
         lists its cells in ascending order. Every other table is released
         once the last node reading it is built.
 
@@ -310,29 +319,25 @@ class _Encoder:
         # Any other demanded cell lies inside a root cell or below a scan
         # cap checked against the horizon, so it needs no check of its own.
         w = self.w
-        root = order[-1]
-        need: Dict[Formula, set] = {f: set() for f in order}
+        root = order[-1][0]
+        need: Dict[Formula, set] = {f: set() for f, _ in order}
         need[root].update([x * w + y for x, y in cells])
         plan = {}
-        for f in reversed(order):
+        for f, kids in reversed(order):
             got = sorted(need.pop(f))
-            t = type(f)
-            if t is Diamond:
-                plan[f] = self._demand(self, f, got, need[f.sub])
+            if type(f) is Diamond:
+                plan[f] = self._demand(self, f, got, need[kids[0]])
                 continue
             plan[f] = got
-            if t is Not:
-                need[f.sub].update(got)
-            elif t is And or t is Or or t is Implies:
-                need[f.lhs].update(got)
-                need[f.rhs].update(got)
-        last = {g: f for f in order for g in _operands(f)}
+            for g in kids:
+                need[g].update(got)
+        last = {g: f for f, kids in order for g in kids}
         kept = set(keep)
         kept.add(root)
         cnf = self.cnf
         canon: Dict[int, Interval] = {}
         table: Dict[Formula, Dict[int, int]] = {}
-        for f in order:
+        for f, kids in order:
             got = plan.pop(f)
             t = type(f)
             if t is Atom:
@@ -342,11 +347,11 @@ class _Encoder:
                                                       divmod(k, w))
                 var, name = self.atom_var, f.name
                 tab = {k: var[(name, canon[k])] for k in got}
-            elif t is Not:
-                sub = table[f.sub]
+            elif t is Not or t is Box:
+                sub = table[kids[0]]
                 tab = {k: -sub[k] for k in got}
             elif t is Diamond:
-                tab = self._build(self, f, got, table[f.sub])
+                tab = self._build(self, f, got, table[kids[0]])
             elif t is And:
                 lhs, rhs, and2 = table[f.lhs], table[f.rhs], cnf.define_and2
                 tab = {k: and2(lhs[k], rhs[k]) for k in got}
@@ -361,9 +366,9 @@ class _Encoder:
             elif t is FalseConst:
                 tab = dict.fromkeys(got, _FALSE)
             else:
-                raise TypeError("not a core formula: %r" % (f,))
+                raise TypeError("not a formula: %r" % (f,))
             table[f] = tab
-            for g in _operands(f):
+            for g in kids:
                 if last[g] is f and g not in kept:
                     table.pop(g, None)
         return {f: {divmod(k, w): lit for k, lit in table[f].items()}
@@ -422,7 +427,8 @@ class _Encoder:
                         if cap > h:
                             raise RuntimeError(
                                 "scan cap beyond the encoding horizon")
-                        sub_need.update(range(xp * w + xp + 1, xp * w + cap + 1))
+                        row = xp * w
+                        sub_need.update(range(row + xp + 1, row + cap + 1))
             return cells, sorted(ends.items()), caps
         if name == "iL":
             top = cells[-1] // w if cells else 0     # highest demanded x
@@ -547,9 +553,8 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
         return Unsat("propositional refutation")
     own_bound = metrics(phi).periodic_bound
     bound = own_bound if max_bound is None else max_bound
-    core = _core(phi)
-    goal = later_somewhere(core)
-    order = postorder(goal)
+    goal = later_somewhere(phi)
+    order = _encoding_order(goal)
     goal_depth = modal_depth(goal)
     letters = sorted(letters_of(phi))
     solved: Dict[Tuple[int, int], Tuple[_Encoder, Solver, Table]] = {}
@@ -562,11 +567,11 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
         if got is None:
             enc = _Encoder(PeriodicDomain(pre, per),
                            _scan_frontier(pre, per, goal_depth, 1), letters)
-            tables = enc.tables(order, [(0, 1)], (core,))
+            tables = enc.tables(order, [(0, 1)], (phi,))
             enc.cnf.clauses.append([tables[goal][(0, 1)]])
             solver = enc.cnf.solve()
             if solver is not None:
-                got = (enc, solver, tables[core])
+                got = (enc, solver, tables[phi])
         return got
 
     def ordered(totals: range, least_per: int) -> Optional[Sat]:
@@ -597,13 +602,12 @@ def sat_bounded_finite(phi: Formula, max_points: int) -> SatResult:
     if max_points < 1:
         raise ValueError("need at least one point past the origin")
     letters = sorted(letters_of(phi))
-    core = _core(phi)
-    order = postorder(core)
+    order = _encoding_order(phi)
     for n in range(1, max_points + 1):
         domain = FiniteDomain(n)
         enc = _Encoder(domain, n, letters)
         cells = canonical_cells(domain)
-        table = enc.tables(order, cells)[core]
+        table = enc.tables(order, cells)[phi]
         root = enc.cnf.define_or([table[c] for c in cells])
         if root == _FALSE:
             continue

@@ -16,11 +16,12 @@ None (unassigned) and always equals `not vals[-l]` when set; `watches[l]`
 lists the clauses watching l; `level[l]` and `reason[l]` are written for
 the literal that became true. new_var only counts; the lists are rebuilt
 for the new size the next time add_clause, add_clauses, solve, value or
-model_value runs. Decisions scan upward from a cursor below which every variable is
-assigned, and backjumping lowers it to the least variable it unassigns, so
-the scan no longer restarts at variable 1. Neither change touches the
-decision policy or the propagation order: the search, and so the lex-least
-model, are step for step those of per-variable arrays and a full scan.
+model_value runs. Decisions scan upward from a cursor below which every
+variable is assigned, and backjumping lowers it to the least variable it
+unassigns, so the scan no longer restarts at variable 1. Neither change
+touches the decision policy or the propagation order: the search, and so
+the lex-least model, are step for step those of per-variable arrays and a
+full scan.
 """
 
 from __future__ import annotations

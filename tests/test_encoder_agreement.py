@@ -18,9 +18,7 @@ from hslogic import sat
 from hslogic.checking import _scan_frontier, mc_finite, mc_periodic
 from hslogic.models import FiniteDomain, canonical_cells
 from hslogic.parser import parse_formula
-from hslogic.syntax import (
-    B, iB, L, iL, letters_of, modal_depth, postorder,
-)
+from hslogic.syntax import B, iB, L, iL, letters_of, modal_depth
 
 from .gen import all_mods, rand_finite_model, rand_formula, rand_periodic_model
 
@@ -32,23 +30,21 @@ def _encoded_values(model, phi):
     for phi over the model's domain, solved with the model's atoms fixed.
 
     phi is encoded at every cell of a finite domain, and as sat_bbll's goal
-    at [0, 1] on a periodic one, with its boxes read as negated diamonds as
-    the procedures read them. This is the only place the test touches the
-    encoder's private names."""
+    at [0, 1] on a periodic one. This is the only place the test touches
+    the encoder's private names."""
     domain = model.domain
     letters = sorted(letters_of(phi))
-    core = sat._core(phi)
     if isinstance(domain, FiniteDomain):
         enc = sat._Encoder(domain, domain.last_point, letters)
-        order = postorder(core)
+        order = sat._encoding_order(phi)
         cells = canonical_cells(domain)
     else:
-        goal = sat.later_somewhere(core)
+        goal = sat.later_somewhere(phi)
         horizon = _scan_frontier(domain.pre, domain.per, modal_depth(goal), 1)
         enc = sat._Encoder(domain, horizon, letters)
-        order = postorder(goal)
+        order = sat._encoding_order(goal)
         cells = [(0, 1)]
-    tables = enc.tables(order, cells, order)
+    tables = enc.tables(order, cells, [f for f, _ in order])
     for (letter, cell), var in enc.atom_var.items():
         enc.cnf.clauses.append(
             [var if model.holds_atom(cell, letter) else -var])
@@ -87,7 +83,7 @@ def test_periodic_encoder_agrees_with_mc_periodic():
 
 
 # a box at the root, boxes under boxes, and boxes over negations, which the
-# procedures read as negated diamonds before encoding
+# encoder reads as negated diamonds
 BOXED_FINITE = [
     "[A] p",
     "[D] [iE] ~p",

@@ -10,7 +10,7 @@ from hslogic.models import PeriodicDomain, save_model
 from hslogic.parser import parse_formula
 from hslogic.sat import Sat, Unknown, Unsat, sat_bbll
 from hslogic.syntax import (
-    B, iB, L, iL, letters_of, metrics, modal_depth, postorder,
+    B, iB, L, iL, letters_of, metrics, modal_depth,
 )
 
 from .test_interning import build
@@ -23,8 +23,7 @@ def ordered_sat_bbll(phi, max_bound):
         return Unsat("propositional refutation")
     own_bound = metrics(phi).periodic_bound
     bound = own_bound if max_bound is None else max_bound
-    core = sat._core(phi)
-    goal = sat.later_somewhere(core)
+    goal = sat.later_somewhere(phi)
     goal_depth = modal_depth(goal)
     letters = sorted(letters_of(phi))
     for total in range(2, bound + 1):
@@ -33,11 +32,11 @@ def ordered_sat_bbll(phi, max_bound):
             enc = sat._Encoder(PeriodicDomain(pre, per),
                                _scan_frontier(pre, per, goal_depth, 1),
                                letters)
-            tables = enc.tables(postorder(goal), [(0, 1)], [core])
+            tables = enc.tables(sat._encoding_order(goal), [(0, 1)], [phi])
             enc.cnf.clauses.append([tables[goal][(0, 1)]])
             solver = enc.cnf.solve()
             if solver is not None:
-                return sat._certificate(enc, solver, tables[core], phi)
+                return sat._certificate(enc, solver, tables[phi], phi)
     if max_bound is not None and max_bound < own_bound:
         return Unknown("search truncated below the periodic bound")
     return Unsat("no model within the periodic bound")
