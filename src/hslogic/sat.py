@@ -26,16 +26,17 @@ Two procedures with different scopes:
 Both build their candidates with one encoder, which differs between the two
 kinds of domain only in how it encodes a diamond, and both return a model
 and witness interval through one certificate path that re-checks them with
-the model checker; a failed re-check raises CertificateError. Each call
-lists the formula's subformulas once, children first, with every box read
-as the negation of a diamond (_encoding_order), and each candidate is
+the model checker; a failed re-check raises CertificateError.
+
+Each call lists the formula's subformulas once, children first, with every
+box read as the negation of a diamond (_encoding_order). Each candidate is
 encoded one subformula at a time in two iterative passes over that list: a
 demand pass from the root down works out the cells each subformula is
 needed at, and a build pass from the leaves up makes a table of literals
-for each subformula over exactly those cells.
-Atom variables are allocated first, ordered by letter then cell, gates node
-by node and cell by cell, and the solver's first model is lexicographically
-least, so results are reproducible down to the returned valuation.
+for each subformula over exactly those cells. Atom variables are allocated
+first, ordered by letter then cell, then gates node by node and cell by
+cell, and the solver's first model is lexicographically least, so results
+are reproducible down to the returned valuation.
 """
 
 from __future__ import annotations
