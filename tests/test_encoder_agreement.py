@@ -117,4 +117,4 @@ def test_boxes_agree_on_both_domains():
             for f, cell, value in _encoded_values(model, phi):
                 assert value == mc_periodic(model, cell, f), (f, cell)
                 checked += 1
-    assert checked > 1000
+    assert checked > 4000
