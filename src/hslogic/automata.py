@@ -189,6 +189,8 @@ def load_automaton(text: str) -> CounterAutomaton:
         elif kind == "counters":
             if len(parts) != 2:
                 raise AutomatonFormatError("counters takes one number", lineno)
+            if counters is not None:
+                raise AutomatonFormatError("duplicate counters line", lineno)
             try:
                 counters = int(parts[1])
             except ValueError:

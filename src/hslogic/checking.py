@@ -1,7 +1,17 @@
 """Model checking over finite and ultimately periodic interval structures.
 
-Finite models are evaluated exactly with per-subformula truth tables filled
-by dynamic programming, one pass per modality.
+One grid engine (_TableEngine) evaluates every formula: a table per
+subformula over a window of points 0..h, filled bottom up with one pass per
+connective or modality. A table is a flat list with cell (x, y) at
+x*(h+1) + y, so a run of cells along a row is a slice and a column is a
+strided slice. Truth values are -1 (false), 0 (undetermined) and 1 (true),
+with max as join, min as meet and unary minus as negation. The engine is
+written against those operations, not the values: sat_bounded_finite runs
+it with the SAT encoder's gates in their place, and so encodes a formula
+over a finite order with the recurrences this module checks it with. The
+public functions convert to tables keyed by (x, y) only at their boundary.
+
+Finite models are evaluated exactly over the whole domain.
 
 Periodic models need more care. An atom's truth is invariant under the two
 periodicity shifts, and that invariance lifts level by level: the truth of a
@@ -16,9 +26,9 @@ exploits this twice over:
   so a missing witness below the cap proves there is none at all;
 * tables are recomputed at growing horizons, and a value is only reported
   once two consecutive horizons agree on every canonical cell for every
-  subformula. Values that a horizon cannot justify are carried as a third
-  "undetermined" state rather than guessed, and a query that never settles
-  raises NotStabilized.
+  subformula. Values that a horizon cannot justify are carried as the
+  third, undetermined value rather than guessed, and a query that never
+  settles raises NotStabilized.
 
 The thresholds are conservative; on the begin/before fragment the tables of
 interest settle within a couple of rounds past the formula depth.
@@ -26,7 +36,9 @@ interest settle within a couple of rounds past the formula depth.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .models import (
     FiniteDomain, Interval, IntervalModel, PeriodicDomain, canonical_cells,
@@ -37,8 +49,11 @@ from .syntax import (
     TrueConst, modal_depth, postorder, render,
 )
 
-# three-valued lattice: 0 false, 1 undetermined, 2 true
-_F, _U, _T = 0, 1, 2
+# The three-valued lattice: -1 false, 0 undetermined, 1 true, with max as
+# join and min as meet. Negation is unary minus, as for the literals of
+# sat._Cnf, whose constants are 1 and -1.
+_F, _U, _T = -1, 0, 1
+_join = partial(max, default=_F)
 
 
 class NotStabilized(Exception):
@@ -109,26 +124,56 @@ def _later_cap(pre: int, per: int, depth: int, y: int) -> int:
     return max(pre + 2 * depth * per, y + 1) + per - 1
 
 
+# The five diamonds that are one diamond over another, <M> s being
+# <outer> <inner> s: inner is applied to s's table with s's depth, outer to
+# the result. "later" is <A> whose scan of row y stops at the later cap:
+# <L> s holds at (x, y) when <A> s holds at some (y, u), u > y, and past
+# that cap whole rows repeat.
+_COMPOSED = {
+    "iD": ("iB", "iE"),     # x' < x, y' > y
+    "O": ("iB", "E"),       # x < x' < y < y'
+    "iO": ("iE", "B"),      # x' < x < y' < y
+    "L": ("A", "later"),    # y < x'
+    "iL": ("iA", "iA"),     # y' < x
+}
+
+
 class _TableEngine:
-    """Shared grid evaluator. A finite model is the degenerate case with an
-    exact window and no undetermined values."""
+    """The one grid evaluator: a table per subformula over the window
+    0..horizon, with the semantics written once against an algebra.
 
-    def __init__(self, model: IntervalModel, horizon: int):
-        self.model = model
+    A table is a flat list over x < horizon with cell (x, y) at x*w + y,
+    w = horizon + 1. The slots with y <= x hold constants and are never
+    read. The algebra is atom(name), a letter's table, and three operations
+    on values: join of a list, or2 and and2. In both algebras -1 is false, 1
+    is true, negation is unary minus and a join over a true value is true.
+    For the three-valued lattice the operations are max and min. Passed
+    sat._Cnf's folding gates, with atom variables as atom tables, the same
+    recurrences encode a formula as CNF; unread slots then fold to
+    constants and make no gates.
+
+    period=(pre, per) makes the window a prefix of a periodic domain, which
+    only the lattice is used with: scans that reach right without bound
+    stop at the caps above, and a scan the window cuts short of its cap
+    joins in undetermined. Without it the window is a whole finite domain
+    and every value is exact.
+
+    Seven diamonds are written out, the other five are two of them
+    (_COMPOSED), and a box [M] s is the negation of <M> ~s."""
+
+    def __init__(self, horizon: int, atom: Callable[[str], List[int]],
+                 join: Callable[[List[int]], int],
+                 or2: Callable[[int, int], int],
+                 and2: Callable[[int, int], int],
+                 period: Optional[Tuple[int, int]] = None):
         self.h = horizon
-        d = model.domain
-        if isinstance(d, PeriodicDomain):
-            self.periodic = True
-            self.pre, self.per = d.pre, d.per
-        else:
-            self.periodic = False
-            if horizon != d.last_point:
-                raise ValueError("finite tables span the whole domain")
-        self.cells = [(x, y) for x in range(horizon)
-                      for y in range(x + 1, horizon + 1)]
-        self.tables: Dict[Formula, Dict[Interval, int]] = {}
+        self.w = horizon + 1
+        self.atom = atom
+        self.join, self.or2, self.and2 = join, or2, and2
+        self.period = period
+        self.tables: Dict[Formula, List[int]] = {}
 
-    def table(self, phi: Formula) -> Dict[Interval, int]:
+    def table(self, phi: Formula) -> List[int]:
         got = self.tables.get(phi)
         if got is not None:
             return got
@@ -137,202 +182,125 @@ class _TableEngine:
                 self.tables[node] = self._compute(node)
         return self.tables[phi]
 
-    def _compute(self, f: Formula) -> Dict[Interval, int]:
-        if isinstance(f, Atom):
-            holds = self.model.holds_atom
-            name = f.name
-            return {c: (_T if holds(c, name) else _F) for c in self.cells}
-        if isinstance(f, TrueConst):
-            return {c: _T for c in self.cells}
-        if isinstance(f, FalseConst):
-            return {c: _F for c in self.cells}
-        if isinstance(f, Not):
-            sub = self.tables[f.sub]
-            return {c: 2 - sub[c] for c in self.cells}
-        if isinstance(f, And):
-            a, b = self.tables[f.lhs], self.tables[f.rhs]
-            return {c: min(a[c], b[c]) for c in self.cells}
-        if isinstance(f, Or):
-            a, b = self.tables[f.lhs], self.tables[f.rhs]
-            return {c: max(a[c], b[c]) for c in self.cells}
-        if isinstance(f, Implies):
-            a, b = self.tables[f.lhs], self.tables[f.rhs]
-            return {c: max(2 - a[c], b[c]) for c in self.cells}
-        if isinstance(f, Diamond):
+    def _compute(self, f: Formula) -> List[int]:
+        t = type(f)
+        if t is Atom:
+            return self.atom(f.name)
+        if t is Not:
+            return [-v for v in self.tables[f.sub]]
+        if t is And:
+            return list(map(self.and2, self.tables[f.lhs],
+                            self.tables[f.rhs]))
+        if t is Or:
+            return list(map(self.or2, self.tables[f.lhs], self.tables[f.rhs]))
+        if t is Implies:
+            return list(map(self.or2, [-v for v in self.tables[f.lhs]],
+                            self.tables[f.rhs]))
+        if t is Diamond:
             return self._diamond(f.mod.name, self.tables[f.sub],
                                  modal_depth(f.sub))
-        if isinstance(f, Box):
-            sub = self.tables[f.sub]
-            neg_sub = {c: 2 - sub[c] for c in self.cells}
-            dia = self._diamond(f.mod.name, neg_sub, modal_depth(f.sub))
-            return {c: 2 - dia[c] for c in self.cells}
+        if t is Box:
+            dia = self._diamond(f.mod.name, [-v for v in self.tables[f.sub]],
+                                modal_depth(f.sub))
+            return [-v for v in dia]
+        if t is TrueConst or t is FalseConst:
+            return [_T if t is TrueConst else _F] * (self.h * self.w)
         raise TypeError("not a formula: %r" % (f,))
 
-    def _diamond(self, name: str, C: Dict[Interval, int],
-                 child_depth: int) -> Dict[Interval, int]:
-        h = self.h
-        out: Dict[Interval, int] = {}
-        if name == "A":
-            per_y: Dict[int, int] = {}
-            for (x, y) in self.cells:
-                if y not in per_y:
-                    per_y[y] = self._scan_row(C, y, y, child_depth)
-                out[(x, y)] = per_y[y]
+    def _diamond(self, name: str, C: List[int], depth: int) -> List[int]:
+        """The table of a diamond over the child table C, whose formula
+        has the given modal depth."""
+        composed = _COMPOSED.get(name)
+        if composed is not None:
+            inner, outer = composed
+            return self._diamond(outer, self._diamond(inner, C, depth), depth)
+        h, w, or2 = self.h, self.w, self.or2
+        out = [_F] * (h * w)
+        if name == "A" or name == "later":
+            # (y, y') with y' > y, the same for every x: fill column y
+            for y in range(1, h + 1):
+                v = self._scan(C, depth, y, y, name == "later")
+                out[y:y * w + y:w] = [v] * y
         elif name == "iA":
-            colany = self._colany(C)
-            for (x, y) in self.cells:
-                out[(x, y)] = colany[x]
+            # (x', x): column x, the same for every y: fill row x
+            for x in range(1, h):
+                r = x * w
+                out[r + x + 1:r + h + 1] = [self.join(C[x:r + x:w])] * (h - x)
         elif name == "B":
+            # (x, y') with y' < y: a ladder along each row
             for x in range(h):
-                acc = _F
-                out[(x, x + 1)] = acc
-                for y in range(x + 2, h + 1):
-                    acc = max(acc, C[(x, y - 1)])
-                    out[(x, y)] = acc
+                r = x * w
+                out[r + x + 1:r + h + 1] = accumulate(C[r + x + 1:r + h], or2,
+                                                      initial=_F)
         elif name == "iB":
-            for (x, y) in self.cells:
-                out[(x, y)] = self._scan_row(C, x, y, child_depth)
+            # (x, y') with y' > y: a scan along row x per cell
+            for x in range(h):
+                r = x * w
+                for y in range(x + 1, h + 1):
+                    out[r + y] = self._scan(C, depth, x, y)
         elif name == "E":
+            # (x', y) with x' > x: a ladder up each column, from y - 1 down
             for y in range(1, h + 1):
-                acc = _F
-                for x in range(y - 1, -1, -1):
-                    out[(x, y)] = acc
-                    acc = max(acc, C[(x, y)])
+                col = list(accumulate(C[(y - 1) * w + y:y:-w], or2,
+                                      initial=_F))
+                col.reverse()
+                out[y:y * w + y:w] = col
         elif name == "iE":
+            # (x', y) with x' < x: a ladder down each column
             for y in range(1, h + 1):
-                acc = _F
-                for x in range(0, y):
-                    out[(x, y)] = acc
-                    acc = max(acc, C[(x, y)])
+                out[y:y * w + y:w] = accumulate(C[y:(y - 1) * w + y:w], or2,
+                                                initial=_F)
         elif name == "D":
-            for length in range(1, h + 1):
-                for x in range(0, h - length + 1):
-                    y = x + length
-                    acc = _F
-                    if x + 1 < y - 1:
-                        acc = max(acc, C[(x + 1, y - 1)],
-                                  out[(x + 1, y)], out[(x, y - 1)])
-                    out[(x, y)] = acc
-        elif name == "iD":
-            for (x, y) in self.cells:
-                best = _F
-                complete = True
-                for xp in range(0, x):
-                    v, ok = self._scan_row_bounded(C, xp, y, child_depth)
-                    best = max(best, v)
-                    complete = complete and ok
-                    if best == _T:
-                        break
-                if best != _T and not complete:
-                    best = _U
-                out[(x, y)] = best
-        elif name == "L":
-            per_y: Dict[int, int] = {}
-            for (x, y) in self.cells:
-                if y not in per_y:
-                    per_y[y] = self._scan_later(C, y, child_depth)
-                out[(x, y)] = per_y[y]
-        elif name == "iL":
-            colany = self._colany(C)
-            acc = _F
-            pref = [_F] * (h + 2)
-            for v in range(1, h + 1):
-                acc = max(acc, colany[v])
-                pref[v] = acc
-            for (x, y) in self.cells:
-                out[(x, y)] = pref[x - 1] if x >= 2 else _F
-        elif name == "O":
-            for (x, y) in self.cells:
-                best = _F
-                complete = True
-                for xp in range(x + 1, y):
-                    v, ok = self._scan_row_bounded(C, xp, y, child_depth)
-                    best = max(best, v)
-                    complete = complete and ok
-                    if best == _T:
-                        break
-                if best != _T and not complete:
-                    best = _U
-                out[(x, y)] = best
-        elif name == "iO":
-            colpref: Dict[int, List[int]] = {}
-            for yp in range(1, h + 1):
-                row = [_F] * (yp + 1)
-                acc = _F
-                for xp in range(0, yp):
-                    row[xp] = acc
-                    acc = max(acc, C[(xp, yp)])
-                colpref[yp] = row
-            for (x, y) in self.cells:
-                best = _F
-                # successors [x', y'] with x' < x < y' < y; x < y' always
-                for yp in range(x + 1, y):
-                    best = max(best, colpref[yp][x])
-                    if best == _T:
-                        break
-                out[(x, y)] = best
+            # (x', y') with x < x' < y' < y: what (x+1, y-1) holds, or
+            # (x+1, y) or (x, y-1) contains, by growing length along the
+            # diagonals, which are strided slices
+            join, step = self.join, w + 1
+            for length in range(3, h + 1):
+                end = (h - length + 1) * step
+                k = length                      # the cell (0, length)
+                out[k:k + end:step] = map(
+                    lambda a, b, c: join([a, b, c]),
+                    C[k + w - 1:k + w - 1 + end:step],
+                    out[k + w:k + w + end:step],
+                    out[k - 1:k - 1 + end:step])
         else:
             raise ValueError("unknown modality %r" % name)
         return out
 
-    def _colany(self, C: Dict[Interval, int]) -> List[int]:
-        """For each point v, the join of the child over intervals ending at
-        v. Exact: such intervals lie inside the grid."""
-        col = [_F] * (self.h + 1)
-        for (x, y), v in C.items():
-            if v > col[y]:
-                col[y] = v
-        return col
+    def _scan(self, C: List[int], depth: int, x: int, lo: int,
+              later: bool = False) -> int:
+        """Join of C over the cells (x, y'), y' > lo. Unbounded to the
+        right; on a periodic domain the scan stops at the row cap, or at
+        the later cap, and joins in undetermined if the window ends first."""
+        hi, exact = self.h, True
+        if self.period is not None:
+            pre, per = self.period
+            cap = (_later_cap(pre, per, depth, lo) if later
+                   else _row_cap(pre, per, depth, x, lo))
+            hi, exact = min(hi, cap), cap <= hi
+        r = x * self.w
+        v = self.join(C[r + lo + 1:r + hi + 1])
+        return v if exact else self.or2(v, _U)
 
-    def _scan_row(self, C: Dict[Interval, int], x: int, lo: int,
-                  child_depth: int) -> int:
-        v, ok = self._scan_row_bounded(C, x, lo, child_depth)
-        if v != _T and not ok:
-            return _U
-        return v
 
-    def _scan_row_bounded(self, C: Dict[Interval, int], x: int, lo: int,
-                          child_depth: int) -> Tuple[int, bool]:
-        """Join of the child over intervals [x, y'] with y' > lo.
+def _model_engine(model: IntervalModel, horizon: int) -> _TableEngine:
+    """The engine over a model's window 0..horizon in the three-valued
+    lattice."""
+    d = model.domain
+    w = horizon + 1
+    cells = [(x * w + y, (x, y)) for x in range(horizon)
+             for y in range(x + 1, horizon + 1)]
+    holds = model.holds_atom
 
-        Unbounded to the right; on a periodic domain the scan stops at the
-        cap where the child's values start repeating, so a completed scan is
-        conclusive. Returns (value, completed)."""
-        h = self.h
-        if not self.periodic:
-            hi, complete = h, True
-        else:
-            cap = _row_cap(self.pre, self.per, child_depth, x, lo)
-            hi, complete = min(h, cap), cap <= h
-        best = _F
-        for yp in range(lo + 1, hi + 1):
-            v = C[(x, yp)]
-            if v > best:
-                best = v
-                if best == _T:
-                    return best, complete
-        return best, complete
+    def atom(name: str) -> List[int]:
+        table = [_F] * (horizon * w)
+        for k, c in cells:
+            if holds(c, name):
+                table[k] = _T
+        return table
 
-    def _scan_later(self, C: Dict[Interval, int], y: int,
-                    child_depth: int) -> int:
-        """Join of the child over intervals lying wholly after point y."""
-        h = self.h
-        if not self.periodic:
-            cx, x_complete = h - 1, True
-        else:
-            capx = _later_cap(self.pre, self.per, child_depth, y)
-            cx, x_complete = min(h - 1, capx), capx <= h - 1
-        best = _F
-        complete = x_complete
-        for xp in range(y + 1, cx + 1):
-            v, ok = self._scan_row_bounded(C, xp, xp, child_depth)
-            best = max(best, v)
-            complete = complete and ok
-            if best == _T:
-                return best
-        if best != _T and not complete:
-            return _U
-        return best
+    period = (d.pre, d.per) if isinstance(d, PeriodicDomain) else None
+    return _TableEngine(horizon, atom, _join, max, min, period)
 
 
 class FiniteEvaluator:
@@ -342,21 +310,24 @@ class FiniteEvaluator:
     def __init__(self, model: IntervalModel):
         if not isinstance(model.domain, FiniteDomain):
             raise TypeError("FiniteEvaluator needs a finite model")
-        self._engine = _TableEngine(model, model.domain.last_point)
+        self._engine = _model_engine(model, model.domain.last_point)
 
     def table(self, phi: Formula) -> Dict[Interval, bool]:
-        raw = self._engine.table(phi)
-        return {c: v == _T for c, v in raw.items()}
+        raw, w = self._engine.table(phi), self._engine.w
+        return {(x, y): raw[x * w + y] == _T
+                for x in range(w - 1) for y in range(x + 1, w)}
 
     def value(self, phi: Formula, i: Interval) -> bool:
-        return self._engine.table(phi)[i] == _T
+        x, y = i
+        w = self._engine.w
+        if not 0 <= x < y < w:
+            raise ValueError("interval %r outside the domain" % (i,))
+        return self._engine.table(phi)[x * w + y] == _T
 
 
 def mc_finite(model: IntervalModel, i: Interval, phi: Formula) -> bool:
     if not isinstance(model.domain, FiniteDomain):
         raise TypeError("mc_finite needs a finite model")
-    if not valid_interval(model.domain, i):
-        raise ValueError("interval %r outside the domain" % (i,))
     return FiniteEvaluator(model).value(phi, tuple(i))
 
 
@@ -396,7 +367,11 @@ def _stabilized_tables(model: IntervalModel, phi: Formula,
                        extra_cells: Tuple[Interval, ...] = ()):
     """Recompute tables at horizons base + k*per until two consecutive
     horizons agree, with determined values, on every watched cell for every
-    subformula. Returns (tables, horizon)."""
+    subformula. Returns (tables, horizon), the tables flat as the engine's.
+
+    The default budget is enough rounds for every capped scan from a
+    watched cell to end inside the window: max(depth + 2,
+    ceil((need - base) / per) + 1), need being _scan_frontier's horizon."""
     domain = model.domain
     depth = modal_depth(phi)
     watch = list(canonical_cells(domain))
@@ -407,7 +382,6 @@ def _stabilized_tables(model: IntervalModel, phi: Formula,
     if max_rounds is not None:
         rounds = max(max_rounds, 1)
     else:
-        # enough budget that the capped scans are provably all determined
         wy = max(c[1] for c in watch)
         need = _scan_frontier(domain.pre, domain.per, depth, wy)
         rounds = max(depth + 2, -((base - need) // domain.per) + 1)
@@ -416,24 +390,19 @@ def _stabilized_tables(model: IntervalModel, phi: Formula,
     offender = (phi, watch[0])
     for k in range(2, rounds + 3):
         h = base + k * domain.per
-        engine = _TableEngine(model, h)
+        engine = _model_engine(model, h)
         engine.table(phi)
-        cur = engine.tables
+        keys = [x * engine.w + y for x, y in watch]
+        cur = {node: [engine.tables[node][j] for j in keys]
+               for node in nodes}
         if prev is not None:
-            stable = True
-            for node in nodes:
-                tp, tc = prev[node], cur[node]
-                for c in watch:
-                    vp, vc = tp[c], tc[c]
-                    if vp == _U or vc == _U or vp != vc:
-                        if stable:
-                            offender = (node, c)
-                        stable = False
-                        break
-                if not stable:
-                    break
-            if stable:
-                return cur, h
+            unstable = next(
+                ((node, c) for node in nodes
+                 for c, vp, vc in zip(watch, prev[node], cur[node])
+                 if vc == _U or vp != vc), None)
+            if unstable is None:
+                return engine.tables, h
+            offender = unstable
         prev = cur
     raise NotStabilized(offender[0], offender[1], rounds)
 
@@ -443,15 +412,16 @@ def mc_periodic(model: IntervalModel, i: Interval, phi: Formula,
     """Truth of phi at interval i over an ultimately periodic model.
 
     Raises NotStabilized when the evaluation horizons keep disagreeing
-    within the round budget (default: modal depth plus two)."""
+    within the round budget: max_rounds, or by default enough rounds for
+    every periodicity-capped scan to be conclusive (_stabilized_tables)."""
     if not isinstance(model.domain, PeriodicDomain):
         raise TypeError("mc_periodic needs a periodic model")
     i = tuple(i)
     if not valid_interval(model.domain, i):
         raise ValueError("not an interval: %r" % (i,))
-    q = _reduce_query(model.domain, i, modal_depth(phi))
-    tables, _ = _stabilized_tables(model, phi, max_rounds, (q,))
-    return tables[phi][q] == _T
+    x, y = _reduce_query(model.domain, i, modal_depth(phi))
+    tables, h = _stabilized_tables(model, phi, max_rounds, ((x, y),))
+    return tables[phi][x * (h + 1) + y] == _T
 
 
 def periodic_stable_tables(model: IntervalModel, phi: Formula,
@@ -466,7 +436,8 @@ def periodic_stable_tables(model: IntervalModel, phi: Formula,
     raw, h = _stabilized_tables(model, phi, max_rounds)
     decode = {_F: False, _U: None, _T: True}
     tables = {
-        node: {c: decode[v] for c, v in grid.items()}
+        node: {(x, y): decode[grid[x * (h + 1) + y]]
+               for x in range(h) for y in range(x + 1, h + 1)}
         for node, grid in raw.items()
     }
     return tables, h

@@ -23,35 +23,50 @@ Two procedures with different scopes:
 * sat_bounded_finite searches finite orders of growing size for the full
   modality set. It can only ever answer Sat or Unknown.
 
-Both build their candidates with one encoder, which differs between the two
-kinds of domain only in how it encodes a diamond, and both return a model
-and witness interval through one certificate path that re-checks them with
-the model checker; a failed re-check raises CertificateError.
+Every candidate is a _Candidate: a CNF whose first variables are the atom
+values on canonical cells, ordered by letter then cell, and one certificate
+path. The solver's first model is lexicographically least in that order,
+and the witness is the least cell where the formula holds, so results are
+reproducible down to the returned valuation. The certificate is re-checked
+with the model checker before it is returned, and a failed re-check raises
+CertificateError.
 
-Each call lists the formula's subformulas once, children first, with every
-box read as the negation of a diamond (_encoding_order). Each candidate is
-encoded one subformula at a time in two iterative passes over that list: a
-demand pass from the root down works out the cells each subformula is
-needed at, and a build pass from the leaves up makes a table of literals
-for each subformula over exactly those cells. Atom variables are allocated
-first, ordered by letter then cell, then gates node by node and cell by
-cell, and the solver's first model is lexicographically least, so results
-are reproducible down to the returned valuation.
+The two procedures encode their candidates differently:
+
+* over a finite order the encoding is the model checker's grid engine
+  (checking._TableEngine) run over _Cnf's folding gates, with atom
+  variables as atom tables: one table of literals per subformula over the
+  whole grid, by the recurrences mc_finite evaluates with. The certificate
+  re-check therefore shares those recurrences with the encoding, as the
+  periodic re-check shares the caps; what differs at run time is the
+  algebra, gates and the solver against the three-valued lattice. The
+  recurrences are held to truth by the naive evaluator of the tests;
+* over a periodic split, _Encoder encodes the begin/later modalities on
+  demand. Each call lists the formula's subformulas once, children first,
+  with every box read as the negation of a diamond (_encoding_order). Each
+  candidate is encoded one subformula at a time in two iterative passes
+  over that list: a demand pass from the root down works out the cells
+  each subformula is needed at, and a build pass from the leaves up makes
+  a table of literals for each subformula over exactly those cells, gates
+  node by node and cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .checking import (
-    _later_cap, _row_cap, _scan_frontier, NotStabilized, mc_finite,
-    mc_periodic,
+    _later_cap, _row_cap, _scan_frontier, _TableEngine, NotStabilized,
+    mc_finite, mc_periodic,
 )
 from .models import (
-    FiniteDomain, Interval, IntervalModel, PeriodicDomain, allen_related,
-    canonical_cells, canonical_interval,
+    FiniteDomain, Interval, IntervalModel, PeriodicDomain, canonical_cells,
+    canonical_interval,
 )
+# Not called here. bench/tracing.py times models.allen_related by patching
+# this name, so a traced benchmark run needs it importable.
+from .models import allen_related  # noqa: F401
 from .solver import Solver
 from .syntax import (
     And, Atom, Box, Diamond, FalseConst, Formula, Fragment, Implies, Not,
@@ -247,13 +262,60 @@ def _encoding_order(phi: Formula) -> List[Tuple[Formula, tuple]]:
 Table = Dict[Interval, int]
 
 
-class _Encoder:
-    """CNF truth of subformulas at grid cells over one candidate domain.
+class _Candidate:
+    """One candidate domain's CNF. Its first variables are the atoms, one per
+    letter and canonical cell, by letter then cell; an atom at any cell
+    reads the variable of its canonical cell."""
 
-    The atom variables come first, by letter then canonical cell, and an
-    atom at any cell reads the variable of its canonical cell. tables()
-    encodes a formula one subformula at a time, in two passes over its
-    _encoding_order:
+    def __init__(self, domain, letters: List[str]):
+        self.domain = domain
+        self.cnf = cnf = _Cnf()
+        self.atom_var: Dict[Tuple[str, Interval], int] = {
+            (letter, cell): cnf.new_var()
+            for letter in letters for cell in canonical_cells(domain)}
+
+    def certificate(self, solver: Solver,
+                    table: Iterable[Tuple[Interval, int]],
+                    phi: Formula) -> Sat:
+        """The solver's model with the first cell of table, (cell, literal)
+        pairs in ascending cell order, where phi's literal is true,
+        re-checked independently before it is returned."""
+        val: Dict[str, List[Interval]] = {}
+        for (letter, cell), var in self.atom_var.items():
+            if solver.model_value(var):
+                val.setdefault(letter, []).append(cell)
+        model = IntervalModel(self.domain, val)
+        witness = None
+        for cell, lit in table:
+            if solver.model_value(abs(lit)) == (lit > 0):
+                witness = cell
+                break
+        if witness is None:
+            raise CertificateError("satisfiable encoding without a witness")
+        if not _recheck(phi, model, witness):
+            raise CertificateError("witness failed independent re-checking")
+        return Sat(model, witness)
+
+
+def _finite_engine(cand: _Candidate) -> _TableEngine:
+    """The model checker's grid engine over a finite candidate, with atom
+    variables as atom tables and _Cnf's gates as the algebra: its tables
+    are literals."""
+    cnf, n = cand.cnf, cand.domain.last_point
+    w = n + 1
+    atoms: Dict[str, List[int]] = {}
+    for (letter, (x, y)), var in cand.atom_var.items():
+        atoms.setdefault(letter, [_FALSE] * (n * w))[x * w + y] = var
+    return _TableEngine(n, atoms.__getitem__, cnf.define_or, cnf.define_or2,
+                        cnf.define_and2)
+
+
+class _Encoder(_Candidate):
+    """CNF truth of subformulas at grid cells over one periodic candidate
+    domain, for the begin/later modalities B, iB, L and iL.
+
+    tables() encodes a formula one subformula at a time, in two passes over
+    its _encoding_order:
 
     * the demand pass, from the root down, works out the cells each node is
       needed at: the root's own cells, and for every other node the union
@@ -265,11 +327,7 @@ class _Encoder:
       cell in ascending (x, y) order, so the variable numbering is fixed.
 
     A table covers exactly the node's demanded cells, and for <B> also
-    every rung of its ladders. How a diamond is encoded is fixed per domain
-    when the encoder is made. Over a finite order it is the disjunction of
-    the operand over the exact allen_related successors, for any of the
-    twelve modalities. Over a periodic domain only B, iB, L and iL are
-    encoded, with ladders and with scans cut at the model checker's
+    every rung of its ladders. Scans are cut at the model checker's
     periodicity caps:
 
     * <B> at (x, y) is rung y of row x's ladder, which extends rung y-1 by
@@ -283,25 +341,12 @@ class _Encoder:
       endpoints, which extends rung x-1 by the operand at every (a, x-1).
     """
 
-    def __init__(self, domain, horizon: int, letters: List[str]):
-        self.cnf = cnf = _Cnf()
-        self.domain = domain
+    def __init__(self, domain: PeriodicDomain, horizon: int,
+                 letters: List[str]):
+        super().__init__(domain, letters)
         self.h = horizon
         self.w = horizon + 1
-        cells = canonical_cells(domain)
-        self.atom_var: Dict[Tuple[str, Interval], int] = {
-            (letter, cell): cnf.new_var()
-            for letter in letters for cell in cells}
-        # The plain functions, called with self: bound methods kept on the
-        # instance would be a reference cycle, and every refuted candidate's
-        # tables and clauses would then wait for the cyclic collector.
-        if isinstance(domain, FiniteDomain):
-            self._demand = _Encoder._finite_demand
-            self._build = _Encoder._finite_build
-        else:
-            self.pre, self.per = domain.pre, domain.per
-            self._demand = _Encoder._periodic_demand
-            self._build = _Encoder._periodic_build
+        self.pre, self.per = domain.pre, domain.per
 
     def tables(self, order: List[Tuple[Formula, tuple]],
                cells: List[Interval],
@@ -327,7 +372,7 @@ class _Encoder:
         for f, kids in reversed(order):
             got = sorted(need.pop(f))
             if type(f) is Diamond:
-                plan[f] = self._demand(self, f, got, need[kids[0]])
+                plan[f] = self._demand(f, got, need[kids[0]])
                 continue
             plan[f] = got
             for g in kids:
@@ -352,7 +397,7 @@ class _Encoder:
                 sub = table[kids[0]]
                 tab = {k: -sub[k] for k in got}
             elif t is Diamond:
-                tab = self._build(self, f, got, table[kids[0]])
+                tab = self._build(f, got, table[kids[0]])
             elif t is And:
                 lhs, rhs, and2 = table[f.lhs], table[f.rhs], cnf.define_and2
                 tab = {k: and2(lhs[k], rhs[k]) for k in got}
@@ -375,22 +420,7 @@ class _Encoder:
         return {f: {divmod(k, w): lit for k, lit in table[f].items()}
                 for f in kept}
 
-    def _finite_demand(self, f: Diamond, cells: List[int],
-                       sub_need: set) -> Dict[int, List[int]]:
-        w = self.w
-        succ = {}
-        for k in cells:
-            succ[k] = got = [x * w + y for x, y in allen_related(
-                self.domain, divmod(k, w), f.mod)]
-            sub_need.update(got)
-        return succ
-
-    def _finite_build(self, f: Diamond, succ, sub: Dict[int, int]):
-        define_or = self.cnf.define_or
-        return {k: define_or([sub[j] for j in got])
-                for k, got in succ.items()}
-
-    def _periodic_demand(self, f: Diamond, cells: List[int], sub_need: set):
+    def _demand(self, f: Diamond, cells: List[int], sub_need: set):
         name = f.mod.name
         pre, per, h, w = self.pre, self.per, self.h, self.w
         if name == "B":
@@ -439,7 +469,7 @@ class _Encoder:
         raise UnsupportedFragmentError(
             "modality %s outside the begin/later fragment" % name)
 
-    def _periodic_build(self, f: Diamond, plan, sub: Dict[int, int]):
+    def _build(self, f: Diamond, plan, sub: Dict[int, int]):
         name = f.mod.name
         cnf, w = self.cnf, self.w
         if name == "B":
@@ -476,28 +506,6 @@ class _Encoder:
             rung.append(define_or(
                 [rung[-1]] + [sub[a * w + v - 1] for a in range(v - 1)]))
         return {k: rung[k // w] for k in cells}
-
-
-def _certificate(enc: _Encoder, solver: Solver, table: Table,
-                 phi: Formula) -> Sat:
-    """The solver's model with the least cell of phi's table (tables list
-    their cells in ascending order) where phi's literal is true, re-checked
-    independently before it is returned."""
-    val: Dict[str, List[Interval]] = {}
-    for (letter, cell), var in enc.atom_var.items():
-        if solver.model_value(var):
-            val.setdefault(letter, []).append(cell)
-    model = IntervalModel(enc.domain, val)
-    witness = None
-    for cell, lit in table.items():
-        if solver.model_value(abs(lit)) == (lit > 0):
-            witness = cell
-            break
-    if witness is None:
-        raise CertificateError("satisfiable encoding without a witness")
-    if not _recheck(phi, model, witness):
-        raise CertificateError("witness failed independent re-checking")
-    return Sat(model, witness)
 
 
 def _recheck(phi: Formula, model: IntervalModel, witness: Interval) -> bool:
@@ -580,7 +588,8 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
             for pre in range(1, total - least_per + 1):
                 got = candidate(pre, total - pre)
                 if got is not None:
-                    return _certificate(*got, phi)
+                    enc, solver, table = got
+                    return enc.certificate(solver, table.items(), phi)
         return None
 
     head = bound // 4
@@ -603,19 +612,18 @@ def sat_bounded_finite(phi: Formula, max_points: int) -> SatResult:
     if max_points < 1:
         raise ValueError("need at least one point past the origin")
     letters = sorted(letters_of(phi))
-    order = _encoding_order(phi)
     for n in range(1, max_points + 1):
-        domain = FiniteDomain(n)
-        enc = _Encoder(domain, n, letters)
-        cells = canonical_cells(domain)
-        table = enc.tables(order, cells)[phi]
-        root = enc.cnf.define_or([table[c] for c in cells])
+        cand = _Candidate(FiniteDomain(n), letters)
+        table = _finite_engine(cand).table(phi)
+        cells = canonical_cells(cand.domain)
+        lits = [table[x * (n + 1) + y] for x, y in cells]
+        root = cand.cnf.define_or(lits)
         if root == _FALSE:
             continue
-        enc.cnf.clauses.append([root])
-        solver = enc.cnf.solve()
+        cand.cnf.clauses.append([root])
+        solver = cand.cnf.solve()
         if solver is not None:
-            return _certificate(enc, solver, table, phi)
+            return cand.certificate(solver, zip(cells, lits), phi)
     return Unknown("no model with at most %d points past the origin"
                    % max_points)
 

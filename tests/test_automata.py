@@ -133,3 +133,6 @@ def test_ica_round_trip_and_errors():
         load_automaton("alphabet a\nstates q0\ninit q0\nfinal q0\n"
                        "counters 1\ntrans q0 a bump 1 q0\n")
     assert e.value.line == 6
+    with pytest.raises(AutomatonFormatError) as e:
+        load_automaton("states a\ninit a\ncounters 2\ncounters 3\n")
+    assert e.value.line == 4 and "duplicate counters line" in str(e.value)

@@ -32,14 +32,20 @@ def test_finite_frozen_examples():
 
 
 def test_finite_random_against_naive():
+    # every subformula at every cell: a recurrence that drops one term can
+    # still be right at most cells of most formulas
     rng = random.Random(301)
+    checked = 0
     for _ in range(250):
-        last = rng.randrange(1, 6)
+        last = rng.randrange(1, 7)
         m = rand_finite_model(rng, last, ["p", "q"])
         phi = rand_formula(rng, ["p", "q"], ALL_MODALITIES, 3)
-        cells = oracle.intervals_upto(last)
-        i = rng.choice(cells)
-        assert mc_finite(m, i, phi) == oracle.mc_naive(m, i, phi)
+        ev = FiniteEvaluator(m)
+        for f in postorder(phi):
+            for i, v in ev.table(f).items():
+                assert v == oracle.mc_naive(m, i, f), (f, i)
+                checked += 1
+    assert checked > 10000
 
 
 def test_finite_duality():

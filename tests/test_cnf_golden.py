@@ -13,6 +13,17 @@ The digests were re-pinned when the encoder came to build its gates one
 subformula at a time rather than one cell at a time: that renumbers the gate
 variables, and tests/test_cnf_renaming.py shows that nothing else in the
 CNFs or verdicts moved.
+
+The finite 6 digests were re-pinned again when sat_bounded_finite came to
+encode through the model checker's grid engine (checking._TableEngine): a
+diamond is now a ladder, a scan or a dynamic-programming gate over the
+grid, and five of the twelve are one diamond over another, where each was a
+flat disjunction over its successors before. The CNF changed shape, not
+only numbering, so tests/test_cnf_renaming.py moved with it. The atom
+variables and the candidate sequence did not, and the certificates
+tests/test_golden.py pins are unchanged. tests/test_finite_certificates.py
+checks the claim behind them, that a finite certificate is the least
+valuation and cell, against the oracle.
 """
 
 import hashlib
@@ -117,8 +128,8 @@ EXPECTED = {
          'e4397fe4fa6b4159c8bad3640fb8819fb14652350d420a4e7d703dc88aac35ab'),
     ],
     'finite 6 <A> p & <D> q & [O] ~p & <iE> (q | <iA> p)': [
-        ('9493550a01e24f0bfb1628cff57107641da7dc4395f0061bbc88e9a33221e443',
-         '9d68ef595f6ebc68f7652424b38d4a138aec93c86d0e1d2388bd3d400dd21206'),
+        ('8b81d828398a560534036bf366822e3f9e90534fba3122cc784ca7a142a8a596',
+         '1d2d3e9b30bf1fac789fb6e76d5c696de2c20cb2c3944c86fe42f6ca43e0e205'),
     ],
 }
 

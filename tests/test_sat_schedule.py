@@ -36,7 +36,7 @@ def ordered_sat_bbll(phi, max_bound):
             enc.cnf.clauses.append([tables[goal][(0, 1)]])
             solver = enc.cnf.solve()
             if solver is not None:
-                return sat._certificate(enc, solver, tables[phi], phi)
+                return enc.certificate(solver, tables[phi].items(), phi)
     if max_bound is not None and max_bound < own_bound:
         return Unknown("search truncated below the periodic bound")
     return Unsat("no model within the periodic bound")
