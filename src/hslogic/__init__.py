@@ -20,12 +20,13 @@ from .syntax import (
 from .parser import ParseError, parse_formula, parse_fragment
 from .models import (
     FiniteDomain, PeriodicDomain, Interval, IntervalModel,
-    ModelFormatError, allen_related, canonical_cells, canonical_interval,
-    finite_model, load_model, periodic_model, reverse_interval,
-    reverse_model, save_model, valid_interval,
+    ModelFormatError, canonical_cells, canonical_interval, finite_model,
+    load_model, periodic_model, reverse_interval, reverse_model, save_model,
+    valid_interval,
 )
 from .checking import (
-    NotStabilized, mc_finite, mc_periodic, periodic_stable_tables,
+    NotStabilized, allen_related, mc_finite, mc_periodic,
+    periodic_stable_tables,
 )
 from .sat import (
     Sat, Unsat, Unknown, SatResult, UnsupportedFragmentError,

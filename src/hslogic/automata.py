@@ -77,6 +77,8 @@ class CounterAutomaton:
             raise ValueError("duplicate state")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate letter")
+        if "eps" in self.alphabet:
+            raise ValueError("'eps' marks an unlabelled step, not a letter")
         if self.num_counters < 0:
             raise ValueError("negative counter count")
         if self.init not in states:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, NamedTuple, Tuple
 
-from .checking import mc_finite
+from .checking import allen_related, mc_finite
 from .models import (
-    FiniteDomain, Interval, IntervalModel, allen_related, canonical_cells,
-    finite_model,
+    FiniteDomain, Interval, IntervalModel, canonical_cells, finite_model,
 )
 from .syntax import A, B, iB, L, iL, Atom, Fragment, Modality, dia
 
@@ -36,11 +35,16 @@ def _atoms_agree(ma: IntervalModel, mb: IntervalModel,
     return all(ma.holds_atom(i, p) == mb.holds_atom(j, p) for p in letters)
 
 
-def _pair_ok(pairs, fragment: Fragment, ma: IntervalModel,
-             mb: IntervalModel, i: Interval, j: Interval) -> bool:
-    for mod in fragment.sorted_modalities():
-        succ_a = allen_related(ma.domain, i, mod)
-        succ_b = allen_related(mb.domain, j, mod)
+def _moves(model: IntervalModel, fragment: Fragment):
+    """Each cell's successor lists, one per modality of the fragment in
+    sorted order, listed once."""
+    mods = fragment.sorted_modalities()
+    return {i: [allen_related(model.domain, i, mod) for mod in mods]
+            for i in canonical_cells(model.domain)}
+
+
+def _pair_ok(pairs, moves_a, moves_b) -> bool:
+    for succ_a, succ_b in zip(moves_a, moves_b):
         for i2 in succ_a:
             if not any((i2, j2) in pairs for j2 in succ_b):
                 return False
@@ -57,10 +61,13 @@ def is_f_bisimulation(pairs: Iterable[Pair], fragment: Fragment,
     _require_finite(mb, "second model")
     rel = {(tuple(i), tuple(j)) for i, j in pairs}
     letters = sorted(set(ma.letters) | set(mb.letters))
+    moves_a, moves_b = _moves(ma, fragment), _moves(mb, fragment)
     for i, j in rel:
+        if i not in moves_a or j not in moves_b:
+            raise ValueError("pair %r outside the domains" % ((i, j),))
         if not _atoms_agree(ma, mb, i, j, letters):
             return False
-        if not _pair_ok(rel, fragment, ma, mb, i, j):
+        if not _pair_ok(rel, moves_a[i], moves_b[j]):
             return False
     return True
 
@@ -72,10 +79,9 @@ def largest_f_bisimulation(fragment: Fragment, ma: IntervalModel,
     _require_finite(ma, "first model")
     _require_finite(mb, "second model")
     letters = sorted(set(ma.letters) | set(mb.letters))
+    moves_a, moves_b = _moves(ma, fragment), _moves(mb, fragment)
     rel = {
-        (i, j)
-        for i in canonical_cells(ma.domain)
-        for j in canonical_cells(mb.domain)
+        (i, j) for i in moves_a for j in moves_b
         if _atoms_agree(ma, mb, i, j, letters)
     }
     changed = True
@@ -83,7 +89,7 @@ def largest_f_bisimulation(fragment: Fragment, ma: IntervalModel,
         changed = False
         for pair in sorted(rel):
             i, j = pair
-            if not _pair_ok(rel, fragment, ma, mb, i, j):
+            if not _pair_ok(rel, moves_a[i], moves_b[j]):
                 rel.discard(pair)
                 changed = True
     return frozenset(rel)

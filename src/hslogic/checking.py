@@ -11,6 +11,12 @@ it with the SAT encoder's gates in their place, and so encodes a formula
 over a finite order with the recurrences this module checks it with. The
 public functions convert to tables keyed by (x, y) only at their boundary.
 
+The engine is the one statement of Allen's twelve relations outside the
+periodic begin/later encoder (sat._Encoder): six diamonds are written out
+(A, iA, B, iB, E, iE), and the other six are one of them over another, by
+the six definability equations (_COMPOSED). allen_related lists the
+successors of an interval with one engine pass.
+
 Finite models are evaluated exactly over the whole domain.
 
 Periodic models need more care. An atom's truth is invariant under the two
@@ -45,8 +51,8 @@ from .models import (
     valid_interval,
 )
 from .syntax import (
-    And, Atom, Box, Diamond, FalseConst, Formula, Implies, Not, Or,
-    TrueConst, modal_depth, postorder, render,
+    And, Atom, Box, Diamond, FalseConst, Formula, Implies, Modality, Not,
+    Or, TrueConst, modal_depth, postorder, render,
 )
 
 # The three-valued lattice: -1 false, 0 undetermined, 1 true, with max as
@@ -124,12 +130,14 @@ def _later_cap(pre: int, per: int, depth: int, y: int) -> int:
     return max(pre + 2 * depth * per, y + 1) + per - 1
 
 
-# The five diamonds that are one diamond over another, <M> s being
+# The six diamonds that are one diamond over another, <M> s being
 # <outer> <inner> s: inner is applied to s's table with s's depth, outer to
-# the result. "later" is <A> whose scan of row y stops at the later cap:
-# <L> s holds at (x, y) when <A> s holds at some (y, u), u > y, and past
-# that cap whole rows repeat.
+# the result. These are the six definability equations atlas.cited_equations
+# lists. "later" is <A> whose scan of row y stops at the later cap: <L> s
+# holds at (x, y) when <A> s holds at some (y, u), u > y, and past that cap
+# whole rows repeat.
 _COMPOSED = {
+    "D": ("E", "B"),        # x < x' < y' < y
     "iD": ("iB", "iE"),     # x' < x, y' > y
     "O": ("iB", "E"),       # x < x' < y < y'
     "iO": ("iE", "B"),      # x' < x < y' < y
@@ -158,8 +166,8 @@ class _TableEngine:
     joins in undetermined. Without it the window is a whole finite domain
     and every value is exact.
 
-    Seven diamonds are written out, the other five are two of them
-    (_COMPOSED), and a box [M] s is the negation of <M> ~s."""
+    Six diamonds are written out (A, iA, B, iB, E, iE), the other six are
+    two of them (_COMPOSED), and a box [M] s is the negation of <M> ~s."""
 
     def __init__(self, horizon: int, atom: Callable[[str], List[int]],
                  join: Callable[[List[int]], int],
@@ -250,19 +258,6 @@ class _TableEngine:
             for y in range(1, h + 1):
                 out[y:y * w + y:w] = accumulate(C[y:(y - 1) * w + y:w], or2,
                                                 initial=_F)
-        elif name == "D":
-            # (x', y') with x < x' < y' < y: what (x+1, y-1) holds, or
-            # (x+1, y) or (x, y-1) contains, by growing length along the
-            # diagonals, which are strided slices
-            join, step = self.join, w + 1
-            for length in range(3, h + 1):
-                end = (h - length + 1) * step
-                k = length                      # the cell (0, length)
-                out[k:k + end:step] = map(
-                    lambda a, b, c: join([a, b, c]),
-                    C[k + w - 1:k + w - 1 + end:step],
-                    out[k + w:k + w + end:step],
-                    out[k - 1:k - 1 + end:step])
         else:
             raise ValueError("unknown modality %r" % name)
         return out
@@ -281,6 +276,36 @@ class _TableEngine:
         r = x * self.w
         v = self.join(C[r + lo + 1:r + hi + 1])
         return v if exact else self.or2(v, _U)
+
+
+def allen_related(domain, i: Interval, mod: Modality,
+                  horizon: Optional[int] = None) -> List[Interval]:
+    """All intervals standing in the given relation to i, in (x, y) order:
+    the cells where the inverse diamond holds over a letter true only at i,
+    by one engine pass.
+
+    On a finite domain the answer is exact. On a periodic domain the pass
+    runs on the window 0..max(horizon, y), so the five relations that reach
+    arbitrarily far right (A, iB, L, iD, O) are cut off at the supplied
+    horizon, which is therefore required there; the others stay in 0..y."""
+    if not valid_interval(domain, i):
+        raise ValueError("interval %r outside the domain" % (i,))
+    x, y = i
+    if isinstance(domain, FiniteDomain):
+        h = domain.last_point
+    elif horizon is not None:
+        h = max(horizon, y)
+    elif mod.name in ("A", "iB", "L", "iD", "O"):
+        raise ValueError("a horizon is required for %s on an unbounded "
+                         "domain" % mod.name)
+    else:
+        h = y
+    w = h + 1
+    letter = [_F] * (h * w)
+    letter[x * w + y] = _T
+    rel = _TableEngine(h, None, _join, max, min)._diamond(
+        mod.inverse().name, letter, 0)
+    return [divmod(k, w) for k, v in enumerate(rel) if v == _T]
 
 
 def _model_engine(model: IntervalModel, horizon: int) -> _TableEngine:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from .parser import is_letter
-from .syntax import Modality
 
 Interval = Tuple[int, int]
 
@@ -173,71 +172,6 @@ def finite_model(last_point: int,
 def periodic_model(pre: int, per: int,
                    valuation: Mapping[str, Iterable[Interval]]) -> IntervalModel:
     return IntervalModel(PeriodicDomain(pre, per), valuation)
-
-
-def allen_related(domain, i: Interval, mod: Modality,
-                  horizon: int = None) -> List[Interval]:
-    """All intervals standing in the given relation to i, in (x, y) order.
-
-    On a finite domain the answer is exact. On a periodic domain the five
-    relations that reach arbitrarily far right (A, iB, L, iD, O) are cut off
-    at the supplied horizon, which is therefore required there.
-    """
-    x, y = i
-    if isinstance(domain, FiniteDomain):
-        hor = domain.last_point
-    else:
-        hor = horizon
-        if hor is None and mod.name in ("A", "iB", "L", "iD", "O"):
-            raise ValueError("a horizon is required for %s on an unbounded "
-                             "domain" % mod.name)
-    out = []
-    name = mod.name
-    if name == "A":
-        for z in range(y + 1, hor + 1):
-            out.append((y, z))
-    elif name == "iA":
-        for z in range(0, x):
-            out.append((z, x))
-    elif name == "B":
-        for yp in range(x + 1, y):
-            out.append((x, yp))
-    elif name == "iB":
-        for yp in range(y + 1, hor + 1):
-            out.append((x, yp))
-    elif name == "E":
-        for xp in range(x + 1, y):
-            out.append((xp, y))
-    elif name == "iE":
-        for xp in range(0, x):
-            out.append((xp, y))
-    elif name == "D":
-        for xp in range(x + 1, y):
-            for yp in range(xp + 1, y):
-                out.append((xp, yp))
-    elif name == "iD":
-        for xp in range(0, x):
-            for yp in range(y + 1, hor + 1):
-                out.append((xp, yp))
-    elif name == "L":
-        for xp in range(y + 1, hor + 1):
-            for yp in range(xp + 1, hor + 1):
-                out.append((xp, yp))
-    elif name == "iL":
-        for xp in range(0, x - 1):
-            for yp in range(xp + 1, x):
-                out.append((xp, yp))
-    elif name == "O":
-        for xp in range(x + 1, y):
-            for yp in range(y + 1, hor + 1):
-                out.append((xp, yp))
-    elif name == "iO":
-        for xp in range(0, x):
-            for yp in range(x + 1, y):
-                out.append((xp, yp))
-    else:
-        raise ValueError("unknown modality %r" % (mod,))
-    return out
 
 
 def reverse_interval(last_point: int, i: Interval) -> Interval:

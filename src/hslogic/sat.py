@@ -64,9 +64,9 @@ from .models import (
     FiniteDomain, Interval, IntervalModel, PeriodicDomain, canonical_cells,
     canonical_interval,
 )
-# Not called here. bench/tracing.py times models.allen_related by patching
-# this name, so a traced benchmark run needs it importable.
-from .models import allen_related  # noqa: F401
+# Not called here. bench/tracing.py times allen_related by patching this
+# name, so a traced benchmark run needs it importable.
+from .checking import allen_related  # noqa: F401
 from .solver import Solver
 from .syntax import (
     And, Atom, Box, Diamond, FalseConst, Formula, Fragment, Implies, Not,
@@ -509,15 +509,11 @@ class _Encoder(_Candidate):
 
 
 def _recheck(phi: Formula, model: IntervalModel, witness: Interval) -> bool:
-    """Truth of phi at the witness by the model checker, with a periodic
-    round budget large enough for every capped scan to be conclusive."""
-    domain = model.domain
-    if isinstance(domain, FiniteDomain):
+    """Truth of phi at the witness by the model checker, with its default
+    periodic round budget, under which every capped scan is conclusive."""
+    if isinstance(model.domain, FiniteDomain):
         return mc_finite(model, witness, phi)
-    depth = modal_depth(phi)
-    need = _scan_frontier(domain.pre, domain.per, depth, witness[1])
-    rounds = max((need - domain.pre) // domain.per + 2, depth + 2)
-    return mc_periodic(model, witness, phi, max_rounds=rounds)
+    return mc_periodic(model, witness, phi)
 
 
 def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:

@@ -3,11 +3,11 @@
 import random
 
 from hslogic.atlas import (
-    DECIDABLE_NONPR, UNDECIDABLE, Countermodel, NoCountermodel,
-    check_equation, cited_equations, classify, definable_closure,
-    enumerate_fragments, fragment_leq, hasse_dot,
+    _CLOSURE_RULES, DECIDABLE_NONPR, UNDECIDABLE, Countermodel,
+    NoCountermodel, check_equation, cited_equations, classify,
+    definable_closure, enumerate_fragments, fragment_leq, hasse_dot,
 )
-from hslogic.checking import mc_finite
+from hslogic.checking import _COMPOSED, mc_finite
 from hslogic.syntax import (
     A, iA, B, iB, D, iD, E, iE, L, iL, O, iO, Atom, Fragment, dia, iff,
     mirror_fragment,
@@ -103,6 +103,19 @@ def test_cited_equations_hold_on_small_orders():
     for name, lhs, rhs in cited_equations():
         res = check_equation(lhs, rhs, max_points=4)
         assert isinstance(res, NoCountermodel), name
+
+
+def test_composed_diamonds_are_the_cited_equations():
+    """The grid engine composes each of six diamonds from the premise of the
+    closure rule that yields it, which is the pair of diamonds on the
+    right-hand side of its cited equation ("later" being A with a cap)."""
+    rules = {gain.name: {m.name for m in need} for need, gain in _CLOSURE_RULES}
+    rhs = {lhs.mod.name: {rhs.mod.name, rhs.sub.mod.name}
+           for _, lhs, rhs in cited_equations()}
+    assert set(_COMPOSED) == set(rules) == set(rhs)
+    for name, pair in _COMPOSED.items():
+        parts = {"A" if m == "later" else m for m in pair}
+        assert parts == rules[name] == rhs[name], name
 
 
 def test_false_equation_has_countermodel():

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from hslogic.bisim import (
     certify_undefinability, is_f_bisimulation, largest_f_bisimulation,
     later_witness, meets_witness,
@@ -53,6 +55,13 @@ def test_largest_is_bisimulation_and_maximal():
                        if (i, j) not in rel]
             for extra in outside[:4]:
                 assert not is_f_bisimulation(rel | {extra}, frag, ma, mb)
+
+
+def test_pairs_outside_the_domains_are_rejected():
+    m = finite_model(3, {})
+    for pair in [((0, 5), (0, 1)), ((0, 1), (3, 4)), ((2, 2), (0, 1))]:
+        with pytest.raises(ValueError):
+            is_f_bisimulation({pair}, BB, m, m)
 
 
 def test_identity_always_included_on_same_model():

@@ -9,8 +9,8 @@ named T, an atom variable by its letter and canonical cell, and a gate
 variable, bottom up, by a hash of the sorted signed names of the literals it
 is the disjunction of (read off _Cnf's gate cache, which holds every gate).
 Clauses keep their literal order and are sorted. The cases are those of
-tests/test_cnf_golden.py; the finite 6 entry was re-pinned with it, when
-the finite encoding changed shape (see that module's docstring).
+tests/test_cnf_golden.py; the finite 6 entry was re-pinned with it, each
+time the finite encoding changed shape (see that module's docstring).
 """
 
 import hashlib
@@ -81,7 +81,7 @@ EXPECTED = {
     ],
     'finite 6 <A> p & <D> q & [O] ~p & <iE> (q | <iA> p)': [
         ('finite 5',
-         '804c60dce2eef1e86896b2b6846c8558018fb94bf24c3aa0ad4eff6b3e5665d8'),
+         'b8f3c681442616b1d159da44b077a3ae7c1ab58af10fab3ade226e680e27deb1'),
     ],
 }
 

@@ -12,6 +12,7 @@ import io
 import os
 import tempfile
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hslogic.automata import (
@@ -181,3 +182,19 @@ def test_malformed_automata_exit_2(seed, steps):
     # a well-formed automaton whose names are not formula letters has no
     # encoding, and exits 2 too
     assert code == 2 if auto is None else code in (0, 2), (text, err)
+
+
+def test_eps_is_not_a_letter():
+    # "eps" is the format's keyword for an unlabelled step, so a letter of
+    # that name would be saved as one and loaded back unlabelled
+    with pytest.raises(ValueError):
+        CounterAutomaton(
+            states=("q0",), alphabet=("eps",), num_counters=1, init="q0",
+            finals=(), transitions=(Transition("q0", "eps", "inc", 1, "q0"),))
+    text = ("alphabet eps\nstates q0\ninit q0\ncounters 1\n"
+            "trans q0 eps inc 1 q0\n")
+    with pytest.raises(AutomatonFormatError):
+        load_automaton(text)
+    code, err = _with_file(text, ".ica", ["encode", "--ica", "FILE",
+                                          "--target", "AE"])
+    assert code == 2 and err.startswith("error: "), err

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from hslogic.checking import allen_related
 from hslogic.models import (
     FiniteDomain, IntervalModel, ModelFormatError, PeriodicDomain,
-    allen_related, canonical_cells, canonical_interval, finite_model,
+    canonical_cells, canonical_interval, finite_model,
     load_model, periodic_model, reverse_interval, reverse_model,
     save_model, valid_interval,
 )
@@ -72,6 +73,14 @@ def test_allen_related_periodic_requires_horizon():
     for mod in (A, iB, L, iD, O):
         with pytest.raises(ValueError):
             allen_related(d, (0, 1), mod)
+
+
+def test_allen_related_rejects_intervals_outside_a_finite_domain():
+    d = FiniteDomain(3)
+    for i in [(0, 5), (3, 4), (2, 2), (2, 1), (-1, 2)]:
+        for mod in ALL_MODALITIES:
+            with pytest.raises(ValueError):
+                allen_related(d, i, mod)
 
 
 def test_allen_related_periodic_with_horizon_matches_oracle():
