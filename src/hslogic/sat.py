@@ -3,15 +3,22 @@
 Two procedures with different scopes:
 
 * sat_bbll decides formulas built from the begin modalities and the later
-  modalities over unbounded strongly discrete orders. It searches
-  ultimately periodic valuations by prefix/period split up to the bound T
-  from the formula's metrics. For each candidate split it encodes truth of
-  the formula somewhere in the order as CNF over atom values on canonical
-  cells, and hands the encoding to the clause-learning solver. Scans for
-  the right-unbounded modalities are cut at the periodicity caps of the
-  model checker (checking._row_cap and checking._later_cap, the one copy of
-  that rule), and the horizon is sized so every cut is conclusive, which
-  makes a per-candidate refutation sound. A split covers every split with
+  modalities over unbounded strongly discrete orders. A pre-check
+  (_prop_unsat) first refutes what its K4 tableau steps refute: the
+  boolean skeleton with every box read as its negated twin diamond, then
+  from each <M> a the set of a with every box [M] b beside it and its b.
+  That is sound because every HS modality is normal and B, iB, L and iL
+  are transitive on any linear order; such a refutation builds no
+  candidate. Otherwise it searches ultimately periodic valuations by
+  prefix/period split up to the bound T from the formula's metrics. For
+  each candidate split it encodes truth of the formula somewhere in the
+  order as CNF over atom values on canonical cells, and hands the
+  encoding to the clause-learning solver, unless the folding gates have
+  made the goal false already. Scans for the right-unbounded modalities
+  are cut at the periodicity caps of the model checker (checking._row_cap
+  and checking._later_cap, the one copy of that rule), and the horizon is
+  sized so every cut is conclusive, which makes a per-candidate
+  refutation sound. A split covers every split with
   a shorter or equal prefix and a period dividing its own, so Unsat needs
   only the T - 1 maximal splits (T - per, per), not all T(T-1)/2. Sat
   answers come from the ordered search (by total, then by prefix): first
@@ -103,6 +110,13 @@ class Unknown:
 SatResult = Union[Sat, Unsat, Unknown]
 
 _BBLL = Fragment.of(B, iB, L, iL)
+# the modalities _prop_unsat steps through, transitive on any linear order,
+# by their fields, which hash in C
+_K4 = {(m.base, m.inverted) for m in _BBLL}
+# the most sets _prop_unsat visits. Satisfiability in K4 is PSPACE-complete,
+# and box sets carried along different paths can make a formula of n
+# diamonds reach 2^n sets.
+_WALK_SETS = 256
 
 _TRUE = 1
 _FALSE = -1
@@ -113,16 +127,90 @@ def later_somewhere(phi: Formula) -> Formula:
     return dia(L, dia(iL, phi))
 
 
-def _prop_unsat(phi: Formula) -> bool:
-    """Propositional refutation: treat every atom and modal subformula as
-    an opaque letter and evaluate the abstraction under all assignments at
-    once, as bit masks with bit j the value under assignment j. Sound,
-    never complete; skipped above 12 letters."""
+def _prop_unsat(phi: Formula) -> Optional[Unsat]:
+    """Refute phi before any candidate is built: Unsat with the reason, or
+    None. Sound, never complete.
+
+    The walk visits sets of formulas, each read as the conjunction of its
+    members at one interval, starting from {phi}. A set is refuted
+
+    * by its skeleton: every atom and diamond is an opaque letter and a box
+      [M] s reads as ~<M> neg(s), its twin, as in _encoding_order. The
+      conjunction is evaluated under all assignments at once, as bit masks
+      with bit j the value under assignment j, and a set false under every
+      one is refuted. The check is skipped above 12 letters;
+    * or by a refuted successor. For each top-level conjunct <M> a of the
+      set (or ~[M] s, with a = neg(s)), where M is B, iB, L or iL, the
+      successor is {a} with b and [M] b for every conjunct [M] b (or
+      ~<M> neg(b)) of the set.
+
+    A successor step is the K rule of modal tableaux with the boxes carried
+    along, as for K4. It is sound because every HS modality is normal and
+    B, iB, L and iL are transitive on any linear order: if the set holds at
+    I, some J with I M J has a, every box [M] b of the set gives b at J,
+    and since each K with J M K has I M K, also [M] b at J. So J satisfies
+    the successor, and a refuted successor refutes the set. K4 knows neither
+    that B is well-founded nor that iB and L always have a successor, so
+    the well-foundedness shape <B> s & [B] (s -> <B> s) and [L] false are
+    left to the candidates.
+
+    A refutation of {phi} by its skeleton is a "propositional refutation",
+    any deeper one a "modal refutation". The walk keeps an explicit stack,
+    so nesting depth is no limit, and visits each set once: carried boxes
+    come back along a chain of steps, and the seen sets end that loop. It
+    visits at most _WALK_SETS sets."""
     if not isinstance(phi, Formula):
         raise TypeError("not a formula: %r" % (phi,))
-    # the boolean skeleton of phi; the walk stops at the letters
+    # sets are tuples in the order the walk builds them, so the sets it
+    # visits under the cap do not depend on hashing
+    seen = {frozenset((phi,))}
+    stack = [(phi,)]
+    reason = "propositional refutation"
+    while stack:
+        members = stack.pop()
+        if _skeleton_unsat(members):
+            return Unsat(reason)
+        reason = "modal refutation"
+        # the set's top-level conjuncts: diamonds as (modality, operand),
+        # boxes as the formulas a successor carries, by modality
+        dias: List[Tuple[tuple, Formula]] = []
+        boxes: Dict[tuple, List[Formula]] = {}
+        todo = list(members)
+        while todo:
+            f = todo.pop()
+            t = type(f)
+            if t is And:
+                todo += (f.rhs, f.lhs)
+            elif t is Diamond:
+                dias.append(((f.mod.base, f.mod.inverted), f.sub))
+            elif t is Box:
+                boxes.setdefault((f.mod.base, f.mod.inverted),
+                                 []).extend((f, f.sub))
+            elif t is Not:
+                g = f.sub
+                if type(g) is Diamond:
+                    boxes.setdefault((g.mod.base, g.mod.inverted),
+                                     []).extend((f, neg(g.sub)))
+                elif type(g) is Box:
+                    dias.append(((g.mod.base, g.mod.inverted), neg(g.sub)))
+        for mod, a in dias:
+            if mod in _K4 and len(seen) < _WALK_SETS:
+                succ = tuple(dict.fromkeys([a] + boxes.get(mod, [])))
+                key = frozenset(succ)
+                if key not in seen:
+                    seen.add(key)
+                    stack.append(succ)
+    return None
+
+
+def _skeleton_unsat(members: Sequence[Formula]) -> bool:
+    """The skeleton check of _prop_unsat: is the conjunction of members
+    false under every assignment to its letters?"""
+    # the boolean skeleton; the walk stops at the letters, and a box walks
+    # on to its twin
     mask: Dict[Formula, int] = {}
-    stack = [phi]
+    twin: Dict[Formula, Formula] = {}
+    stack = list(members)
     while stack:
         f = stack.pop()
         if f not in mask:
@@ -132,7 +220,10 @@ def _prop_unsat(phi: Formula) -> bool:
                 stack.append(f.sub)
             elif t is And or t is Or or t is Implies:
                 stack += (f.rhs, f.lhs)
-    letters = [f for f in mask if type(f) in (Atom, Diamond, Box)]
+            elif t is Box:
+                twin[f] = g = Diamond(f.mod, neg(f.sub))
+                stack.append(g)
+    letters = [f for f in mask if type(f) in (Atom, Diamond)]
     if len(letters) > 12:
         return False
     size = 1 << len(letters)
@@ -145,11 +236,13 @@ def _prop_unsat(phi: Formula) -> bool:
             m, width = m | m << width, width << 1
         mask[f] = m
     # operands nest less deeply than the nodes over them; false and the
-    # letters keep the masks they have
+    # letters keep the masks they have, and a box reads its twin's
     for f in sorted(mask, key=nesting_depth):
         t = type(f)
         if t is Not:
             mask[f] = full ^ mask[f.sub]
+        elif t is Box:
+            mask[f] = full ^ mask[twin[f]]
         elif t is And:
             mask[f] = mask[f.lhs] & mask[f.rhs]
         elif t is Or:
@@ -158,7 +251,10 @@ def _prop_unsat(phi: Formula) -> bool:
             mask[f] = (full ^ mask[f.lhs]) | mask[f.rhs]
         elif t is TrueConst:
             mask[f] = full
-    return mask[phi] == 0
+    both = full
+    for f in members:
+        both &= mask[f]
+    return both == 0
 
 
 class _Cnf:
@@ -533,8 +629,14 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
     exact wherever the periodicity caps that cut its scans are (the
     argument at checking._row_cap), so refuting the maximal splits
     (bound - per, per) refutes every split up to the bound.
-    The search runs in three steps:
+    The search runs in three steps, after a pre-check:
 
+    0. _prop_unsat refutes phi's boolean skeleton, with each box read as
+       its negated twin diamond, or a chain of K steps from phi: from
+       <M> a and the boxes [M] b beside it to a with every b and [M] b,
+       sound since B, iB, L and iL are normal and transitive. A refuted
+       phi builds no candidate; a candidate whose goal literal folds to
+       false in _Cnf's gates is refuted without a solver;
     1. the ordered search (by total, then by prefix) over the totals t with
        4*t <= bound, where cheap candidates answer most satisfiable
        formulas;
@@ -554,8 +656,9 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
     if not frag <= _BBLL:
         raise UnsupportedFragmentError(
             "sat_bbll handles fragment %s; got %s" % (_BBLL.name, frag.name))
-    if _prop_unsat(phi):
-        return Unsat("propositional refutation")
+    refuted = _prop_unsat(phi)
+    if refuted is not None:
+        return refuted
     own_bound = metrics(phi).periodic_bound
     bound = own_bound if max_bound is None else max_bound
     goal = later_somewhere(phi)
@@ -573,7 +676,11 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
             enc = _Encoder(PeriodicDomain(pre, per),
                            _scan_frontier(pre, per, goal_depth, 1), letters)
             tables = enc.tables(order, [(0, 1)], (phi,))
-            enc.cnf.clauses.append([tables[goal][(0, 1)]])
+            root = tables[goal][(0, 1)]
+            if root == _FALSE:
+                # refuted by the folding gates alone: no solver to build
+                return None
+            enc.cnf.clauses.append([root])
             solver = enc.cnf.solve()
             if solver is not None:
                 got = (enc, solver, tables[phi])

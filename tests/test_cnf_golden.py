@@ -29,6 +29,15 @@ They were re-pinned once more when D, written out as its own recurrence
 over the grid's diagonals, became B over E like the other five composed
 diamonds: the finite 6 formula has a <D>, so its gates changed. The bbll
 digests did not move, since the periodic encoder has no D.
+
+The bbll cases were re-pinned when sat_bbll came to refute a formula by a
+K4 pre-check, and to refute a split whose goal literal folds to false in
+the gates without a solver. The two single-step contradictions
+<B> p & [B] ~p and <iB> p & [iB] ~p now build no candidate and are pinned
+as such, and [iB] p & [iB] ~p and [L] p & [L] ~p, which the pre-check
+leaves to the candidates, came in to pin the iB and L encodings. The
+(1, 1) split of two other cases folds to false and lost its entry; every
+other entry kept its digests.
 """
 
 import hashlib
@@ -46,9 +55,13 @@ from hslogic.parser import parse_formula
 ROOT = Path(__file__).resolve().parent.parent
 
 CASES = [
-    # single-step B and iB contradictions
+    # single-step B and iB contradictions, refuted by the pre-check
     ("bbll", "<B> p & [B] ~p"),
     ("bbll", "<iB> p & [iB] ~p"),
+    # unsat only because every interval has iB- and L-successors, which the
+    # pre-check does not know
+    ("bbll", "[iB] p & [iB] ~p"),
+    ("bbll", "[L] p & [L] ~p"),
     # B well-foundedness
     ("bbll", "<B> ~p & [B] (~p -> <B> ~p)"),
     # satisfiable cases of test_golden.BBLL_CASES, through L and iL
@@ -59,47 +72,74 @@ CASES = [
 
 # per case: one (cnf digest, solver digest) pair per candidate, in order.
 # The unsatisfiable bbll cases list the splits (pre, per) that sat_bbll
-# refutes: the ordered prefix, then the maximal splits by ascending period.
+# refutes with the solver: the ordered prefix, then the maximal splits by
+# ascending period; a split whose goal folds to false has no entry.
 # Every pair is one the full ordered search over all splits also produced.
 EXPECTED = {
-    'bbll <B> p & [B] ~p': [
-        # (5, 1)
-        ('ac61c627ed64f2370e88f434daee6df9754396bcfd5ee198cd47678c1c21ba90',
-         '532d542d6d855a16971e7d18c9754ef2a6c2c3a5db5611488f6edc2fbd0b8cc1'),
-        # (4, 2)
-        ('75c9679994dabc4118183fc1eeeabb13e5cfb77a8ce1d90bb4fe04ef10d8369e',
-         '8efab9da6f55450dc431baf946ca21c3adb3e361070f0e411ed5cfe993475941'),
-        # (3, 3)
-        ('2c33108fff17f675d5b2fac8103eeafa452c5707e2eae67a461bb5a1776993de',
-         '75abc15f7f7a79e7002c48d7a5e40e677b3e74672becf4b751e5b38be98f2341'),
-        # (2, 4)
-        ('b2f9c6f110c46fe5d48b4ccd1032276ce40def7997d1e392f52a7a02dc9e164f',
-         'a5dc913910362604936e0cd7e7fc8ac15003a36fdb192790a67e481020cd39ea'),
-        # (1, 5)
-        ('021e4fdaaf8325fb3198593ba0820c9973573ad87552663bd5eac965be96e655',
-         '8eda00f939f3de0f107c96d92bfed9f568cf5a005fb7fc5302141a13643df23f'),
+    'bbll <B> p & [B] ~p': [],
+    'bbll <iB> p & [iB] ~p': [],
+    'bbll [iB] p & [iB] ~p': [
+        # (7, 1)
+        ('27a5205d098ba7b2de97fa8bae2829481fa93f987cd7d6ac0a6db2c82d1e54fd',
+         '63eb3401f4150d5a475778a37aa57e78b1c404aae85af26f1cf67c40fe727916'),
+        # (6, 2)
+        ('65f15a0d14d53c49cc0d3eaa98a3fe2dcb3196f60c4b47f72f555cb18a558afb',
+         '1b8fcdc2707976b2fbe7e3882aeaa6e0cb0c01e19c8c7e2b5f3804727883a7dd'),
+        # (5, 3)
+        ('116493a3b60198ba2c24f8ff8e1b54834df63292b6a8f050e20392e35ac097ed',
+         '7862681df053ce9db64ccc5e0ee9475d70db8540e113c2fff38fccdf21de2b3b'),
+        # (4, 4)
+        ('9d433814f1114406d127c06a3590f28e8bc20fce971f4d603a0ca4a3293b9837',
+         'de11a46df3bf1fa9d7d78982ec77afe3f0e2db9d2d8bf33f573fc5d754732754'),
+        # (3, 5)
+        ('946ccbfa9757346c2f36924104530d625993bece3e50846ed015c82a1abdfdbe',
+         'ce90098ef2946deae2c706b1bfc0606a6d2b00223ad15546e789de8c0156a859'),
+        # (2, 6)
+        ('fe239e6de802e5b5401257e871b2fbc7e2939be71cb94a611c81edced9f94b0b',
+         '574ac1e4dc40b66cb964805530afd08409d1d0ac1c61cd9cbd2033df377b956a'),
+        # (1, 7)
+        ('25e84d1c320887e4ed4a78d7e85bc28615b2c0cb4532624851d46aa765e9cc8e',
+         'ff95ca00dbc7d1b582f8f71f8d558ab8877e1c92cd2e4e255129e80fa822d1c7'),
     ],
-    'bbll <iB> p & [iB] ~p': [
-        # (5, 1)
-        ('38ff1f95472a644aabdd0e78ef1220ec6f962cb85151c9ca2ce61266722bfb4f',
-         '41ca3f4dc1d6155c01dda8dbb771f4f849ea35f5cf479c2df60da5717d93e0d5'),
-        # (4, 2)
-        ('74559d8025ee9938cfa2d9e02d77962872f1cc39ba50f2f11b6cffda0963847e',
-         '9b5dae248b1dfdcc3995e5fc7101f848dd45e380fa672c038ad82e5cf96ab4ca'),
-        # (3, 3)
-        ('4385a67b88537b53efc9d52abfe905455c9b7cf58d044773724ef71d491c1723',
-         '7c27d1d89bebe807a0c68933e24168703c7d08fbd996239d39abe7c4580c675c'),
-        # (2, 4)
-        ('555db27985d273b7ab866c47bd8d027332b5c36578c082a0078824d38ddcc930',
-         '4ef66c0204e0bf175b7fc640adb91ea260c18a0ba19b901d1bfcb139e22784bd'),
-        # (1, 5)
-        ('9432f8399261ec3cd67278c86c380edad7541cb928566f1b4516b517b4ff4838',
-         '6bc07644aa70e91d191600762639308e26b2ca65db2fffddeb2a30405acdf444'),
+    'bbll [L] p & [L] ~p': [
+        # (1, 2)
+        ('d00779480e7f66c7508ecb7ed2ba765ea75c94f735ece75a739dc960afefbceb',
+         '65adac3b831d7bfb80e836d3e9d4c64bdb792463cd09ecdc8e4dccacb5ad982d'),
+        # (11, 1)
+        ('207d22d570c4e5be619a1d82d184b8a487c58fe271fcf09cb1b4ade9ba71f0f2',
+         '1900e8132069e98898dcbadc9af9d67dd0a3dd1218430eac316552777ac03102'),
+        # (10, 2)
+        ('9357c830f631272056748df53a62b43af4f222cda48dba4bf1861787ba8b9b8c',
+         'b49843df963b3db52a17be4df7909e37f07d25889d1be871cedb3e134b050112'),
+        # (9, 3)
+        ('1e95f4d57ca50a33b52a44430105f02dcf42e4f850a715ac1214d657f7f73671',
+         '7986dae3d7518a541f62a8283afd5d0c3ebc8950618979069a39d898841b75c3'),
+        # (8, 4)
+        ('39c79f71e5d77b9c863bbc81dfae3c4cb69d2e0d7c6311fe0ee8d3b70dfe7b59',
+         '4dc91745a09efcbc73d661de614f075d5d362f6d78d904df5187236dd12cf037'),
+        # (7, 5)
+        ('96d5695a58b0eee800ff6bdbc9ea4c557e9dd44df316907e31a554ee4fde4a19',
+         '708687b313e717357b37611914f745cf940895315d128f41a17c6a0e2ff12c85'),
+        # (6, 6)
+        ('abda880d822c2b88fdd8b4fa2fe87d8aafa0f84072c61aed4ffb01dd9f5f2fe5',
+         '0cc86cc8b09adedff0620c950c2271b85a2c04e8e14bc07de7a6ad15207541c6'),
+        # (5, 7)
+        ('316901a83ce75b4dd96e5ae8e5155763a3421cd89a0e7c9e9f00afc1c9482087',
+         'e8c5a157dffc0de111d72edfeabc6be718763b43b0ab67464ef4607dd373f7c8'),
+        # (4, 8)
+        ('97ddf3a505999fd3d501f517592c9c6feae66d9c209bfddb074264d1ec539cc0',
+         '3901c8a250a77eaff0b9b642a248183798911695fc5a588af5aaa6c78bf84586'),
+        # (3, 9)
+        ('d1e41ce0df701e67633346810083fd98438a2f74a4ffa9eddd991c420840bf9c',
+         '0746bdfbaa8a7535a592729659dc6151044e9df9de5732b6f8782469d66ed732'),
+        # (2, 10)
+        ('a4f10be8e3bfb3f024a4cad5c9120503292dd94d00b38ed0a2e383fbd4ab67d2',
+         '896f7caee21929cb7f8c166b3f767f3523181d91147a73519a2f0dfedfd31472'),
+        # (1, 11)
+        ('f2401afa4c47f2616eb68aceee5c8965d0b550fd63587ea54ade079fd18d3c56',
+         'ac90270678c9f78523b3df6adb85ae2dfe693c8dfe8bd246adb8b877645b43d4'),
     ],
     'bbll <B> ~p & [B] (~p -> <B> ~p)': [
-        # (1, 1)
-        ('d09a15d4d22e21a1518f79ce02da3e9b3362b80f0f143ce633208e900d0d8f6a',
-         '1aad2dbda9ca9828b893fc6e256197e6b6e6a3e0fe7c95f334c96922360b4d18'),
         # (7, 1)
         ('897fbe713ac72a4a38dc0e1f2d24fae63b01ba402060f61093c345ac9bbfb73c',
          '9ab90cdb184c372215c9c0ee2ba7275673b0ad9bbfecf257a88d0186cfa21dc2'),
@@ -123,8 +163,6 @@ EXPECTED = {
          'c2efe2dae89aeb2064737198fff51ce2ee8e7c9efe1fc74b4d1d608def000c3f'),
     ],
     'bbll <B> p & <iB> ~p & <L> q & <iL> (p & q)': [
-        ('ddf21e38830bc9405937bc39214db352d4270f497befb7799c47b8a2bbc5092d',
-         'a8ce801f992d65d389bb3b452aa3c1ab0db4563945ab4b46a9dbf96397512e96'),
         ('e778ddb50d8006451eb0bb8546bb8868c1724c6a4ab0b42f0e05cfbecc55ffe1',
          '6bd104926534a2f901b4cd808c608962639176ac2a71c9a2153d5e2556c2f324'),
     ],

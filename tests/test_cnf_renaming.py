@@ -10,7 +10,9 @@ variable, bottom up, by a hash of the sorted signed names of the literals it
 is the disjunction of (read off _Cnf's gate cache, which holds every gate).
 Clauses keep their literal order and are sorted. The cases are those of
 tests/test_cnf_golden.py; the finite 6 entry was re-pinned with it, each
-time the finite encoding changed shape (see that module's docstring).
+time the finite encoding changed shape, and the bbll entries when the
+pre-check and the folded-goal short cut came in (see that module's
+docstring).
 """
 
 import hashlib
@@ -27,33 +29,51 @@ from .test_cnf_golden import CASES
 # per case: (candidate domain, digest of named clauses and verdict), in the
 # order the candidates are solved
 EXPECTED = {
-    'bbll <B> p & [B] ~p': [
-        ('periodic 5 1',
-         '7181fdbf89b721a43b71bf2c3e17450cc287b1ae4fd472a32ada298ee6585848'),
-        ('periodic 4 2',
-         'b3787bc55b15d0022818b11656d2b88dcbee71ac1d2c5a2a240d722e5a1d74c1'),
-        ('periodic 3 3',
-         '7685d8f4dfa3d32032837b3c8ea49df0c774ed27c0449188778ea77ff37b3016'),
-        ('periodic 2 4',
-         '67fe6185495aef8f27fae47924a57253f0a27f53773ddee15af2778fa92ff917'),
-        ('periodic 1 5',
-         'ce492dd37279b7a005f0da0f24655b7009b3b864ec2d20a06d1a48b80624c387'),
+    'bbll <B> p & [B] ~p': [],
+    'bbll <iB> p & [iB] ~p': [],
+    'bbll [iB] p & [iB] ~p': [
+        ('periodic 7 1',
+         'e613383efa73533885e08f29815185b7077e7a36262dfcbca8339f7b6b17f368'),
+        ('periodic 6 2',
+         'cfb6f05d78a9186d9a56c0c90228ce1d325e5fd5f66be3bdd76aeab00e66605e'),
+        ('periodic 5 3',
+         'a404e129dd2f8b2e5999ed6f923aa08533eb922fc2c9acd8babc82a0bb89d158'),
+        ('periodic 4 4',
+         '9b7332da36509abe41a8f3866a243306cc7815511262f7a3db3029098e5d8fe0'),
+        ('periodic 3 5',
+         'f79f8907bd3cb0515f036e5dc805ceadbebcebdb609376354019ca2e1bb13268'),
+        ('periodic 2 6',
+         'a2c94c0e31bfca3a71c5fc02ee88fec133c3d03986df9674f26477840e46ce7d'),
+        ('periodic 1 7',
+         '67a854073dfe5eacc7f9c10641ad56a9b96cc2a4ff8f327f91328db702f3a768'),
     ],
-    'bbll <iB> p & [iB] ~p': [
-        ('periodic 5 1',
-         '8448c2ffac2076362b9c3e64f63345c9a44ffe31cf0c8a785eecbdfdccbc2488'),
-        ('periodic 4 2',
-         '60414246b5dc3bbe9c1f5f5c51f554c92162d7754e1521592b0d3722719abcf0'),
-        ('periodic 3 3',
-         'b76a3c6f117f472888915bb5027289f3613588a4477390a074738057fc079f33'),
-        ('periodic 2 4',
-         '8f88faeab4e5481b7ef44da6581b195343815d14c83c0023114e6d3e03db0b3f'),
-        ('periodic 1 5',
-         '433ef3031a9d4cf1c94d421ca3e1ed584fee169721b8e20781d891b7dcff1e98'),
+    'bbll [L] p & [L] ~p': [
+        ('periodic 1 2',
+         '9c5fe3a90ae7368a9f7c1c03565b962c9ed9a18451ce25fc9707c800279b7370'),
+        ('periodic 11 1',
+         '753abcd8c7af3cba7cca659106fc797ade181f6000ae983d7b09ea306761b418'),
+        ('periodic 10 2',
+         '5f45496aeabe5d71ea8e296b4fa86d7df6864bb06466472aa693ad21bfd42a1a'),
+        ('periodic 9 3',
+         '608168f9ce261b5299dc24c2d27289c567b3da4585f6a348a152d3c501f806e0'),
+        ('periodic 8 4',
+         'd5dc17cefb2f065f40577b9454e5ece56a4e0b4a58784492a92c663e09e6ca0e'),
+        ('periodic 7 5',
+         'bc9bd7f5b58cc973083005c56532a5b05792d82f4a8f3deb78562769b2059b58'),
+        ('periodic 6 6',
+         'f77cc132d8d7869f6139ed2eebaa78c6d302e8039fd21eed85cf52907466de57'),
+        ('periodic 5 7',
+         'c6458dcea1f13034aab1a8d0b0ac742a5c8f9b748b014fe0fdbe4c1b0e5366b0'),
+        ('periodic 4 8',
+         'cfb3b19f92fd6da7e17e3e1d4edfe47ad4168c0c65bee66c54b5394add4aa9a8'),
+        ('periodic 3 9',
+         '693e24b03aa637b6dd4b4798e0f19b575e23d725dadffd7b826dac8db134ede1'),
+        ('periodic 2 10',
+         '0f71a8c717ce2ce29ac5306be7a527ed6d65193dd74e598881bdcd2ddc0dc24b'),
+        ('periodic 1 11',
+         'd241057acada826469d9f31e46a1f255a6e4369073d9e7a1151986b8ffbabb87'),
     ],
     'bbll <B> ~p & [B] (~p -> <B> ~p)': [
-        ('periodic 1 1',
-         'ba240a3bc11b53d9fca08d0852296bb38b3e956483d6aff54a72d5dc796f0ed7'),
         ('periodic 7 1',
          'bf819e11d134e5df19459f24564e5e43911b88c8901932c308f062d324894b9f'),
         ('periodic 6 2',
@@ -70,8 +90,6 @@ EXPECTED = {
          '30f38ec04c7ee8eabf41a5a44a9e81dc3c783706fd690772e6c0f012edb9644a'),
     ],
     'bbll <B> p & <iB> ~p & <L> q & <iL> (p & q)': [
-        ('periodic 1 1',
-         '2e94e23e3cacd89d1892200265652838bd58611199918ff33928ea4aabdfe57a'),
         ('periodic 1 2',
          'aa8ea5c128661e2ade2ea8b34a440cc47402c77038fef3961a65b8b39c4bc3c7'),
     ],

@@ -1,7 +1,10 @@
 """Pinned outputs of the satisfiability procedures.
 
 The expected text below was produced by the decider before formulas were
-interned; verdicts, lex-least models and witnesses must not move. The same
+interned; verdicts, lex-least models and witnesses must not move. Three
+Unsat reasons were re-pinned when the pre-check came to read a box as its
+negated twin diamond: those contradictions are now refuted before any
+candidate is built, as "propositional refutation". The same
 list is also run in fresh interpreters under two hash seeds, so neither
 string hashing nor identity hashing of formula nodes can reach a result
 through set or dict order.
@@ -60,11 +63,11 @@ bbll <L> (p & [B] q) & <iL> <iB> ~q
 bbll <B> (p | q)
   Sat (1, 3) 'order periodic pre=1 per=1\\nval q 1 2\\n'
 bbll <B> p & [B] ~p
-  Unsat 'no model within the periodic bound'
+  Unsat 'propositional refutation'
 bbll <iB> (p & q) & [iB] ~(p & q)
-  Unsat 'no model within the periodic bound'
+  Unsat 'propositional refutation'
 bbll <iB> (p -> q) & [iB] ~(p -> q)
-  Unsat 'no model within the periodic bound'
+  Unsat 'propositional refutation'
 bbll <B> p & [B] (p -> <B> p)
   Unsat 'no model within the periodic bound'
 finite 6 <A> p & <D> q & [O] ~p & <iE> (q | <iA> p)
