@@ -68,7 +68,6 @@ NOT_REFUTED = [
     # satisfiable: the boxes and the diamond are of different modalities
     "<B> p & [L] ~p",
     "<B> <L> p & [L] ~p",
-    "<B> p & ~[B] p",
 ]
 
 
