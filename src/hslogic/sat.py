@@ -55,7 +55,10 @@ The two procedures encode their candidates differently:
   over that list: a demand pass from the root down works out the cells
   each subformula is needed at, and a build pass from the leaves up makes
   a table of literals for each subformula over exactly those cells, gates
-  node by node and cell by cell.
+  node by node and cell by cell. The <B> and <iL> ladders saturate: a rung
+  takes in only operand literals it does not cover yet, and is the rung
+  before it otherwise, so their gates stop once a periodic row has given
+  every literal it can.
 """
 
 from __future__ import annotations
@@ -427,14 +430,26 @@ class _Encoder(_Candidate):
     periodicity caps:
 
     * <B> at (x, y) is rung y of row x's ladder, which extends rung y-1 by
-      the operand at (x, y-1); a row's ladder runs up to its highest
+      the operand at (x, y-1) when that literal is new to the ladder, and
+      is rung y-1 otherwise; a row's ladder runs up to its highest
       demanded y;
     * <iB> at (x, y) is the operand's disjunction over (x, y+1) .. (x, cap);
     * <L> at (x, y) depends on y alone: the disjunction, over the rows x'
       from y+1 up to the later cap, of the operand's disjunction along row
       x' up to that row's cap;
     * <iL> at (x, y) depends on x alone: rung x of a ladder over left
-      endpoints, which extends rung x-1 by the operand at every (a, x-1).
+      endpoints, which extends rung x-1 by the operands at the (a, x-1)
+      that are new to the ladder, and is rung x-1 when none is.
+
+    The ladders saturate: by induction each rung is the disjunction of the
+    operand literals it has taken in, so a literal it covers already would
+    change nothing. An atom reads the variable of its canonical cell, so a
+    row holds only O(pre + 2 per) distinct atom literals, and a ladder stops
+    making gates soon after. The covered literals are kept in sets used for
+    membership only, never iterated, so the gate numbering does not depend
+    on the hash seed. Every gate is a full two-way definition and the atom
+    variables come first, so the solver's lex-least model and the witness
+    are those of the unsaturated ladders.
     """
 
     def __init__(self, domain: PeriodicDomain, horizon: int,
@@ -573,8 +588,13 @@ class _Encoder(_Candidate):
             tab = {}
             for x, top in plan.items():
                 tab[x * w + x + 1] = acc = _FALSE
+                covered = set()     # the literals acc is the disjunction of
                 for k in range(x * w + x + 2, x * w + top + 1):
-                    tab[k] = acc = or2(acc, sub[k - 1])
+                    lit = sub[k - 1]
+                    if lit not in covered:
+                        covered.add(lit)
+                        acc = or2(acc, lit)
+                    tab[k] = acc
             return tab
         define_or = cnf.define_or
         if name == "iB":
@@ -598,9 +618,13 @@ class _Encoder(_Candidate):
         # iL
         cells, top = plan
         rung = [_FALSE, _FALSE]
+        covered = set()         # the literals rung[-1] is the disjunction of
         for v in range(2, top + 1):
-            rung.append(define_or(
-                [rung[-1]] + [sub[a * w + v - 1] for a in range(v - 1)]))
+            new = [lit for lit in dict.fromkeys(sub[a * w + v - 1]
+                                                for a in range(v - 1))
+                   if lit not in covered]
+            covered.update(new)
+            rung.append(define_or([rung[-1]] + new) if new else rung[-1])
         return {k: rung[k // w] for k in cells}
 
 

@@ -15,18 +15,29 @@ tests/test_known_faults.py, so agreement with mc_periodic here pins truth as
 well.
 """
 
+import itertools
 import random
 
 from hslogic import sat
 from hslogic.checking import _scan_frontier, mc_periodic
-from hslogic.models import FiniteDomain, canonical_cells
+from hslogic.models import FiniteDomain, PeriodicDomain, canonical_cells
 from hslogic.parser import parse_formula
-from hslogic.syntax import B, iB, L, iL, letters_of, modal_depth
+from hslogic.syntax import B, iB, L, iL, Diamond, letters_of, modal_depth
 
 from . import oracle
 from .gen import all_mods, rand_finite_model, rand_formula, rand_periodic_model
 
 LETTERS = ("p", "q")
+
+
+def _goal_tables(domain, phi):
+    """sat_bbll's encoding of phi's goal over a periodic domain: the
+    encoder, the goal's _encoding_order and the table of every node."""
+    goal = sat.later_somewhere(phi)
+    horizon = _scan_frontier(domain.pre, domain.per, modal_depth(goal), 1)
+    enc = sat._Encoder(domain, horizon, sorted(letters_of(phi)))
+    order = sat._encoding_order(goal)
+    return enc, order, enc.tables(order, [(0, 1)], [f for f, _ in order])
 
 
 def _encoded_values(model, phi):
@@ -35,7 +46,8 @@ def _encoded_values(model, phi):
 
     phi is encoded at every cell of a finite domain, as sat_bounded_finite
     encodes it, and as sat_bbll's goal at [0, 1] on a periodic one. This is
-    the only place the test touches the encoders' private names."""
+    and _goal_tables are the only places the tests touch the encoders'
+    private names."""
     domain = model.domain
     letters = sorted(letters_of(phi))
     if isinstance(domain, FiniteDomain):
@@ -47,11 +59,7 @@ def _encoded_values(model, phi):
                       for x, y in canonical_cells(domain)}
                   for f, table in engine.tables.items()}
     else:
-        goal = sat.later_somewhere(phi)
-        horizon = _scan_frontier(domain.pre, domain.per, modal_depth(goal), 1)
-        enc = sat._Encoder(domain, horizon, letters)
-        order = sat._encoding_order(goal)
-        tables = enc.tables(order, [(0, 1)], [f for f, _ in order])
+        enc, _, tables = _goal_tables(domain, phi)
     for (letter, cell), var in enc.atom_var.items():
         enc.cnf.clauses.append(
             [var if model.holds_atom(cell, letter) else -var])
@@ -87,6 +95,71 @@ def test_periodic_encoder_agrees_with_mc_periodic():
             assert value == mc_periodic(model, cell, f), (f, cell)
             checked += 1
     assert checked > 4000
+
+
+def _ladders(f, tab, sub):
+    """(rung literals, operand literals read) per ladder of the table of a
+    <B> or <iL> node: one ladder per row of <B>, one over all of <iL>."""
+    if f.mod == B:
+        rows = {}
+        for (x, y), lit in tab.items():
+            rows.setdefault(x, {})[y] = lit
+        return [(set(row.values()),
+                 {sub[(x, y)] for y in range(x + 1, max(row))})
+                for x, row in rows.items()]
+    top = max(x for x, _ in tab)
+    return [(set(tab.values()),
+             {sub[(a, b)] for b in range(1, top) for a in range(b)})]
+
+
+def test_ladders_grow_only_by_new_operand_literals():
+    # A rung extends the one before it only by an operand literal that rung
+    # does not cover yet, so a ladder holds at most one literal (the empty
+    # rung) more than the distinct operand literals it reads, however long
+    # it is. On a periodic split a row reads few distinct atom literals, so
+    # the ladders stop growing early.
+    checked = 0
+    for text in ("<B> p", "<B> (p -> <B> p)", "<iL> <B> p"):
+        for pre, per in itertools.product(range(1, 4), repeat=2):
+            _, order, tables = _goal_tables(PeriodicDomain(pre, per),
+                                            parse_formula(text))
+            for f, kids in order:
+                if type(f) is not Diamond or f.mod not in (B, iL):
+                    continue
+                for rungs, reads in _ladders(f, tables[f], tables[kids[0]]):
+                    assert len(rungs) <= len(reads) + 1, (text, pre, per, f)
+                    checked += 1
+    assert checked > 400
+
+
+# Long ladders: B over B, iL over B, and the four well-foundedness shapes of
+# the benchmark's sat_unsat queries, at periods up to 3, where a row's ladder
+# comes to cover every literal it can read only after many rungs. Only the
+# <B> and <iL> entries are checked: they are the ladders, and every other
+# node is gated alike on both sides of a saturated rung.
+LONG_LADDERS = [
+    ("<B> <B> p", 1, 3),
+    ("[B] <B> ~q", 2, 2),
+    ("<iL> <B> p", 3, 2),
+    ("<iL> [B] (p | q)", 1, 2),
+    ("<B> p & [B] (p -> <B> p)", 2, 2),
+    ("<B> ~p & [B] (~p -> <B> ~p)", 1, 3),
+    ("<B> (p & q) & [B] ((p & q) -> <B> (p & q))", 3, 2),
+    ("<B> (p | q) & [B] ((p | q) -> <B> (p | q))", 1, 1),
+]
+
+
+def test_long_ladders_agree_with_mc_periodic():
+    rng = random.Random(20121012)
+    checked = 0
+    for text, pre, per in LONG_LADDERS:
+        phi = parse_formula(text)
+        model = rand_periodic_model(rng, pre, per, LETTERS)
+        for f, cell, value in _encoded_values(model, phi):
+            if type(f) is Diamond and f.mod in (B, iL):
+                assert value == mc_periodic(model, cell, f), (text, f, cell)
+                checked += 1
+    assert checked > 3000
 
 
 # a box at the root, boxes under boxes, and boxes over negations, which the
