@@ -170,6 +170,4 @@ def test_candidate_cnfs_up_to_gate_numbering(monkeypatch, kind, text):
 
 
 if __name__ == "__main__":
-    print(format_expected({
-        key: [(None,) + run for run in runs]
-        for key, runs in capture_all(_run_capturing).items()}))
+    print(format_expected(capture_all(_run_capturing)))
