@@ -310,21 +310,48 @@ def allen_related(domain, i: Interval, mod: Modality,
 
 def _model_engine(model: IntervalModel, horizon: int) -> _TableEngine:
     """The engine over a model's window 0..horizon in the three-valued
-    lattice."""
+    lattice.
+
+    A letter's table is filled row by row from its canonical cells,
+    model.atom_cells(letter). On a finite domain the window is the whole
+    domain, so each cell is stamped where it stands. On a periodic domain,
+    with cut = pre + per, the two shifts of models.canonical_interval give
+    every row from a few stored ones:
+
+    * diagonal: row x >= cut reads row x - k*per at the same offsets
+      y - x, k being the shift count that brings x below cut;
+    * right: inside a row xc < cut, the value at y is the value at
+      y - per once y >= m = max(cut, xc + per + 1).
+
+    So row xc is its canonical segment, the cells (xc, y) with
+    xc < y < m (max(cut - 1 - xc, per) of them), followed by its last per
+    entries repeated, and row x takes the first h - x entries of row xc.
+    Each row is one slice assignment, with no canonical_interval call."""
     d = model.domain
-    w = horizon + 1
-    cells = [(x * w + y, (x, y)) for x in range(horizon)
-             for y in range(x + 1, horizon + 1)]
-    holds = model.holds_atom
+    h, w = horizon, horizon + 1
+    period = (d.pre, d.per) if isinstance(d, PeriodicDomain) else None
 
     def atom(name: str) -> List[int]:
-        table = [_F] * (horizon * w)
-        for k, c in cells:
-            if holds(c, name):
-                table[k] = _T
+        table = [_F] * (h * w)
+        if period is None:
+            for x, y in model.atom_cells(name):
+                table[x * w + y] = _T
+            return table
+        pre, per = period
+        cut = pre + per
+        rows = [[_F] * max(cut - 1 - xc, per) for xc in range(min(cut, h))]
+        for x, y in model.atom_cells(name):
+            if x < h:
+                rows[x][y - x - 1] = _T
+        for xc, row in enumerate(rows):
+            short = h - xc - len(row)
+            if short > 0:
+                row += row[-per:] * -(-short // per)
+        for x in range(h):
+            xc = x if x < cut else x - ((x - cut) // per + 1) * per
+            table[x * w + x + 1:x * w + h + 1] = rows[xc][:h - x]
         return table
 
-    period = (d.pre, d.per) if isinstance(d, PeriodicDomain) else None
     return _TableEngine(horizon, atom, _join, max, min, period)
 
 
@@ -396,7 +423,11 @@ def _stabilized_tables(model: IntervalModel, phi: Formula,
 
     The default budget is enough rounds for every capped scan from a
     watched cell to end inside the window: max(depth + 2,
-    ceil((need - base) / per) + 1), need being _scan_frontier's horizon."""
+    ceil((need - base) / per) + 1), need being _scan_frontier's horizon.
+    A budget of 0 counts as 1; a negative one is a ValueError."""
+    if max_rounds is not None and max_rounds < 0:
+        raise ValueError("the round budget must be at least 0, got %d"
+                         % max_rounds)
     domain = model.domain
     depth = modal_depth(phi)
     watch = list(canonical_cells(domain))

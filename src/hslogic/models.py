@@ -7,6 +7,9 @@ valuation is stored on a finite set of canonical cells; truth of an atom at
 an arbitrary interval is looked up through the canonicalization map, which
 quotients the grid by the two periodicity clauses (diagonal shifts past the
 prefix, and right-endpoint shifts that keep the interval ahead of its start).
+The model checker does not look atoms up cell by cell: it fills whole rows
+of a letter's table from atom_cells by the same two shifts
+(checking._model_engine).
 
 Intervals are ordered pairs (x, y) with x < y; the point-interval reading is
 not used anywhere in this package.

@@ -675,7 +675,10 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
 
     Skipped splits are unsatisfiable, so the first satisfiable split of
     step 3 is the first of the full ordered search, and the certificate is
-    the one that search gives."""
+    the one that search gives. A negative max_bound is a ValueError."""
+    if max_bound is not None and max_bound < 0:
+        raise ValueError("the periodic bound must be at least 0, got %d"
+                         % max_bound)
     frag = fragment_of(phi)
     if not frag <= _BBLL:
         raise UnsupportedFragmentError(

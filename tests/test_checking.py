@@ -176,3 +176,11 @@ def test_periodic_rejects_finite_and_vice_versa():
         mc_finite(pm, (0, 1), p)
     with pytest.raises(ValueError):
         mc_finite(fm, (0, 5), p)
+
+
+def test_negative_round_budget_is_a_value_error():
+    m = periodic_model(1, 1, {"p": [(1, 2)]})
+    with pytest.raises(ValueError):
+        mc_periodic(m, (0, 1), dia(L, p), max_rounds=-2)
+    with pytest.raises(ValueError):
+        periodic_stable_tables(m, dia(L, p), max_rounds=-1)

@@ -243,3 +243,17 @@ def test_model_letters_follow_the_formula_rule(capsys, tmp_path):
                              "--interval", "0", "1", "--formula", "true")
         assert (code, out) == (2, "")
         assert err == "error: bad letter %r (line 2)\n" % letter
+
+
+def test_negative_budgets_are_usage_errors(capsys, tmp_path):
+    code, out, err = run(capsys, "sat", "--max-bound", "-3", "<B> p")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    ppath = tmp_path / "p.ism"
+    ppath.write_text("order periodic pre=1 per=1\nval p 1 2\n",
+                     encoding="ascii")
+    code, out, err = run(capsys, "mc", "--model", str(ppath),
+                         "--interval", "0", "1", "--formula", "<L> p",
+                         "--rounds", "-2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")

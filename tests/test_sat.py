@@ -154,3 +154,10 @@ def test_deep_formulas_encode_without_recursion():
     for _ in range(3000):
         nested = Not(dia(B, nested))
     assert isinstance(sat_bounded_finite(nested, 1), (Sat, Unknown))
+
+
+def test_negative_max_bound_is_a_value_error():
+    with pytest.raises(ValueError):
+        sat_bbll(dia(B, p), max_bound=-3)
+    # 0 stays a truncated search, not an error
+    assert isinstance(sat_bbll(dia(B, p), max_bound=0), Unknown)
