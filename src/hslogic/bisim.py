@@ -8,6 +8,15 @@ pair of models related at a pair of intervals that some candidate modality
 distinguishes certifies that the candidate is not definable in the
 fragment.
 
+The largest one comes from partition refinement. Blocks live on the
+disjoint union of both models' cells and start as the letter classes. Each
+round splits every block by the sets of blocks its cells reach along each
+modality; refinement only splits, and it stops when no block splits. Then
+sharing a block is a bisimulation on the union, and every bisimulation
+keeps its pairs together through each round, so it is the largest. Moves
+stay inside a model, so the stable partition restricted to A x B is the
+largest F-bisimulation from A to B.
+
 Two ready-made witnesses are included: one separating the later modality
 from the begin pair, one separating meets from begins and laters together.
 """
@@ -17,22 +26,18 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, NamedTuple, Tuple
 
 from .checking import allen_related, mc_finite
-from .models import (
-    FiniteDomain, Interval, IntervalModel, canonical_cells, finite_model,
-)
+from .models import (FiniteDomain, Interval, IntervalModel, canonical_cells,
+                     finite_model, valid_interval)
+from .parser import is_letter
 from .syntax import A, B, iB, L, iL, Atom, Fragment, Modality, dia
 
 Pair = Tuple[Interval, Interval]
 
 
-def _require_finite(model: IntervalModel, which: str):
-    if not isinstance(model.domain, FiniteDomain):
-        raise TypeError("%s must be a finite model" % which)
-
-
-def _atoms_agree(ma: IntervalModel, mb: IntervalModel,
-                 i: Interval, j: Interval, letters) -> bool:
-    return all(ma.holds_atom(i, p) == mb.holds_atom(j, p) for p in letters)
+def _require_finite(ma: IntervalModel, mb: IntervalModel):
+    for model, which in ((ma, "first model"), (mb, "second model")):
+        if not isinstance(model.domain, FiniteDomain):
+            raise TypeError("%s must be a finite model" % which)
 
 
 def _moves(model: IntervalModel, fragment: Fragment):
@@ -43,56 +48,48 @@ def _moves(model: IntervalModel, fragment: Fragment):
             for i in canonical_cells(model.domain)}
 
 
-def _pair_ok(pairs, moves_a, moves_b) -> bool:
-    for succ_a, succ_b in zip(moves_a, moves_b):
-        for i2 in succ_a:
-            if not any((i2, j2) in pairs for j2 in succ_b):
-                return False
-        for j2 in succ_b:
-            if not any((i2, j2) in pairs for i2 in succ_a):
-                return False
-    return True
-
-
 def is_f_bisimulation(pairs: Iterable[Pair], fragment: Fragment,
                       ma: IntervalModel, mb: IntervalModel) -> bool:
     """Check the letter-agreement and back-and-forth conditions literally."""
-    _require_finite(ma, "first model")
-    _require_finite(mb, "second model")
+    _require_finite(ma, mb)
     rel = {(tuple(i), tuple(j)) for i, j in pairs}
     letters = sorted(set(ma.letters) | set(mb.letters))
     moves_a, moves_b = _moves(ma, fragment), _moves(mb, fragment)
     for i, j in rel:
         if i not in moves_a or j not in moves_b:
             raise ValueError("pair %r outside the domains" % ((i, j),))
-        if not _atoms_agree(ma, mb, i, j, letters):
+        if any(ma.holds_atom(i, p) != mb.holds_atom(j, p) for p in letters):
             return False
-        if not _pair_ok(rel, moves_a[i], moves_b[j]):
-            return False
+        for succ_a, succ_b in zip(moves_a[i], moves_b[j]):
+            fwd = all(any((i2, j2) in rel for j2 in succ_b) for i2 in succ_a)
+            back = all(any((i2, j2) in rel for i2 in succ_a) for j2 in succ_b)
+            if not (fwd and back):
+                return False
     return True
 
 
 def largest_f_bisimulation(fragment: Fragment, ma: IntervalModel,
                            mb: IntervalModel) -> FrozenSet[Pair]:
-    """Greatest fixpoint: start from all letter-agreeing pairs and drop
-    pairs whose moves cannot be matched until nothing changes."""
-    _require_finite(ma, "first model")
-    _require_finite(mb, "second model")
+    """Refine the letter classes of both models' cells until no block
+    splits, and pair the cells of the two models that share a block."""
+    _require_finite(ma, mb)
     letters = sorted(set(ma.letters) | set(mb.letters))
-    moves_a, moves_b = _moves(ma, fragment), _moves(mb, fragment)
-    rel = {
-        (i, j) for i in moves_a for j in moves_b
-        if _atoms_agree(ma, mb, i, j, letters)
-    }
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(rel):
-            i, j = pair
-            if not _pair_ok(rel, moves_a[i], moves_b[j]):
-                rel.discard(pair)
-                changed = True
-    return frozenset(rel)
+    moves = [_moves(m, fragment) for m in (ma, mb)]
+    sigs = [{i: tuple(m.holds_atom(i, p) for p in letters) for i in mv}
+            for m, mv in zip((ma, mb), moves)]
+    count = 0
+    while True:
+        ids = {}  # one numbering over both models, so blocks span them
+        blocks = [{i: ids.setdefault(key, len(ids)) for i, key in sig.items()}
+                  for sig in sigs]
+        if len(ids) == count:
+            break
+        count = len(ids)
+        sigs = [{i: (bl[i],) + tuple(frozenset(map(bl.__getitem__, succ))
+                                     for succ in mv[i]) for i in mv}
+                for bl, mv in zip(blocks, moves)]
+    ba, bb = blocks
+    return frozenset((i, j) for i in ba for j in bb if ba[i] == bb[j])
 
 
 def certify_undefinability(mod: Modality, fragment: Fragment,
@@ -102,6 +99,12 @@ def certify_undefinability(mod: Modality, fragment: Fragment,
     diamond of mod over the letter separates them. That combination shows
     no fragment formula can express the diamond."""
     ia, ib = tuple(ia), tuple(ib)
+    for i, model, which in ((ia, ma, "first"), (ib, mb, "second")):
+        if not valid_interval(model.domain, i):
+            raise ValueError("%r is not an interval of the %s model"
+                             % (i, which))
+    if not is_letter(letter):
+        raise ValueError("%r is not a letter" % (letter,))
     phi = dia(mod, Atom(letter))
     if (ia, ib) not in largest_f_bisimulation(fragment, ma, mb):
         return False
@@ -118,10 +121,7 @@ class UndefinabilityWitness(NamedTuple):
     letter: str
 
     def certify(self) -> bool:
-        return certify_undefinability(self.mod, self.fragment,
-                                      self.model_a, self.model_b,
-                                      self.interval_a, self.interval_b,
-                                      self.letter)
+        return certify_undefinability(*self)
 
 
 def later_witness() -> UndefinabilityWitness:

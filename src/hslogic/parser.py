@@ -49,6 +49,7 @@ _KEYWORDS = ("true", "false")
 _MOD_RE = re.compile(r"[A-Za-z]+")
 _PUNCT_KINDS = {"(": "lparen", ")": "rparen", "&": "and", "|": "or",
                 "~": "not"}
+_PUNCT_SHOWN = {kind: repr(c) for c, kind in _PUNCT_KINDS.items()}
 
 
 class _Token:
@@ -123,6 +124,16 @@ def _tokenize(text: str):
 _PREFIX = ("not", "diamond", "box")
 
 
+def _shown(tok: _Token) -> str:
+    """How an error message names the token it stopped at."""
+    if tok.kind == "eof":
+        return "end of input"
+    if tok.kind in ("diamond", "box"):
+        return repr(("<%s>" if tok.kind == "diamond" else "[%s]")
+                    % tok.value.name)
+    return repr(tok.value)
+
+
 def _checked(node: Formula, tok: _Token) -> Formula:
     if nesting_depth(node) > MAX_NESTING:
         raise ParseError(_TOO_DEEP, tok.line, tok.col)
@@ -141,7 +152,8 @@ class _Parser:
     def take(self, kind: str) -> _Token:
         tok = self.tokens[self.pos]
         if tok.kind != kind:
-            raise ParseError("expected %s, found %r" % (kind, tok.value),
+            raise ParseError("expected %s, found %s"
+                             % (_PUNCT_SHOWN.get(kind, kind), _shown(tok)),
                              tok.line, tok.col)
         self.pos += 1
         return tok
@@ -219,7 +231,7 @@ class _Parser:
             self.take("rparen")
             self.open_parens -= 1
             return inner
-        raise ParseError("expected a formula, found %r" % (tok.value,),
+        raise ParseError("expected a formula, found %s" % _shown(tok),
                          tok.line, tok.col)
 
 
@@ -235,7 +247,7 @@ def parse_formula(text: str) -> Formula:
     phi = parser.formula()
     tok = parser.peek()
     if tok.kind != "eof":
-        raise ParseError("trailing input %r" % (tok.value,), tok.line, tok.col)
+        raise ParseError("trailing input %s" % _shown(tok), tok.line, tok.col)
     return phi
 
 

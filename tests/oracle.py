@@ -4,18 +4,21 @@ Nothing here reuses the package's evaluation machinery. Interval
 successors are enumerated from the raw relation definitions, truth is
 computed by naive recursion, canonical cells by repeated subtraction,
 and periodic models get a three-valued horizon evaluator that answers
-None whenever the value could depend on points beyond the horizon.
+None whenever the value could depend on points beyond the horizon. The
+largest bisimulation between two finite models is a greatest fixpoint
+over pairs of intervals.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from hslogic.models import FiniteDomain, IntervalModel
 from hslogic.syntax import (
-    And, Atom, Box, Diamond, FalseConst, Formula, Implies, Modality,
-    Not, Or, TrueConst,
+    And, Atom, Box, Diamond, FalseConst, Formula, Fragment, Implies,
+    Modality, Not, Or, TrueConst,
 )
 
 Interval = Tuple[int, int]
+Pair = Tuple[Interval, Interval]
 
 
 def related(i: Interval, j: Interval, mod: Modality) -> bool:
@@ -169,3 +172,38 @@ def mc3_naive(model: IntervalModel, i: Interval, phi: Formula,
         return v
 
     return ev(tuple(i), phi)
+
+
+def largest_bisimulation_naive(fragment: Fragment, ma: IntervalModel,
+                               mb: IntervalModel) -> FrozenSet[Pair]:
+    """Greatest fixpoint over pairs of two finite models' intervals: start
+    from the pairs that agree on every letter's raw cell set and drop a
+    pair while some move along a fragment modality on one side has no
+    related answer on the other."""
+    cells_a = intervals_upto(ma.domain.last_point)
+    cells_b = intervals_upto(mb.domain.last_point)
+    letters = set(ma.letters) | set(mb.letters)
+    cells_of = [(set(ma.atom_cells(p)), set(mb.atom_cells(p)))
+                for p in letters]
+    mods = list(fragment.modalities)
+    succ_a = {(i, m): [k for k in cells_a if related(i, k, m)]
+              for i in cells_a for m in mods}
+    succ_b = {(j, m): [k for k in cells_b if related(j, k, m)]
+              for j in cells_b for m in mods}
+    rel = {(i, j) for i in cells_a for j in cells_b
+           if all((i in in_a) == (j in in_b) for in_a, in_b in cells_of)}
+
+    def matched(i: Interval, j: Interval) -> bool:
+        for m in mods:
+            sa, sb = succ_a[i, m], succ_b[j, m]
+            if any(all((k, l) not in rel for l in sb) for k in sa):
+                return False
+            if any(all((k, l) not in rel for k in sa) for l in sb):
+                return False
+        return True
+
+    while True:
+        bad = {pair for pair in rel if not matched(*pair)}
+        if not bad:
+            return frozenset(rel)
+        rel -= bad

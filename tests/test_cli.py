@@ -173,6 +173,36 @@ def test_bisim_rejects_a_periodic_model(capsys, tmp_path):
             % left
 
 
+def test_bisim_certify_rejects_bad_input(capsys, tmp_path):
+    left = tmp_path / "a.ism"
+    right = tmp_path / "b.ism"
+    left.write_text("order finite 3\nval p 2 3\n", encoding="ascii")
+    right.write_text("order finite 3\n", encoding="ascii")
+    for certify, message in (
+            (("L", "p", "0", "9", "0", "1"),
+             "(0, 9) is not an interval of the first model"),
+            (("L", "p", "2", "1", "0", "1"),
+             "(2, 1) is not an interval of the first model"),
+            (("L", "p", "0", "1", "2", "1"),
+             "(2, 1) is not an interval of the second model"),
+            (("L", "P!", "0", "1", "0", "1"), "'P!' is not a letter")):
+        code, out, err = run(capsys, "bisim", "--left", str(left),
+                             "--right", str(right), "--fragment", "B iB",
+                             "--certify", *certify)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_parse_errors_at_end_of_input(capsys):
+    code, out, err = run(capsys, "parse", "(p")
+    assert (code, out) == (2, "")
+    assert err == "error: expected ')', found end of input " \
+        "(line 1, column 3)\n"
+    code, out, err = run(capsys, "parse", "p &")
+    assert (code, out) == (2, "")
+    assert err == "error: expected a formula, found end of input " \
+        "(line 1, column 4)\n"
+
+
 def test_mirror(capsys):
     code, out, _ = run(capsys, "mirror", "<B> p")
     assert (code, out) == (0, "<E> p\n")

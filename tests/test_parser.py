@@ -70,6 +70,21 @@ def test_errors_carry_position():
         parse_formula("")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(p", "expected ')', found end of input (line 1, column 3)"),
+    ("p &", "expected a formula, found end of input (line 1, column 4)"),
+    ("", "expected a formula, found end of input (line 1, column 1)"),
+    ("(p q", "expected ')', found 'q' (line 1, column 4)"),
+    ("p <A> q", "trailing input '<A>' (line 1, column 3)"),
+    ("p [iB] q", "trailing input '[iB]' (line 1, column 3)"),
+    ("p )", "trailing input ')' (line 1, column 3)"),
+])
+def test_error_messages_name_the_token(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_formula(text)
+    assert str(e.value) == message
+
+
 def test_fragments():
     assert parse_fragment("B iB") == Fragment.of(B, iB)
     assert parse_fragment("iA A") == Fragment.of(A, iA)
