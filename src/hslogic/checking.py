@@ -27,9 +27,12 @@ longer than (2*d + 1)*per, and under diagonal shifts once the left
 endpoint clears pre + 2*d*per (the comment above _row_cap). The evaluator
 exploits this twice over:
 
-* scans for the five modalities that reach arbitrarily far right (A, iB, L,
-  iD, O) are cut off at a cap derived from the child's invariance threshold,
-  so a missing witness below the cap proves there is none at all;
+* the joins for the five modalities that reach arbitrarily far right (A,
+  iB, L, iD, O) are cut off at a cap derived from the child's invariance
+  threshold, so a missing witness below the cap proves there is none at
+  all. A and L scan once per column; an iB row (and so iD and O, which
+  are iB under iE and E) is filled by running joins along the row, cut
+  where the per-cell scans would be;
 * tables are recomputed at growing horizons, and a value is only reported
   once two consecutive horizons agree on every canonical cell for every
   subformula. Values that a horizon cannot justify are carried as the
@@ -111,9 +114,12 @@ class NotStabilized(Exception):
 # (tests/test_known_faults.py), where a length term of per + 1 at every
 # depth gives wrong answers. A scan that runs one period past the
 # thresholds has then seen every value there is to see. These two
-# functions hold the only copy of the rule: the table checker's scans, the
-# horizon and query reductions below, and the SAT encoder's iB and L scans
-# (sat._Encoder) all cut where they say.
+# functions hold the only copy of the rule: the table checker's A and L
+# scans and its iB row joins, the horizon and query reductions below, and
+# the SAT encoder's iB and L scans (sat._Encoder) all cut where they say.
+# The iB rows read their one threshold off _row_cap: past
+# t = _row_cap(pre, per, depth, x, x) - per + 1 the cap is y + per, and
+# before it the same for every cell of row x.
 
 def _row_cap(pre: int, per: int, depth: int, x: int, lo: int) -> int:
     """Largest right endpoint y' a scan over [x, y'], y' > lo, must visit
@@ -161,10 +167,11 @@ class _TableEngine:
     constants and make no gates.
 
     period=(pre, per) makes the window a prefix of a periodic domain, which
-    only the lattice is used with: scans that reach right without bound
-    stop at the caps above, and a scan the window cuts short of its cap
-    joins in undetermined. Without it the window is a whole finite domain
-    and every value is exact.
+    only the lattice is used with: joins that reach right without bound
+    stop at the caps above, and a join the window cuts short of its cap
+    takes in undetermined. A and later scan once per column (_scan); iB
+    fills each row with running joins (_row_joins). Without a period the
+    window is a whole finite domain and every value is exact.
 
     Six diamonds are written out (A, iA, B, iB, E, iE), the other six are
     two of them (_COMPOSED), and a box [M] s is the negation of <M> ~s."""
@@ -227,7 +234,7 @@ class _TableEngine:
         if name == "A" or name == "later":
             # (y, y') with y' > y, the same for every x: fill column y
             for y in range(1, h + 1):
-                v = self._scan(C, depth, y, y, name == "later")
+                v = self._scan(C, depth, y, name == "later")
                 out[y:y * w + y:w] = [v] * y
         elif name == "iA":
             # (x', x): column x, the same for every y: fill row x
@@ -241,11 +248,10 @@ class _TableEngine:
                 out[r + x + 1:r + h + 1] = accumulate(C[r + x + 1:r + h], or2,
                                                       initial=_F)
         elif name == "iB":
-            # (x, y') with y' > y: a scan along row x per cell
+            # (x, y') with y' > y: a ladder along each row, from the right
             for x in range(h):
                 r = x * w
-                for y in range(x + 1, h + 1):
-                    out[r + y] = self._scan(C, depth, x, y)
+                out[r + x + 1:r + h + 1] = self._row_joins(C, depth, x)
         elif name == "E":
             # (x', y) with x' > x: a ladder up each column, from y - 1 down
             for y in range(1, h + 1):
@@ -262,19 +268,53 @@ class _TableEngine:
             raise ValueError("unknown modality %r" % name)
         return out
 
-    def _scan(self, C: List[int], depth: int, x: int, lo: int,
-              later: bool = False) -> int:
-        """Join of C over the cells (x, y'), y' > lo. Unbounded to the
-        right; on a periodic domain the scan stops at the row cap, or at
-        the later cap, and joins in undetermined if the window ends first."""
+    def _row_joins(self, C: List[int], depth: int, x: int) -> List[int]:
+        """Row x of <iB> over C: for each y in x+1..h the join of C over
+        the cells (x, y'), y' > y, by running joins along the row.
+
+        Without a period this is a ladder from the end of the row, the
+        mirror of E's column ladder. With one, let cap = _row_cap(pre, per,
+        depth, x, x) and t = cap - per + 1: _row_cap gives every y < t the
+        same cap, and every y >= t the cap y + per. So the cells before t
+        are one ladder from min(cap, h), started at undetermined when the
+        window ends before cap, and from t on each cell joins the window
+        y < y' <= y + per: per shifted slices of the row under or2, each
+        padded with undetermined past h, as a scan cut short by the window
+        joins in undetermined."""
+        h, or2 = self.h, self.or2
+        r = x * self.w
+        t, hi, start = h + 1, h, _F
+        if self.period is not None:
+            pre, per = self.period
+            cap = _row_cap(pre, per, depth, x, x)
+            t, hi = cap - per + 1, min(cap, h)
+            if cap > h:
+                start = _U
+        row = list(accumulate(C[r + hi:r + x + 1:-1], or2, initial=start))
+        row.reverse()
+        n = h + 1 - t
+        if n <= 0:
+            return row
+        del row[t - x - 1:]
+        win = C[r + t + 1:r + h + 1] + [_U]
+        for k in range(2, per + 1):
+            win = list(map(or2, win,
+                           C[r + t + k:r + h + 1] + [_U] * min(k, n)))
+        return row + win
+
+    def _scan(self, C: List[int], depth: int, y: int, later: bool) -> int:
+        """Join of C over the cells (y, y'), y' > y, for A and later.
+        Unbounded to the right; on a periodic domain the scan stops at the
+        row cap, or at the later cap, and joins in undetermined if the
+        window ends first."""
         hi, exact = self.h, True
         if self.period is not None:
             pre, per = self.period
-            cap = (_later_cap(pre, per, depth, lo) if later
-                   else _row_cap(pre, per, depth, x, lo))
+            cap = (_later_cap(pre, per, depth, y) if later
+                   else _row_cap(pre, per, depth, y, y))
             hi, exact = min(hi, cap), cap <= hi
-        r = x * self.w
-        v = self.join(C[r + lo + 1:r + hi + 1])
+        r = y * self.w
+        v = self.join(C[r + y + 1:r + hi + 1])
         return v if exact else self.or2(v, _U)
 
 

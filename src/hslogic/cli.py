@@ -176,8 +176,13 @@ def _cmd_mirror(args: argparse.Namespace) -> int:
         return 0
     try:
         phi = parse_formula(args.text)
-    except ParseError:
-        print(mirror_fragment(parse_fragment(args.text)).name)
+    except ParseError as exc:
+        # not a formula: a fragment, or else the formula's error
+        try:
+            frag = parse_fragment(args.text)
+        except ParseError:
+            raise exc from None
+        print(mirror_fragment(frag).name)
         return 0
     print(render(mirror_formula(phi)))
     return 0

@@ -287,3 +287,17 @@ def test_negative_budgets_are_usage_errors(capsys, tmp_path):
                          "--rounds", "-2")
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+def test_mirror_reports_the_formula_error(capsys):
+    # a text that is neither a formula nor a fragment fails as a formula,
+    # with the same message as hs parse
+    code, out, err = run(capsys, "mirror", "p&")
+    assert (code, out) == (2, "")
+    assert err == "error: expected a formula, found end of input " \
+        "(line 1, column 3)\n"
+    assert run(capsys, "parse", "p&")[2] == err
+    # with --fragment the text is read as a fragment only
+    code, out, err = run(capsys, "mirror", "--fragment", "p&")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown modality 'p&' (line 1, column 1)\n"

@@ -48,6 +48,18 @@ and the finite 6 entry did not move. Entries whose encoding reads no
 saturated rung kept their digests. Each entry now names its candidate's
 domain as well, so the sequence of splits is pinned directly.
 
+The finite 6 digests were re-pinned again when the grid engine came to
+fill an <iB> row with one ladder from the row's end instead of one
+disjunction per cell: <iB>, and so <O> and <iD>, which are <iB> under <E>
+and <iE>, are now chains of two-input or gates, one new gate per cell,
+where each cell had its own define_or over the rest of its row. The
+formula has an [O], so its gates changed (78 variables and 149 clauses,
+from 78 and 153). Checked against the parent commit first:
+tests/test_golden.py and tests/test_finite_certificates.py pass
+unchanged, the case lists the same single candidate (finite 5) with the
+same verdict and certificate, and no bbll entry moved, since the periodic
+encoder does not run through the grid engine.
+
 To re-pin, print the current EXPECTED dict with
 
     PYTHONPATH=src python -m tests.test_cnf_golden
@@ -191,8 +203,8 @@ EXPECTED = {
     ],
     'finite 6 <A> p & <D> q & [O] ~p & <iE> (q | <iA> p)': [
         ('finite 5',
-         '1d11a811909c35b962b01b4d80a7e4eb985f432e594aa8daf6b1c316f2149096',
-         'a168049f60f5f7e116eb39fd9aef067dbff0fd75019a08f7c4caec1ed0c7abfc'),
+         '727761899e7a520369f0b76b16b75c60def5832ca09f582de2dbafe61af3193e',
+         'a216ba4c7c58be232b9e93c68361a631467671375deeb6243b44cfd2f82ea555'),
     ],
 }
 

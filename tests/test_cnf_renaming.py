@@ -111,7 +111,7 @@ EXPECTED = {
     ],
     'finite 6 <A> p & <D> q & [O] ~p & <iE> (q | <iA> p)': [
         ('finite 5',
-         'b8f3c681442616b1d159da44b077a3ae7c1ab58af10fab3ade226e680e27deb1'),
+         '0e8479c4d0c37ddfb77dbe2b83b34219ee6e886d4aed5b81096d4c98d34deccb'),
     ],
 }
 
