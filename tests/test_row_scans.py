@@ -62,11 +62,11 @@ def _rand_table(rng, h):
 def _check(rng, h, depth, period):
     C = _rand_table(rng, h)
     w = h + 1
+    cells = [x * w + y for x in range(h) for y in range(x + 1, h + 1)]
     engine = _TableEngine(h, None, _join, max, min, period)
     for name in ("iB", "iD", "O"):
         got = engine._diamond(name, C, depth)
         want = _reference(name, C, h, depth, period)
-        cells = [x * w + y for x in range(h) for y in range(x + 1, h + 1)]
         assert [got[k] for k in cells] == [want[k] for k in cells], \
             (name, h, depth, period)
 
