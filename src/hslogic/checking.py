@@ -17,30 +17,11 @@ periodic begin/later encoder (sat._Encoder): six diamonds are written out
 the six definability equations (_COMPOSED). allen_related lists the
 successors of an interval with one engine pass.
 
-Finite models are evaluated exactly over the whole domain.
-
-Periodic models need more care. An atom's truth is invariant under the two
-periodicity shifts, and that invariance lifts level by level: the truth of a
-formula of modal depth d is invariant under right-endpoint shifts by one
-period once the endpoint clears roughly pre + 2*d*per and the interval is
-longer than (2*d + 1)*per, and under diagonal shifts once the left
-endpoint clears pre + 2*d*per (the comment above _row_cap). The evaluator
-exploits this twice over:
-
-* the joins for the five modalities that reach arbitrarily far right (A,
-  iB, L, iD, O) are cut off at a cap derived from the child's invariance
-  threshold, so a missing witness below the cap proves there is none at
-  all. A and L scan once per column; an iB row (and so iD and O, which
-  are iB under iE and E) is filled by running joins along the row, cut
-  where the per-cell scans would be;
-* tables are recomputed at growing horizons, and a value is only reported
-  once two consecutive horizons agree on every canonical cell for every
-  subformula. Values that a horizon cannot justify are carried as the
-  third, undetermined value rather than guessed, and a query that never
-  settles raises NotStabilized.
-
-The thresholds are conservative; on the begin/before fragment the tables of
-interest settle within a couple of rounds past the formula depth.
+Finite models are evaluated exactly over the whole domain. Periodic models
+are evaluated over windows of growing horizon: scans that reach right without
+bound stop at the periodicity caps (the comment above _row_cap), values a
+window cannot justify are undetermined, and _stabilized_tables decides when
+the windows agree.
 """
 
 from __future__ import annotations
@@ -459,7 +440,10 @@ def _stabilized_tables(model: IntervalModel, phi: Formula,
                        extra_cells: Tuple[Interval, ...] = ()):
     """Recompute tables at horizons base + k*per until two consecutive
     horizons agree, with determined values, on every watched cell for every
-    subformula. Returns (tables, horizon), the tables flat as the engine's.
+    subformula, else raise NotStabilized naming the first (subformula, cell)
+    that differs. Returns (tables, horizon), the tables flat as the
+    engine's. phi's postorder is listed once and fills each round's fresh
+    engine; a round's watched values are one list, node by node.
 
     The default budget is enough rounds for every capped scan from a
     watched cell to end inside the window: max(depth + 2,
@@ -483,22 +467,20 @@ def _stabilized_tables(model: IntervalModel, phi: Formula,
         rounds = max(depth + 2, -((base - need) // domain.per) + 1)
     nodes = postorder(phi)
     prev = None
-    offender = (phi, watch[0])
     for k in range(2, rounds + 3):
         h = base + k * domain.per
         engine = _model_engine(model, h)
-        engine.table(phi)
+        tables = engine.tables
+        for node in nodes:
+            tables[node] = engine._compute(node)
         keys = [x * engine.w + y for x, y in watch]
-        cur = {node: [engine.tables[node][j] for j in keys]
-               for node in nodes}
+        cur = [tables[node][j] for node in nodes for j in keys]
+        if cur == prev and _U not in cur:
+            return tables, h
         if prev is not None:
-            unstable = next(
-                ((node, c) for node in nodes
-                 for c, vp, vc in zip(watch, prev[node], cur[node])
-                 if vc == _U or vp != vc), None)
-            if unstable is None:
-                return engine.tables, h
-            offender = unstable
+            j = next(j for j, (vp, vc) in enumerate(zip(prev, cur))
+                     if vc == _U or vp != vc)
+            offender = (nodes[j // len(keys)], watch[j % len(keys)])
         prev = cur
     raise NotStabilized(offender[0], offender[1], rounds)
 

@@ -20,15 +20,15 @@ from .atlas import (
     UNDECIDABLE, ORDER_CLASSES,
     classify, enumerate_fragments, hasse_dot,
 )
-from .automata import AutomatonFormatError, load_automaton
+from .automata import load_automaton
 from .bisim import certify_undefinability, largest_f_bisimulation, \
     later_witness, meets_witness
 from .checking import NotStabilized, mc_finite, mc_periodic
-from .encoding import EncodingError, encode_ae_groups, encode_fragment
-from .models import FiniteDomain, ModelFormatError, load_model, save_model
+from .encoding import encode_ae_groups, encode_fragment
+from .models import FiniteDomain, load_model, save_model
 from .parser import ParseError, parse_formula, parse_fragment
 from .sat import (
-    CertificateError, Sat, Unsat, UnsupportedFragmentError,
+    CertificateError, Sat, Unsat,
     check_certificate, sat_bbll, sat_bounded_finite,
 )
 from .syntax import MODALITIES_BY_NAME, mirror_formula, mirror_fragment, render
@@ -273,15 +273,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (ParseError, ModelFormatError, AutomatonFormatError,
-            EncodingError, UnsupportedFragmentError, CertificateError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except NotStabilized as exc:
         print("error: evaluation did not stabilize: %s" % exc,
               file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, CertificateError) as exc:
+        # input errors of every module are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ that prefix as well as the displayed counter letters c1, c2, ...
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .automata import CounterAutomaton, Transition, ifz_automaton, run_exact
 from .models import FiniteDomain, IntervalModel, finite_model

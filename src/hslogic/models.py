@@ -107,8 +107,7 @@ def canonical_cells(domain) -> List[Interval]:
     cut = pre + per
     for x in range(cut):
         for y in range(x + 1, max(cut, x + per + 1)):
-            if y < cut or y <= x + per:
-                out.append((x, y))
+            out.append((x, y))
     return out
 
 

@@ -3,32 +3,13 @@
 Two procedures with different scopes:
 
 * sat_bbll decides formulas built from the begin modalities and the later
-  modalities over unbounded strongly discrete orders. A pre-check
-  (_prop_unsat) first refutes what its K4 tableau steps refute: the
-  boolean skeleton with every box read as its negated twin diamond, then
-  from each <M> a the set of a with every box [M] b beside it and its b.
-  That is sound because every HS modality is normal and B, iB, L and iL
-  are transitive on any linear order; such a refutation builds no
-  candidate. Otherwise it searches ultimately periodic valuations by
-  prefix/period split up to the bound T from the formula's metrics. For
-  each candidate split it encodes truth of the formula somewhere in the
-  order as CNF over atom values on canonical cells, and hands the
-  encoding to the clause-learning solver, unless the folding gates have
-  made the goal false already. Scans for the right-unbounded modalities
-  are cut at the periodicity caps of the model checker (checking._row_cap
-  and checking._later_cap, the one copy of that rule), and the horizon is
-  sized so every cut is conclusive, which makes a per-candidate
-  refutation sound. A split covers every split with
-  a shorter or equal prefix and a period dividing its own, so Unsat needs
-  only the T - 1 maximal splits (T - per, per), not all T(T-1)/2. Sat
-  answers come from the ordered search (by total, then by prefix): first
-  over the totals up to T/4, and past a satisfiable maximal split again
-  from the next total, skipping covered splits, so the certificate is the
-  one the full ordered search gives. The sat_bbll docstring has the
-  schedule.
-
+  modalities over unbounded strongly discrete orders: a pre-check
+  (_prop_unsat), then ultimately periodic candidates by prefix/period
+  split, each encoded by _Encoder and solved. Its docstring has the
+  schedule and why it is complete up to the periodic bound.
 * sat_bounded_finite searches finite orders of growing size for the full
-  modality set. It can only ever answer Sat or Unknown.
+  modality set, each encoded by the model checker's grid engine
+  (_finite_engine). It can only ever answer Sat or Unknown.
 
 Every candidate is a _Candidate: a CNF whose first variables are the atom
 values on canonical cells, ordered by letter then cell, and one certificate
@@ -37,28 +18,6 @@ and the witness is the least cell where the formula holds, so results are
 reproducible down to the returned valuation. The certificate is re-checked
 with the model checker before it is returned, and a failed re-check raises
 CertificateError.
-
-The two procedures encode their candidates differently:
-
-* over a finite order the encoding is the model checker's grid engine
-  (checking._TableEngine) run over _Cnf's folding gates, with atom
-  variables as atom tables: one table of literals per subformula over the
-  whole grid, by the recurrences mc_finite evaluates with. The certificate
-  re-check therefore shares those recurrences with the encoding, as the
-  periodic re-check shares the caps; what differs at run time is the
-  algebra, gates and the solver against the three-valued lattice. The
-  recurrences are held to truth by the naive evaluator of the tests;
-* over a periodic split, _Encoder encodes the begin/later modalities on
-  demand. Each call lists the formula's subformulas once, children first,
-  with every box read as the negation of a diamond (_encoding_order). Each
-  candidate is encoded one subformula at a time in two iterative passes
-  over that list: a demand pass from the root down works out the cells
-  each subformula is needed at, and a build pass from the leaves up makes
-  a table of literals for each subformula over exactly those cells, gates
-  node by node and cell by cell. The <B> and <iL> ladders saturate: a rung
-  takes in only operand literals it does not cover yet, and is the rung
-  before it otherwise, so their gates stop once a periodic row has given
-  every literal it can.
 """
 
 from __future__ import annotations
@@ -399,7 +358,8 @@ class _Candidate:
 def _finite_engine(cand: _Candidate) -> _TableEngine:
     """The model checker's grid engine over a finite candidate, with atom
     variables as atom tables and _Cnf's gates as the algebra: its tables
-    are literals."""
+    are literals. The certificate re-check, mc_finite, runs the same
+    recurrences in the three-valued lattice."""
     cnf, n = cand.cnf, cand.domain.last_point
     w = n + 1
     atoms: Dict[str, List[int]] = {}
@@ -413,11 +373,14 @@ class _Encoder(_Candidate):
     """CNF truth of subformulas at grid cells over one periodic candidate
     domain, for the begin/later modalities B, iB, L and iL.
 
-    tables() encodes a formula one subformula at a time, in two passes over
-    its _encoding_order:
+    An encoder is built from a split, the letters and a goal's
+    _encoding_order. Its window is 0..h, h = _scan_frontier(pre, per, d, 1)
+    for the goal's modal depth d: every capped scan reachable from the
+    goal's cell [0, 1] ends inside it. tables() encodes the goal at [0, 1]
+    one subformula at a time, in two passes over the order:
 
     * the demand pass, from the root down, works out the cells each node is
-      needed at: the root's own cells, and for every other node the union
+      needed at: [0, 1] for the root, and for every other node the union
       of what its parents ask of it. A connective, a negation or a box asks
       for its own cells; a diamond asks for the cells its scan or ladder
       reads;
@@ -452,33 +415,28 @@ class _Encoder(_Candidate):
     are those of the unsaturated ladders.
     """
 
-    def __init__(self, domain: PeriodicDomain, horizon: int,
-                 letters: List[str]):
+    def __init__(self, domain: PeriodicDomain, letters: List[str],
+                 order: List[Tuple[Formula, tuple]]):
         super().__init__(domain, letters)
-        self.h = horizon
-        self.w = horizon + 1
+        self.order = order
         self.pre, self.per = domain.pre, domain.per
+        self.h = _scan_frontier(self.pre, self.per,
+                                modal_depth(order[-1][0]), 1)
+        self.w = self.h + 1
 
-    def tables(self, order: List[Tuple[Formula, tuple]],
-               cells: List[Interval],
-               keep: Sequence[Formula] = ()) -> Dict[Formula, Table]:
-        """The tables of order's root, demanded at cells, and of the nodes
-        in keep; order is the _encoding_order of a formula. Each table
-        lists its cells in ascending order. Every other table is released
-        once the last node reading it is built.
+    def tables(self, keep: Sequence[Formula] = ()) -> Dict[Formula, Table]:
+        """The tables of the root, at [0, 1], and of the nodes in keep.
+        Each table lists its cells in ascending order. Every other table is
+        released once the last node reading it is built.
 
-        Inside, cell (x, y) is the key x * w + y with w = horizon + 1:
-        keys sort as cells do, and a run of cells along a row is a range."""
-        for cell in cells:
-            if cell[1] > self.h:
-                raise RuntimeError(
-                    "cell %r beyond the encoding horizon" % (cell,))
-        # Any other demanded cell lies inside a root cell or below a scan
-        # cap checked against the horizon, so it needs no check of its own.
-        w = self.w
+        Inside, cell (x, y) is the key x * w + y with w = h + 1: keys sort
+        as cells do, and a run of cells along a row is a range."""
+        # Every demanded cell lies inside [0, 1] or below a scan cap
+        # checked against the horizon, so it needs no check of its own.
+        w, order = self.w, self.order
         root = order[-1][0]
         need: Dict[Formula, set] = {f: set() for f, _ in order}
-        need[root].update([x * w + y for x, y in cells])
+        need[root].add(1)       # [0, 1], the key 0 * w + 1
         plan = {}
         for f, kids in reversed(order):
             got = sorted(need.pop(f))
@@ -655,12 +613,9 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
     (bound - per, per) refutes every split up to the bound.
     The search runs in three steps, after a pre-check:
 
-    0. _prop_unsat refutes phi's boolean skeleton, with each box read as
-       its negated twin diamond, or a chain of K steps from phi: from
-       <M> a and the boxes [M] b beside it to a with every b and [M] b,
-       sound since B, iB, L and iL are normal and transitive. A refuted
-       phi builds no candidate; a candidate whose goal literal folds to
-       false in _Cnf's gates is refuted without a solver;
+    0. a phi that _prop_unsat refutes builds no candidate, and a
+       candidate whose goal literal folds to false in _Cnf's gates is
+       refuted without a solver;
     1. the ordered search (by total, then by prefix) over the totals t with
        4*t <= bound, where cheap candidates answer most satisfiable
        formulas;
@@ -690,7 +645,6 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
     bound = own_bound if max_bound is None else max_bound
     goal = later_somewhere(phi)
     order = _encoding_order(goal)
-    goal_depth = modal_depth(goal)
     letters = sorted(letters_of(phi))
     solved: Dict[Tuple[int, int], Tuple[_Encoder, Solver, Table]] = {}
 
@@ -700,9 +654,8 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
         None for a refuted one, whose encoding is then already released."""
         got = solved.get((pre, per))
         if got is None:
-            enc = _Encoder(PeriodicDomain(pre, per),
-                           _scan_frontier(pre, per, goal_depth, 1), letters)
-            tables = enc.tables(order, [(0, 1)], (phi,))
+            enc = _Encoder(PeriodicDomain(pre, per), letters, order)
+            tables = enc.tables((phi,))
             root = tables[goal][(0, 1)]
             if root == _FALSE:
                 # refuted by the folding gates alone: no solver to build

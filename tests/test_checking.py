@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hslogic import checking
 from hslogic.checking import (
     FiniteEvaluator, NotStabilized, mc_finite, mc_periodic,
     periodic_stable_tables, postorder,
@@ -11,6 +12,7 @@ from hslogic.checking import (
 from hslogic.models import (
     canonical_cells, finite_model, periodic_model, reverse_model,
 )
+from hslogic.parser import parse_formula
 from hslogic.syntax import (
     ALL_MODALITIES, A, iA, B, iB, E, iE, L, iL, And, Atom, Box, Diamond,
     Not, box, conj, dia, mirror_formula,
@@ -165,6 +167,50 @@ def test_not_stabilized_raises_with_zero_budget():
     m = periodic_model(1, 1, {"p": [(1, 2)]})
     with pytest.raises(NotStabilized):
         mc_periodic(m, (0, 1), dia(L, p), max_rounds=0)
+
+
+# NotStabilized names the first (subformula, cell), subformulas children
+# first and cells in watch order, where two rounds differ or the later one
+# is undetermined; values pinned from the per-node comparison this replaced
+UNSTABLE = [
+    ((1, 1, {"p": [(1, 2)]}), (0, 1), "<L> p", "<L> p", (1, 2)),
+    ((2, 3, {"p": [(1, 2), (3, 4)], "q": [(0, 2)]}), (0, 1),
+     "q & <L> <iB> p", "<iB> p", (4, 5)),
+    ((2, 3, {"p": [(1, 2), (3, 4)], "q": [(0, 2)]}), (4, 9),
+     "[L] (p | <iB> q)", "[L] (p | <iB> q)", (4, 9)),
+    ((1, 2, {"p": [(1, 2)], "q": [(0, 2)]}), None,
+     "q | <L> <iB> p", "<iB> p", (2, 3)),
+]
+
+
+@pytest.mark.parametrize("spec, i, text, sub, cell", UNSTABLE)
+def test_not_stabilized_names_the_first_unstable_cell(spec, i, text, sub,
+                                                      cell):
+    m = periodic_model(*spec)
+    with pytest.raises(NotStabilized) as info:
+        if i is None:
+            periodic_stable_tables(m, parse_formula(text), max_rounds=0)
+        else:
+            mc_periodic(m, i, parse_formula(text), max_rounds=0)
+    exc = info.value
+    assert (exc.subformula, exc.cell, exc.rounds) == \
+        (parse_formula(sub), cell, 1)
+
+
+def test_each_periodic_query_walks_the_formula_once(monkeypatch):
+    calls = []
+
+    def counting(phi):
+        calls.append(phi)
+        return postorder(phi)
+
+    monkeypatch.setattr(checking, "postorder", counting)
+    m = periodic_model(2, 3, {"p": [(1, 2), (3, 4)], "q": [(0, 2)]})
+    phi = parse_formula("q & <L> <iB> p | [B] <A> q")
+    for i in [(0, 1), (4, 9), (7, 100)]:
+        calls.clear()
+        mc_periodic(m, i, phi)
+        assert calls == [phi]
 
 
 def test_periodic_rejects_finite_and_vice_versa():

@@ -19,7 +19,7 @@ import itertools
 import random
 
 from hslogic import sat
-from hslogic.checking import _scan_frontier, mc_periodic
+from hslogic.checking import mc_periodic
 from hslogic.models import FiniteDomain, PeriodicDomain, canonical_cells
 from hslogic.parser import parse_formula
 from hslogic.syntax import B, iB, L, iL, Diamond, letters_of, modal_depth
@@ -34,10 +34,9 @@ def _goal_tables(domain, phi):
     """sat_bbll's encoding of phi's goal over a periodic domain: the
     encoder, the goal's _encoding_order and the table of every node."""
     goal = sat.later_somewhere(phi)
-    horizon = _scan_frontier(domain.pre, domain.per, modal_depth(goal), 1)
-    enc = sat._Encoder(domain, horizon, sorted(letters_of(phi)))
     order = sat._encoding_order(goal)
-    return enc, order, enc.tables(order, [(0, 1)], [f for f, _ in order])
+    enc = sat._Encoder(domain, sorted(letters_of(phi)), order)
+    return enc, order, enc.tables([f for f, _ in order])
 
 
 def _encoded_values(model, phi):

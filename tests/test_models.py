@@ -27,12 +27,18 @@ def test_canonical_matches_naive_and_idempotent():
     for pre in range(1, 5):
         for per in range(1, 5):
             d = PeriodicDomain(pre, per)
+            cells = canonical_cells(d)
+            images = set()
             for x in range(0, 14):
                 for y in range(x + 1, 15):
                     c = canonical_interval(d, (x, y))
                     assert c == oracle.canon_naive(pre, per, x, y)
                     assert canonical_interval(d, c) == c
-                    assert c in canonical_cells(d)
+                    images.add(c)
+            # the cells are exactly the images, in (x, y) order, and each
+            # is its own image
+            assert cells == sorted(images)
+            assert all(canonical_interval(d, c) == c for c in cells)
 
 
 def test_canonical_preserves_atom_truth():

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hslogic import sat
-from hslogic.checking import _scan_frontier
 from hslogic.models import PeriodicDomain, save_model
 from hslogic.parser import parse_formula
 from hslogic.sat import Sat, Unknown, Unsat, sat_bbll
 from hslogic.syntax import (
-    And, B, Box, Diamond, iB, L, iL, letters_of, metrics, modal_depth,
+    And, B, Box, Diamond, iB, L, iL, letters_of, metrics,
 )
 
 from .test_interning import build
@@ -29,15 +28,13 @@ def ordered_sat_bbll(phi, max_bound, precheck=True):
     own_bound = metrics(phi).periodic_bound
     bound = own_bound if max_bound is None else max_bound
     goal = sat.later_somewhere(phi)
-    goal_depth = modal_depth(goal)
     letters = sorted(letters_of(phi))
     for total in range(2, bound + 1):
         for pre in range(1, total):
             per = total - pre
-            enc = sat._Encoder(PeriodicDomain(pre, per),
-                               _scan_frontier(pre, per, goal_depth, 1),
-                               letters)
-            tables = enc.tables(sat._encoding_order(goal), [(0, 1)], [phi])
+            enc = sat._Encoder(PeriodicDomain(pre, per), letters,
+                               sat._encoding_order(goal))
+            tables = enc.tables([phi])
             enc.cnf.clauses.append([tables[goal][(0, 1)]])
             solver = enc.cnf.solve()
             if solver is not None:
