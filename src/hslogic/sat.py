@@ -40,7 +40,7 @@ from .solver import Solver
 from .syntax import (
     And, Atom, Box, Diamond, FalseConst, Formula, Fragment, Implies, Not,
     Or, TrueConst, B, iB, L, iL, dia, fragment_of, letters_of, metrics,
-    modal_depth, neg, nesting_depth,
+    modal_depth, neg, nesting_depth, postorder,
 )
 
 
@@ -97,10 +97,10 @@ def _prop_unsat(phi: Formula) -> Optional[Unsat]:
     members at one interval, starting from {phi}. A set is refuted
 
     * by its skeleton: every atom and diamond is an opaque letter and a box
-      [M] s reads as ~<M> neg(s), its twin, as in _encoding_order. The
-      conjunction is evaluated under all assignments at once, as bit masks
-      with bit j the value under assignment j, and a set false under every
-      one is refuted. The check is skipped above 12 letters;
+      [M] s reads as ~<M> neg(s), its twin. The conjunction is evaluated
+      under all assignments at once, as bit masks with bit j the value
+      under assignment j, and a set false under every one is refuted. The
+      check is skipped above 12 letters;
     * or by a refuted successor. For each top-level conjunct <M> a of the
       set (or ~[M] s, with a = neg(s)), where M is B, iB, L or iL, the
       successor is {a} with b and [M] b for every conjunct [M] b (or
@@ -292,31 +292,6 @@ class _Cnf:
         return s if s.solve() else None
 
 
-def _encoding_order(phi: Formula) -> List[Tuple[Formula, tuple]]:
-    """The unique subformulas of phi with their operands, children left to
-    right before parents, as in postorder, except that a box [M] s has the
-    one operand <M> neg(s): the encoder gives a box the negated literal of
-    that diamond, so the box's twin is made once here, not once per cell.
-    Iterative, so nesting depth is no limit."""
-    out = []
-    seen = set()
-    # an entry with operands is a node whose operands are all listed
-    stack: List[Tuple[Formula, Optional[tuple]]] = [(phi, None)]
-    while stack:
-        f, kids = stack.pop()
-        if kids is not None:
-            out.append((f, kids))
-        elif f not in seen:
-            seen.add(f)
-            if type(f) is Box:
-                kids = (Diamond(f.mod, neg(f.sub)),)
-            else:
-                kids = tuple([getattr(f, n) for n in f._operands])
-            stack.append((f, kids))
-            stack += [(g, None) for g in reversed(kids)]
-    return out
-
-
 Table = Dict[Interval, int]
 
 
@@ -373,23 +348,25 @@ class _Encoder(_Candidate):
     """CNF truth of subformulas at grid cells over one periodic candidate
     domain, for the begin/later modalities B, iB, L and iL.
 
-    An encoder is built from a split, the letters and a goal's
-    _encoding_order. Its window is 0..h, h = _scan_frontier(pre, per, d, 1)
-    for the goal's modal depth d: every capped scan reachable from the
-    goal's cell [0, 1] ends inside it. tables() encodes the goal at [0, 1]
-    one subformula at a time, in two passes over the order:
+    An encoder is built from a split, the letters and a goal's postorder.
+    Its window is 0..h, h = _scan_frontier(pre, per, d, 1) for the goal's
+    modal depth d: every capped scan reachable from the goal's cell [0, 1]
+    ends inside it. tables() encodes the goal at [0, 1] one subformula at a
+    time, in two passes over the order:
 
     * the demand pass, from the root down, works out the cells each node is
       needed at: [0, 1] for the root, and for every other node the union
-      of what its parents ask of it. A connective, a negation or a box asks
-      for its own cells; a diamond asks for the cells its scan or ladder
-      reads;
+      of what its parents ask of it. A connective or a negation asks for
+      its own cells; a diamond or a box asks for the cells its scan or
+      ladder reads;
     * the build pass, from the leaves up, fills each node's table (cell to
       literal) through the folding gates of _Cnf, node by node and cell by
       cell in ascending (x, y) order, so the variable numbering is fixed.
+      A box is [M] s = ~<M> ~s, as _TableEngine._compute writes it: the
+      diamond's build over the operand's negated literals, negated.
 
-    A table covers exactly the node's demanded cells, and for <B> also
-    every rung of its ladders. Scans are cut at the model checker's
+    A table covers exactly the node's demanded cells, and for <B> and [B]
+    also every rung of their ladders. Scans are cut at the model checker's
     periodicity caps:
 
     * <B> at (x, y) is rung y of row x's ladder, which extends rung y-1 by
@@ -416,12 +393,11 @@ class _Encoder(_Candidate):
     """
 
     def __init__(self, domain: PeriodicDomain, letters: List[str],
-                 order: List[Tuple[Formula, tuple]]):
+                 order: List[Formula]):
         super().__init__(domain, letters)
         self.order = order
         self.pre, self.per = domain.pre, domain.per
-        self.h = _scan_frontier(self.pre, self.per,
-                                modal_depth(order[-1][0]), 1)
+        self.h = _scan_frontier(self.pre, self.per, modal_depth(order[-1]), 1)
         self.w = self.h + 1
 
     def tables(self, keep: Sequence[Formula] = ()) -> Dict[Formula, Table]:
@@ -434,25 +410,26 @@ class _Encoder(_Candidate):
         # Every demanded cell lies inside [0, 1] or below a scan cap
         # checked against the horizon, so it needs no check of its own.
         w, order = self.w, self.order
-        root = order[-1][0]
-        need: Dict[Formula, set] = {f: set() for f, _ in order}
+        root = order[-1]
+        need: Dict[Formula, set] = {f: set() for f in order}
         need[root].add(1)       # [0, 1], the key 0 * w + 1
         plan = {}
-        for f, kids in reversed(order):
+        for f in reversed(order):
             got = sorted(need.pop(f))
-            if type(f) is Diamond:
-                plan[f] = self._demand(f, got, need[kids[0]])
+            t = type(f)
+            if t is Diamond or t is Box:
+                plan[f] = self._demand(f, got, need[f.sub])
                 continue
             plan[f] = got
-            for g in kids:
-                need[g].update(got)
-        last = {g: f for f, kids in order for g in kids}
+            for n in f._operands:
+                need[getattr(f, n)].update(got)
+        last = {getattr(f, n): f for f in order for n in f._operands}
         kept = set(keep)
         kept.add(root)
         cnf = self.cnf
         canon: Dict[int, Interval] = {}
         table: Dict[Formula, Dict[int, int]] = {}
-        for f, kids in order:
+        for f in order:
             got = plan.pop(f)
             t = type(f)
             if t is Atom:
@@ -462,11 +439,14 @@ class _Encoder(_Candidate):
                                                       divmod(k, w))
                 var, name = self.atom_var, f.name
                 tab = {k: var[(name, canon[k])] for k in got}
-            elif t is Not or t is Box:
-                sub = table[kids[0]]
+            elif t is Not:
+                sub = table[f.sub]
                 tab = {k: -sub[k] for k in got}
             elif t is Diamond:
-                tab = self._build(f, got, table[kids[0]])
+                tab = self._build(f, got, table[f.sub])
+            elif t is Box:
+                sub = {k: -lit for k, lit in table[f.sub].items()}
+                tab = {k: -lit for k, lit in self._build(f, got, sub).items()}
             elif t is And:
                 lhs, rhs, and2 = table[f.lhs], table[f.rhs], cnf.define_and2
                 tab = {k: and2(lhs[k], rhs[k]) for k in got}
@@ -483,13 +463,14 @@ class _Encoder(_Candidate):
             else:
                 raise TypeError("not a formula: %r" % (f,))
             table[f] = tab
-            for g in kids:
+            for n in f._operands:
+                g = getattr(f, n)
                 if last[g] is f and g not in kept:
                     table.pop(g, None)
         return {f: {divmod(k, w): lit for k, lit in table[f].items()}
                 for f in kept}
 
-    def _demand(self, f: Diamond, cells: List[int], sub_need: set):
+    def _demand(self, f: Union[Diamond, Box], cells: List[int], sub_need: set):
         name = f.mod.name
         pre, per, h, w = self.pre, self.per, self.h, self.w
         if name == "B":
@@ -538,7 +519,7 @@ class _Encoder(_Candidate):
         raise UnsupportedFragmentError(
             "modality %s outside the begin/later fragment" % name)
 
-    def _build(self, f: Diamond, plan, sub: Dict[int, int]):
+    def _build(self, f: Union[Diamond, Box], plan, sub: Dict[int, int]):
         name = f.mod.name
         cnf, w = self.cnf, self.w
         if name == "B":
@@ -644,7 +625,7 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
     own_bound = metrics(phi).periodic_bound
     bound = own_bound if max_bound is None else max_bound
     goal = later_somewhere(phi)
-    order = _encoding_order(goal)
+    order = postorder(goal)
     letters = sorted(letters_of(phi))
     solved: Dict[Tuple[int, int], Tuple[_Encoder, Solver, Table]] = {}
 

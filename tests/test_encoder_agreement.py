@@ -22,7 +22,9 @@ from hslogic import sat
 from hslogic.checking import mc_periodic
 from hslogic.models import FiniteDomain, PeriodicDomain, canonical_cells
 from hslogic.parser import parse_formula
-from hslogic.syntax import B, iB, L, iL, Diamond, letters_of, modal_depth
+from hslogic.syntax import (
+    B, iB, L, iL, Box, Diamond, letters_of, modal_depth,
+)
 
 from . import oracle
 from .gen import all_mods, rand_finite_model, rand_formula, rand_periodic_model
@@ -32,11 +34,11 @@ LETTERS = ("p", "q")
 
 def _goal_tables(domain, phi):
     """sat_bbll's encoding of phi's goal over a periodic domain: the
-    encoder, the goal's _encoding_order and the table of every node."""
+    encoder, the goal's postorder and the table of every node."""
     goal = sat.later_somewhere(phi)
-    order = sat._encoding_order(goal)
+    order = sat.postorder(goal)
     enc = sat._Encoder(domain, sorted(letters_of(phi)), order)
-    return enc, order, enc.tables([f for f, _ in order])
+    return enc, order, enc.tables(order)
 
 
 def _encoded_values(model, phi):
@@ -122,10 +124,10 @@ def test_ladders_grow_only_by_new_operand_literals():
         for pre, per in itertools.product(range(1, 4), repeat=2):
             _, order, tables = _goal_tables(PeriodicDomain(pre, per),
                                             parse_formula(text))
-            for f, kids in order:
+            for f in order:
                 if type(f) is not Diamond or f.mod not in (B, iL):
                     continue
-                for rungs, reads in _ladders(f, tables[f], tables[kids[0]]):
+                for rungs, reads in _ladders(f, tables[f], tables[f.sub]):
                     assert len(rungs) <= len(reads) + 1, (text, pre, per, f)
                     checked += 1
     assert checked > 400
@@ -134,7 +136,8 @@ def test_ladders_grow_only_by_new_operand_literals():
 # Long ladders: B over B, iL over B, and the four well-foundedness shapes of
 # the benchmark's sat_unsat queries, at periods up to 3, where a row's ladder
 # comes to cover every literal it can read only after many rungs. Only the
-# <B> and <iL> entries are checked: they are the ladders, and every other
+# <B>, <iL>, [B] and [iL] entries are checked: they are the ladders (a box
+# negates its diamond's ladder over the negated operand), and every other
 # node is gated alike on both sides of a saturated rung.
 LONG_LADDERS = [
     ("<B> <B> p", 1, 3),
@@ -155,7 +158,7 @@ def test_long_ladders_agree_with_mc_periodic():
         phi = parse_formula(text)
         model = rand_periodic_model(rng, pre, per, LETTERS)
         for f, cell, value in _encoded_values(model, phi):
-            if type(f) is Diamond and f.mod in (B, iL):
+            if type(f) in (Diamond, Box) and f.mod in (B, iL):
                 assert value == mc_periodic(model, cell, f), (text, f, cell)
                 checked += 1
     assert checked > 3000
@@ -197,3 +200,22 @@ def test_boxes_agree_on_both_domains():
                 assert value == mc_periodic(model, cell, f), (f, cell)
                 checked += 1
     assert checked > 4000
+
+
+def test_a_box_and_its_diamond_meet_in_one_variable():
+    # [M] s is encoded as the negated build of <M> ~s, and _Cnf keys its
+    # gates by literal set, so the two tables hold complementary literals
+    # wherever both are encoded
+    checked = 0
+    for name in ("B", "iB", "L", "iL"):
+        phi = parse_formula("[%s] (p | <B> q) & <%s> ~(p | <B> q)"
+                            % (name, name))
+        for pre, per in ((1, 1), (2, 1), (1, 2)):
+            _, _, tables = _goal_tables(PeriodicDomain(pre, per), phi)
+            box, dia = tables[phi.lhs], tables[phi.rhs]
+            shared = box.keys() & dia.keys()
+            assert shared, (name, pre, per)
+            for cell in shared:
+                assert box[cell] == -dia[cell], (name, pre, per, cell)
+                checked += 1
+    assert checked > 100

@@ -33,7 +33,7 @@ def ordered_sat_bbll(phi, max_bound, precheck=True):
         for pre in range(1, total):
             per = total - pre
             enc = sat._Encoder(PeriodicDomain(pre, per), letters,
-                               sat._encoding_order(goal))
+                               sat.postorder(goal))
             tables = enc.tables([phi])
             enc.cnf.clauses.append([tables[goal][(0, 1)]])
             solver = enc.cnf.solve()
