@@ -1,10 +1,10 @@
 """An atlas of the modal fragments around the meets/begins family.
 
 The enumeration covers every fragment over the two six-modality universes
-{A, iA, B, iB, L, iL} and {A, iA, E, iE, L, iL}, with later dropped
-whenever meets is present (and dually on the past side) since it is then
-definable, and the purely horizontal overlap counted once. That yields 62
-fragments with pairwise distinct definable closures.
+{A, iA, B, iB, L, iL} and {A, iA, E, iE, L, iL}, keeping the first of
+each definable closure: later is dropped whenever meets is present (and
+dually on the past side), and the purely horizontal overlap is counted
+once. That yields 62 fragments with pairwise distinct definable closures.
 
 classify places any fragment, including ones using the strictly-inside and
 overlap modalities, into a decidability class over two families of orders:
@@ -37,14 +37,23 @@ NPC = "NPComplete"
 
 ORDER_CLASSES = ("sd", "nat")
 
-_CLOSURE_RULES = (
-    (frozenset({A}), L),
-    (frozenset({iA}), iL),
-    (frozenset({B, E}), D),
-    (frozenset({B, iE}), iO),
-    (frozenset({E, iB}), O),
-    (frozenset({iB, iE}), iD),
-)
+
+def cited_equations() -> List[Tuple[str, Formula, Formula]]:
+    """The six definability equations behind the closure rules."""
+    p = Atom("p")
+    return [
+        ("later-from-meets", dia(L, p), dia(A, dia(A, p))),
+        ("before-from-met-by", dia(iL, p), dia(iA, dia(iA, p))),
+        ("inside-from-begin-end", dia(D, p), dia(B, dia(E, p))),
+        ("overlapped-from-begin-ended", dia(iO, p), dia(B, dia(iE, p))),
+        ("overlaps-from-end-begun", dia(O, p), dia(E, dia(iB, p))),
+        ("contains-from-begun-ended", dia(iD, p), dia(iB, dia(iE, p))),
+    ]
+
+
+# each cited equation <M> p = <M1> <M2> p gives the rule {M1, M2} -> M
+_CLOSURE_RULES = tuple((frozenset({rhs.mod, rhs.sub.mod}), lhs.mod)
+                       for _, lhs, rhs in cited_equations())
 
 
 def definable_closure(fragment: Fragment) -> Fragment:
@@ -68,17 +77,12 @@ def enumerate_fragments() -> List[Fragment]:
     for universe in universes:
         n = len(universe)
         for mask in range(1, 1 << n):
-            mods = [universe[k] for k in range(n) if mask & (1 << k)]
-            ms = set(mods)
-            if A in ms and L in ms:
-                continue  # later definable from meets
-            if iA in ms and iL in ms:
-                continue
-            frag = Fragment.of(*mods)
-            if frag.modalities in seen:
-                continue
-            seen.add(frag.modalities)
-            out.append(frag)
+            frag = Fragment.of(*[universe[k] for k in range(n)
+                                 if mask & (1 << k)])
+            closure = definable_closure(frag)
+            if closure not in seen:
+                seen.add(closure)
+                out.append(frag)
     out.sort(key=lambda f: (len(f), f.name))
     return out
 
@@ -166,16 +170,3 @@ def check_equation(lhs: Formula, rhs: Formula,
     if isinstance(res, Sat):
         return Countermodel(res.model, res.witness)
     return NoCountermodel(max_points)
-
-
-def cited_equations() -> List[Tuple[str, Formula, Formula]]:
-    """The six definability equations behind the closure rules."""
-    p = Atom("p")
-    return [
-        ("later-from-meets", dia(L, p), dia(A, dia(A, p))),
-        ("before-from-met-by", dia(iL, p), dia(iA, dia(iA, p))),
-        ("inside-from-begin-end", dia(D, p), dia(B, dia(E, p))),
-        ("overlapped-from-begin-ended", dia(iO, p), dia(B, dia(iE, p))),
-        ("overlaps-from-end-begun", dia(O, p), dia(E, dia(iB, p))),
-        ("contains-from-begun-ended", dia(iD, p), dia(iB, dia(iE, p))),
-    ]

@@ -3,10 +3,10 @@
 One subcommand per invocation. Exit codes follow a single discipline:
 0 for an affirmative outcome (parsed, true, SAT, certified, decidable),
 1 for a negative one (false, UNSAT, UNKNOWN, not certified, Undecidable),
-2 for usage or input errors and for a SAT certificate that fails its
-independent re-check. The primary result goes to standard output,
-diagnostics to standard error, and identical invocations produce
-byte-identical standard output.
+2 for usage or input errors, for running out of memory, and for a SAT
+certificate that fails its independent re-check. The primary result goes
+to standard output, diagnostics to standard error, and identical
+invocations produce byte-identical standard output.
 """
 
 from __future__ import annotations
@@ -280,6 +280,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, CertificateError) as exc:
         # input errors of every module are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError:
+        # exit 1 would read as an answer: false, UNSAT or UNKNOWN
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -41,14 +41,6 @@ class EncodingError(ValueError):
 
 EPS_LETTER = "__eps"
 
-_FIXED_AUX = (
-    "__sq", "__sa", "__sc", "__sb",
-    "__conf", "__confs", "__conf_q", "__conf_a",
-    "__c_dec", "__c_new", "__conf_dec", "__conf_new",
-    "__corr", "__corrs", "__corr_conf",
-)
-
-
 def counter_letter(i: int) -> str:
     return "c%d" % i
 
@@ -397,32 +389,31 @@ def ifz_block_model(blocks: int) -> IntervalModel:
 
 def verify_encoding(model: IntervalModel,
                     pieces,
-                    eval_interval: Tuple[int, int] = (0, 1),
                     margin: int = 0) -> List[Tuple[str, bool]]:
-    """Evaluate each piece on its window family over a finite unrolling.
+    """Evaluate each piece on its window family over a finite unrolling,
+    with [0, 1] as the evaluation interval: an "eval" piece at [0, 1], a
+    "meets" piece at every [1, z], a "universal" one at [0, 1] and at every
+    interval from point 1 on.
 
     Windows whose right endpoint falls within margin of the model's end are
     skipped, hiding the truncated tail of what stands in for an unbounded
     run. Returns (name, holds) pairs."""
     if not isinstance(model.domain, FiniteDomain):
         raise TypeError("verify_encoding needs a finite model")
-    n = model.domain.last_point
-    w = (int(eval_interval[0]), int(eval_interval[1]))
-    hi = n - margin
-    if hi <= w[1]:
+    hi = model.domain.last_point - margin
+    if hi <= 1:
         raise ValueError("margin %d leaves no windows" % margin)
     ev = FiniteEvaluator(model)
     out = []
     for name, scope, body in pieces:
         if scope == "eval":
-            ok = ev.value(body, w)
+            ok = ev.value(body, (0, 1))
         elif scope == "meets":
-            ok = all(ev.value(body, (w[1], z))
-                     for z in range(w[1] + 1, hi + 1))
+            ok = all(ev.value(body, (1, z)) for z in range(2, hi + 1))
         elif scope == "universal":
-            ok = ev.value(body, w) and all(
+            ok = ev.value(body, (0, 1)) and all(
                 ev.value(body, (u, v))
-                for u in range(w[1], hi)
+                for u in range(1, hi)
                 for v in range(u + 1, hi + 1))
         else:
             raise ValueError("unknown scope %r" % (scope,))

@@ -59,9 +59,6 @@ class PeriodicDomain:
             raise ValueError("prefix and period must be at least 1")
 
 
-Domain = object  # FiniteDomain | PeriodicDomain
-
-
 def valid_interval(domain, i: Interval) -> bool:
     x, y = i
     if not (0 <= x < y):

@@ -3,6 +3,7 @@
 import json
 import time
 
+import hslogic.cli
 import hslogic.sat
 from hslogic.automata import ifz_automaton, save_automaton
 from hslogic.cli import main
@@ -248,6 +249,22 @@ def test_sat_failed_recheck_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "sat", "<B> p")
     assert (code, out) == (2, "")
     assert err == "error: witness failed independent re-checking\n"
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch, tmp_path):
+    # exit 1 would read as false for mc and as UNSAT or UNKNOWN for sat;
+    # the callees raise at once, so nothing large is allocated
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(hslogic.cli, "mc_finite", exhausted)
+    monkeypatch.setattr(hslogic.cli, "sat_bbll", exhausted)
+    model = write_example_model(tmp_path)
+    for argv in (("mc", "--model", model, "--interval", "0", "1",
+                  "--formula", "p"),
+                 ("sat", "<B> p")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: out of memory\n"), argv
 
 
 def test_encode_rejects_names_that_are_not_letters(capsys, tmp_path):
