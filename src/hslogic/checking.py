@@ -94,10 +94,10 @@ class NotStabilized(Exception):
 # oracle on every definite verdict of an all-modality fuzz
 # (tests/test_known_faults.py), where a length term of per + 1 at every
 # depth gives wrong answers. A scan that runs one period past the
-# thresholds has then seen every value there is to see. These two
-# functions hold the only copy of the rule: the table checker's A and L
-# scans and its iB row joins, the horizon and query reductions below, and
-# the SAT encoder's iB and L scans (sat._Encoder) all cut where they say.
+# thresholds has then seen every value there is to see. The checker's A
+# and L scans, iB row joins and horizon and query reductions cut where
+# these two functions say. sat._Encoder derives its own thresholds per
+# subformula instead, so these caps re-check its certificates independently.
 # The iB rows read their one threshold off _row_cap: past
 # t = _row_cap(pre, per, depth, x, x) - per + 1 the cap is y + per, and
 # before it the same for every cell of row x.

@@ -5,8 +5,9 @@ Two procedures with different scopes:
 * sat_bbll decides formulas built from the begin modalities and the later
   modalities over unbounded strongly discrete orders: a pre-check
   (_prop_unsat), then ultimately periodic candidates by prefix/period
-  split, each encoded by _Encoder and solved. Its docstring has the
-  schedule and why it is complete up to the periodic bound.
+  split, each encoded by _Encoder with one literal per periodicity class
+  of each subformula, and solved. Its docstring has the schedule and why
+  it is complete up to the periodic bound.
 * sat_bounded_finite searches finite orders of growing size for the full
   modality set, each encoded by the model checker's grid engine
   (_finite_engine). It can only ever answer Sat or Unknown.
@@ -25,22 +26,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .checking import (
-    _later_cap, _row_cap, _scan_frontier, _TableEngine, NotStabilized,
-    mc_finite, mc_periodic,
-)
+from .checking import _TableEngine, NotStabilized, mc_finite, mc_periodic
 from .models import (
     FiniteDomain, Interval, IntervalModel, PeriodicDomain, canonical_cells,
-    canonical_interval,
 )
-# Not called here. bench/tracing.py times allen_related by patching this
-# name, so a traced benchmark run needs it importable.
+# Not called here. bench/tracing.py patches these names to time or count
+# them, so a traced benchmark run needs them importable from this module.
 from .checking import allen_related  # noqa: F401
+from .models import canonical_interval  # noqa: F401
+from .syntax import modal_depth  # noqa: F401
 from .solver import Solver
 from .syntax import (
     And, Atom, Box, Diamond, FalseConst, Formula, Fragment, Implies, Not,
     Or, TrueConst, B, iB, L, iL, dia, fragment_of, letters_of, metrics,
-    modal_depth, neg, nesting_depth, postorder,
+    neg, nesting_depth, postorder,
 )
 
 
@@ -168,10 +167,9 @@ def _prop_unsat(phi: Formula) -> Optional[Unsat]:
 def _skeleton_unsat(members: Sequence[Formula]) -> bool:
     """The skeleton check of _prop_unsat: is the conjunction of members
     false under every assignment to its letters?"""
-    # the boolean skeleton; the walk stops at the letters, and a box walks
-    # on to its twin
+    # the boolean skeleton; the walk stops at the letters
     mask: Dict[Formula, int] = {}
-    twin: Dict[Formula, Formula] = {}
+    letters: Dict[object, int] = {}
     stack = list(members)
     while stack:
         f = stack.pop()
@@ -182,10 +180,8 @@ def _skeleton_unsat(members: Sequence[Formula]) -> bool:
                 stack.append(f.sub)
             elif t is And or t is Or or t is Implies:
                 stack += (f.rhs, f.lhs)
-            elif t is Box:
-                twin[f] = g = Diamond(f.mod, neg(f.sub))
-                stack.append(g)
-    letters = [f for f in mask if type(f) in (Atom, Diamond)]
+            elif t is Atom or t is Diamond or t is Box:
+                letters[_letter(f)] = 0
     if len(letters) > 12:
         return False
     size = 1 << len(letters)
@@ -196,15 +192,17 @@ def _skeleton_unsat(members: Sequence[Formula]) -> bool:
         m, width = ((1 << (1 << k)) - 1) << (1 << k), 2 << k
         while width < size:
             m, width = m | m << width, width << 1
-        mask[f] = m
-    # operands nest less deeply than the nodes over them; false and the
-    # letters keep the masks they have, and a box reads its twin's
+        letters[f] = m
+    # operands nest less deeply than the nodes over them; false keeps its
+    # mask, and a box reads the complement of its twin's letter
     for f in sorted(mask, key=nesting_depth):
         t = type(f)
         if t is Not:
             mask[f] = full ^ mask[f.sub]
+        elif t is Atom or t is Diamond:
+            mask[f] = letters[_letter(f)]
         elif t is Box:
-            mask[f] = full ^ mask[twin[f]]
+            mask[f] = full ^ letters[_letter(f)]
         elif t is And:
             mask[f] = mask[f.lhs] & mask[f.rhs]
         elif t is Or:
@@ -217,6 +215,20 @@ def _skeleton_unsat(members: Sequence[Formula]) -> bool:
     for f in members:
         both &= mask[f]
     return both == 0
+
+
+def _letter(f: Formula):
+    """The skeleton letter of an atom, itself, or of a diamond <M> a or a
+    box [M] s, read as ~<M> neg(s): (M, b, negated) for a = b or a = ~b, so
+    that the twin <M> neg(s) is never built."""
+    if type(f) is Atom:
+        return f
+    a, negated = f.sub, type(f) is Box
+    if negated and type(a) is Not:      # neg(~b) is b
+        a, negated = a.sub, False
+    if not negated and type(a) is Not:
+        a, negated = a.sub, True
+    return (f.mod.base, f.mod.inverted, a, negated)
 
 
 class _Cnf:
@@ -292,9 +304,6 @@ class _Cnf:
         return s if s.solve() else None
 
 
-Table = Dict[Interval, int]
-
-
 class _Candidate:
     """One candidate domain's CNF. Its first variables are the atoms, one per
     letter and canonical cell, by letter then cell; an atom at any cell
@@ -344,227 +353,215 @@ def _finite_engine(cand: _Candidate) -> _TableEngine:
                         cnf.define_and2)
 
 
+# a node's table: row x lists its literals at (x, x + 1), ... (_Encoder)
+Rows = List[List[int]]
+Bounds = Tuple[int, int, int]
+Cells = List[Tuple[Interval, int]]
+
+
+def _thresholds(order: List[Formula], pre: int,
+                per: int) -> Dict[Formula, Bounds]:
+    """The thresholds (A, L, D) of every node of order, a postorder, over
+    the split (pre, per), folded by the lift rules of _Encoder."""
+    out: Dict[Formula, Bounds] = {}
+    for f in order:
+        t = type(f)
+        if t is Atom:
+            b = (pre, 1, pre)
+        elif t is Not:
+            b = out[f.sub]
+        elif t is And or t is Or or t is Implies:
+            b = tuple(map(max, out[f.lhs], out[f.rhs]))
+        elif t is Diamond or t is Box:
+            a, l, d = out[f.sub]
+            b = {"B": (a + per, l + per, d), "iB": (a, l, d), "L": (d, 1, d),
+                 "iL": (0, 1, max(a + per, d + 2 * per + l - 1))
+                 }.get(f.mod.name)
+            if b is None:
+                raise UnsupportedFragmentError(
+                    "modality %s outside the begin/later fragment"
+                    % f.mod.name)
+        elif t is TrueConst or t is FalseConst:
+            b = (0, 1, 0)
+        else:
+            raise TypeError("not a formula: %r" % (f,))
+        out[f] = b
+    return out
+
+
+def _reduce(bounds: Bounds, per: int, x: int, y: int) -> Interval:
+    """The fixed point cell (x, y) lowers to under thresholds (A, L, D):
+    diagonal shifts while x - per >= D, then right shifts while
+    y - per >= A and y - per - x >= L."""
+    a, l, d = bounds
+    if x - per >= d:
+        k = (x - d) // per * per
+        x, y = x - k, y - k
+    m = max(a, x + l)
+    if y - per >= m:
+        y -= (y - m) // per * per
+    return x, y
+
+
+def _cells(tab: Rows) -> Cells:
+    """A table's (fixed point, literal) pairs in ascending cell order."""
+    return [((x, y), lit) for x, row in enumerate(tab)
+            for y, lit in enumerate(row, x + 1)]
+
+
 class _Encoder(_Candidate):
-    """CNF truth of subformulas at grid cells over one periodic candidate
-    domain, for the begin/later modalities B, iB, L and iL.
+    """CNF truth of every subformula of a formula over one periodic
+    candidate domain, for the begin/later modalities B, iB, L and iL, with
+    one literal per periodicity class.
 
-    An encoder is built from a split, the letters and a goal's postorder.
-    Its window is 0..h, h = _scan_frontier(pre, per, d, 1) for the goal's
-    modal depth d: every capped scan reachable from the goal's cell [0, 1]
-    ends inside it. tables() encodes the goal at [0, 1] one subformula at a
-    time, in two passes over the order:
+    Each node has thresholds A (absolute right), L (length) and D
+    (diagonal), folded over the postorder by _thresholds, and its truth
+    repeats under two shifts that lower a cell: (x, y) has the value of
+    (x - per, y - per) when x - per >= D, and of (x, y - per) when
+    y - per >= A and y - per - x >= L. A cell neither shift lowers is a
+    fixed point: x < D + per and x < y < max(A, x + L) + per. A node's
+    table (self.tables) holds one literal per fixed point: row x, for
+    x < D + per, lists the literals at (x, x + 1) .. (x, max(A, x + L) +
+    per - 1). Every read of an operand goes through the operand's reduction
+    (_reduce for a cell, _row for a run along a row). Tables are filled in
+    postorder, row by row and cell by cell, through the folding gates of
+    _Cnf, so the variable numbering is fixed.
 
-    * the demand pass, from the root down, works out the cells each node is
-      needed at: [0, 1] for the root, and for every other node the union
-      of what its parents ask of it. A connective or a negation asks for
-      its own cells; a diamond or a box asks for the cells its scan or
-      ladder reads;
-    * the build pass, from the leaves up, fills each node's table (cell to
-      literal) through the folding gates of _Cnf, node by node and cell by
-      cell in ascending (x, y) order, so the variable numbering is fixed.
-      A box is [M] s = ~<M> ~s, as _TableEngine._compute writes it: the
-      diamond's build over the operand's negated literals, negated.
+    The lift rules, for an operand s with thresholds (A, L, D):
 
-    A table covers exactly the node's demanded cells, and for <B> and [B]
-    also every rung of their ladders. Scans are cut at the model checker's
-    periodicity caps:
+    * an atom: (pre, 1, pre), the shifts of models.canonical_interval, so
+      its fixed points are the canonical cells; a constant: (0, 1, 0);
+    * a negation or a connective holds with its operands at the same cell,
+      so it repeats where all of them do: the componentwise max;
+    * <B> s joins s over (x, y'), x < y' < y: (A + per, L + per, D). A
+      diagonal shift moves every successor along, each still past D. A
+      right shift drops y - per <= y' < y, each past A + per and x + L +
+      per, so the value of (x, y' - per), a successor still. A row is a
+      ladder: rung y is rung y - 1 or, when s at (x, y - 1) is new to the
+      ladder, rung y - 1 joined with it;
+    * <iB> s joins s over (x, y'), y' > y: unchanged. A diagonal shift
+      moves the successors along; a right shift adds y - per < y' <= y,
+      each past A and x + L, so the value of (x, y' + per), a successor
+      already. Past max(y + 1, A, x + L) + per - 1 each value along the row
+      repeats one before it, so the scan stops there;
+    * <L> s joins s over the rows x' > y, so it depends on y alone:
+      (D, 1, D). Lowering y by per adds the rows y - per < x' <= y, each
+      past D and so a diagonal shift of a row after y. The scan joins the
+      rows up to max(y + 1, D) + per - 1, each as its whole row of classes;
+    * <iL> s joins s over the cells (x', y'), y' < x, so it depends on x
+      alone: (0, 1, max(A + per, D + 2 per + L - 1)). A diagonal shift
+      drops the cells with x - per <= y' < x. One with x' >= D + per has
+      the value of its diagonal shift, one with x' < D + per that of
+      (x', y' - per), as y' - per >= x - 2 per >= A and y' - per - x' >=
+      x - 3 per - D + 1 >= L; both keep y' < x - per. The rungs of one
+      ladder over x take in the values at column x - 1 new to it.
 
-    * <B> at (x, y) is rung y of row x's ladder, which extends rung y-1 by
-      the operand at (x, y-1) when that literal is new to the ladder, and
-      is rung y-1 otherwise; a row's ladder runs up to its highest
-      demanded y;
-    * <iB> at (x, y) is the operand's disjunction over (x, y+1) .. (x, cap);
-    * <L> at (x, y) depends on y alone: the disjunction, over the rows x'
-      from y+1 up to the later cap, of the operand's disjunction along row
-      x' up to that row's cap;
-    * <iL> at (x, y) depends on x alone: rung x of a ladder over left
-      endpoints, which extends rung x-1 by the operands at the (a, x-1)
-      that are new to the ladder, and is rung x-1 when none is.
-
-    The ladders saturate: by induction each rung is the disjunction of the
-    operand literals it has taken in, so a literal it covers already would
-    change nothing. An atom reads the variable of its canonical cell, so a
-    row holds only O(pre + 2 per) distinct atom literals, and a ladder stops
-    making gates soon after. The covered literals are kept in sets used for
-    membership only, never iterated, so the gate numbering does not depend
-    on the hash seed. Every gate is a full two-way definition and the atom
-    variables come first, so the solver's lex-least model and the witness
-    are those of the unsaturated ladders.
+    A box is [M] s = ~<M> ~s, as _TableEngine._compute writes it. A rung
+    is by induction the join of the literals it has taken in, so a covered
+    one would change nothing; the covered sets are never iterated, so the
+    gate numbering does not depend on the hash seed. Gates are full two-way
+    definitions after the atom variables, so the lex-least model and the
+    witness are those of unsaturated ladders.
     """
 
     def __init__(self, domain: PeriodicDomain, letters: List[str],
                  order: List[Formula]):
         super().__init__(domain, letters)
-        self.order = order
-        self.pre, self.per = domain.pre, domain.per
-        self.h = _scan_frontier(self.pre, self.per, modal_depth(order[-1]), 1)
-        self.w = self.h + 1
-
-    def tables(self, keep: Sequence[Formula] = ()) -> Dict[Formula, Table]:
-        """The tables of the root, at [0, 1], and of the nodes in keep.
-        Each table lists its cells in ascending order. Every other table is
-        released once the last node reading it is built.
-
-        Inside, cell (x, y) is the key x * w + y with w = h + 1: keys sort
-        as cells do, and a run of cells along a row is a range."""
-        # Every demanded cell lies inside [0, 1] or below a scan cap
-        # checked against the horizon, so it needs no check of its own.
-        w, order = self.w, self.order
-        root = order[-1]
-        need: Dict[Formula, set] = {f: set() for f in order}
-        need[root].add(1)       # [0, 1], the key 0 * w + 1
-        plan = {}
-        for f in reversed(order):
-            got = sorted(need.pop(f))
-            t = type(f)
-            if t is Diamond or t is Box:
-                plan[f] = self._demand(f, got, need[f.sub])
-                continue
-            plan[f] = got
-            for n in f._operands:
-                need[getattr(f, n)].update(got)
-        last = {getattr(f, n): f for f in order for n in f._operands}
-        kept = set(keep)
-        kept.add(root)
-        cnf = self.cnf
-        canon: Dict[int, Interval] = {}
-        table: Dict[Formula, Dict[int, int]] = {}
+        self.per = per = domain.per
+        self.bounds = _thresholds(order, domain.pre, per)
+        self.tables: Dict[Formula, Rows] = {}
+        cnf, tables = self.cnf, self.tables
         for f in order:
-            got = plan.pop(f)
+            a, l, d = self.bounds[f]
+            his = [max(a, x + l) + per - 1 for x in range(d + per)]
             t = type(f)
             if t is Atom:
-                for k in got:
-                    if k not in canon:
-                        canon[k] = canonical_interval(self.domain,
-                                                      divmod(k, w))
                 var, name = self.atom_var, f.name
-                tab = {k: var[(name, canon[k])] for k in got}
+                tab = [[var[(name, (x, y))] for y in range(x + 1, hi + 1)]
+                       for x, hi in enumerate(his)]
             elif t is Not:
-                sub = table[f.sub]
-                tab = {k: -sub[k] for k in got}
+                tab = [[-lit for lit in row] for row in tables[f.sub]]
+            elif t is And or t is Or or t is Implies:
+                gate = cnf.define_and2 if t is And else cnf.define_or2
+                lhs, rhs = tables[f.lhs], tables[f.rhs]
+                if t is Implies:
+                    lhs = [[-lit for lit in row] for row in lhs]
+                tab = [list(map(gate, self._row(lhs, x, hi),
+                                self._row(rhs, x, hi)))
+                       for x, hi in enumerate(his)]
             elif t is Diamond:
-                tab = self._build(f, got, table[f.sub])
+                tab = self._diamond(f, tables[f.sub], his)
             elif t is Box:
-                sub = {k: -lit for k, lit in table[f.sub].items()}
-                tab = {k: -lit for k, lit in self._build(f, got, sub).items()}
-            elif t is And:
-                lhs, rhs, and2 = table[f.lhs], table[f.rhs], cnf.define_and2
-                tab = {k: and2(lhs[k], rhs[k]) for k in got}
-            elif t is Or:
-                lhs, rhs, or2 = table[f.lhs], table[f.rhs], cnf.define_or2
-                tab = {k: or2(lhs[k], rhs[k]) for k in got}
-            elif t is Implies:
-                lhs, rhs, or2 = table[f.lhs], table[f.rhs], cnf.define_or2
-                tab = {k: or2(-lhs[k], rhs[k]) for k in got}
-            elif t is TrueConst:
-                tab = dict.fromkeys(got, _TRUE)
-            elif t is FalseConst:
-                tab = dict.fromkeys(got, _FALSE)
+                sub = [[-lit for lit in row] for row in tables[f.sub]]
+                tab = [[-lit for lit in row]
+                       for row in self._diamond(f, sub, his)]
             else:
-                raise TypeError("not a formula: %r" % (f,))
-            table[f] = tab
-            for n in f._operands:
-                g = getattr(f, n)
-                if last[g] is f and g not in kept:
-                    table.pop(g, None)
-        return {f: {divmod(k, w): lit for k, lit in table[f].items()}
-                for f in kept}
+                const = _TRUE if t is TrueConst else _FALSE
+                tab = [[const] * (hi - x) for x, hi in enumerate(his)]
+            tables[f] = tab
 
-    def _demand(self, f: Union[Diamond, Box], cells: List[int], sub_need: set):
-        name = f.mod.name
-        pre, per, h, w = self.pre, self.per, self.h, self.w
-        if name == "B":
-            top = {}             # row -> highest demanded y (cells sorted)
-            for k in cells:
-                top[k // w] = k % w
-            for x, y in top.items():
-                sub_need.update(range(x * w + x + 1, x * w + y))
-            return top
-        if name == "iB":
-            depth = modal_depth(f.sub)
-            scans = []
-            for k in cells:
-                x, y = divmod(k, w)
-                cap = _row_cap(pre, per, depth, x, y)
-                if cap > h:
-                    raise RuntimeError("scan cap beyond the encoding horizon")
-                scans.append((k, x * w + cap + 1))
-                sub_need.update(range(k + 1, x * w + cap + 1))
-            return scans
-        if name == "L":
-            depth = modal_depth(f.sub)
-            ends = {}            # y -> last row the scan after y visits
-            caps = {}            # row -> its cap
-            for k in cells:
-                y = k % w
-                if y in ends:
-                    continue
-                ends[y] = capx = _later_cap(pre, per, depth, y)
-                if capx > h - 1:
-                    raise RuntimeError("scan cap beyond the encoding horizon")
-                for xp in range(y + 1, capx + 1):
-                    if xp not in caps:
-                        caps[xp] = cap = _row_cap(pre, per, depth, xp, xp)
-                        if cap > h:
-                            raise RuntimeError(
-                                "scan cap beyond the encoding horizon")
-                        row = xp * w
-                        sub_need.update(range(row + xp + 1, row + cap + 1))
-            return cells, sorted(ends.items()), caps
-        if name == "iL":
-            top = cells[-1] // w if cells else 0     # highest demanded x
-            for a in range(top - 1):
-                sub_need.update(range(a * w + a + 1, a * w + top))
-            return cells, top
-        raise UnsupportedFragmentError(
-            "modality %s outside the begin/later fragment" % name)
+    def _row(self, tab: Rows, x: int, hi: int) -> List[int]:
+        """A table's literals at (x, x + 1) .. (x, hi): row x lowered by
+        diagonal shifts, then continued by repeating its last per entries."""
+        per, n = self.per, hi - x
+        if x >= len(tab):
+            x -= ((x - len(tab)) // per + 1) * per
+        row = tab[x]
+        if n > len(row):
+            row = row + row[-per:] * -((len(row) - n) // per)
+        return row[:n]
 
-    def _build(self, f: Union[Diamond, Box], plan, sub: Dict[int, int]):
-        name = f.mod.name
-        cnf, w = self.cnf, self.w
+    def _diamond(self, f: Union[Diamond, Box], sub: Rows,
+                 his: List[int]) -> Rows:
+        """The rows of <M> over sub, f being <M> s or [M] s and sub the
+        rows of s (of ~s for a box); row x ends at his[x]."""
+        name, per, cnf = f.mod.name, self.per, self.cnf
+        tab = []
         if name == "B":
-            or2 = cnf.define_or2
-            tab = {}
-            for x, top in plan.items():
-                tab[x * w + x + 1] = acc = _FALSE
-                covered = set()     # the literals acc is the disjunction of
-                for k in range(x * w + x + 2, x * w + top + 1):
-                    lit = sub[k - 1]
+            for x, hi in enumerate(his):
+                row = [_FALSE]
+                covered = set()     # the literals row[-1] joins
+                for lit in self._row(sub, x, hi - 1):
+                    row.append(row[-1] if lit in covered
+                               else cnf.define_or2(row[-1], lit))
+                    covered.add(lit)
+                tab.append(row)
+        elif name == "iB":
+            for x, hi in enumerate(his):
+                m = hi - per + 1    # max(A, x + L)
+                s = self._row(sub, x, hi + per)
+                tab.append([cnf.define_or(s[y - x:max(y + 1, m) + per - 1 - x])
+                            for y in range(x + 1, hi + 1)])
+        elif name == "L":
+            d = self.bounds[f.sub][2]
+            joins: Dict[int, int] = {}      # row of sub -> its join
+            after = [_FALSE]                # y -> the join of the rows past y
+            for y in range(1, his[-1] + 1):
+                lits = []
+                for xp in range(y + 1, max(y + 1, d) + per):
+                    r = xp - max(0, (xp - d) // per) * per
+                    if r not in joins:
+                        joins[r] = cnf.define_or(sub[r])
+                    lits.append(joins[r])
+                after.append(cnf.define_or(lits))
+            tab = [after[x + 1:hi + 1] for x, hi in enumerate(his)]
+        else:
+            # iL, the fragment being checked by _thresholds
+            bounds = self.bounds[f.sub]
+            rung = [_FALSE, _FALSE]
+            covered = set()     # the literals rung[-1] is the disjunction of
+            for v in range(2, len(his)):
+                new = []
+                for a in range(v - 1):
+                    x, y = _reduce(bounds, per, a, v - 1)
+                    lit = sub[x][y - x - 1]
                     if lit not in covered:
                         covered.add(lit)
-                        acc = or2(acc, lit)
-                    tab[k] = acc
-            return tab
-        define_or = cnf.define_or
-        if name == "iB":
-            return {k: define_or([sub[j] for j in range(k + 1, end)])
-                    for k, end in plan}
-        if name == "L":
-            cells, ends, caps = plan
-            rows: Dict[int, int] = {}
-            after: Dict[int, int] = {}
-            for y, capx in ends:
-                lits = []
-                for xp in range(y + 1, capx + 1):
-                    lit = rows.get(xp)
-                    if lit is None:
-                        rows[xp] = lit = define_or(
-                            [sub[j] for j in range(xp * w + xp + 1,
-                                                   xp * w + caps[xp] + 1)])
-                    lits.append(lit)
-                after[y] = define_or(lits)
-            return {k: after[k % w] for k in cells}
-        # iL
-        cells, top = plan
-        rung = [_FALSE, _FALSE]
-        covered = set()         # the literals rung[-1] is the disjunction of
-        for v in range(2, top + 1):
-            new = [lit for lit in dict.fromkeys(sub[a * w + v - 1]
-                                                for a in range(v - 1))
-                   if lit not in covered]
-            covered.update(new)
-            rung.append(define_or([rung[-1]] + new) if new else rung[-1])
-        return {k: rung[k // w] for k in cells}
+                        new.append(lit)
+                rung.append(cnf.define_or([rung[-1]] + new) if new
+                            else rung[-1])
+            tab = [[rung[x]] * (hi - x) for x, hi in enumerate(his)]
+        return tab
 
 
 def _recheck(phi: Formula, model: IntervalModel, witness: Interval) -> bool:
@@ -588,10 +585,13 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
     per' dividing per: a canonical-cell valuation for (pre', per') reads the
     same under the (pre'+1, per') and (pre', k*per') reductions of
     canonical_interval, so it is also a valuation for (pre, per) that makes
-    the same formulas true at the same intervals. A candidate's encoding is
-    exact wherever the periodicity caps that cut its scans are (the
-    argument at checking._row_cap), so refuting the maximal splits
-    (bound - per, per) refutes every split up to the bound.
+    the same formulas true at the same intervals. A candidate's CNF is
+    satisfiable exactly under the valuations where phi holds somewhere:
+    each subformula's classes take every value it takes (the lift rules at
+    _Encoder), and the goal is the disjunction of phi over its classes. So
+    refuting the maximal splits (bound - per, per) refutes every split up
+    to the bound, and the least cell where phi holds, a fixed point since
+    both shifts only lower a cell, is the witness.
     The search runs in three steps, after a pre-check:
 
     0. a phi that _prop_unsat refutes builds no candidate, and a
@@ -601,7 +601,7 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
        4*t <= bound, where cheap candidates answer most satisfiable
        formulas;
     2. the maximal splits, by ascending period, which have the smallest
-       horizons first; if all are refuted the answer is Unsat or Unknown;
+       tables first; if all are refuted the answer is Unsat or Unknown;
     3. once a maximal split (bound - per, per) is satisfiable, the ordered
        search from the next total on, skipping the splits a refuted maximal
        split covers and reusing the solved one when it comes up. The
@@ -624,27 +624,26 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
         return refuted
     own_bound = metrics(phi).periodic_bound
     bound = own_bound if max_bound is None else max_bound
-    goal = later_somewhere(phi)
-    order = postorder(goal)
+    order = postorder(phi)
     letters = sorted(letters_of(phi))
-    solved: Dict[Tuple[int, int], Tuple[_Encoder, Solver, Table]] = {}
+    solved: Dict[Tuple[int, int], Tuple[_Encoder, Solver, Cells]] = {}
 
     def candidate(pre: int,
-                  per: int) -> Optional[Tuple[_Encoder, Solver, Table]]:
-        """The encoder, solver and phi's table of a satisfiable split,
-        None for a refuted one, whose encoding is then already released."""
+                  per: int) -> Optional[Tuple[_Encoder, Solver, Cells]]:
+        """The encoder, solver and phi's classes of a satisfiable split, None
+        for a refuted one."""
         got = solved.get((pre, per))
         if got is None:
             enc = _Encoder(PeriodicDomain(pre, per), letters, order)
-            tables = enc.tables((phi,))
-            root = tables[goal][(0, 1)]
+            cells = _cells(enc.tables[phi])
+            root = enc.cnf.define_or([lit for _, lit in cells])
             if root == _FALSE:
                 # refuted by the folding gates alone: no solver to build
                 return None
             enc.cnf.clauses.append([root])
             solver = enc.cnf.solve()
             if solver is not None:
-                got = (enc, solver, tables[phi])
+                got = (enc, solver, cells)
         return got
 
     def ordered(totals: range, least_per: int) -> Optional[Sat]:
@@ -652,8 +651,8 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
             for pre in range(1, total - least_per + 1):
                 got = candidate(pre, total - pre)
                 if got is not None:
-                    enc, solver, table = got
-                    return enc.certificate(solver, table.items(), phi)
+                    enc, solver, cells = got
+                    return enc.certificate(solver, cells, phi)
         return None
 
     head = bound // 4

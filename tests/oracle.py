@@ -122,6 +122,12 @@ def mc3_naive(model: IntervalModel, i: Interval, phi: Formula,
     for every bounded relation, so only the unbounded five lose
     information at the edge.
     """
+    return mc3_evaluator(model, horizon)(i, phi)
+
+
+def mc3_evaluator(model: IntervalModel, horizon: int):
+    """mc3_naive as a function of (interval, formula) over one model and
+    horizon, whose calls share one memo."""
     cells = intervals_upto(horizon)
     memo: Dict[Tuple[Interval, Formula], Optional[bool]] = {}
 
@@ -171,7 +177,7 @@ def mc3_naive(model: IntervalModel, i: Interval, phi: Formula,
         memo[key] = v
         return v
 
-    return ev(tuple(i), phi)
+    return lambda i, phi: ev(tuple(i), phi)
 
 
 def largest_bisimulation_naive(fragment: Fragment, ma: IntervalModel,

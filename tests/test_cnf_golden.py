@@ -60,6 +60,17 @@ unchanged, the case lists the same single candidate (finite 5) with the
 same verdict and certificate, and no bbll entry moved, since the periodic
 encoder does not run through the grid engine.
 
+The bbll cases were re-pinned again when the periodic encoder came to
+keep one literal per periodicity class of each subformula, under
+thresholds it derives per subformula, in place of a window cut at the
+model checker's caps, and to encode phi's goal as the disjunction of phi
+over its own classes rather than <L> <iL> phi at [0, 1]. Fewer cells are
+encoded and fewer gates made (the (1, 7) well-foundedness candidate went
+from 437 variables and 1,243 clauses to 417 and 1,081), so the CNFs
+changed shape. Checked against the parent commit first: every case lists
+the same candidate domains in the same order with the same verdicts, and
+the finite 6 entry did not move.
+
 To re-pin, print the current EXPECTED dict with
 
     PYTHONPATH=src python -m tests.test_cnf_golden
@@ -109,58 +120,58 @@ EXPECTED = {
     'bbll <iB> p & [iB] ~p': [],
     'bbll [iB] p & [iB] ~p': [
         ('periodic 7 1',
-         '27a5205d098ba7b2de97fa8bae2829481fa93f987cd7d6ac0a6db2c82d1e54fd',
-         '63eb3401f4150d5a475778a37aa57e78b1c404aae85af26f1cf67c40fe727916'),
+         '71dc8023a16d19b1fad2966fcaccd2832e9774aca529cd55ca5500613b48d4dd',
+         '1729a6108a901df16efb9dbf4eafa3c150b7d5a03fab6d5657a7a1b0a2390906'),
         ('periodic 6 2',
-         '7df0ea641d70835f74904812a83e732d9c672ad70a808cc43094f46a41bce1c2',
-         '9c8de931f1d6979c2b897dcf9764b6d27114de9ccff8beafa6402b61d635fee9'),
+         'fd3d7cc21bf880ba4d18b80b69d4ae6308d5f0b8689f74afa4e57e5d0541f6a8',
+         'fac8fc9e3751a0194007b035d8d85b0ea5cb8b0ccc856b142ddb41b4a7a96f9f'),
         ('periodic 5 3',
-         '3e14ba7137e68d44bafe08e2d5657bd27be1446afaa6edc7aeb3b6dc589c0334',
-         'ed3886cebd12d2b879d04319cff15d502be474128c51032ad59fbcc0d08c9d3d'),
+         'ec635a55c0d91ea426f85d49185ce9afd123453f36eb4f39c99e4cb50dbca0ef',
+         '8d09286592894cc9f9135d55c308d5c10870a6bd93f5033ff47b3d036654c8e6'),
         ('periodic 4 4',
-         'a76012882399d12a9340e9e2612251e11bea77dfa0a49f8e523318a9c1ee4a28',
-         'c20e5cad4e08c2f7acb98201c2c999559c1ab8c60a125317ce7a048b9f147fa4'),
+         'a6b5bbf3a603332c4b7b68d37a80b79e668ff24369634328519cecb115330b6a',
+         '4e78575fba690922fd413b136eecc2924c46f4c9e1a8a5a1e519401f5d5e612c'),
         ('periodic 3 5',
-         'c9e3fcb5d922a13881b56d786a0b0d2061f6fbbf36d49289c70848bca86476fa',
-         '036dfe629ee64d962eb809e8359f9a0bcdda558feaf3c5980c54b0c088011549'),
+         'b0169c1ff051ef00d68bd11a4c6e91ccd7ace7752b0bebcd339e6637b61de0c4',
+         'c4b066110a64786b1a9d24d4496bcc943aa59c709b5c075ce9dec50d425c70f3'),
         ('periodic 2 6',
-         '3ca0edf722bcc8c842936118995d65083a728ce34032a1b2eff2b8cda48d5648',
-         '66f500a4bed77e00996cb4ac19bb050bb46a0826f20616badb991a87dced6c93'),
+         'f00c2b0515d063d3ebc4ae38bf7538cb01f33c2ece196edafc93f9fdd091adc3',
+         '136d36ed452b7f6ac793a4d5b5d6a95506dbbcb19ae9f8f02f809a8514d994ed'),
         ('periodic 1 7',
-         '5e15e75ff7aaf1e20eca78d6e4d8c2a7466fcdab3b478abe6aa1109438536ca3',
-         '226ef10f7f3367f139423890fdbb7ed8a74c990d78bd2204d4c9545fb4dc03a1'),
+         'b91cce400d883764711e0a7beb962033e7eef6c58426721abf101c14fadec78b',
+         '99b86c395532837c71bb662cafdfb11039677514376247e2c2c1e7813c423412'),
     ],
     'bbll [L] p & [L] ~p': [
         ('periodic 1 2',
          'd00779480e7f66c7508ecb7ed2ba765ea75c94f735ece75a739dc960afefbceb',
          '65adac3b831d7bfb80e836d3e9d4c64bdb792463cd09ecdc8e4dccacb5ad982d'),
         ('periodic 11 1',
-         '207d22d570c4e5be619a1d82d184b8a487c58fe271fcf09cb1b4ade9ba71f0f2',
-         '1900e8132069e98898dcbadc9af9d67dd0a3dd1218430eac316552777ac03102'),
+         '1612e0303c3d980dcb79a7d6b4f01560ca221bb0ebcd77fb39e15ec20f38024e',
+         'dbb93fba72803d819bebd325b1b3ed71ddb418cb82037f5230aeecb67d57ae1a'),
         ('periodic 10 2',
-         'cfcb6074c6f2c4586a75f33766ed1b79e6e84d3c3017fa1b322f56eab27d395b',
-         'c801b0a0dcc55fa3e7ff3bd8c59194e1a5e0fde3dfd9d8e07e1b03a1333ab26a'),
+         'fd2d31c560ae669c7d7ae8804dea14ba3562307bb96267b88a60c05498fbf65f',
+         '82ef7b3449095897d8e007ffe7854aea5bc7fe9796bbbd78e9cfa347726debe8'),
         ('periodic 9 3',
-         '3b64966a6ebf63718201a2d7dc4894fef978d8b760f808f8a00870f983ea289a',
-         'deea4d170a15b28cb84d782a43858bb811351df3b5b79130db044c713decb463'),
+         'bca19eff2059adba43e953b665f10eb3ea59d7f239de7adcb202f93504146a9f',
+         'b4f256f0214747c74340a0482ecfefa3ea93e5f182aad7c549e2c09c1ea631a8'),
         ('periodic 8 4',
-         'e961732c12376bd6cb4593ba2ec94818a105e315554e7da9359913ea38d4eb2e',
-         'd3f36164b9a84ef2895eafcc24e5f7446ea824b5ae6d7505e33e846c478778f2'),
+         '2dd28801f07776ed4ba85aab87694ef266006ecddcfc8c26a2fa606c53a0b85c',
+         'e6b9ddccf83b66f1f19beeb3ac8d3fe5083303cb23bfcdc07ff12de87e0ac09d'),
         ('periodic 7 5',
-         '9fc8d1f5c253ce4ef95d76c2f6aebe2fb3e4043d920a9046b4841e4c9a84a0ce',
-         '4af8705e2d4d1c53126d6f61211cd9fdba4798bae871eb7fc761850922f845a5'),
+         '11df2f60df179a81b7f4a7c3fd5672ba11bf91426fb70564b94e880b80ac4551',
+         '21fd6b4f000309003d20a4c8d9d7291240c82b15f579ec1b950f74ee6cd07ec1'),
         ('periodic 6 6',
-         '95dff1f3afa20890c475f2abd5022bb4469b970a9e89ca382cb40ee7de45df67',
-         '14aa758fd8a07024bb76c3e2695a6795d31c74fa4fd4a86e749bfb36f7ce29d7'),
+         '5306c42dc0938631096fa01be72bef9b07e0bb592a089803dbbb88a7d7d3444f',
+         '91853b62a80be1621f7d4b51c1f8bddb7a09ba8ac5525e6ad2eaa80825e78e2b'),
         ('periodic 5 7',
-         'e6747c5e1430d28517eaf7a1cb79834b9caf8e9e2c95a5e8268cb2e8da73acfc',
-         'd9bc9187f4339f9624c590cbb2f19b0febad4da79172ef4ae5d7be046465c09a'),
+         '6c9eeedfa8e9018203657cb72a3b931dad7a017862ad8cdfe96f1e7a6aaf3bd5',
+         '56f26e5af60e2293660dd5a6b0391aa4f9afa71f26b89d90ece110031af3079a'),
         ('periodic 4 8',
-         'fcce28b97a2c42f2228b6b7c892c7304e9cbc5f79a39b092c7479474a7de402d',
-         'f302430e18d5a0cb462b605fa85043038569fe3b2546c66422b555532e492910'),
+         '066b3b08bd333fa9c19d513651dc0e624a2a2915b10809b69b81b999167a4932',
+         '2921864dc4c6a0fe2ddb3618a59f277463ad96168406611d98da0a5dbaeb2cfb'),
         ('periodic 3 9',
-         '2686b88990d9dec5b9118a9ef411572a601d00b3c6f8d893c535c7ca447c5bb7',
-         'ebfc0beab270af07332831eba43468fe4430a58336a3c8cbdf498fc798167aa9'),
+         '2d92614d486bbe5b2a5c931a0eeeab64c122609416dfab03977211e625fb67b9',
+         'a6a8f88144bed488c8ff7f8a5b4871ea853a132a79423a012aff25574d5c66dd'),
         ('periodic 2 10',
          'a4f10be8e3bfb3f024a4cad5c9120503292dd94d00b38ed0a2e383fbd4ab67d2',
          '896f7caee21929cb7f8c166b3f767f3523181d91147a73519a2f0dfedfd31472'),
@@ -170,36 +181,36 @@ EXPECTED = {
     ],
     'bbll <B> ~p & [B] (~p -> <B> ~p)': [
         ('periodic 7 1',
-         '90af1822b3daf2289f2d444f4b01152bce939f07f4d240d11ce1334e80752c30',
-         '64ff766d374f9250c8c4d4ced9e30ff8f2eb3580b7486d13f9a37ac36f767336'),
+         '1244862e14a667559a59567cd23a1913374bcf75e6d7e64f1bcd871a772f6c86',
+         'f5617201134369d4c74c9fdd89adb820de341cb2847fd5c8a013f609df2df370'),
         ('periodic 6 2',
-         'f2e4b69fa0d9f4ba6a2dff9301fbb65652fd3c2521b32e2b1fbc516fd31b86d0',
-         'a784c6f4e0e0f43c1785b7aa03354798edfd51542bb4ad9e542a7cd17518c18a'),
+         '2a615a26a2e11fe2e8bd75e793d7d0dd693651a3ad10b789031b0b1869b4d650',
+         '6312b26764bc2f9c72b1bb47dd76aa24ecbbfb7c68b2c94b23d2cd6a2042243a'),
         ('periodic 5 3',
-         'a8f25cd034e6323b4e0bce4d8b03d6263b914850661dc77a74e90baa1d504606',
-         '8627646c926f6b1c53df9d5a7d53d5aa7c67beebc7759e8b5b2efa41ca98fe45'),
+         'abcb91bb01601decb4fb26d0e2bc0e5c756a52e9b53030079b298fa4b3aa0430',
+         'c28185373f5e60e1f70c5d5883a3b39039717513f2ba5939fae27872fb737aef'),
         ('periodic 4 4',
-         '4b803d6603445f0a01a72b626410d0cabb37f1668e9e6d6d8e75e3df0383ea5a',
-         '7af7e504fd3ef4ab02f4c5a73babe24ab65f4874dd50feb15e3a707a56bb580c'),
+         '1b7a677457adaf7630ac3f1111e744e7787627a7f015e36634159b6c001a0ae3',
+         'a2164435fa42e4faec733f3fff351ef9fb3fba4979ce46db6b493eb259a89ebe'),
         ('periodic 3 5',
-         '25a9de9fa4edf9aac6a0e04529118d8f47dcb9129c909ce6d687a4a49a5b37f7',
-         'ce892509918862a2dff2d8ec0e2bd51a85998bbad7bf008f2cc417995b72af71'),
+         '404a0bdda5a8b9c13ab00b7af00e7760da7459d089da7687f5148019b34ebb7b',
+         '8253873256659e959ec505471a1088899b38adf0c42849735181ba8722945338'),
         ('periodic 2 6',
-         'f9c5fb2cbe2fd3c0720ba4d41b0309125239cc6c910e22cff12ac405bae368bf',
-         '5a11114843b854ecc438c0b8ce4c2d5ecdcaeda8b9f4f4e96c87b93f70d08d94'),
+         '36a3062839fedf12e99c28f46772210b601fe0906c0c75e1e0ea33a872380888',
+         '24ab3d67e198f731215cc691a27dd86afc9d9d90ee2922a2cfffbd9c3dd16bb1'),
         ('periodic 1 7',
-         '82e916f45726597c0aae5d2ef2c52f499c050ca921635949a292a3f538ce5224',
-         '9e596bc8c871783445933ac3c452bec5d7948f56d3c658604ee07a01fb12d4b3'),
+         '63b6364fe3033f15f0f211c61575620e2b8ed6c5dddcc8aa213336a970499d9c',
+         'c306c29c1e48d64a7243f1d9f485f5eefd7c12abaf4095648a5d1f0127424401'),
     ],
     'bbll <B> p & <iB> ~p & <L> q & <iL> (p & q)': [
         ('periodic 1 2',
-         '6116267ded4a5b21442f0460af94fcc57d25759f7ed5737bc6ec1b977c444f1c',
-         'f575dacb29959b9a1e4b291de09b64676c74b00e5b273f6fedefec8107ac22e1'),
+         'e24c4ffafec3ba2d2166e4f4ac3c4690274d1c6bdac333705218f7bb736e2332',
+         '5107c835b0c7420e537a94f60cc329fa920a03fd10a29fdce436ef60ff5437f1'),
     ],
     'bbll <L> (p & [B] q) & <iL> <iB> ~q': [
         ('periodic 1 1',
-         '33696b8e0ee76acc261280856bae9feb7cac435780844c25941387aa44000f9b',
-         '9e125f7a002bc0448a61a9f71c6a6259b3c051dc373dc42da785bacaacb6704f'),
+         '49217a312e0a8254289e8809f3014bb56a4782000aece761c50c7f91f25eb2e0',
+         'bdad917dc610b55eba43ee2d09e684122cd371aec95ecf4f45cd143b9e65f0fc'),
     ],
     'finite 6 <A> p & <D> q & [O] ~p & <iE> (q | <iA> p)': [
         ('finite 5',

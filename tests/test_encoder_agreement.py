@@ -7,12 +7,13 @@ tables must take the value the reference gives at that cell.
 On finite models the encoding is the model checker's grid engine run over
 _Cnf's gates, so mc_finite and the encoder share their recurrences; the
 reference there is the naive evaluator of tests/oracle.py, which shares
-nothing with either but the model. On periodic models the encoder cuts its
-right-unbounded scans at the checker's own periodicity caps, so a fault in
-the cap rule would show up on both sides alike; the checker's side is held
-to truth by the all-modality differential against the independent oracle in
-tests/test_known_faults.py, so agreement with mc_periodic here pins truth as
-well.
+nothing with either but the model. On periodic models the encoder keeps one
+literal per periodicity class of each subformula, under thresholds it
+derives itself, and mc_periodic evaluates every cell over growing windows
+cut at its own fitted caps: the two share the model and nothing else. The
+thresholds themselves are held to mc_periodic and to the independent
+three-valued oracle, cell by cell, in
+test_thresholds_keep_truth_under_both_shifts.
 """
 
 import itertools
@@ -23,7 +24,7 @@ from hslogic.checking import mc_periodic
 from hslogic.models import FiniteDomain, PeriodicDomain, canonical_cells
 from hslogic.parser import parse_formula
 from hslogic.syntax import (
-    B, iB, L, iL, Box, Diamond, letters_of, modal_depth,
+    B, iB, L, iL, Diamond, letters_of, modal_depth,
 )
 
 from . import oracle
@@ -32,13 +33,18 @@ from .gen import all_mods, rand_finite_model, rand_formula, rand_periodic_model
 LETTERS = ("p", "q")
 
 
-def _goal_tables(domain, phi):
-    """sat_bbll's encoding of phi's goal over a periodic domain: the
-    encoder, the goal's postorder and the table of every node."""
-    goal = sat.later_somewhere(phi)
-    order = sat.postorder(goal)
+def _class_tables(domain, phi):
+    """sat_bbll's encoding of phi over a periodic domain: the encoder, phi's
+    postorder and every node's table, as fixed point cell to literal."""
+    order = sat.postorder(phi)
     enc = sat._Encoder(domain, sorted(letters_of(phi)), order)
-    return enc, order, enc.tables(order)
+    return enc, order, {f: dict(sat._cells(enc.tables[f])) for f in order}
+
+
+def _literal(enc, f, cell):
+    """f's literal at any cell, read through f's reduction."""
+    x, y = sat._reduce(enc.bounds[f], enc.per, *cell)
+    return enc.tables[f][x][y - x - 1]
 
 
 def _encoded_values(model, phi):
@@ -46,9 +52,9 @@ def _encoded_values(model, phi):
     for phi over the model's domain, solved with the model's atoms fixed.
 
     phi is encoded at every cell of a finite domain, as sat_bounded_finite
-    encodes it, and as sat_bbll's goal at [0, 1] on a periodic one. This is
-    and _goal_tables are the only places the tests touch the encoders'
-    private names."""
+    encodes it, and at every periodicity class of each subformula on a
+    periodic one, as sat_bbll encodes it. This, _class_tables and _literal
+    are the only places the tests touch the encoders' private names."""
     domain = model.domain
     letters = sorted(letters_of(phi))
     if isinstance(domain, FiniteDomain):
@@ -60,7 +66,7 @@ def _encoded_values(model, phi):
                       for x, y in canonical_cells(domain)}
                   for f, table in engine.tables.items()}
     else:
-        enc, _, tables = _goal_tables(domain, phi)
+        enc, _, tables = _class_tables(domain, phi)
     for (letter, cell), var in enc.atom_var.items():
         enc.cnf.clauses.append(
             [var if model.holds_atom(cell, letter) else -var])
@@ -87,7 +93,7 @@ def test_periodic_encoder_agrees_with_mc_periodic():
     rng = random.Random(20121010)
     mods = [B, iB, L, iL]
     checked = 0
-    for _ in range(60):
+    for _ in range(200):
         model = rand_periodic_model(rng, rng.randint(1, 2), rng.randint(1, 2),
                                     LETTERS)
         phi = rand_formula(rng, LETTERS, mods, 3)
@@ -98,19 +104,60 @@ def test_periodic_encoder_agrees_with_mc_periodic():
     assert checked > 4000
 
 
-def _ladders(f, tab, sub):
+# The oracle's horizon in the threshold test: cells past it are checked
+# against mc_periodic alone.
+ORACLE_HORIZON = 16
+
+
+def test_thresholds_keep_truth_under_both_shifts():
+    # A node's truth at a cell is its truth at the fixed point _reduce
+    # lowers the cell to under the node's thresholds: by mc_periodic, and by
+    # the independent three-valued oracle wherever it decides both cells.
+    # Cells are drawn up to two periods past each node's fixed points, so
+    # both shifts are taken, once and more than once; sparse models make
+    # rows that differ from their neighbours in few cells.
+    rng = random.Random(20121013)
+    checked = decided = 0
+    for _ in range(200):
+        pre, per = rng.randint(1, 3), rng.randint(1, 3)
+        model = rand_periodic_model(rng, pre, per, LETTERS,
+                                    rng.choice((0.15, 0.4)))
+        phi = rand_formula(rng, LETTERS, [B, iB, L, iL], 4)
+        order = sat.postorder(phi)
+        bounds = sat._thresholds(order, pre, per)
+        ev = oracle.mc3_evaluator(model, ORACLE_HORIZON)
+        for f in order:
+            a, l, d = bounds[f]
+            for _ in range(8):
+                x = rng.randint(0, d + 2 * per)
+                cell = (x, rng.randint(x + 1, max(a, x + l) + 2 * per))
+                fixed = sat._reduce(bounds[f], per, *cell)
+                if fixed == cell:
+                    continue
+                assert mc_periodic(model, cell, f) == \
+                    mc_periodic(model, fixed, f), (f, cell, fixed)
+                checked += 1
+                if cell[1] <= ORACLE_HORIZON:
+                    want = ev(cell, f), ev(fixed, f)
+                    if None not in want:
+                        assert want[0] == want[1], (f, cell, fixed)
+                        decided += 1
+    assert checked > 6000 and decided > 5000
+
+
+def _ladders(enc, f):
     """(rung literals, operand literals read) per ladder of the table of a
     <B> or <iL> node: one ladder per row of <B>, one over all of <iL>."""
+    rows = enc.tables[f]
     if f.mod == B:
-        rows = {}
-        for (x, y), lit in tab.items():
-            rows.setdefault(x, {})[y] = lit
-        return [(set(row.values()),
-                 {sub[(x, y)] for y in range(x + 1, max(row))})
-                for x, row in rows.items()]
-    top = max(x for x, _ in tab)
-    return [(set(tab.values()),
-             {sub[(a, b)] for b in range(1, top) for a in range(b)})]
+        return [(set(row),
+                 {_literal(enc, f.sub, (x, y))
+                  for y in range(x + 1, x + len(row))})
+                for x, row in enumerate(rows)]
+    top = len(rows) - 1
+    return [({row[0] for row in rows},
+             {_literal(enc, f.sub, (a, b))
+              for b in range(1, top) for a in range(b)})]
 
 
 def test_ladders_grow_only_by_new_operand_literals():
@@ -121,13 +168,13 @@ def test_ladders_grow_only_by_new_operand_literals():
     # the ladders stop growing early.
     checked = 0
     for text in ("<B> p", "<B> (p -> <B> p)", "<iL> <B> p"):
-        for pre, per in itertools.product(range(1, 4), repeat=2):
-            _, order, tables = _goal_tables(PeriodicDomain(pre, per),
-                                            parse_formula(text))
+        for pre, per in itertools.product(range(1, 6), repeat=2):
+            enc, order, _ = _class_tables(PeriodicDomain(pre, per),
+                                          parse_formula(text))
             for f in order:
                 if type(f) is not Diamond or f.mod not in (B, iL):
                     continue
-                for rungs, reads in _ladders(f, tables[f], tables[f.sub]):
+                for rungs, reads in _ladders(enc, f):
                     assert len(rungs) <= len(reads) + 1, (text, pre, per, f)
                     checked += 1
     assert checked > 400
@@ -135,10 +182,8 @@ def test_ladders_grow_only_by_new_operand_literals():
 
 # Long ladders: B over B, iL over B, and the four well-foundedness shapes of
 # the benchmark's sat_unsat queries, at periods up to 3, where a row's ladder
-# comes to cover every literal it can read only after many rungs. Only the
-# <B>, <iL>, [B] and [iL] entries are checked: they are the ladders (a box
-# negates its diamond's ladder over the negated operand), and every other
-# node is gated alike on both sides of a saturated rung.
+# comes to cover every literal it can read only after many rungs. Every
+# class of every node is checked, on five models per formula.
 LONG_LADDERS = [
     ("<B> <B> p", 1, 3),
     ("[B] <B> ~q", 2, 2),
@@ -156,9 +201,9 @@ def test_long_ladders_agree_with_mc_periodic():
     checked = 0
     for text, pre, per in LONG_LADDERS:
         phi = parse_formula(text)
-        model = rand_periodic_model(rng, pre, per, LETTERS)
-        for f, cell, value in _encoded_values(model, phi):
-            if type(f) in (Diamond, Box) and f.mod in (B, iL):
+        for _ in range(5):
+            model = rand_periodic_model(rng, pre, per, LETTERS)
+            for f, cell, value in _encoded_values(model, phi):
                 assert value == mc_periodic(model, cell, f), (text, f, cell)
                 checked += 1
     assert checked > 3000
@@ -193,7 +238,7 @@ def test_boxes_agree_on_both_domains():
                 checked += 1
     for text in BOXED_PERIODIC:
         phi = parse_formula(text)
-        for _ in range(3):
+        for _ in range(12):
             model = rand_periodic_model(rng, rng.randint(1, 2),
                                         rng.randint(1, 2), LETTERS)
             for f, cell, value in _encoded_values(model, phi):
@@ -210,8 +255,8 @@ def test_a_box_and_its_diamond_meet_in_one_variable():
     for name in ("B", "iB", "L", "iL"):
         phi = parse_formula("[%s] (p | <B> q) & <%s> ~(p | <B> q)"
                             % (name, name))
-        for pre, per in ((1, 1), (2, 1), (1, 2)):
-            _, _, tables = _goal_tables(PeriodicDomain(pre, per), phi)
+        for pre, per in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            _, _, tables = _class_tables(PeriodicDomain(pre, per), phi)
             box, dia = tables[phi.lhs], tables[phi.rhs]
             shared = box.keys() & dia.keys()
             assert shared, (name, pre, per)
@@ -219,3 +264,15 @@ def test_a_box_and_its_diamond_meet_in_one_variable():
                 assert box[cell] == -dia[cell], (name, pre, per, cell)
                 checked += 1
     assert checked > 100
+
+
+def test_well_foundedness_candidate_size():
+    # the (1, 7) candidate of sat_unsat's well-foundedness shape, goal
+    # included: one entry per periodicity class of each subformula, where a
+    # window of cells cut at the model checker's caps held 9,601 entries for
+    # 437 variables and 1,243 clauses
+    phi = parse_formula("<B> ~p & [B] (~p -> <B> ~p)")
+    enc, _, tables = _class_tables(PeriodicDomain(1, 7), phi)
+    enc.cnf.define_or(list(tables[phi].values()))
+    assert sum(len(table) for table in tables.values()) <= 700
+    assert enc.cnf.nvars <= 437 and len(enc.cnf.clauses) <= 1243

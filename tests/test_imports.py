@@ -3,16 +3,24 @@ name it defines is used somewhere in the package.
 
 __init__.py re-exports what it imports, and `from __future__` imports are
 directives, so both are left out. A name kept on purpose carries
-`# noqa: F401` on its import line; the one such name is sat.allen_related,
-which the benchmark's tracer patches to time the relation listing.
+`# noqa: F401` on its import line; the only such names are sat's
+allen_related, canonical_interval and modal_depth, which the benchmark's
+tracer (bench/tracing.py) patches by name to time or count them. Every
+name the tracer patches must exist where it patches it, or a traced run
+fails before its first query.
 """
 
 import ast
 from pathlib import Path
 
 import hslogic
+import hslogic.atlas
+import hslogic.checking
+import hslogic.models
+import hslogic.sat
 
 PACKAGE = Path(hslogic.__file__).parent
+TRACING = PACKAGE.parent.parent / "bench" / "tracing.py"
 
 
 def _unused_imports(path):
@@ -47,7 +55,61 @@ def test_every_imported_name_is_used():
             else:
                 unused.append("%s:%d %s" % (path.name, line, name))
     assert unused == []
-    assert kept == [("sat.py", "allen_related")]
+    assert kept == [("sat.py", "allen_related"),
+                    ("sat.py", "canonical_interval"), ("sat.py", "modal_depth")]
+
+
+def _patched():
+    """(owner, name) for every _patch(owner, "name", ...) call in the
+    tracer's install, with its local module aliases and the loops over
+    owners and names expanded."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    install = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "install")
+
+    def values(node, env):
+        if isinstance(node, ast.Constant):
+            return [node.value]
+        if isinstance(node, ast.Name):
+            return env.get(node.id, [])
+        if isinstance(node, ast.Attribute):
+            return [getattr(v, node.attr) for v in values(node.value, env)]
+        if isinstance(node, ast.Tuple):
+            return [v for elt in node.elts for v in values(elt, env)]
+        return []
+
+    out = []
+
+    def visit(stmts, env):
+        for st in stmts:
+            if isinstance(st, ast.For):
+                visit(st.body, {**env, st.target.id: values(st.iter, env)})
+                continue
+            if isinstance(st, ast.Assign) \
+                    and isinstance(st.targets[0], ast.Tuple):
+                for target, value in zip(st.targets[0].elts, st.value.elts):
+                    env[target.id] = values(value, env)
+            for call in ast.walk(st):
+                if isinstance(call, ast.Call) \
+                        and isinstance(call.func, ast.Attribute) \
+                        and call.func.attr == "_patch":
+                    out.extend((owner, name)
+                               for owner in values(call.args[0], env)
+                               for name in values(call.args[1], env))
+
+    visit(install.body, {"hslogic": [hslogic]})
+    return out
+
+
+def test_every_name_the_tracer_patches_exists():
+    patched = _patched()
+    assert [(getattr(owner, "__name__", owner), name)
+            for owner, name in patched if not hasattr(owner, name)] == []
+    on_sat = {name for owner, name in patched if owner is hslogic.sat}
+    assert {"modal_depth", "canonical_interval", "metrics", "letters_of",
+            "fragment_of", "mc_periodic", "mc_finite", "allen_related",
+            "Solver"} <= on_sat
 
 
 def _defined(tree):

@@ -6,6 +6,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hslogic import sat, syntax
 from hslogic.checking import postorder
 from hslogic.parser import parse_formula
 from hslogic.syntax import (
@@ -128,3 +129,12 @@ def test_nodes_are_immutable_and_repr_is_structural():
     assert repr(f) == \
         "Diamond(mod=Modality(B), sub=Not(sub=Atom(name='p')))"
     assert repr(TrueConst()) == "TrueConst()"
+
+
+def test_the_pre_check_interns_no_node():
+    # the skeleton keys a box's letter by modality, operand and polarity,
+    # so it builds no twin <M> ~s of a box [M] s, and no ~s
+    phi = parse_formula("<B> p & [B] (p -> <B> p) & [iB] [L] ~q")
+    before = len(syntax._INTERNED)
+    assert sat._prop_unsat(phi) is None
+    assert len(syntax._INTERNED) == before

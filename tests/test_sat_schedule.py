@@ -27,18 +27,18 @@ def ordered_sat_bbll(phi, max_bound, precheck=True):
             return refuted
     own_bound = metrics(phi).periodic_bound
     bound = own_bound if max_bound is None else max_bound
-    goal = sat.later_somewhere(phi)
     letters = sorted(letters_of(phi))
     for total in range(2, bound + 1):
         for pre in range(1, total):
             per = total - pre
             enc = sat._Encoder(PeriodicDomain(pre, per), letters,
-                               sat.postorder(goal))
-            tables = enc.tables([phi])
-            enc.cnf.clauses.append([tables[goal][(0, 1)]])
+                               sat.postorder(phi))
+            cells = sat._cells(enc.tables[phi])
+            enc.cnf.clauses.append(
+                [enc.cnf.define_or([lit for _, lit in cells])])
             solver = enc.cnf.solve()
             if solver is not None:
-                return enc.certificate(solver, tables[phi].items(), phi)
+                return enc.certificate(solver, cells, phi)
     if max_bound is not None and max_bound < own_bound:
         return Unknown("search truncated below the periodic bound")
     return Unsat("no model within the periodic bound")
