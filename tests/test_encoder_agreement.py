@@ -268,9 +268,8 @@ def test_a_box_and_its_diamond_meet_in_one_variable():
 
 def test_well_foundedness_candidate_size():
     # the (1, 7) candidate of sat_unsat's well-foundedness shape, goal
-    # included: one entry per periodicity class of each subformula, where a
-    # window of cells cut at the model checker's caps held 9,601 entries for
-    # 437 variables and 1,243 clauses
+    # included, with one entry per periodicity class of each subformula:
+    # no more variables or clauses than a window of cells ever made
     phi = parse_formula("<B> ~p & [B] (~p -> <B> ~p)")
     enc, _, tables = _class_tables(PeriodicDomain(1, 7), phi)
     enc.cnf.define_or(list(tables[phi].values()))
