@@ -19,7 +19,7 @@ successors of an interval with one engine pass.
 
 Finite models are evaluated exactly over the whole domain. Periodic models
 are evaluated over windows of growing horizon: scans that reach right without
-bound stop at the periodicity caps (the comment above _row_cap), values a
+bound stop at the periodicity caps (the comment above _caps), values a
 window cannot justify are undetermined, and _stabilized_tables decides when
 the windows agree.
 """
@@ -31,7 +31,8 @@ from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .models import (
-    FiniteDomain, Interval, IntervalModel, PeriodicDomain, canonical_cells,
+    Bounds, FiniteDomain, Interval, IntervalModel, PeriodicDomain,
+    canonical_cells, later_stop, read_row, reduce_cell, row_stop,
     valid_interval,
 )
 from .syntax import (
@@ -44,6 +45,7 @@ from .syntax import (
 # sat._Cnf, whose constants are 1 and -1.
 _F, _U, _T = -1, 0, 1
 _join = partial(max, default=_F)
+_DECODE = {_F: False, _U: None, _T: True}
 
 
 class NotStabilized(Exception):
@@ -58,19 +60,12 @@ class NotStabilized(Exception):
             % (render(subformula), cell[0], cell[1], rounds))
 
 
-# The periodicity caps. A periodic domain repeats its valuation with the
-# period past the prefix: an atom has the same truth at [x, y] and at
-# [x, y + per] once y >= pre, and at [x + per, y + per] once x >= pre. The
-# rule used here is that this lifts level by level, with three thresholds
-# for a formula of modal depth d:
-#
-#   absolute right   y >= pre + 2*d*per
-#   length           y - x >= (2*d + 1)*per + 1
-#   diagonal         x >= pre + 2*d*per
-#
-# Past the first two, truth repeats when the right endpoint alone moves by
-# one period; past the third, when both endpoints do. Each modality lifts
-# its child's thresholds by one level:
+# The periodicity caps: the thresholds (A, L, D) past which the checker
+# takes a formula's truth to repeat under the two shifts stated above
+# models.reduce_cell. An atom repeats past (pre, 1, pre). The rule used here
+# is that this lifts level by level, so that a formula of modal depth d
+# repeats past A = D = pre + 2*d*per and L = (2*d + 1)*per + 1. Each
+# modality lifts its child's thresholds by one level:
 #
 # * B, E and D look inside [x, y]. Each interval inside [x, y + per] is
 #   matched to one inside [x, y] with the same value: a long one by a
@@ -79,10 +74,10 @@ class NotStabilized(Exception):
 #   longer than the child's length threshold: the length term. Without it,
 #   truth under nested D, B and E still depends on the interval's length
 #   past the absolute threshold.
-# * iB, A, L, iD and O reach right without bound. Their scans stop one
-#   period past the child's thresholds (the caps below), so every value
-#   further right repeats one already scanned, and moving [x, y] by a
-#   period moves the scanned values with it.
+# * iB, A, L, iD and O reach right without bound. Their scans stop at
+#   models.row_stop or models.later_stop for the child's thresholds, so
+#   every value further right repeats one already scanned, and moving
+#   [x, y] by a period moves the scanned values with it.
 # * iE, iA, iL and iO look left of the left endpoint or across it. A
 #   diagonal shift adds successors in the period before the new left
 #   endpoint, which repeat earlier ones once they clear the child's
@@ -93,35 +88,22 @@ class NotStabilized(Exception):
 # values under which mc_periodic agrees with the independent three-valued
 # oracle on every definite verdict of an all-modality fuzz
 # (tests/test_known_faults.py), where a length term of per + 1 at every
-# depth gives wrong answers. A scan that runs one period past the
-# thresholds has then seen every value there is to see. The checker's A
-# and L scans, iB row joins and horizon and query reductions cut where
-# these two functions say. sat._Encoder derives its own thresholds per
-# subformula instead, so these caps re-check its certificates independently.
-# The iB rows read their one threshold off _row_cap: past
-# t = _row_cap(pre, per, depth, x, x) - per + 1 the cap is y + per, and
-# before it the same for every cell of row x.
+# depth gives wrong answers. The checker's A and L scans, iB row joins and
+# horizon and query reductions cut at these thresholds. sat._Encoder
+# derives its own thresholds per subformula instead, so these caps re-check
+# its certificates independently.
 
-def _row_cap(pre: int, per: int, depth: int, x: int, lo: int) -> int:
-    """Largest right endpoint y' a scan over [x, y'], y' > lo, must visit
-    for a child of the given depth: one period past lo and past the
-    child's absolute-right and length thresholds."""
-    return max(pre + 2 * depth * per, x + (2 * depth + 1) * per + 1,
-               lo + 1) + per - 1
-
-
-def _later_cap(pre: int, per: int, depth: int, y: int) -> int:
-    """Largest left endpoint x' a scan over the intervals after point y
-    must visit for a child of the given depth: one period past y and past
-    the child's diagonal threshold, beyond which whole rows repeat."""
-    return max(pre + 2 * depth * per, y + 1) + per - 1
+def _caps(pre: int, per: int, depth: int) -> Bounds:
+    """The thresholds (A, L, D) of a formula of the given modal depth."""
+    t = pre + 2 * depth * per
+    return (t, (2 * depth + 1) * per + 1, t)
 
 
 # The six diamonds that are one diamond over another, <M> s being
-# <outer> <inner> s: inner is applied to s's table with s's depth, outer to
+# <outer> <inner> s: inner is applied to s's table with s's caps, outer to
 # the result. These are the six definability equations atlas.cited_equations
-# lists. "later" is <A> whose scan of row y stops at the later cap: <L> s
-# holds at (x, y) when <A> s holds at some (y, u), u > y, and past that cap
+# lists. "later" is <A> whose scan of row y stops at models.later_stop: <L> s
+# holds at (x, y) when <A> s holds at some (y, u), u > y, and past that stop
 # whole rows repeat.
 _COMPOSED = {
     "D": ("E", "B"),        # x < x' < y' < y
@@ -149,7 +131,7 @@ class _TableEngine:
 
     period=(pre, per) makes the window a prefix of a periodic domain, which
     only the lattice is used with: joins that reach right without bound
-    stop at the caps above, and a join the window cuts short of its cap
+    stop at the caps (_caps), and a join the window cuts short of its cap
     takes in undetermined. A and later scan once per column (_scan); iB
     fills each row with running joins (_row_joins). Without a period the
     window is a whole finite domain and every value is exact.
@@ -192,30 +174,32 @@ class _TableEngine:
         if t is Implies:
             return list(map(self.or2, [-v for v in self.tables[f.lhs]],
                             self.tables[f.rhs]))
-        if t is Diamond:
-            return self._diamond(f.mod.name, self.tables[f.sub],
-                                 modal_depth(f.sub))
-        if t is Box:
-            dia = self._diamond(f.mod.name, [-v for v in self.tables[f.sub]],
-                                modal_depth(f.sub))
-            return [-v for v in dia]
+        if t is Diamond or t is Box:
+            C, b = self.tables[f.sub], None
+            if self.period is not None:
+                pre, per = self.period
+                b = _caps(pre, per, modal_depth(f.sub))
+            if t is Diamond:
+                return self._diamond(f.mod.name, C, b)
+            return [-v for v in self._diamond(f.mod.name, [-v for v in C], b)]
         if t is TrueConst or t is FalseConst:
             return [_T if t is TrueConst else _F] * (self.h * self.w)
         raise TypeError("not a formula: %r" % (f,))
 
-    def _diamond(self, name: str, C: List[int], depth: int) -> List[int]:
+    def _diamond(self, name: str, C: List[int],
+                 b: Optional[Bounds]) -> List[int]:
         """The table of a diamond over the child table C, whose formula
-        has the given modal depth."""
+        has the caps b."""
         composed = _COMPOSED.get(name)
         if composed is not None:
             inner, outer = composed
-            return self._diamond(outer, self._diamond(inner, C, depth), depth)
+            return self._diamond(outer, self._diamond(inner, C, b), b)
         h, w, or2 = self.h, self.w, self.or2
         out = [_F] * (h * w)
         if name == "A" or name == "later":
             # (y, y') with y' > y, the same for every x: fill column y
             for y in range(1, h + 1):
-                v = self._scan(C, depth, y, name == "later")
+                v = self._scan(C, b, y, name == "later")
                 out[y:y * w + y:w] = [v] * y
         elif name == "iA":
             # (x', x): column x, the same for every y: fill row x
@@ -232,7 +216,7 @@ class _TableEngine:
             # (x, y') with y' > y: a ladder along each row, from the right
             for x in range(h):
                 r = x * w
-                out[r + x + 1:r + h + 1] = self._row_joins(C, depth, x)
+                out[r + x + 1:r + h + 1] = self._row_joins(C, b, x)
         elif name == "E":
             # (x', y) with x' > x: a ladder up each column, from y - 1 down
             for y in range(1, h + 1):
@@ -249,13 +233,14 @@ class _TableEngine:
             raise ValueError("unknown modality %r" % name)
         return out
 
-    def _row_joins(self, C: List[int], depth: int, x: int) -> List[int]:
+    def _row_joins(self, C: List[int], b: Optional[Bounds],
+                   x: int) -> List[int]:
         """Row x of <iB> over C: for each y in x+1..h the join of C over
         the cells (x, y'), y' > y, by running joins along the row.
 
         Without a period this is a ladder from the end of the row, the
-        mirror of E's column ladder. With one, let cap = _row_cap(pre, per,
-        depth, x, x) and t = cap - per + 1: _row_cap gives every y < t the
+        mirror of E's column ladder. With one, let cap = models.row_stop(b,
+        per, x, x) and t = cap - per + 1: row_stop gives every y < t the
         same cap, and every y >= t the cap y + per. So the cells before t
         are one ladder from min(cap, h), started at undetermined when the
         window ends before cap, and from t on each cell joins the window
@@ -266,8 +251,8 @@ class _TableEngine:
         r = x * self.w
         t, hi, start = h + 1, h, _F
         if self.period is not None:
-            pre, per = self.period
-            cap = _row_cap(pre, per, depth, x, x)
+            per = self.period[1]
+            cap = row_stop(b, per, x, x)
             t, hi = cap - per + 1, min(cap, h)
             if cap > h:
                 start = _U
@@ -283,16 +268,17 @@ class _TableEngine:
                            C[r + t + k:r + h + 1] + [_U] * min(k, n)))
         return row + win
 
-    def _scan(self, C: List[int], depth: int, y: int, later: bool) -> int:
+    def _scan(self, C: List[int], b: Optional[Bounds], y: int,
+              later: bool) -> int:
         """Join of C over the cells (y, y'), y' > y, for A and later.
-        Unbounded to the right; on a periodic domain the scan stops at the
-        row cap, or at the later cap, and joins in undetermined if the
-        window ends first."""
+        Unbounded to the right; on a periodic domain the scan stops at
+        models.row_stop, or at models.later_stop, and joins in undetermined
+        if the window ends first."""
         hi, exact = self.h, True
         if self.period is not None:
-            pre, per = self.period
-            cap = (_later_cap(pre, per, depth, y) if later
-                   else _row_cap(pre, per, depth, y, y))
+            per = self.period[1]
+            cap = (later_stop(b, per, y) if later
+                   else row_stop(b, per, y, y))
             hi, exact = min(hi, cap), cap <= hi
         r = y * self.w
         v = self.join(C[r + y + 1:r + hi + 1])
@@ -325,7 +311,7 @@ def allen_related(domain, i: Interval, mod: Modality,
     letter = [_F] * (h * w)
     letter[x * w + y] = _T
     rel = _TableEngine(h, None, _join, max, min)._diamond(
-        mod.inverse().name, letter, 0)
+        mod.inverse().name, letter, None)
     return [divmod(k, w) for k, v in enumerate(rel) if v == _T]
 
 
@@ -335,19 +321,12 @@ def _model_engine(model: IntervalModel, horizon: int) -> _TableEngine:
 
     A letter's table is filled row by row from its canonical cells,
     model.atom_cells(letter). On a finite domain the window is the whole
-    domain, so each cell is stamped where it stands. On a periodic domain,
-    with cut = pre + per, the two shifts of models.canonical_interval give
-    every row from a few stored ones:
-
-    * diagonal: row x >= cut reads row x - k*per at the same offsets
-      y - x, k being the shift count that brings x below cut;
-    * right: inside a row xc < cut, the value at y is the value at
-      y - per once y >= m = max(cut, xc + per + 1).
-
-    So row xc is its canonical segment, the cells (xc, y) with
-    xc < y < m (max(cut - 1 - xc, per) of them), followed by its last per
-    entries repeated, and row x takes the first h - x entries of row xc.
-    Each row is one slice assignment, with no canonical_interval call."""
+    domain, so each cell is stamped where it stands. On a periodic domain
+    the canonical cells are the fixed points of the atom thresholds
+    (pre, 1, pre) (models.reduce_cell): each row x < pre + per is read from
+    them by models.read_row, and each later row x is row x - per one cell
+    on, by a diagonal shift. Each row is one slice assignment, with no
+    canonical_interval call."""
     d = model.domain
     h, w = horizon, horizon + 1
     period = (d.pre, d.per) if isinstance(d, PeriodicDomain) else None
@@ -359,18 +338,19 @@ def _model_engine(model: IntervalModel, horizon: int) -> _TableEngine:
                 table[x * w + y] = _T
             return table
         pre, per = period
-        cut = pre + per
-        rows = [[_F] * max(cut - 1 - xc, per) for xc in range(min(cut, h))]
+        b, cut = (pre, 1, pre), pre + per
+        rows = [[_F] * (row_stop(b, per, x, x) - x)
+                for x in range(min(cut, h))]
         for x, y in model.atom_cells(name):
             if x < h:
                 rows[x][y - x - 1] = _T
-        for xc, row in enumerate(rows):
-            short = h - xc - len(row)
-            if short > 0:
-                row += row[-per:] * -(-short // per)
         for x in range(h):
-            xc = x if x < cut else x - ((x - cut) // per + 1) * per
-            table[x * w + x + 1:x * w + h + 1] = rows[xc][:h - x]
+            r = x * w
+            if x < cut:
+                table[r + x + 1:r + h + 1] = read_row(rows, per, x, h)
+            else:
+                q = r - per * (w + 1)   # row x - per, one cell on
+                table[r + x + 1:r + h + 1] = table[q + x + 1:q + h + 1]
         return table
 
     return _TableEngine(horizon, atom, _join, max, min, period)
@@ -386,9 +366,7 @@ class FiniteEvaluator:
         self._engine = _model_engine(model, model.domain.last_point)
 
     def table(self, phi: Formula) -> Dict[Interval, bool]:
-        raw, w = self._engine.table(phi), self._engine.w
-        return {(x, y): raw[x * w + y] == _T
-                for x in range(w - 1) for y in range(x + 1, w)}
+        return _decode(self._engine.table(phi), self._engine.h)
 
     def value(self, phi: Formula, i: Interval) -> bool:
         x, y = i
@@ -405,23 +383,9 @@ def mc_finite(model: IntervalModel, i: Interval, phi: Formula) -> bool:
 
 
 def _reduce_query(domain: PeriodicDomain, i: Interval, depth: int) -> Interval:
-    """Pull a far-away query interval back toward the origin along the two
-    periodicity shifts, staying within the region where truth of a formula
-    of the given depth is invariant."""
-    pre, per = domain.pre, domain.per
-    x, y = i
-    # the last left endpoint a later scan from point 0 visits
-    top = _later_cap(pre, per, depth, 0)
-    if x > top:
-        # diagonal shifts until the left endpoint is at most top
-        k = (x - top - 1) // per + 1
-        x -= k * per
-        y -= k * per
-    cap = _row_cap(pre, per, depth, x, x)
-    if y > cap:
-        # right-endpoint shifts until y is at most cap
-        y -= ((y - cap - 1) // per + 1) * per
-    return (x, y)
+    """Pull a far-away query interval back to its fixed point under the
+    caps of a formula of the given depth, where its truth is the same."""
+    return reduce_cell(_caps(domain.pre, domain.per, depth), domain.per, *i)
 
 
 def _scan_frontier(pre: int, per: int, depth: int, y0: int) -> int:
@@ -429,9 +393,9 @@ def _scan_frontier(pre: int, per: int, depth: int, y0: int) -> int:
     from a cell with right endpoint y0 stays inside the grid. Each modality
     level moves the frontier at most twice (the later modality scans rows
     from scanned start points), hence the doubled step count."""
-    f = y0
+    b, f = _caps(pre, per, depth), y0
     for _ in range(2 * depth + 1):
-        f = _row_cap(pre, per, depth, f, f)
+        f = row_stop(b, per, f, f)
     return max(f, pre + per + 1)
 
 
@@ -512,10 +476,12 @@ def periodic_stable_tables(model: IntervalModel, phi: Formula,
     if not isinstance(model.domain, PeriodicDomain):
         raise TypeError("periodic tables need a periodic model")
     raw, h = _stabilized_tables(model, phi, max_rounds)
-    decode = {_F: False, _U: None, _T: True}
-    tables = {
-        node: {(x, y): decode[grid[x * (h + 1) + y]]
-               for x in range(h) for y in range(x + 1, h + 1)}
-        for node, grid in raw.items()
-    }
-    return tables, h
+    return {node: _decode(grid, h) for node, grid in raw.items()}, h
+
+
+def _decode(grid: List[int], h: int) -> Dict[Interval, Optional[bool]]:
+    """A flat table over the window 0..h keyed by (x, y), with values
+    False, None (undetermined) or True."""
+    w = h + 1
+    return {(x, y): _DECODE[grid[x * w + y]]
+            for x in range(h) for y in range(x + 1, w)}

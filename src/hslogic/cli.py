@@ -43,6 +43,13 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _nonnegative(value: Optional[int], what: str) -> None:
+    """Reject a negative budget on every path, also where it goes unread,
+    with the message the periodic procedures give."""
+    if value is not None and value < 0:
+        raise ValueError("%s must be at least 0, got %d" % (what, value))
+
+
 def _cmd_parse(args: argparse.Namespace) -> int:
     print(render(parse_formula(args.formula)))
     return 0
@@ -52,6 +59,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     model = load_model(_read(args.model))
     phi = parse_formula(args.formula)
     x, y = args.interval
+    _nonnegative(args.rounds, "the round budget")
     if isinstance(model.domain, FiniteDomain):
         value = mc_finite(model, (x, y), phi)
     else:
@@ -75,6 +83,7 @@ def _cmd_sat(args: argparse.Namespace) -> int:
         return 2
     text = args.formula if args.formula is not None else _read(args.file)
     phi = parse_formula(text)
+    _nonnegative(args.max_bound, "the periodic bound")
     if args.finite is not None:
         res = sat_bounded_finite(phi, args.finite)
     else:

@@ -5,11 +5,9 @@ naturals, and the whole of the naturals presented as an ultimately periodic
 structure with a prefix length and a period. In the periodic case a
 valuation is stored on a finite set of canonical cells; truth of an atom at
 an arbitrary interval is looked up through the canonicalization map, which
-quotients the grid by the two periodicity clauses (diagonal shifts past the
-prefix, and right-endpoint shifts that keep the interval ahead of its start).
-The model checker does not look atoms up cell by cell: it fills whole rows
-of a letter's table from atom_cells by the same two shifts
-(checking._model_engine).
+quotients the grid by the two periodicity shifts (the comment above
+reduce_cell). The model checker does not look atoms up cell by cell: it
+fills whole rows of a letter's table from atom_cells (checking._model_engine).
 
 Intervals are ordered pairs (x, y) with x < y; the point-interval reading is
 not used anywhere in this package.
@@ -24,6 +22,8 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 from .parser import is_letter
 
 Interval = Tuple[int, int]
+# thresholds (A, L, D): absolute right, length and diagonal
+Bounds = Tuple[int, int, int]
 
 
 class ModelFormatError(ValueError):
@@ -68,9 +68,67 @@ def valid_interval(domain, i: Interval) -> bool:
     return True
 
 
+# The periodicity shifts. Truth over an ultimately periodic domain repeats
+# with the period past thresholds (A, L, D), which depend on what is
+# evaluated: an atom's are (pre, 1, pre), and the checker's and the
+# encoder's are stated where they are chosen (checking._caps,
+# sat._thresholds). Two shifts lower a cell:
+#
+#   diagonal  (x, y) has the value of (x - per, y - per) when x - per >= D;
+#   right     (x, y) has the value of (x, y - per) when y - per >= A and
+#             y - per - x >= L.
+#
+# A cell neither shift lowers is a fixed point: x < D + per and
+# x < y < max(A, x + L) + per, so row x of the fixed points ends at
+# row_stop(b, per, x, x). A table kept as those rows is read at any cell
+# through reduce_cell, and along a row through read_row. A scan along row x
+# past y stops at row_stop, since each value further right repeats one
+# before it; a scan over the rows past y stops at later_stop, since past it
+# whole rows repeat.
+
+def reduce_cell(b: Bounds, per: int, x: int, y: int) -> Interval:
+    """The fixed point (x, y) lowers to under thresholds b: diagonal shifts
+    while x - per >= D, then right shifts while y - per >= max(A, x + L)."""
+    a, l, d = b
+    if x - per >= d:
+        k = (x - d) // per * per
+        x, y = x - k, y - k
+    m = max(a, x + l)
+    if y - per >= m:
+        y -= (y - m) // per * per
+    return x, y
+
+
+def row_stop(b: Bounds, per: int, x: int, y: int) -> int:
+    """The last right endpoint a scan over (x, y'), y' > y, must visit:
+    one period past y and past the thresholds A and x + L."""
+    a, l, _ = b
+    return max(a, x + l, y + 1) + per - 1
+
+
+def later_stop(b: Bounds, per: int, y: int) -> int:
+    """The last left endpoint a scan over the rows x' > y must visit: one
+    period past y and past the threshold D."""
+    return max(b[2], y + 1) + per - 1
+
+
+def read_row(rows: List[List[int]], per: int, x: int, hi: int) -> List[int]:
+    """The entries at (x, x + 1) .. (x, hi) of a table kept as its rows of
+    fixed points: row x lowered by diagonal shifts, then continued by
+    repeating its last per entries."""
+    n = hi - x
+    if x >= len(rows):
+        x -= ((x - len(rows)) // per + 1) * per
+    row = rows[x]
+    if n > len(row):
+        row = row + row[-per:] * -((len(row) - n) // per)
+    return row[:n]
+
+
 def canonical_interval(domain, i: Interval) -> Interval:
-    """Representative of an interval's periodicity class; the identity on
-    finite domains, and idempotent everywhere."""
+    """Representative of an interval's periodicity class, its fixed point
+    under the atom thresholds (pre, 1, pre); the identity on finite
+    domains, and idempotent everywhere."""
     x, y = i
     if not (0 <= x < y):
         raise ValueError("not an interval: %r" % (i,))
@@ -78,21 +136,12 @@ def canonical_interval(domain, i: Interval) -> Interval:
         if y > domain.last_point:
             raise ValueError("interval %r outside the domain" % (i,))
         return i
-    pre, per = domain.pre, domain.per
-    cut = pre + per
-    if x >= cut:
-        # diagonal shifts until the left endpoint is below pre + per
-        k = (x - cut) // per + 1
-        x -= k * per
-        y -= k * per
-    if y >= cut and y - per > x:
-        # right-endpoint shifts while y >= pre + per and y - per > x
-        y -= ((y - max(cut, x + per + 1)) // per + 1) * per
-    return (x, y)
+    return reduce_cell((domain.pre, 1, domain.pre), domain.per, x, y)
 
 
 def canonical_cells(domain) -> List[Interval]:
-    """The finite cell set a valuation lives on, in (x, y) order."""
+    """The finite cell set a valuation lives on, in (x, y) order: on a
+    periodic domain the fixed points of the atom thresholds."""
     out = []
     if isinstance(domain, FiniteDomain):
         n = domain.last_point
@@ -101,9 +150,9 @@ def canonical_cells(domain) -> List[Interval]:
                 out.append((x, y))
         return out
     pre, per = domain.pre, domain.per
-    cut = pre + per
-    for x in range(cut):
-        for y in range(x + 1, max(cut, x + per + 1)):
+    b = (pre, 1, pre)
+    for x in range(pre + per):
+        for y in range(x + 1, row_stop(b, per, x, x) + 1):
             out.append((x, y))
     return out
 

@@ -28,7 +28,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .checking import _TableEngine, NotStabilized, mc_finite, mc_periodic
 from .models import (
-    FiniteDomain, Interval, IntervalModel, PeriodicDomain, canonical_cells,
+    Bounds, FiniteDomain, Interval, IntervalModel, PeriodicDomain,
+    canonical_cells, later_stop, read_row, reduce_cell, row_stop,
 )
 # Not called here. bench/tracing.py patches these names to time or count
 # them, so a traced benchmark run needs them importable from this module.
@@ -355,7 +356,6 @@ def _finite_engine(cand: _Candidate) -> _TableEngine:
 
 # a node's table: row x lists its literals at (x, x + 1), ... (_Encoder)
 Rows = List[List[int]]
-Bounds = Tuple[int, int, int]
 Cells = List[Tuple[Interval, int]]
 
 
@@ -389,20 +389,6 @@ def _thresholds(order: List[Formula], pre: int,
     return out
 
 
-def _reduce(bounds: Bounds, per: int, x: int, y: int) -> Interval:
-    """The fixed point cell (x, y) lowers to under thresholds (A, L, D):
-    diagonal shifts while x - per >= D, then right shifts while
-    y - per >= A and y - per - x >= L."""
-    a, l, d = bounds
-    if x - per >= d:
-        k = (x - d) // per * per
-        x, y = x - k, y - k
-    m = max(a, x + l)
-    if y - per >= m:
-        y -= (y - m) // per * per
-    return x, y
-
-
 def _cells(tab: Rows) -> Cells:
     """A table's (fixed point, literal) pairs in ascending cell order."""
     return [((x, y), lit) for x, row in enumerate(tab)
@@ -414,16 +400,13 @@ class _Encoder(_Candidate):
     candidate domain, for the begin/later modalities B, iB, L and iL, with
     one literal per periodicity class.
 
-    Each node has thresholds A (absolute right), L (length) and D
-    (diagonal), folded over the postorder by _thresholds, and its truth
-    repeats under two shifts that lower a cell: (x, y) has the value of
-    (x - per, y - per) when x - per >= D, and of (x, y - per) when
-    y - per >= A and y - per - x >= L. A cell neither shift lowers is a
-    fixed point: x < D + per and x < y < max(A, x + L) + per. A node's
-    table (self.tables) holds one literal per fixed point: row x, for
-    x < D + per, lists the literals at (x, x + 1) .. (x, max(A, x + L) +
-    per - 1). Every read of an operand goes through the operand's reduction
-    (_reduce for a cell, _row for a run along a row). Tables are filled in
+    Each node has thresholds (A, L, D), folded over the postorder by
+    _thresholds, past which its truth repeats under the two shifts stated
+    above models.reduce_cell. A node's table (self.tables) holds one
+    literal per fixed point: row x, for x < D + per, lists the literals at
+    (x, x + 1) .. (x, models.row_stop(b, per, x, x)). Every read of an
+    operand goes through the operand's thresholds (models.reduce_cell for a
+    cell, models.read_row for a run along a row). Tables are filled in
     postorder, row by row and cell by cell, through the folding gates of
     _Cnf, so the variable numbering is fixed.
 
@@ -442,12 +425,11 @@ class _Encoder(_Candidate):
     * <iB> s joins s over (x, y'), y' > y: unchanged. A diagonal shift
       moves the successors along; a right shift adds y - per < y' <= y,
       each past A and x + L, so the value of (x, y' + per), a successor
-      already. Past max(y + 1, A, x + L) + per - 1 each value along the row
-      repeats one before it, so the scan stops there;
+      already. The scan stops at models.row_stop;
     * <L> s joins s over the rows x' > y, so it depends on y alone:
       (D, 1, D). Lowering y by per adds the rows y - per < x' <= y, each
       past D and so a diagonal shift of a row after y. The scan joins the
-      rows up to max(y + 1, D) + per - 1, each as its whole row of classes;
+      rows up to models.later_stop, each as its whole row of classes;
     * <iL> s joins s over the cells (x', y'), y' < x, so it depends on x
       alone: (0, 1, max(A + per, D + 2 per + L - 1)). A diagonal shift
       drops the cells with x - per <= y' < x. One with x' >= D + per has
@@ -472,8 +454,8 @@ class _Encoder(_Candidate):
         self.tables: Dict[Formula, Rows] = {}
         cnf, tables = self.cnf, self.tables
         for f in order:
-            a, l, d = self.bounds[f]
-            his = [max(a, x + l) + per - 1 for x in range(d + per)]
+            b = self.bounds[f]
+            his = [row_stop(b, per, x, x) for x in range(b[2] + per)]
             t = type(f)
             if t is Atom:
                 var, name = self.atom_var, f.name
@@ -486,8 +468,8 @@ class _Encoder(_Candidate):
                 lhs, rhs = tables[f.lhs], tables[f.rhs]
                 if t is Implies:
                     lhs = [[-lit for lit in row] for row in lhs]
-                tab = [list(map(gate, self._row(lhs, x, hi),
-                                self._row(rhs, x, hi)))
+                tab = [list(map(gate, read_row(lhs, per, x, hi),
+                                read_row(rhs, per, x, hi)))
                        for x, hi in enumerate(his)]
             elif t is Diamond:
                 tab = self._diamond(f, tables[f.sub], his)
@@ -500,17 +482,6 @@ class _Encoder(_Candidate):
                 tab = [[const] * (hi - x) for x, hi in enumerate(his)]
             tables[f] = tab
 
-    def _row(self, tab: Rows, x: int, hi: int) -> List[int]:
-        """A table's literals at (x, x + 1) .. (x, hi): row x lowered by
-        diagonal shifts, then continued by repeating its last per entries."""
-        per, n = self.per, hi - x
-        if x >= len(tab):
-            x -= ((x - len(tab)) // per + 1) * per
-        row = tab[x]
-        if n > len(row):
-            row = row + row[-per:] * -((len(row) - n) // per)
-        return row[:n]
-
     def _diamond(self, f: Union[Diamond, Box], sub: Rows,
                  his: List[int]) -> Rows:
         """The rows of <M> over sub, f being <M> s or [M] s and sub the
@@ -521,25 +492,25 @@ class _Encoder(_Candidate):
             for x, hi in enumerate(his):
                 row = [_FALSE]
                 covered = set()     # the literals row[-1] joins
-                for lit in self._row(sub, x, hi - 1):
+                for lit in read_row(sub, per, x, hi - 1):
                     row.append(row[-1] if lit in covered
                                else cnf.define_or2(row[-1], lit))
                     covered.add(lit)
                 tab.append(row)
         elif name == "iB":
+            b = self.bounds[f.sub]
             for x, hi in enumerate(his):
-                m = hi - per + 1    # max(A, x + L)
-                s = self._row(sub, x, hi + per)
-                tab.append([cnf.define_or(s[y - x:max(y + 1, m) + per - 1 - x])
+                s = read_row(sub, per, x, hi + per)
+                tab.append([cnf.define_or(s[y - x:row_stop(b, per, x, y) - x])
                             for y in range(x + 1, hi + 1)])
         elif name == "L":
-            d = self.bounds[f.sub][2]
+            b = self.bounds[f.sub]
             joins: Dict[int, int] = {}      # row of sub -> its join
             after = [_FALSE]                # y -> the join of the rows past y
             for y in range(1, his[-1] + 1):
                 lits = []
-                for xp in range(y + 1, max(y + 1, d) + per):
-                    r = xp - max(0, (xp - d) // per) * per
+                for xp in range(y + 1, later_stop(b, per, y) + 1):
+                    r = reduce_cell(b, per, xp, xp + 1)[0]
                     if r not in joins:
                         joins[r] = cnf.define_or(sub[r])
                     lits.append(joins[r])
@@ -547,13 +518,13 @@ class _Encoder(_Candidate):
             tab = [after[x + 1:hi + 1] for x, hi in enumerate(his)]
         else:
             # iL, the fragment being checked by _thresholds
-            bounds = self.bounds[f.sub]
+            b = self.bounds[f.sub]
             rung = [_FALSE, _FALSE]
             covered = set()     # the literals rung[-1] is the disjunction of
             for v in range(2, len(his)):
                 new = []
                 for a in range(v - 1):
-                    x, y = _reduce(bounds, per, a, v - 1)
+                    x, y = reduce_cell(b, per, a, v - 1)
                     lit = sub[x][y - x - 1]
                     if lit not in covered:
                         covered.add(lit)

@@ -293,17 +293,23 @@ def test_model_letters_follow_the_formula_rule(capsys, tmp_path):
 
 
 def test_negative_budgets_are_usage_errors(capsys, tmp_path):
-    code, out, err = run(capsys, "sat", "--max-bound", "-3", "<B> p")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    # on the periodic paths and on the finite ones, which never read them
+    for argv in (("--max-bound", "-3", "<B> p"),
+                 ("<B> p", "--finite", "1", "--max-bound", "-4")):
+        code, out, err = run(capsys, "sat", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
     ppath = tmp_path / "p.ism"
     ppath.write_text("order periodic pre=1 per=1\nval p 1 2\n",
                      encoding="ascii")
-    code, out, err = run(capsys, "mc", "--model", str(ppath),
-                         "--interval", "0", "1", "--formula", "<L> p",
-                         "--rounds", "-2")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    fpath = tmp_path / "f.ism"
+    fpath.write_text("order finite 2\nval p 0 1\n", encoding="ascii")
+    for path, formula, rounds in ((ppath, "<L> p", "-2"), (fpath, "p", "-1")):
+        code, out, err = run(capsys, "mc", "--model", str(path),
+                             "--interval", "0", "1", "--formula", formula,
+                             "--rounds", rounds)
+        assert (code, out) == (2, ""), path
+        assert err.startswith("error: "), path
 
 
 def test_mirror_reports_the_formula_error(capsys):

@@ -21,7 +21,9 @@ import random
 
 from hslogic import sat
 from hslogic.checking import mc_periodic
-from hslogic.models import FiniteDomain, PeriodicDomain, canonical_cells
+from hslogic.models import (
+    FiniteDomain, PeriodicDomain, canonical_cells, reduce_cell,
+)
 from hslogic.parser import parse_formula
 from hslogic.syntax import (
     B, iB, L, iL, Diamond, letters_of, modal_depth,
@@ -43,7 +45,7 @@ def _class_tables(domain, phi):
 
 def _literal(enc, f, cell):
     """f's literal at any cell, read through f's reduction."""
-    x, y = sat._reduce(enc.bounds[f], enc.per, *cell)
+    x, y = reduce_cell(enc.bounds[f], enc.per, *cell)
     return enc.tables[f][x][y - x - 1]
 
 
@@ -110,7 +112,7 @@ ORACLE_HORIZON = 16
 
 
 def test_thresholds_keep_truth_under_both_shifts():
-    # A node's truth at a cell is its truth at the fixed point _reduce
+    # A node's truth at a cell is its truth at the fixed point reduce_cell
     # lowers the cell to under the node's thresholds: by mc_periodic, and by
     # the independent three-valued oracle wherever it decides both cells.
     # Cells are drawn up to two periods past each node's fixed points, so
@@ -131,7 +133,7 @@ def test_thresholds_keep_truth_under_both_shifts():
             for _ in range(8):
                 x = rng.randint(0, d + 2 * per)
                 cell = (x, rng.randint(x + 1, max(a, x + l) + 2 * per))
-                fixed = sat._reduce(bounds[f], per, *cell)
+                fixed = reduce_cell(bounds[f], per, *cell)
                 if fixed == cell:
                     continue
                 assert mc_periodic(model, cell, f) == \

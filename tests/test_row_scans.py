@@ -2,15 +2,15 @@
 
 The engine fills an iB row with running joins. The reference here scans
 each cell on its own: the join of the child over (x, y'), y' > y, cut at
-_row_cap on a periodic grid and joined with undetermined where the cap
-lies past the horizon. iD and O are the exact iE and E joins over that
-scan (checking._COMPOSED), written out per cell too.
+the cap _row_cap writes out on a periodic grid and joined with undetermined
+where the cap lies past the horizon. iD and O are the exact iE and E joins
+over that scan (checking._COMPOSED), written out per cell too.
 """
 
 import random
 
 from hslogic.checking import (
-    _F, _T, _U, _TableEngine, _join, _row_cap, allen_related,
+    _F, _T, _U, _TableEngine, _caps, _join, allen_related,
 )
 from hslogic.models import FiniteDomain, PeriodicDomain
 from hslogic.syntax import MODALITIES_BY_NAME
@@ -18,6 +18,14 @@ from hslogic.syntax import MODALITIES_BY_NAME
 from . import oracle
 
 _VALUES = (_F, _U, _T)
+
+
+def _row_cap(pre, per, depth, x, lo):
+    """The largest right endpoint y' a scan over [x, y'], y' > lo, visits
+    for a child of the given depth: one period past lo and past the fitted
+    absolute-right and length caps, in closed form."""
+    return max(pre + 2 * depth * per, x + (2 * depth + 1) * per + 1,
+               lo + 1) + per - 1
 
 
 def _ref_ib(C, h, depth, period):
@@ -64,8 +72,9 @@ def _check(rng, h, depth, period):
     w = h + 1
     cells = [x * w + y for x in range(h) for y in range(x + 1, h + 1)]
     engine = _TableEngine(h, None, _join, max, min, period)
+    caps = None if period is None else _caps(*period, depth)
     for name in ("iB", "iD", "O"):
-        got = engine._diamond(name, C, depth)
+        got = engine._diamond(name, C, caps)
         want = _reference(name, C, h, depth, period)
         assert [got[k] for k in cells] == [want[k] for k in cells], \
             (name, h, depth, period)
@@ -98,7 +107,7 @@ def test_undetermined_edge_is_reached():
     h, pre, per, depth = 8, 1, 2, 0
     C = [_F] * (h * (h + 1))
     got = _TableEngine(h, None, _join, max, min, (pre, per))._diamond(
-        "iB", C, depth)
+        "iB", C, _caps(pre, per, depth))
     w = h + 1
     for x in range(h):
         for y in range(x + 1, h + 1):
