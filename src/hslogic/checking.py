@@ -19,9 +19,10 @@ successors of an interval with one engine pass.
 
 Finite models are evaluated exactly over the whole domain. Periodic models
 are evaluated over windows of growing horizon: scans that reach right without
-bound stop at the periodicity caps (the comment above _caps), values a
-window cannot justify are undetermined, and _stabilized_tables decides when
-the windows agree.
+bound stop where truth starts to repeat, at thresholds derived per
+subformula (_fold_thresholds, which the periodic encoder reads too), values
+a window cannot justify are undetermined, and _stabilized_tables decides
+when the windows agree.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .models import (
     Bounds, FiniteDomain, Interval, IntervalModel, PeriodicDomain,
-    canonical_cells, later_stop, read_row, reduce_cell, row_stop,
-    valid_interval,
+    canonical_cells, read_row, reduce_cell, row_stop, valid_interval,
 )
 from .syntax import (
     And, Atom, Box, Diamond, FalseConst, Formula, Implies, Modality, Not,
@@ -60,59 +60,109 @@ class NotStabilized(Exception):
             % (render(subformula), cell[0], cell[1], rounds))
 
 
-# The periodicity caps: the thresholds (A, L, D) past which the checker
-# takes a formula's truth to repeat under the two shifts stated above
-# models.reduce_cell. An atom repeats past (pre, 1, pre). The rule used here
-# is that this lifts level by level, so that a formula of modal depth d
-# repeats past A = D = pre + 2*d*per and L = (2*d + 1)*per + 1. Each
-# modality lifts its child's thresholds by one level:
-#
-# * B, E and D look inside [x, y]. Each interval inside [x, y + per] is
-#   matched to one inside [x, y] with the same value: a long one by a
-#   right shift back a period, a short one near the new end by a diagonal
-#   shift. The match stays inside [x, y] only when [x, y] is some periods
-#   longer than the child's length threshold: the length term. Without it,
-#   truth under nested D, B and E still depends on the interval's length
-#   past the absolute threshold.
-# * iB, A, L, iD and O reach right without bound. Their scans stop at
-#   models.row_stop or models.later_stop for the child's thresholds, so
-#   every value further right repeats one already scanned, and moving
-#   [x, y] by a period moves the scanned values with it.
-# * iE, iA, iL and iO look left of the left endpoint or across it. A
-#   diagonal shift adds successors in the period before the new left
-#   endpoint, which repeat earlier ones once they clear the child's
-#   diagonal threshold.
-#
-# This is an argument, not a proof: the step of two periods per level and
-# the 2*d + 1 of the length term are fitted, not derived. They are the
-# values under which mc_periodic agrees with the independent three-valued
-# oracle on every definite verdict of an all-modality fuzz
-# (tests/test_known_faults.py), where a length term of per + 1 at every
-# depth gives wrong answers. The checker's A and L scans, iB row joins and
-# horizon and query reductions cut at these thresholds. sat._Encoder
-# derives its own thresholds per subformula instead, so these caps re-check
-# its certificates independently.
-
-def _caps(pre: int, per: int, depth: int) -> Bounds:
-    """The thresholds (A, L, D) of a formula of the given modal depth."""
-    t = pre + 2 * depth * per
-    return (t, (2 * depth + 1) * per + 1, t)
-
-
 # The six diamonds that are one diamond over another, <M> s being
-# <outer> <inner> s: inner is applied to s's table with s's caps, outer to
-# the result. These are the six definability equations atlas.cited_equations
-# lists. "later" is <A> whose scan of row y stops at models.later_stop: <L> s
-# holds at (x, y) when <A> s holds at some (y, u), u > y, and past that stop
-# whole rows repeat.
+# <outer> <inner> s: inner is applied to s's table with s's thresholds,
+# outer to the result with the thresholds inner lifts them to (_lift).
+# These are the six definability equations atlas.cited_equations lists. L
+# is <A> <A>: <A> s holds at (y, u) when s holds somewhere on row u, so
+# <L> s holds at (x, y) when s holds on some row past y.
 _COMPOSED = {
     "D": ("E", "B"),        # x < x' < y' < y
     "iD": ("iB", "iE"),     # x' < x, y' > y
     "O": ("iB", "E"),       # x < x' < y < y'
     "iO": ("iE", "B"),      # x' < x < y' < y
-    "L": ("A", "later"),    # y < x'
+    "L": ("A", "A"),        # y < x'
     "iL": ("iA", "iA"),     # y' < x
 }
+
+
+def _lift(name: str, b: Bounds, per: int) -> Bounds:
+    """The thresholds of <M> s and [M] s, M named name, s having the
+    thresholds b = (A, L, D). The two shifts are those stated above
+    models.reduce_cell: diagonal, (x, y) to (x - per, y - per) when x - per
+    >= D, and right, (x, y) to (x, y - per) when y - per >= A and y - per
+    - x >= L. A lift rule holds when each shift of a cell past the new
+    thresholds maps the successors of the cell onto those of its image,
+    value for value, both ways. Every node has A <= D + L - 1: an atom and
+    a constant meet it with equality, the componentwise max keeps it, and
+    so does each rule below, which lean on it where a right shift needs y
+    - per >= A. The six written out:
+
+    * A joins s over row y, (y, u) with u > y, so it depends on y alone:
+      (D, 1, D). Once y - per >= D each (y, u) has the value of its
+      diagonal shift (y - per, u - per), so rows y and y - per hold the
+      same values, and both shifts lower y by per.
+    * iA joins s over column x, (u, x) with u < x, so it depends on x
+      alone: (0, 1, D + per + L - 1). Past that, a cell (u, x) with u >= D
+      + per has the value of its diagonal shift (u - per, x - per), and
+      one with u < D + per that of its right shift (u, x - per), as x - per
+      - u >= L; back the other way, (u, x - per) is a diagonal shift of (u
+      + per, x) when u >= D, and a right shift of (u, x) when u < D.
+    * B joins s over (x, y'), x < y' < y: (A + per, L + per, D). A diagonal
+      shift moves every successor along, each still past D. A right shift
+      drops the y' with y - per <= y' < y, each past A + per and x + L +
+      per, so each has the value of (x, y' - per), a successor still.
+    * iB joins s over (x, y'), y' > y: unchanged. A diagonal shift moves
+      the successors along; a right shift adds the y' with y - per < y' <=
+      y, each past A and x + L, so each has the value of (x, y' + per), a
+      successor already.
+    * E joins s over (u, y), x < u < y: (D + per + L - 1, L + per, D). A
+      diagonal shift moves every successor along. Under a right shift a
+      successor (u, y) with u <= y - per - L has the value of (u, y - per),
+      and one with u > y - per - L that of (u - per, y - per), as u - per
+      >= D and, by the length term, u - per > x: both successors of (x, y
+      - per). Back the other way, (u, y - per) has the value of (u + per,
+      y) when u >= D, and of (u, y) when u < D.
+    * iE joins s over (u, y), u < x: (A, max(1, L - 1), D + per + max(0, L
+      - 2)). A right shift takes each (u, y) to (u, y - per), as y - per >=
+      A and y - per - u >= y - per - x + 1 >= L. Under a diagonal shift,
+      x - per >= D', a successor (u, y) with u >= D + per has the value of
+      (u - per, y - per), and one with u < D + per, so u < x - per, that
+      of (u, y - per), as y - per >= D' + 1 >= A and y - per - u >= D' + 2
+      - D - per >= L; back the other way, (u, y - per) has the value of (u
+      + per, y) when u >= D, and of (u, y) when u < D.
+
+    Two rules keep slack: A's diagonal term could be max(0, D - 1), as y
+    - per > x - per, and iB could lower A by one and L to max(1, L - 1),
+    as each y' a right shift adds is past y - per.
+    The other six lift through _COMPOSED, outer over inner."""
+    composed = _COMPOSED.get(name)
+    if composed is not None:
+        inner, outer = composed
+        return _lift(outer, _lift(inner, b, per), per)
+    a, l, d = b
+    return {"A": (d, 1, d), "iA": (0, 1, d + per + l - 1),
+            "B": (a + per, l + per, d), "iB": b,
+            "E": (d + per + l - 1, l + per, d),
+            "iE": (a, max(1, l - 1), d + per + max(0, l - 2))}[name]
+
+
+def _fold_thresholds(order: List[Formula], pre: int,
+                     per: int) -> Dict[Formula, Bounds]:
+    """The thresholds (A, L, D) of every node of order, a postorder, over
+    the split (pre, per): the one threshold rule of the checker and of the
+    periodic encoder (sat._Encoder). An atom repeats past (pre, 1, pre),
+    the thresholds of models.canonical_interval, and a constant past (0,
+    1, 0). A negation or a connective holds with its operands at the same
+    cell, so it repeats where all of them do: the componentwise max. A
+    diamond or a box lifts its operand's thresholds (_lift)."""
+    out: Dict[Formula, Bounds] = {}
+    for f in order:
+        t = type(f)
+        if t is Atom:
+            b = (pre, 1, pre)
+        elif t is Not:
+            b = out[f.sub]
+        elif t is And or t is Or or t is Implies:
+            b = tuple(map(max, out[f.lhs], out[f.rhs]))
+        elif t is Diamond or t is Box:
+            b = _lift(f.mod.name, out[f.sub], per)
+        elif t is TrueConst or t is FalseConst:
+            b = (0, 1, 0)
+        else:
+            raise TypeError("not a formula: %r" % (f,))
+        out[f] = b
+    return out
 
 
 class _TableEngine:
@@ -129,12 +179,14 @@ class _TableEngine:
     recurrences encode a formula as CNF; unread slots then fold to
     constants and make no gates.
 
-    period=(pre, per) makes the window a prefix of a periodic domain, which
-    only the lattice is used with: joins that reach right without bound
-    stop at the caps (_caps), and a join the window cuts short of its cap
-    takes in undetermined. A and later scan once per column (_scan); iB
-    fills each row with running joins (_row_joins). Without a period the
-    window is a whole finite domain and every value is exact.
+    period=(per, bounds) makes the window a prefix of a periodic domain of
+    period per, which only the lattice is used with; bounds maps each node
+    to its thresholds (_fold_thresholds). Joins that reach right without
+    bound stop at models.row_stop for the thresholds of what they join, and
+    a join the window cuts short of its stop takes in undetermined. A
+    scans once per column (_scan); iB fills each row with running joins
+    (_row_joins). Without a period the window is a whole finite domain and
+    every value is exact.
 
     Six diamonds are written out (A, iA, B, iB, E, iE), the other six are
     two of them (_COMPOSED), and a box [M] s is the negation of <M> ~s."""
@@ -143,7 +195,7 @@ class _TableEngine:
                  join: Callable[[List[int]], int],
                  or2: Callable[[int, int], int],
                  and2: Callable[[int, int], int],
-                 period: Optional[Tuple[int, int]] = None):
+                 period: Optional[Tuple[int, Dict[Formula, Bounds]]] = None):
         self.h = horizon
         self.w = horizon + 1
         self.atom = atom
@@ -177,8 +229,7 @@ class _TableEngine:
         if t is Diamond or t is Box:
             C, b = self.tables[f.sub], None
             if self.period is not None:
-                pre, per = self.period
-                b = _caps(pre, per, modal_depth(f.sub))
+                b = self.period[1][f.sub]
             if t is Diamond:
                 return self._diamond(f.mod.name, C, b)
             return [-v for v in self._diamond(f.mod.name, [-v for v in C], b)]
@@ -189,17 +240,18 @@ class _TableEngine:
     def _diamond(self, name: str, C: List[int],
                  b: Optional[Bounds]) -> List[int]:
         """The table of a diamond over the child table C, whose formula
-        has the caps b."""
+        has the thresholds b (None without a period)."""
         composed = _COMPOSED.get(name)
         if composed is not None:
             inner, outer = composed
-            return self._diamond(outer, self._diamond(inner, C, b), b)
+            lifted = b and _lift(inner, b, self.period[0])
+            return self._diamond(outer, self._diamond(inner, C, b), lifted)
         h, w, or2 = self.h, self.w, self.or2
         out = [_F] * (h * w)
-        if name == "A" or name == "later":
+        if name == "A":
             # (y, y') with y' > y, the same for every x: fill column y
             for y in range(1, h + 1):
-                v = self._scan(C, b, y, name == "later")
+                v = self._scan(C, b, y)
                 out[y:y * w + y:w] = [v] * y
         elif name == "iA":
             # (x', x): column x, the same for every y: fill row x
@@ -251,7 +303,7 @@ class _TableEngine:
         r = x * self.w
         t, hi, start = h + 1, h, _F
         if self.period is not None:
-            per = self.period[1]
+            per = self.period[0]
             cap = row_stop(b, per, x, x)
             t, hi = cap - per + 1, min(cap, h)
             if cap > h:
@@ -268,17 +320,13 @@ class _TableEngine:
                            C[r + t + k:r + h + 1] + [_U] * min(k, n)))
         return row + win
 
-    def _scan(self, C: List[int], b: Optional[Bounds], y: int,
-              later: bool) -> int:
-        """Join of C over the cells (y, y'), y' > y, for A and later.
-        Unbounded to the right; on a periodic domain the scan stops at
-        models.row_stop, or at models.later_stop, and joins in undetermined
-        if the window ends first."""
+    def _scan(self, C: List[int], b: Optional[Bounds], y: int) -> int:
+        """Join of C over the cells (y, y'), y' > y, for A. Unbounded to
+        the right; on a periodic domain the scan stops at models.row_stop
+        and joins in undetermined if the window ends first."""
         hi, exact = self.h, True
         if self.period is not None:
-            per = self.period[1]
-            cap = (later_stop(b, per, y) if later
-                   else row_stop(b, per, y, y))
+            cap = row_stop(b, self.period[0], y, y)
             hi, exact = min(hi, cap), cap <= hi
         r = y * self.w
         v = self.join(C[r + y + 1:r + hi + 1])
@@ -315,9 +363,12 @@ def allen_related(domain, i: Interval, mod: Modality,
     return [divmod(k, w) for k, v in enumerate(rel) if v == _T]
 
 
-def _model_engine(model: IntervalModel, horizon: int) -> _TableEngine:
+def _model_engine(model: IntervalModel, horizon: int,
+                  bounds: Optional[Dict[Formula, Bounds]] = None
+                  ) -> _TableEngine:
     """The engine over a model's window 0..horizon in the three-valued
-    lattice.
+    lattice; on a periodic domain bounds gives the thresholds of the nodes
+    its diamonds and boxes read (_fold_thresholds).
 
     A letter's table is filled row by row from its canonical cells,
     model.atom_cells(letter). On a finite domain the window is the whole
@@ -329,7 +380,7 @@ def _model_engine(model: IntervalModel, horizon: int) -> _TableEngine:
     canonical_interval call."""
     d = model.domain
     h, w = horizon, horizon + 1
-    period = (d.pre, d.per) if isinstance(d, PeriodicDomain) else None
+    period = (d.per, bounds) if isinstance(d, PeriodicDomain) else None
 
     def atom(name: str) -> List[int]:
         table = [_F] * (h * w)
@@ -337,7 +388,7 @@ def _model_engine(model: IntervalModel, horizon: int) -> _TableEngine:
             for x, y in model.atom_cells(name):
                 table[x * w + y] = _T
             return table
-        pre, per = period
+        pre, per = d.pre, d.per
         b, cut = (pre, 1, pre), pre + per
         rows = [[_F] * (row_stop(b, per, x, x) - x)
                 for x in range(min(cut, h))]
@@ -382,18 +433,20 @@ def mc_finite(model: IntervalModel, i: Interval, phi: Formula) -> bool:
     return FiniteEvaluator(model).value(phi, tuple(i))
 
 
-def _reduce_query(domain: PeriodicDomain, i: Interval, depth: int) -> Interval:
+def _reduce_query(domain: PeriodicDomain, i: Interval, b: Bounds) -> Interval:
     """Pull a far-away query interval back to its fixed point under the
-    caps of a formula of the given depth, where its truth is the same."""
-    return reduce_cell(_caps(domain.pre, domain.per, depth), domain.per, *i)
+    thresholds b of the formula asked, where its truth is the same."""
+    return reduce_cell(b, domain.per, *i)
 
 
-def _scan_frontier(pre: int, per: int, depth: int, y0: int) -> int:
-    """Horizon large enough that every periodicity-capped scan reachable
-    from a cell with right endpoint y0 stays inside the grid. Each modality
-    level moves the frontier at most twice (the later modality scans rows
-    from scanned start points), hence the doubled step count."""
-    b, f = _caps(pre, per, depth), y0
+def _scan_frontier(pre: int, per: int, b: Bounds, depth: int,
+                   y0: int) -> int:
+    """Horizon large enough that every scan reachable from a cell with
+    right endpoint y0 stays inside the grid, b being the componentwise max
+    of the thresholds of a formula's nodes. Each modality level moves the
+    frontier at most twice (L scans rows from scanned start points), hence
+    the doubled step count."""
+    f = y0
     for _ in range(2 * depth + 1):
         f = row_stop(b, per, f, f)
     return max(f, pre + per + 1)
@@ -401,46 +454,54 @@ def _scan_frontier(pre: int, per: int, depth: int, y0: int) -> int:
 
 def _stabilized_tables(model: IntervalModel, phi: Formula,
                        max_rounds: Optional[int],
-                       extra_cells: Tuple[Interval, ...] = ()):
+                       query: Optional[Interval] = None):
     """Recompute tables at horizons base + k*per until two consecutive
     horizons agree, with determined values, on every watched cell for every
     subformula, else raise NotStabilized naming the first (subformula, cell)
-    that differs. Returns (tables, horizon), the tables flat as the
-    engine's. phi's postorder is listed once and fills each round's fresh
-    engine; a round's watched values are one list, node by node.
+    that differs. The watched cells are the canonical cells and the query,
+    if any, pulled back under phi's thresholds. Returns (tables, horizon,
+    query), the tables flat as the engine's and the query pulled back.
+    phi's postorder is listed once, gives every node its thresholds
+    (_fold_thresholds) and fills each round's fresh engine; a round's
+    watched values are one list, node by node.
 
-    The default budget is enough rounds for every capped scan from a
-    watched cell to end inside the window: max(depth + 2,
-    ceil((need - base) / per) + 1), need being _scan_frontier's horizon.
-    A budget of 0 counts as 1; a negative one is a ValueError."""
+    The default budget is enough rounds for every scan from a watched cell
+    to end inside the window: max(depth + 2, ceil((need - base) / per) +
+    1), need being _scan_frontier's horizon. A budget of 0 counts as 1; a
+    negative one is a ValueError."""
     if max_rounds is not None and max_rounds < 0:
         raise ValueError("the round budget must be at least 0, got %d"
                          % max_rounds)
     domain = model.domain
+    pre, per = domain.pre, domain.per
     depth = modal_depth(phi)
+    nodes = postorder(phi)
+    bounds = _fold_thresholds(nodes, pre, per)
     watch = list(canonical_cells(domain))
-    for c in extra_cells:
-        if c not in watch:
-            watch.append(c)
-    base = max(domain.pre, max((c[1] for c in extra_cells), default=0))
+    base = pre
+    if query is not None:
+        query = _reduce_query(domain, query, bounds[phi])
+        if query not in watch:
+            watch.append(query)
+        base = max(base, query[1])
     if max_rounds is not None:
         rounds = max(max_rounds, 1)
     else:
         wy = max(c[1] for c in watch)
-        need = _scan_frontier(domain.pre, domain.per, depth, wy)
-        rounds = max(depth + 2, -((base - need) // domain.per) + 1)
-    nodes = postorder(phi)
+        top = tuple(map(max, zip(*bounds.values())))
+        need = _scan_frontier(pre, per, top, depth, wy)
+        rounds = max(depth + 2, -((base - need) // per) + 1)
     prev = None
     for k in range(2, rounds + 3):
-        h = base + k * domain.per
-        engine = _model_engine(model, h)
+        h = base + k * per
+        engine = _model_engine(model, h, bounds)
         tables = engine.tables
         for node in nodes:
             tables[node] = engine._compute(node)
         keys = [x * engine.w + y for x, y in watch]
         cur = [tables[node][j] for node in nodes for j in keys]
         if cur == prev and _U not in cur:
-            return tables, h
+            return tables, h, query
         if prev is not None:
             j = next(j for j, (vp, vc) in enumerate(zip(prev, cur))
                      if vc == _U or vp != vc)
@@ -455,14 +516,13 @@ def mc_periodic(model: IntervalModel, i: Interval, phi: Formula,
 
     Raises NotStabilized when the evaluation horizons keep disagreeing
     within the round budget: max_rounds, or by default enough rounds for
-    every periodicity-capped scan to be conclusive (_stabilized_tables)."""
+    every scan to be conclusive (_stabilized_tables)."""
     if not isinstance(model.domain, PeriodicDomain):
         raise TypeError("mc_periodic needs a periodic model")
     i = tuple(i)
     if not valid_interval(model.domain, i):
         raise ValueError("not an interval: %r" % (i,))
-    x, y = _reduce_query(model.domain, i, modal_depth(phi))
-    tables, h = _stabilized_tables(model, phi, max_rounds, ((x, y),))
+    tables, h, (x, y) = _stabilized_tables(model, phi, max_rounds, i)
     return tables[phi][x * (h + 1) + y] == _T
 
 
@@ -475,7 +535,7 @@ def periodic_stable_tables(model: IntervalModel, phi: Formula,
     True."""
     if not isinstance(model.domain, PeriodicDomain):
         raise TypeError("periodic tables need a periodic model")
-    raw, h = _stabilized_tables(model, phi, max_rounds)
+    raw, h, _ = _stabilized_tables(model, phi, max_rounds)
     return {node: _decode(grid, h) for node, grid in raw.items()}, h
 
 

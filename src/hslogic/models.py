@@ -70,9 +70,9 @@ def valid_interval(domain, i: Interval) -> bool:
 
 # The periodicity shifts. Truth over an ultimately periodic domain repeats
 # with the period past thresholds (A, L, D), which depend on what is
-# evaluated: an atom's are (pre, 1, pre), and the checker's and the
-# encoder's are stated where they are chosen (checking._caps,
-# sat._thresholds). Two shifts lower a cell:
+# evaluated: an atom's are (pre, 1, pre), and every subformula's are
+# derived from its operands' by one rule, which the checker and the encoder
+# share (checking._fold_thresholds). Two shifts lower a cell:
 #
 #   diagonal  (x, y) has the value of (x - per, y - per) when x - per >= D;
 #   right     (x, y) has the value of (x, y - per) when y - per >= A and
@@ -161,7 +161,9 @@ class IntervalModel:
     """A domain together with a valuation mapping letters to interval sets.
 
     On periodic domains every stored interval is canonical; the constructor
-    canonicalizes whatever it is given.
+    canonicalizes whatever it is given. Every letter must be one the formula
+    parser reads as an atom (parser.is_letter), so that a saved model loads
+    back; any other is a ValueError.
     """
 
     __slots__ = ("domain", "_val", "_hash")
@@ -169,6 +171,8 @@ class IntervalModel:
     def __init__(self, domain, valuation: Mapping[str, Iterable[Interval]]):
         norm: Dict[str, FrozenSet[Interval]] = {}
         for letter in sorted(valuation):
+            if not is_letter(letter):
+                raise ValueError("bad letter %r" % (letter,))
             cells = set()
             for i in valuation[letter]:
                 i = (int(i[0]), int(i[1]))

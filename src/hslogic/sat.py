@@ -26,9 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .checking import _TableEngine, NotStabilized, mc_finite, mc_periodic
+from .checking import (
+    _TableEngine, NotStabilized, _fold_thresholds, mc_finite, mc_periodic,
+)
 from .models import (
-    Bounds, FiniteDomain, Interval, IntervalModel, PeriodicDomain,
+    FiniteDomain, Interval, IntervalModel, PeriodicDomain,
     canonical_cells, later_stop, read_row, reduce_cell, row_stop,
 )
 # Not called here. bench/tracing.py patches these names to time or count
@@ -38,7 +40,7 @@ from .models import canonical_interval  # noqa: F401
 from .syntax import modal_depth  # noqa: F401
 from .solver import Solver
 from .syntax import (
-    And, Atom, Box, Diamond, FalseConst, Formula, Fragment, Implies, Not,
+    And, Atom, Box, Diamond, Formula, Fragment, Implies, Not,
     Or, TrueConst, B, iB, L, iL, dia, fragment_of, letters_of, metrics,
     neg, nesting_depth, postorder,
 )
@@ -359,36 +361,6 @@ Rows = List[List[int]]
 Cells = List[Tuple[Interval, int]]
 
 
-def _thresholds(order: List[Formula], pre: int,
-                per: int) -> Dict[Formula, Bounds]:
-    """The thresholds (A, L, D) of every node of order, a postorder, over
-    the split (pre, per), folded by the lift rules of _Encoder."""
-    out: Dict[Formula, Bounds] = {}
-    for f in order:
-        t = type(f)
-        if t is Atom:
-            b = (pre, 1, pre)
-        elif t is Not:
-            b = out[f.sub]
-        elif t is And or t is Or or t is Implies:
-            b = tuple(map(max, out[f.lhs], out[f.rhs]))
-        elif t is Diamond or t is Box:
-            a, l, d = out[f.sub]
-            b = {"B": (a + per, l + per, d), "iB": (a, l, d), "L": (d, 1, d),
-                 "iL": (0, 1, max(a + per, d + 2 * per + l - 1))
-                 }.get(f.mod.name)
-            if b is None:
-                raise UnsupportedFragmentError(
-                    "modality %s outside the begin/later fragment"
-                    % f.mod.name)
-        elif t is TrueConst or t is FalseConst:
-            b = (0, 1, 0)
-        else:
-            raise TypeError("not a formula: %r" % (f,))
-        out[f] = b
-    return out
-
-
 def _cells(tab: Rows) -> Cells:
     """A table's (fixed point, literal) pairs in ascending cell order."""
     return [((x, y), lit) for x, row in enumerate(tab)
@@ -401,42 +373,32 @@ class _Encoder(_Candidate):
     one literal per periodicity class.
 
     Each node has thresholds (A, L, D), folded over the postorder by
-    _thresholds, past which its truth repeats under the two shifts stated
-    above models.reduce_cell. A node's table (self.tables) holds one
-    literal per fixed point: row x, for x < D + per, lists the literals at
-    (x, x + 1) .. (x, models.row_stop(b, per, x, x)). Every read of an
-    operand goes through the operand's thresholds (models.reduce_cell for a
-    cell, models.read_row for a run along a row). Tables are filled in
+    checking._fold_thresholds, the model checker's rule, past which its
+    truth repeats under the two shifts stated above models.reduce_cell. A
+    node's table (self.tables) holds one literal per fixed point: row x,
+    for x < D + per, lists the literals at (x, x + 1) .. (x,
+    models.row_stop(b, per, x, x)). Every read of an operand goes through
+    the operand's thresholds (models.reduce_cell for a cell,
+    models.read_row for a run along a row). Tables are filled in
     postorder, row by row and cell by cell, through the folding gates of
     _Cnf, so the variable numbering is fixed.
 
-    The lift rules, for an operand s with thresholds (A, L, D):
+    The tables, for an operand s with thresholds (A, L, D), whose lift
+    rules are argued at checking._lift:
 
-    * an atom: (pre, 1, pre), the shifts of models.canonical_interval, so
-      its fixed points are the canonical cells; a constant: (0, 1, 0);
-    * a negation or a connective holds with its operands at the same cell,
-      so it repeats where all of them do: the componentwise max;
-    * <B> s joins s over (x, y'), x < y' < y: (A + per, L + per, D). A
-      diagonal shift moves every successor along, each still past D. A
-      right shift drops y - per <= y' < y, each past A + per and x + L +
-      per, so the value of (x, y' - per), a successor still. A row is a
-      ladder: rung y is rung y - 1 or, when s at (x, y - 1) is new to the
-      ladder, rung y - 1 joined with it;
-    * <iB> s joins s over (x, y'), y' > y: unchanged. A diagonal shift
-      moves the successors along; a right shift adds y - per < y' <= y,
-      each past A and x + L, so the value of (x, y' + per), a successor
-      already. The scan stops at models.row_stop;
-    * <L> s joins s over the rows x' > y, so it depends on y alone:
-      (D, 1, D). Lowering y by per adds the rows y - per < x' <= y, each
-      past D and so a diagonal shift of a row after y. The scan joins the
-      rows up to models.later_stop, each as its whole row of classes;
-    * <iL> s joins s over the cells (x', y'), y' < x, so it depends on x
-      alone: (0, 1, max(A + per, D + 2 per + L - 1)). A diagonal shift
-      drops the cells with x - per <= y' < x. One with x' >= D + per has
-      the value of its diagonal shift, one with x' < D + per that of
-      (x', y' - per), as y' - per >= x - 2 per >= A and y' - per - x' >=
-      x - 3 per - D + 1 >= L; both keep y' < x - per. The rungs of one
-      ladder over x take in the values at column x - 1 new to it.
+    * an atom's fixed points are the canonical cells, as its thresholds
+      are (pre, 1, pre);
+    * <B> s, (A + per, L + per, D): a row is a ladder. Rung y is rung
+      y - 1 or, when s at (x, y - 1) is new to the ladder, rung y - 1
+      joined with it;
+    * <iB> s, unchanged: the scan stops at models.row_stop;
+    * <L> s, <A> <A> s, (D, 1, D): it joins s over the rows x' > y, up to
+      models.later_stop, each as its whole row of classes;
+    * <iL> s, <iA> <iA> s, (0, 1, D + 2 per + L - 1): it joins s over
+      the cells (x', y'), y' < x, so it depends on x alone. The rungs of
+      one ladder over x take in the values at column x - 1 new to it.
+
+    Any other modality is an UnsupportedFragmentError.
 
     A box is [M] s = ~<M> ~s, as _TableEngine._compute writes it. A rung
     is by induction the join of the literals it has taken in, so a covered
@@ -450,7 +412,7 @@ class _Encoder(_Candidate):
                  order: List[Formula]):
         super().__init__(domain, letters)
         self.per = per = domain.per
-        self.bounds = _thresholds(order, domain.pre, per)
+        self.bounds = _fold_thresholds(order, domain.pre, per)
         self.tables: Dict[Formula, Rows] = {}
         cnf, tables = self.cnf, self.tables
         for f in order:
@@ -516,8 +478,7 @@ class _Encoder(_Candidate):
                     lits.append(joins[r])
                 after.append(cnf.define_or(lits))
             tab = [after[x + 1:hi + 1] for x, hi in enumerate(his)]
-        else:
-            # iL, the fragment being checked by _thresholds
+        elif name == "iL":
             b = self.bounds[f.sub]
             rung = [_FALSE, _FALSE]
             covered = set()     # the literals rung[-1] is the disjunction of
@@ -532,6 +493,9 @@ class _Encoder(_Candidate):
                 rung.append(cnf.define_or([rung[-1]] + new) if new
                             else rung[-1])
             tab = [[rung[x]] * (hi - x) for x, hi in enumerate(his)]
+        else:
+            raise UnsupportedFragmentError(
+                "modality %s outside the begin/later fragment" % name)
         return tab
 
 

@@ -108,14 +108,13 @@ def test_cited_equations_hold_on_small_orders():
 def test_composed_diamonds_are_the_cited_equations():
     """The grid engine composes each of six diamonds from the premise of the
     closure rule that yields it, which is the pair of diamonds on the
-    right-hand side of its cited equation ("later" being A with a cap)."""
+    right-hand side of its cited equation."""
     rules = {gain.name: {m.name for m in need} for need, gain in _CLOSURE_RULES}
     rhs = {lhs.mod.name: {rhs.mod.name, rhs.sub.mod.name}
            for _, lhs, rhs in cited_equations()}
     assert set(_COMPOSED) == set(rules) == set(rhs)
     for name, pair in _COMPOSED.items():
-        parts = {"A" if m == "later" else m for m in pair}
-        assert parts == rules[name] == rhs[name], name
+        assert set(pair) == rules[name] == rhs[name], name
 
 
 def test_false_equation_has_countermodel():

@@ -171,15 +171,17 @@ def test_not_stabilized_raises_with_zero_budget():
 
 # NotStabilized names the first (subformula, cell), subformulas children
 # first and cells in watch order, where two rounds differ or the later one
-# is undetermined; values pinned from the per-node comparison this replaced
+# is undetermined. Each scan stops at the thresholds of what it joins
+# (checking._fold_thresholds): <iB> p first goes undetermined one cell
+# further right than under the per-depth caps these pins once followed.
 UNSTABLE = [
     ((1, 1, {"p": [(1, 2)]}), (0, 1), "<L> p", "<L> p", (1, 2)),
     ((2, 3, {"p": [(1, 2), (3, 4)], "q": [(0, 2)]}), (0, 1),
-     "q & <L> <iB> p", "<iB> p", (4, 5)),
-    ((2, 3, {"p": [(1, 2), (3, 4)], "q": [(0, 2)]}), (4, 9),
-     "[L] (p | <iB> q)", "[L] (p | <iB> q)", (4, 9)),
+     "q & <L> <iB> p", "<iB> p", (4, 6)),
+    ((2, 3, {"p": [(1, 2), (3, 4)], "q": [(0, 2)]}), (5, 14),
+     "[L] (p | <iB> q)", "[L] (p | <iB> q)", (4, 7)),
     ((1, 2, {"p": [(1, 2)], "q": [(0, 2)]}), None,
-     "q | <L> <iB> p", "<iB> p", (2, 3)),
+     "q | <L> <iB> p", "<iB> p", (2, 4)),
 ]
 
 
@@ -195,6 +197,16 @@ def test_not_stabilized_names_the_first_unstable_cell(spec, i, text, sub,
     exc = info.value
     assert (exc.subformula, exc.cell, exc.rounds) == \
         (parse_formula(sub), cell, 1)
+
+
+def test_zero_budget_answers_a_query_its_thresholds_pull_back():
+    # [L] s depends on the right endpoint alone, past s's diagonal
+    # threshold: (4, 9) pulls back to (4, 6), whose window settles in the
+    # one round a zero budget gives
+    m = periodic_model(2, 3, {"p": [(1, 2), (3, 4)], "q": [(0, 2)]})
+    phi = parse_formula("[L] (p | <iB> q)")
+    assert mc_periodic(m, (4, 9), phi, max_rounds=0) is False
+    assert mc_periodic(m, (4, 9), phi) is False
 
 
 def test_each_periodic_query_walks_the_formula_once(monkeypatch):

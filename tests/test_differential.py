@@ -1,0 +1,39 @@
+"""The parent-versus-change differential (tests/differential.py) on small
+runs: one tree against itself answers identically, and a copy whose
+mc_periodic answers the opposite is reported input by input."""
+
+import shutil
+from pathlib import Path
+
+from . import differential
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run(old, new, n_mc, n_sat):
+    inputs = differential.draw_inputs(3, n_mc, n_sat)
+    old_answers, new_answers = differential.answers((old, new), inputs, 20.0)
+    counts, differing = differential.compare(inputs, old_answers, new_answers)
+    return old_answers, counts, differing
+
+
+def test_a_tree_against_itself_is_identical():
+    _, counts, differing = _run(SRC, SRC, 40, 8)
+    assert differing == []
+    assert counts["mc"] == {"identical": 40, "differing": 0, "timed out": 0}
+    assert counts["sat"] == {"identical": 8, "differing": 0, "timed out": 0}
+
+
+def test_a_flipped_verdict_is_reported(tmp_path):
+    shutil.copytree(SRC / "hslogic", tmp_path / "hslogic",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "hslogic" / "checking.py", "a") as fh:
+        fh.write("\n\n_mc_periodic = mc_periodic\n\n\n"
+                 "def mc_periodic(*args):\n"
+                 "    return not _mc_periodic(*args)\n")
+    old, counts, differing = _run(SRC, tmp_path, 40, 0)
+    decided = sum(isinstance(answer[0], bool) for answer in old)
+    assert decided > 20
+    assert counts["mc"] == {"identical": 40 - decided, "differing": decided,
+                            "timed out": 0}
+    assert all(kind != "mc" or a == (not b) for kind, _, a, b in differing)

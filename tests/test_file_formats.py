@@ -22,7 +22,7 @@ from hslogic.automata import (
 from hslogic.cli import main
 from hslogic.models import (
     FiniteDomain, IntervalModel, ModelFormatError, PeriodicDomain,
-    canonical_cells, load_model, save_model,
+    canonical_cells, finite_model, load_model, periodic_model, save_model,
 )
 
 LETTERS = ["p", "q", "r"]
@@ -198,3 +198,15 @@ def test_eps_is_not_a_letter():
     code, err = _with_file(text, ".ica", ["encode", "--ica", "FILE",
                                           "--target", "AE"])
     assert code == 2 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("letter", ["P", "true", "false", "1p", "p-q", ""])
+def test_a_model_letter_must_be_a_formula_letter(letter):
+    # save_model would write such a letter, and load_model reject it as a
+    # bad letter, so the model itself refuses it, with or without cells
+    with pytest.raises(ValueError):
+        finite_model(2, {letter: [(0, 1)]})
+    with pytest.raises(ValueError):
+        periodic_model(1, 1, {letter: []})
+    with pytest.raises(ModelFormatError):
+        load_model("order finite 2\nval %s 0 1\n" % letter)

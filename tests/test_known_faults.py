@@ -1,13 +1,13 @@
-"""Regression tests for the length-aware periodicity caps.
+"""Regression tests for the length-aware periodicity thresholds.
 
-The model checker cuts the right-unbounded scans (models.row_stop and
-models.later_stop) and pulls far queries back (checking._reduce_query) at
-the caps checking._caps fits per modal depth, thresholds past which truth
-repeats with the period. Under D, B and E truth also depends on the
-interval's length, so the right-endpoint threshold grows with the length
-(x + (2*depth + 1)*per + 1). With a length term of per + 1 at every depth
-the model checker and, through the shared caps, sat_bbll gave the wrong
-answers pinned below; each case states the true answer.
+The model checker cuts the right-unbounded scans (models.row_stop) and
+pulls far queries back (checking._reduce_query) at thresholds past which
+truth repeats with the period, derived per subformula by
+checking._fold_thresholds. Under D, B and E truth also depends on the
+interval's length, so the right-endpoint threshold grows with the length.
+With a length term of per + 1 at every depth the model checker and, through
+the shared thresholds, sat_bbll gave the wrong answers pinned below; each
+case states the true answer.
 """
 
 import random

@@ -3,11 +3,13 @@ replaced, and the row reader against the reduction."""
 
 import random
 
-from hslogic.checking import _reduce_query
+from hslogic.checking import _fold_thresholds, _reduce_query
 from hslogic.models import (
     PeriodicDomain, canonical_cells, canonical_interval, read_row,
     reduce_cell, row_stop,
 )
+from hslogic.parser import parse_formula
+from hslogic.syntax import postorder
 
 CELLS = [(x, y) for x in range(61) for y in range(x + 1, 61)]
 
@@ -28,9 +30,13 @@ def stepwise_canonical(pre, per, x, y):
     return stepwise_reduce(pre, 1, pre, per, x, y)
 
 
-def stepwise_query(pre, per, depth, x, y):
-    t = pre + 2 * depth * per
-    return stepwise_reduce(t, (2 * depth + 1) * per + 1, t, per, x, y)
+# formulas whose thresholds grow in each of the three terms
+QUERIES = ["p", "<A> p", "<iE> <B> p", "<D> <E> p", "[iL] (p | <O> q)"]
+
+
+def query_thresholds(text, pre, per):
+    phi = parse_formula(text)
+    return _fold_thresholds(postorder(phi), pre, per)[phi]
 
 
 def _triples(rng, n, top):
@@ -48,16 +54,16 @@ def test_canonical_interval_matches_the_stepwise_loop():
 
 
 def test_reduce_query_matches_the_stepwise_loop():
-    # the checker's caps per depth, then thresholds drawn at random
+    # the thresholds of a few queries, then thresholds drawn at random
     rng = random.Random(1901)
     for pre in range(1, 5):
         for per in range(1, 5):
             domain = PeriodicDomain(pre, per)
-            for depth in range(4):
+            for text in QUERIES:
+                b = query_thresholds(text, pre, per)
                 for x, y in CELLS:
-                    assert _reduce_query(domain, (x, y), depth) == \
-                        stepwise_query(pre, per, depth, x, y), \
-                        (pre, per, depth, x, y)
+                    assert _reduce_query(domain, (x, y), b) == \
+                        stepwise_reduce(*b, per, x, y), (pre, per, text, x, y)
             for b in _triples(rng, 10, 12):
                 for x, y in CELLS:
                     assert reduce_cell(b, per, x, y) == \
@@ -69,8 +75,9 @@ def test_far_endpoints_reduce_at_once():
     for x, y in ((10 ** 5 + 4, 10 ** 5 + 9), (10 ** 5, 3 * 10 ** 5 + 1)):
         assert canonical_interval(domain, (x, y)) == \
             stepwise_canonical(3, 7, x, y)
-        assert _reduce_query(domain, (x, y), 2) == \
-            stepwise_query(3, 7, 2, x, y)
+        b = query_thresholds("<D> <E> p", 3, 7)
+        assert _reduce_query(domain, (x, y), b) == \
+            stepwise_reduce(*b, 7, x, y)
     c = canonical_interval(domain, (10 ** 12 + 5, 10 ** 15 + 2))
     assert c in canonical_cells(domain)
     # periods near 10^11 keep the loop to about 10^4 steps at 10^15

@@ -2,15 +2,16 @@
 
 The engine fills an iB row with running joins. The reference here scans
 each cell on its own: the join of the child over (x, y'), y' > y, cut at
-the cap _row_cap writes out on a periodic grid and joined with undetermined
-where the cap lies past the horizon. iD and O are the exact iE and E joins
-over that scan (checking._COMPOSED), written out per cell too.
+the stop _row_cap writes out for the child's thresholds on a periodic grid
+and joined with undetermined where the stop lies past the horizon. iD and O
+are the exact iE and E joins over that scan (checking._COMPOSED), written
+out per cell too.
 """
 
 import random
 
 from hslogic.checking import (
-    _F, _T, _U, _TableEngine, _caps, _join, allen_related,
+    _F, _T, _U, _TableEngine, _join, allen_related,
 )
 from hslogic.models import FiniteDomain, PeriodicDomain
 from hslogic.syntax import MODALITIES_BY_NAME
@@ -20,22 +21,22 @@ from . import oracle
 _VALUES = (_F, _U, _T)
 
 
-def _row_cap(pre, per, depth, x, lo):
+def _row_cap(b, per, x, lo):
     """The largest right endpoint y' a scan over [x, y'], y' > lo, visits
-    for a child of the given depth: one period past lo and past the fitted
-    absolute-right and length caps, in closed form."""
-    return max(pre + 2 * depth * per, x + (2 * depth + 1) * per + 1,
-               lo + 1) + per - 1
+    for a child with thresholds b = (A, L, D): one period past lo and past
+    the absolute-right and length thresholds, in closed form."""
+    a, l, _ = b
+    return max(a, x + l, lo + 1) + per - 1
 
 
-def _ref_ib(C, h, depth, period):
+def _ref_ib(C, h, b, per):
     w = h + 1
     out = [_F] * (h * w)
     for x in range(h):
         for y in range(x + 1, h + 1):
             hi, exact = h, True
-            if period is not None:
-                cap = _row_cap(period[0], period[1], depth, x, y)
+            if per is not None:
+                cap = _row_cap(b, per, x, y)
                 hi, exact = min(h, cap), cap <= h
             v = max((C[x * w + u] for u in range(y + 1, hi + 1)), default=_F)
             out[x * w + y] = v if exact else max(v, _U)
@@ -53,8 +54,8 @@ def _ref_column(C, h, later):
     return out
 
 
-def _reference(name, C, h, depth, period):
-    ib = _ref_ib(C, h, depth, period)
+def _reference(name, C, h, b, per):
+    ib = _ref_ib(C, h, b, per)
     if name == "iD":
         return _ref_column(ib, h, later=False)
     if name == "O":
@@ -67,51 +68,55 @@ def _rand_table(rng, h):
     return [rng.choice(_VALUES) for _ in range(h * (h + 1))]
 
 
-def _check(rng, h, depth, period):
+def _check(rng, h, b, per):
     C = _rand_table(rng, h)
     w = h + 1
     cells = [x * w + y for x in range(h) for y in range(x + 1, h + 1)]
-    engine = _TableEngine(h, None, _join, max, min, period)
-    caps = None if period is None else _caps(*period, depth)
+    engine = _TableEngine(h, None, _join, max, min,
+                          None if per is None else (per, {}))
     for name in ("iB", "iD", "O"):
-        got = engine._diamond(name, C, caps)
-        want = _reference(name, C, h, depth, period)
+        got = engine._diamond(name, C, b)
+        want = _reference(name, C, h, b, per)
         assert [got[k] for k in cells] == [want[k] for k in cells], \
-            (name, h, depth, period)
+            (name, h, b, per)
 
 
 def test_periodic_rows_match_per_cell_scans():
+    # an atom's thresholds (pre, 1, pre), and triples with a larger length
+    # or absolute-right term, as the lift rules of B and E make them
     rng = random.Random(1501)
     for pre in range(1, 4):
         for per in range(1, 4):
-            for depth in range(3):
-                cap0 = _row_cap(pre, per, depth, 0, 0)
+            for b in ((pre, 1, pre), (pre + per, 1 + per, pre),
+                      (pre + 2 * per, 1 + 2 * per, pre + per)):
+                cap0 = _row_cap(b, per, 0, 0)
                 # short of row 0's threshold, at it, at its cap and past it
                 t0 = cap0 - per + 1
                 horizons = {1, 2, t0 - 1, t0, cap0, cap0 + 1,
                             cap0 + per + 2, rng.randrange(1, cap0 + 8)}
                 for h in sorted(horizons):
-                    _check(rng, h, depth, (pre, per))
+                    _check(rng, h, b, per)
 
 
 def test_finite_rows_are_suffix_joins():
     rng = random.Random(1502)
     for h in range(1, 10):
-        for depth in range(3):
-            _check(rng, h, depth, None)
+        for _ in range(3):
+            _check(rng, h, None, None)
 
 
 def test_undetermined_edge_is_reached():
-    # a row whose cap lies past the horizon joins in undetermined even
+    # a row whose stop lies past the horizon joins in undetermined even
     # over a child false everywhere, and only where a scan is cut short
-    h, pre, per, depth = 8, 1, 2, 0
+    h, pre, per = 8, 1, 2
+    b = (pre, 1, pre)
     C = [_F] * (h * (h + 1))
-    got = _TableEngine(h, None, _join, max, min, (pre, per))._diamond(
-        "iB", C, _caps(pre, per, depth))
+    got = _TableEngine(h, None, _join, max, min, (per, {}))._diamond(
+        "iB", C, b)
     w = h + 1
     for x in range(h):
         for y in range(x + 1, h + 1):
-            cut = _row_cap(pre, per, depth, x, y) > h
+            cut = _row_cap(b, per, x, y) > h
             assert got[x * w + y] == (_U if cut else _F), (x, y)
 
 

@@ -7,13 +7,14 @@ import pytest
 
 from hslogic.checking import mc_periodic
 from hslogic.models import FiniteDomain, PeriodicDomain
+from hslogic import sat
 from hslogic.parser import parse_formula
 from hslogic.sat import (
     Sat, Unknown, Unsat, UnsupportedFragmentError, check_certificate,
     later_somewhere, sat_bbll, sat_bounded_finite,
 )
 from hslogic.syntax import (
-    A, B, iB, L, iL, And, Atom, Not, conj, dia, metrics,
+    A, B, iB, L, iL, And, Atom, Not, conj, dia, metrics, postorder,
 )
 
 from .gen import rand_formula, rand_periodic_model
@@ -52,6 +53,16 @@ def test_unsat_suite():
 def test_unsupported_fragment():
     with pytest.raises(UnsupportedFragmentError):
         sat_bbll(dia(A, p))
+
+
+@pytest.mark.parametrize("text", ["<A> p", "<D> p", "[A] p", "<B> <D> p"])
+def test_the_periodic_encoder_refuses_other_modalities(text):
+    # the thresholds it shares with the model checker cover all twelve
+    # modalities, so the encoder itself must refuse the eight it has no
+    # table for, not encode them as another
+    phi = parse_formula(text)
+    with pytest.raises(UnsupportedFragmentError):
+        sat._Encoder(PeriodicDomain(1, 2), ["p"], postorder(phi))
 
 
 def test_unknown_when_truncated():
