@@ -6,9 +6,8 @@
 OLD and NEW are source trees: a directory holding the hslogic package, or
 a checkout whose src/ holds it (for example a `git archive` of the parent
 commit unpacked next to the working tree). Inputs are drawn from the seed
-with tests/gen.py, under the hslogic this script itself imports, and are
-handed to each tree as text: formulas as syntax.render writes them, models
-as .ism text. Each tree answers in its own subprocess, with only that tree
+with tests/gen.py, under NEW's hslogic, and are handed to each tree as
+text: formulas as syntax.render writes them, models as .ism text. Each tree answers in its own subprocess, with only that tree
 on its path, and each input has a time limit there.
 
 Two kinds of input are compared:
@@ -56,7 +55,8 @@ def source_dir(tree):
 
 
 def draw_inputs(seed, n_mc, n_sat):
-    """The inputs of a run, as JSON-ready dicts."""
+    """The inputs of a run, as JSON-ready dicts, drawn under the hslogic on
+    this process's path."""
     root = str(Path(__file__).resolve().parent.parent)
     if root not in sys.path:
         sys.path.insert(0, root)
@@ -212,6 +212,7 @@ def main(argv=None):
         return 0
     if args.new is None:
         ap.error("two source trees are required")
+    sys.path.insert(0, str(source_dir(args.new)))
     inputs = draw_inputs(args.seed, args.mc, args.sat)
     old, new = answers((args.old, args.new), inputs, args.limit)
     counts, differing = compare(inputs, old, new)
