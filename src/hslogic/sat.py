@@ -14,11 +14,17 @@ Two procedures with different scopes:
 
 Every candidate is a _Candidate: a CNF whose first variables are the atom
 values on canonical cells, ordered by letter then cell, and one certificate
-path. The solver's first model is lexicographically least in that order,
-and the witness is the least cell where the formula holds, so results are
-reproducible down to the returned valuation. The certificate is re-checked
-with the model checker before it is returned, and a failed re-check raises
-CertificateError.
+path. Its goal is the disjunction of phi's literals over the candidate's
+classes or cells, which _Cnf.add_goal keeps in ascending cell order. The
+solver probes them before its search: a literal whose unit propagation
+conflicts is false in every model and becomes a level-0 unit, and the
+first one that does not conflict ends the probing. A candidate whose goal
+fails on every literal is refuted with no decision. The probes remove no
+model, so the solver's first model is still lexicographically least in
+atom order, and the witness is the least cell where the formula holds:
+results are reproducible down to the returned valuation. The certificate
+is re-checked with the model checker before it is returned, and a failed
+re-check raises CertificateError.
 """
 
 from __future__ import annotations
@@ -241,12 +247,18 @@ class _Cnf:
     two inputs, drop constants, collapse complementary pairs, and cache
     gates by literal set, so the encodings of a diamond and of the matching
     negated box meet in the same variable and contradictions between them
-    surface as constants."""
+    surface as constants.
+
+    add_goal requires the disjunction of the goal's literals, phi's
+    literal on each class or cell in ascending cell order, and keeps them
+    in goal; solve hands them to the solver to probe before its search
+    (solver module docstring)."""
 
     def __init__(self):
         self.nvars = 1
         self.clauses: List[List[int]] = [[_TRUE]]
         self._gate: Dict[frozenset, int] = {}
+        self.goal: List[int] = []
 
     def new_var(self) -> int:
         self.nvars += 1
@@ -298,12 +310,23 @@ class _Cnf:
     def define_and2(self, a: int, b: int) -> int:
         return -self.define_or2(-a, -b)
 
+    def add_goal(self, lits: List[int]) -> bool:
+        """Require one of lits to hold; False, with nothing added, when
+        their disjunction folds to false in the gates."""
+        root = self.define_or(lits)
+        if root == _FALSE:
+            return False
+        self.clauses.append([root])
+        self.goal = lits
+        return True
+
     def solve(self) -> Optional[Solver]:
         s = Solver()
         for _ in range(self.nvars):
             s.new_var()
         if not s.add_clauses(self.clauses):
             return None
+        s.probe_first(self.goal)
         return s if s.solve() else None
 
 
@@ -529,9 +552,13 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
     both shifts only lower a cell, is the witness.
     The search runs in three steps, after a pre-check:
 
-    0. a phi that _prop_unsat refutes builds no candidate, and a
-       candidate whose goal literal folds to false in _Cnf's gates is
-       refuted without a solver;
+    0. a phi that _prop_unsat refutes builds no candidate, a candidate
+       whose goal literal folds to false in _Cnf's gates is refuted
+       without a solver, and one where every class of phi fails its
+       probe (unit propagation from phi's literal on that class
+       conflicts) is refuted by the solver with no decision. This last
+       refutes every candidate of the well-foundedness shape
+       <B> s & [B] (s -> <B> s);
     1. the ordered search (by total, then by prefix) over the totals t with
        4*t <= bound, where cheap candidates answer most satisfiable
        formulas;
@@ -571,11 +598,9 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
         if got is None:
             enc = _Encoder(PeriodicDomain(pre, per), letters, order)
             cells = _cells(enc.tables[phi])
-            root = enc.cnf.define_or([lit for _, lit in cells])
-            if root == _FALSE:
+            if not enc.cnf.add_goal([lit for _, lit in cells]):
                 # refuted by the folding gates alone: no solver to build
                 return None
-            enc.cnf.clauses.append([root])
             solver = enc.cnf.solve()
             if solver is not None:
                 got = (enc, solver, cells)
@@ -615,10 +640,8 @@ def sat_bounded_finite(phi: Formula, max_points: int) -> SatResult:
         table = _finite_engine(cand).table(phi)
         cells = canonical_cells(cand.domain)
         lits = [table[x * (n + 1) + y] for x, y in cells]
-        root = cand.cnf.define_or(lits)
-        if root == _FALSE:
+        if not cand.cnf.add_goal(lits):
             continue
-        cand.cnf.clauses.append([root])
         solver = cand.cnf.solve()
         if solver is not None:
             return cand.certificate(solver, zip(cells, lits), phi)

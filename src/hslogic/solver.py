@@ -22,6 +22,21 @@ unassigns, so the scan no longer restarts at variable 1. Neither change
 touches the decision policy or the propagation order: the search, and so
 the lex-least model, are step for step those of per-variable arrays and a
 full scan.
+
+Before that search, solve() probes the literals handed to probe_first, in
+their order, at level 0 (failed-literal probing, after Freeman,
+"Improvements to propositional satisfiability search algorithms", 1995).
+A probe assumes its literal at a fresh level and runs unit propagation
+alone. If that conflicts, every model makes the literal false, so the
+probe is undone and the negated literal is added as a level-0 unit. The
+first probe that does not conflict is undone too, implications and all,
+and ends the probing. Literals already assigned are passed over, and one
+already true ends the probing. Each new unit follows from the clauses,
+so the instance keeps exactly its models, and the search that follows is
+the fixed-order search over those models: its first model is still the
+lex-least one. The satisfiability engine hands over the goal's
+literals, so a candidate whose goal fails on every literal is refuted
+with no decision at all.
 """
 
 from __future__ import annotations
@@ -45,6 +60,10 @@ class Solver:
     * decisions: decision literals solve() put on the trail;
     * propagations: assigned literals whose watch lists unit propagation
       processed, whether they were decided, implied or added as units.
+
+    A probe (probe_first) is an assumption, not a decision: it leaves
+    decisions as it is. A failed probe counts one conflict, and the
+    literals a probe propagates count in propagations, as any others.
     """
 
     def __init__(self):
@@ -64,6 +83,7 @@ class Solver:
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
+        self._probes: List[int] = []
 
     def new_var(self) -> int:
         self.nvars += 1
@@ -170,6 +190,37 @@ class Solver:
                 watches[c[0]].append(ci)
                 watches[c[1]].append(ci)
             elif not self.add_clause(c):
+                return False
+        return True
+
+    def probe_first(self, lits) -> None:
+        """Have solve() probe lits, in order, before its search (module
+        docstring); ValueError for a literal outside +-1..+-nvars."""
+        n = self.nvars
+        for lit in lits:
+            if not -n <= lit <= n or lit == 0:
+                raise self._bad_literal(lit)
+        self._probes = list(lits)
+
+    def _probe(self) -> bool:
+        """Probe self._probes at level 0 until one does not conflict;
+        returns False on a conflict at level 0."""
+        vals = self.vals
+        for lit in self._probes:
+            v = vals[lit]
+            if v is False:
+                continue
+            if v is True:
+                break
+            self.trail_lim.append(len(self.trail))
+            self._enqueue(lit, -1)
+            failed = self._propagate() is not None
+            self._cancel_until(0)
+            if not failed:
+                break
+            self.conflicts += 1
+            self._enqueue(-lit, -1)
+            if self._propagate() is not None:
                 return False
         return True
 
@@ -318,7 +369,7 @@ class Solver:
             return False
         if self._size != self.nvars:
             self._grow()
-        if self._propagate() is not None:
+        if self._propagate() is not None or not self._probe():
             self.conflicts += 1
             self.ok = False
             return False

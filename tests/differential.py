@@ -1,7 +1,7 @@
 """Two source trees on the same inputs, answer by answer.
 
     python tests/differential.py OLD NEW [--seed N] [--mc N] [--sat N]
-                                 [--limit SECONDS]
+                                 [--finite N] [--limit SECONDS]
 
 OLD and NEW are source trees: a directory holding the hslogic package, or
 a checkout whose src/ holds it (for example a `git archive` of the parent
@@ -10,7 +10,7 @@ with tests/gen.py, under NEW's hslogic, and are handed to each tree as
 text: formulas as syntax.render writes them, models as .ism text. Each tree answers in its own subprocess, with only that tree
 on its path, and each input has a time limit there.
 
-Two kinds of input are compared:
+Three kinds of input are compared:
 
 * mc: a periodic model (prefix and period 1-3, letters p and q), a formula
   of depth <= 3 over all twelve modalities and an interval, near the origin
@@ -19,7 +19,10 @@ Two kinds of input are compared:
   round budget and under budgets 0 to 3;
 * sat: a begin/later formula of depth <= 3. The answer is sat_bbll's
   result: a Sat's model as .ism text and its witness, or the reason of an
-  Unsat or an Unknown.
+  Unsat or an Unknown;
+* finite: a formula of depth <= 4 over all twelve modalities and a bound
+  of 1 to 6 points past the origin. The answer is sat_bounded_finite's
+  result, as for sat.
 
 An exception is an answer too, by its class name. The counts of identical,
 differing and timed-out inputs are printed per kind, with the first
@@ -54,7 +57,7 @@ def source_dir(tree):
     raise SystemExit("no hslogic package in %s or its src/" % tree)
 
 
-def draw_inputs(seed, n_mc, n_sat):
+def draw_inputs(seed, n_mc, n_sat, n_finite=0):
     """The inputs of a run, as JSON-ready dicts, drawn under the hslogic on
     this process's path."""
     root = str(Path(__file__).resolve().parent.parent)
@@ -82,6 +85,10 @@ def draw_inputs(seed, n_mc, n_sat):
     for _ in range(n_sat):
         phi = rand_formula(rng, ("p", "q"), (B, iB, L, iL), 3)
         out.append({"kind": "sat", "formula": render(phi)})
+    for _ in range(n_finite):
+        phi = rand_formula(rng, ("p", "q"), all_mods(), 4)
+        out.append({"kind": "finite", "formula": render(phi),
+                    "max_points": rng.randint(1, 6)})
     return out
 
 
@@ -90,13 +97,16 @@ def _answer(item):
     from hslogic.checking import NotStabilized, mc_periodic
     from hslogic.models import load_model, save_model
     from hslogic.parser import parse_formula
-    from hslogic.sat import Sat, sat_bbll
+    from hslogic.sat import Sat, sat_bbll, sat_bounded_finite
     from hslogic.syntax import render
 
     phi = parse_formula(item["formula"])
-    if item["kind"] == "sat":
+    if item["kind"] != "mc":
         try:
-            res = sat_bbll(phi)
+            if item["kind"] == "sat":
+                res = sat_bbll(phi)
+            else:
+                res = sat_bounded_finite(phi, item["max_points"])
         except Exception as exc:
             return ["error", type(exc).__name__]
         if isinstance(res, Sat):
@@ -171,8 +181,8 @@ def answers(trees, inputs, limit):
 def _parts(item, answer):
     """(kind, part of the answer) pairs: an mc answer is counted once under
     the default budget and once under budgets 0 to 3."""
-    if item["kind"] == "sat":
-        return [("sat", answer)]
+    if item["kind"] != "mc":
+        return [(item["kind"], answer)]
     if answer == "timeout":
         return [("mc", answer), ("mc, budgets 0-3", answer)]
     return [("mc", answer[0]), ("mc, budgets 0-3", answer[1:])]
@@ -203,6 +213,7 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--mc", type=int, default=1000)
     ap.add_argument("--sat", type=int, default=200)
+    ap.add_argument("--finite", type=int, default=200)
     ap.add_argument("--limit", type=float, default=10.0,
                     help="seconds per input in each tree")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -213,7 +224,7 @@ def main(argv=None):
     if args.new is None:
         ap.error("two source trees are required")
     sys.path.insert(0, str(source_dir(args.new)))
-    inputs = draw_inputs(args.seed, args.mc, args.sat)
+    inputs = draw_inputs(args.seed, args.mc, args.sat, args.finite)
     old, new = answers((args.old, args.new), inputs, args.limit)
     counts, differing = compare(inputs, old, new)
     for kind, c in sorted(counts.items()):

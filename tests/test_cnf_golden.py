@@ -71,6 +71,18 @@ changed shape. Checked against the parent commit first: every case lists
 the same candidate domains in the same order with the same verdicts, and
 the finite 6 entry did not move.
 
+The solver-run digests of the bbll cases were re-pinned when the solver
+came to probe the goal's literals before its search: each literal is
+assumed at a fresh level and unit propagation runs; a literal whose
+propagation conflicts is undone and its negation added at level 0, and
+probing stops at the first literal that does not conflict. The probes
+move watched literals within clauses and put new units on the trail, so
+a run's clause list and trail change; no CNF digest, candidate domain or
+verdict moved. The finite 6 entry kept its digests, since loading its
+clauses assigns every goal literal at level 0 and nothing is left to
+probe, and so did the three [L] p & [L] ~p runs that loading alone
+refutes, before solve() is called.
+
 To re-pin, print the current EXPECTED dict with
 
     PYTHONPATH=src python -m tests.test_cnf_golden
@@ -121,25 +133,25 @@ EXPECTED = {
     'bbll [iB] p & [iB] ~p': [
         ('periodic 7 1',
          '71dc8023a16d19b1fad2966fcaccd2832e9774aca529cd55ca5500613b48d4dd',
-         '1729a6108a901df16efb9dbf4eafa3c150b7d5a03fab6d5657a7a1b0a2390906'),
+         '63cba5db676215059314bfe239eea3f91038fa125547f40b3a832e6b8f25a746'),
         ('periodic 6 2',
          'fd3d7cc21bf880ba4d18b80b69d4ae6308d5f0b8689f74afa4e57e5d0541f6a8',
-         'fac8fc9e3751a0194007b035d8d85b0ea5cb8b0ccc856b142ddb41b4a7a96f9f'),
+         'b64f36a6ac0b11139b63ab3ae57bb33aabc99c2f1704d4d00171e5bfb6820770'),
         ('periodic 5 3',
          'ec635a55c0d91ea426f85d49185ce9afd123453f36eb4f39c99e4cb50dbca0ef',
-         '8d09286592894cc9f9135d55c308d5c10870a6bd93f5033ff47b3d036654c8e6'),
+         '172beafbf4f113c30289ad95682c9e6725510b61060694a663d953ce97996202'),
         ('periodic 4 4',
          'a6b5bbf3a603332c4b7b68d37a80b79e668ff24369634328519cecb115330b6a',
-         '4e78575fba690922fd413b136eecc2924c46f4c9e1a8a5a1e519401f5d5e612c'),
+         '61f6e41be4d3ccdbd397d7e1201644f3b2bc3cb047234be439d9a3239ea613fe'),
         ('periodic 3 5',
          'b0169c1ff051ef00d68bd11a4c6e91ccd7ace7752b0bebcd339e6637b61de0c4',
-         'c4b066110a64786b1a9d24d4496bcc943aa59c709b5c075ce9dec50d425c70f3'),
+         'a56670e369002f5bc6b7aeb0dcddb5999b3c23742ca1c9e61d1d4bb037a454dd'),
         ('periodic 2 6',
          'f00c2b0515d063d3ebc4ae38bf7538cb01f33c2ece196edafc93f9fdd091adc3',
-         '136d36ed452b7f6ac793a4d5b5d6a95506dbbcb19ae9f8f02f809a8514d994ed'),
+         'b4c23aef80acc2443a1d403352caa52fc838eafef6cdd8fc71aa3d0cbd7145c2'),
         ('periodic 1 7',
          'b91cce400d883764711e0a7beb962033e7eef6c58426721abf101c14fadec78b',
-         '99b86c395532837c71bb662cafdfb11039677514376247e2c2c1e7813c423412'),
+         '848d419441002ca26ef5d0441e613a64871da08c553c380cf4e754d71a9dfe56'),
     ],
     'bbll [L] p & [L] ~p': [
         ('periodic 1 2',
@@ -147,31 +159,31 @@ EXPECTED = {
          '65adac3b831d7bfb80e836d3e9d4c64bdb792463cd09ecdc8e4dccacb5ad982d'),
         ('periodic 11 1',
          '1612e0303c3d980dcb79a7d6b4f01560ca221bb0ebcd77fb39e15ec20f38024e',
-         'dbb93fba72803d819bebd325b1b3ed71ddb418cb82037f5230aeecb67d57ae1a'),
+         'e7a81359b686a27401d7267bcaaf727224a2941b042a5e1d3d29b0f4f29bff61'),
         ('periodic 10 2',
          'fd2d31c560ae669c7d7ae8804dea14ba3562307bb96267b88a60c05498fbf65f',
-         '82ef7b3449095897d8e007ffe7854aea5bc7fe9796bbbd78e9cfa347726debe8'),
+         '649909a3ecf4b934ff3298e742daa8780d54719e603f32f6cb93f1784c34a9cc'),
         ('periodic 9 3',
          'bca19eff2059adba43e953b665f10eb3ea59d7f239de7adcb202f93504146a9f',
-         'b4f256f0214747c74340a0482ecfefa3ea93e5f182aad7c549e2c09c1ea631a8'),
+         '6109ad82d7026f520cd389c28eaab374932315ab6fc26c1639a87903dc8eb5c8'),
         ('periodic 8 4',
          '2dd28801f07776ed4ba85aab87694ef266006ecddcfc8c26a2fa606c53a0b85c',
-         'e6b9ddccf83b66f1f19beeb3ac8d3fe5083303cb23bfcdc07ff12de87e0ac09d'),
+         'feb070e45cca140557b4162b4ca628080389ec3dff59a740c297784b339bb91b'),
         ('periodic 7 5',
          '11df2f60df179a81b7f4a7c3fd5672ba11bf91426fb70564b94e880b80ac4551',
-         '21fd6b4f000309003d20a4c8d9d7291240c82b15f579ec1b950f74ee6cd07ec1'),
+         '00172dc3a462ef760f1e2ece69332deba8ae9ea84aeeaf1e8a08c4faec465da8'),
         ('periodic 6 6',
          '5306c42dc0938631096fa01be72bef9b07e0bb592a089803dbbb88a7d7d3444f',
-         '91853b62a80be1621f7d4b51c1f8bddb7a09ba8ac5525e6ad2eaa80825e78e2b'),
+         'e3b7194b4d564ecaa4799913b94817a9dafb6827fb7fc6de7972e8f7af975bfb'),
         ('periodic 5 7',
          '6c9eeedfa8e9018203657cb72a3b931dad7a017862ad8cdfe96f1e7a6aaf3bd5',
-         '56f26e5af60e2293660dd5a6b0391aa4f9afa71f26b89d90ece110031af3079a'),
+         'ede7c81946fc2c6376d61dcf3840868a8f8c7e1a76bd59d69dee78ad3d2da51e'),
         ('periodic 4 8',
          '066b3b08bd333fa9c19d513651dc0e624a2a2915b10809b69b81b999167a4932',
-         '2921864dc4c6a0fe2ddb3618a59f277463ad96168406611d98da0a5dbaeb2cfb'),
+         'affa43ee71a9eb81417f5f34842be78f40b4a4fa7cd7ab9e02dd37d9dd23faae'),
         ('periodic 3 9',
          '2d92614d486bbe5b2a5c931a0eeeab64c122609416dfab03977211e625fb67b9',
-         'a6a8f88144bed488c8ff7f8a5b4871ea853a132a79423a012aff25574d5c66dd'),
+         'b1f72517ec7c1f1ac934712abfd6491cf2ffaab72c916b5a31be53de819822b6'),
         ('periodic 2 10',
          'a4f10be8e3bfb3f024a4cad5c9120503292dd94d00b38ed0a2e383fbd4ab67d2',
          '896f7caee21929cb7f8c166b3f767f3523181d91147a73519a2f0dfedfd31472'),
@@ -182,35 +194,35 @@ EXPECTED = {
     'bbll <B> ~p & [B] (~p -> <B> ~p)': [
         ('periodic 7 1',
          '1244862e14a667559a59567cd23a1913374bcf75e6d7e64f1bcd871a772f6c86',
-         'f5617201134369d4c74c9fdd89adb820de341cb2847fd5c8a013f609df2df370'),
+         'bf3ca2a19cb2c7acd5717733f00139bce69409de229052795dc7d1278eff8aff'),
         ('periodic 6 2',
          '2a615a26a2e11fe2e8bd75e793d7d0dd693651a3ad10b789031b0b1869b4d650',
-         '6312b26764bc2f9c72b1bb47dd76aa24ecbbfb7c68b2c94b23d2cd6a2042243a'),
+         '7e661ea24e6c9f131707abbe0c18ce13b080981ffd1f1deee52099d5ae8d748e'),
         ('periodic 5 3',
          'abcb91bb01601decb4fb26d0e2bc0e5c756a52e9b53030079b298fa4b3aa0430',
-         'c28185373f5e60e1f70c5d5883a3b39039717513f2ba5939fae27872fb737aef'),
+         'e6dff93443b191c3a3808f3f84ae8af586c7761e947468a85a73389c2476d16a'),
         ('periodic 4 4',
          '1b7a677457adaf7630ac3f1111e744e7787627a7f015e36634159b6c001a0ae3',
-         'a2164435fa42e4faec733f3fff351ef9fb3fba4979ce46db6b493eb259a89ebe'),
+         'fc0559ef435271e916c65f3d71cf8795c8429e21630a28c40d2c6bd9d139b45c'),
         ('periodic 3 5',
          '404a0bdda5a8b9c13ab00b7af00e7760da7459d089da7687f5148019b34ebb7b',
-         '8253873256659e959ec505471a1088899b38adf0c42849735181ba8722945338'),
+         '189cb0fe8cc436beba8c701dfcff7bf9ba3165c78e1f7a1b166821b8c7da9f0b'),
         ('periodic 2 6',
          '36a3062839fedf12e99c28f46772210b601fe0906c0c75e1e0ea33a872380888',
-         '24ab3d67e198f731215cc691a27dd86afc9d9d90ee2922a2cfffbd9c3dd16bb1'),
+         '611dee369c14e3edc55606c3693def2a8c2d3f70c4b7f5bacad300310e894a98'),
         ('periodic 1 7',
          '63b6364fe3033f15f0f211c61575620e2b8ed6c5dddcc8aa213336a970499d9c',
-         'c306c29c1e48d64a7243f1d9f485f5eefd7c12abaf4095648a5d1f0127424401'),
+         'ac0b3f588bcbd67f800c2fa0cdd7c98e5b2a87885202268307bf8fc9bb2baab1'),
     ],
     'bbll <B> p & <iB> ~p & <L> q & <iL> (p & q)': [
         ('periodic 1 2',
          'e24c4ffafec3ba2d2166e4f4ac3c4690274d1c6bdac333705218f7bb736e2332',
-         '5107c835b0c7420e537a94f60cc329fa920a03fd10a29fdce436ef60ff5437f1'),
+         '7c8eb84298ca5ba7796c3c804d1dc90c513d135ae6a3ed2467970ea181e91981'),
     ],
     'bbll <L> (p & [B] q) & <iL> <iB> ~q': [
         ('periodic 1 1',
          '49217a312e0a8254289e8809f3014bb56a4782000aece761c50c7f91f25eb2e0',
-         'bdad917dc610b55eba43ee2d09e684122cd371aec95ecf4f45cd143b9e65f0fc'),
+         '8eda15909355704c2ebd3cc0a1dfaf5e65aae7a48d886f0039b3c2ce95cea584'),
     ],
     'finite 6 <A> p & <D> q & [O] ~p & <iE> (q | <iA> p)': [
         ('finite 5',

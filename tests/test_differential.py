@@ -1,6 +1,6 @@
 """The parent-versus-change differential (tests/differential.py) on small
-runs: one tree against itself answers identically, and a copy whose
-mc_periodic answers the opposite is reported input by input."""
+runs: one tree against itself answers identically on all three kinds, and
+a copy whose mc_periodic answers the opposite is reported input by input."""
 
 import shutil
 from pathlib import Path
@@ -10,18 +10,23 @@ from . import differential
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _run(old, new, n_mc, n_sat):
-    inputs = differential.draw_inputs(3, n_mc, n_sat)
+def _run(old, new, n_mc, n_sat, n_finite=0):
+    inputs = differential.draw_inputs(3, n_mc, n_sat, n_finite)
     old_answers, new_answers = differential.answers((old, new), inputs, 20.0)
     counts, differing = differential.compare(inputs, old_answers, new_answers)
     return old_answers, counts, differing
 
 
 def test_a_tree_against_itself_is_identical():
-    _, counts, differing = _run(SRC, SRC, 40, 8)
+    old, counts, differing = _run(SRC, SRC, 40, 8, 30)
     assert differing == []
     assert counts["mc"] == {"identical": 40, "differing": 0, "timed out": 0}
     assert counts["sat"] == {"identical": 8, "differing": 0, "timed out": 0}
+    assert counts["finite"] == {"identical": 30, "differing": 0,
+                                "timed out": 0}
+    # the finite inputs include certificates and exhausted searches
+    finite = [answer[0] for answer in old[-30:]]
+    assert "Sat" in finite and "Unknown" in finite
 
 
 def test_a_flipped_verdict_is_reported(tmp_path):

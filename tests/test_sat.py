@@ -172,3 +172,28 @@ def test_negative_max_bound_is_a_value_error():
         sat_bbll(dia(B, p), max_bound=-3)
     # 0 stays a truncated search, not an error
     assert isinstance(sat_bbll(dia(B, p), max_bound=0), Unknown)
+
+
+# Unsat with every candidate refuted by the solver's goal probes alone: the
+# four well-foundedness shapes of the sat_unsat benchmark, and a formula the
+# fixed-order search alone did not answer within 30 s
+PROBE_REFUTED = [
+    "<B> %s & [B] (%s -> <B> %s)" % (psi, psi, psi)
+    for psi in ("p", "~p", "(p & q)", "(p | q)")
+] + ["<iB> [B] q & (p & [iL] p) & ~q"]
+
+
+@pytest.mark.parametrize("text", PROBE_REFUTED)
+def test_goal_probes_refute_every_candidate_without_a_decision(monkeypatch,
+                                                               text):
+    solvers = []
+
+    class Recording(sat.Solver):
+        def __init__(self):
+            super().__init__()
+            solvers.append(self)
+
+    monkeypatch.setattr(sat, "Solver", Recording)
+    assert sat_bbll(parse_formula(text)) == \
+        Unsat("no model within the periodic bound")
+    assert solvers and [s.decisions for s in solvers] == [0] * len(solvers)

@@ -277,3 +277,76 @@ def test_bulk_load_matches_one_add_clause_per_clause():
         assert bulk.solve() == one.solve()
         assert (bulk.clauses, bulk.trail) == (one.clauses, one.trail)
     assert stopped > 100
+
+
+def test_probes_keep_the_lex_least_model():
+    # the probes are the literals of one of the instance's clauses, as the
+    # satisfiability engine hands over its goal clause, or random literals,
+    # which need not fail and need not hold in any model. A failed probe
+    # may only add its negation, and a surviving one must leave no
+    # implication behind, or the first model is no longer the lex-least one.
+    rng = random.Random(4014)
+    sat_seen = unsat_seen = conflicts = probed_false = 0
+    for _ in range(700):
+        num_vars = rng.randrange(2, 11)
+        clauses = []
+        for _ in range(rng.randrange(2 * num_vars, 5 * num_vars + 1)):
+            width = rng.choice((2, 2, 3, 3, 3, 4))
+            clauses.append([rng.choice([-1, 1]) * rng.randrange(1, num_vars + 1)
+                            for _ in range(width)])
+        want = lex_least_masks(num_vars, clauses)
+        picked = [rng.choice([-1, 1]) * rng.randrange(1, num_vars + 1)
+                  for _ in range(rng.randrange(1, 5))]
+        for probes in (rng.choice(clauses), picked):
+            s = Solver()
+            for _ in range(num_vars):
+                s.new_var()
+            got = None
+            if all(s.add_clause(cl) for cl in clauses):
+                s.probe_first(probes)
+                if s.solve():
+                    got = tuple(s.model_value(v)
+                                for v in range(1, num_vars + 1))
+            assert got == want, (num_vars, clauses, probes)
+            conflicts += s.conflicts
+            if want is not None:
+                probed_false += any(want[abs(p) - 1] != (p > 0)
+                                    for p in probes)
+        if want is None:
+            unsat_seen += 1
+        else:
+            sat_seen += 1
+    assert sat_seen > 150 and unsat_seen > 150
+    assert conflicts > 500 and probed_false > 200
+
+
+def test_probes_are_assumptions_not_decisions():
+    # [1, 2] and [1, -2]: the probe -1 implies 2 and falsifies [1, -2]
+    # before 2 is propagated, so it fails and 1 is a unit; the probe -2
+    # then survives and is undone, and the search decides 2 false.
+    # Propagated: -1, 1, -2 (probe) and -2 (decision).
+    s = Solver()
+    for _ in range(2):
+        s.new_var()
+    assert s.add_clause([1, 2])
+    assert s.add_clause([1, -2])
+    s.probe_first([-1, -2])
+    assert s.solve()
+    assert (s.model_value(1), s.model_value(2)) == (True, False)
+    assert (s.decisions, s.conflicts, s.propagations) == (1, 1, 4)
+    with pytest.raises(ValueError):
+        s.probe_first([3])
+
+
+def test_failing_every_probe_refutes_without_a_decision():
+    # the goal clause [1, 2], where 1 implies both 3 and ~3, and 2 both 4
+    # and ~4: the probe 1 fails, its negation makes 2 a unit of the goal
+    # clause, and that unit conflicts at level 0
+    s = Solver()
+    for _ in range(4):
+        s.new_var()
+    for cl in ([1, 2], [-1, 3], [-1, -3], [-2, 4], [-2, -4]):
+        assert s.add_clause(cl)
+    s.probe_first([1, 2])
+    assert not s.solve()
+    assert (s.decisions, s.conflicts) == (0, 2)
