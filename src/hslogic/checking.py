@@ -22,7 +22,9 @@ are evaluated over windows of growing horizon: scans that reach right without
 bound stop where truth starts to repeat, at thresholds derived per
 subformula (_fold_thresholds, which the periodic encoder reads too), values
 a window cannot justify are undetermined, and _stabilized_tables decides
-when the windows agree.
+when the windows agree. How many windows it tries is its own decision,
+derived from the formula and the model; no caller sets a budget or a
+horizon.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ _DECODE = {_F: False, _U: None, _T: True}
 
 
 class NotStabilized(Exception):
-    """Raised when consecutive evaluation horizons keep disagreeing."""
+    """A fault: the derived number of evaluation horizons ran out before
+    two consecutive ones agreed. The thresholds make every scan from a
+    watched cell conclusive within that number, so this signals a wrong
+    threshold or scan bound, not an answer."""
 
     def __init__(self, subformula: Formula, cell: Interval, rounds: int):
         self.subformula = subformula
@@ -333,25 +338,24 @@ class _TableEngine:
         return v if exact else self.or2(v, _U)
 
 
-def allen_related(domain, i: Interval, mod: Modality,
-                  horizon: Optional[int] = None) -> List[Interval]:
+def allen_related(domain, i: Interval, mod: Modality) -> List[Interval]:
     """All intervals standing in the given relation to i, in (x, y) order:
     the cells where the inverse diamond holds over a letter true only at i,
     by one engine pass.
 
     On a finite domain the answer is exact. On a periodic domain the pass
-    runs on the window 0..max(horizon, y), so the five relations that reach
-    arbitrarily far right (A, iB, L, iD, O) are cut off at the supplied
-    horizon, which is therefore required there; the others stay in 0..y."""
+    runs on the window 0..y, which holds every successor of the seven
+    relations bounded by i's right endpoint (B, E, D, iA, iE, iL, iO). The
+    other five (A, iB, L, iD, O) have infinitely many successors there and
+    are a ValueError; allen_related(FiniteDomain(h), i, mod) lists those in
+    the window 0..h."""
     if not valid_interval(domain, i):
         raise ValueError("interval %r outside the domain" % (i,))
     x, y = i
     if isinstance(domain, FiniteDomain):
         h = domain.last_point
-    elif horizon is not None:
-        h = max(horizon, y)
     elif mod.name in ("A", "iB", "L", "iD", "O"):
-        raise ValueError("a horizon is required for %s on an unbounded "
+        raise ValueError("%s has infinitely many successors on an unbounded "
                          "domain" % mod.name)
     else:
         h = y
@@ -453,25 +457,22 @@ def _scan_frontier(pre: int, per: int, b: Bounds, depth: int,
 
 
 def _stabilized_tables(model: IntervalModel, phi: Formula,
-                       max_rounds: Optional[int],
                        query: Optional[Interval] = None):
     """Recompute tables at horizons base + k*per until two consecutive
     horizons agree, with determined values, on every watched cell for every
-    subformula, else raise NotStabilized naming the first (subformula, cell)
-    that differs. The watched cells are the canonical cells and the query,
+    subformula. The watched cells are the canonical cells and the query,
     if any, pulled back under phi's thresholds. Returns (tables, horizon,
     query), the tables flat as the engine's and the query pulled back.
     phi's postorder is listed once, gives every node its thresholds
     (_fold_thresholds) and fills each round's fresh engine; a round's
     watched values are one list, node by node.
 
-    The default budget is enough rounds for every scan from a watched cell
-    to end inside the window: max(depth + 2, ceil((need - base) / per) +
-    1), need being _scan_frontier's horizon. A budget of 0 counts as 1; a
-    negative one is a ValueError."""
-    if max_rounds is not None and max_rounds < 0:
-        raise ValueError("the round budget must be at least 0, got %d"
-                         % max_rounds)
+    The number of rounds is derived here, and only here: enough for every
+    scan from a watched cell to end inside the window, max(depth + 2,
+    ceil((need - base) / per) + 1), need being _scan_frontier's horizon.
+    Running out of them is a fault, NotStabilized, naming the first
+    (subformula, cell) where the last two rounds differ or the last is
+    undetermined."""
     domain = model.domain
     pre, per = domain.pre, domain.per
     depth = modal_depth(phi)
@@ -484,13 +485,9 @@ def _stabilized_tables(model: IntervalModel, phi: Formula,
         if query not in watch:
             watch.append(query)
         base = max(base, query[1])
-    if max_rounds is not None:
-        rounds = max(max_rounds, 1)
-    else:
-        wy = max(c[1] for c in watch)
-        top = tuple(map(max, zip(*bounds.values())))
-        need = _scan_frontier(pre, per, top, depth, wy)
-        rounds = max(depth + 2, -((base - need) // per) + 1)
+    top = tuple(map(max, zip(*bounds.values())))
+    need = _scan_frontier(pre, per, top, depth, max(c[1] for c in watch))
+    rounds = max(depth + 2, -((base - need) // per) + 1)
     prev = None
     for k in range(2, rounds + 3):
         h = base + k * per
@@ -510,32 +507,31 @@ def _stabilized_tables(model: IntervalModel, phi: Formula,
     raise NotStabilized(offender[0], offender[1], rounds)
 
 
-def mc_periodic(model: IntervalModel, i: Interval, phi: Formula,
-                max_rounds: Optional[int] = None) -> bool:
+def mc_periodic(model: IntervalModel, i: Interval, phi: Formula) -> bool:
     """Truth of phi at interval i over an ultimately periodic model.
 
-    Raises NotStabilized when the evaluation horizons keep disagreeing
-    within the round budget: max_rounds, or by default enough rounds for
-    every scan to be conclusive (_stabilized_tables)."""
+    The horizons are _stabilized_tables' to choose; NotStabilized is the
+    fault of their derived number running out."""
     if not isinstance(model.domain, PeriodicDomain):
         raise TypeError("mc_periodic needs a periodic model")
     i = tuple(i)
     if not valid_interval(model.domain, i):
         raise ValueError("not an interval: %r" % (i,))
-    tables, h, (x, y) = _stabilized_tables(model, phi, max_rounds, i)
+    tables, h, (x, y) = _stabilized_tables(model, phi, i)
     return tables[phi][x * (h + 1) + y] == _T
 
 
-def periodic_stable_tables(model: IntervalModel, phi: Formula,
-                           max_rounds: Optional[int] = None):
+def periodic_stable_tables(model: IntervalModel, phi: Formula):
     """Stabilized three-valued tables for phi and all its subformulas.
 
     Returns (tables, horizon) where tables maps each subformula to a grid
     over the window 0..horizon with values False, None (undetermined), or
-    True."""
+    True: every canonical cell is determined, and the horizon is the first
+    at which _stabilized_tables saw two consecutive windows agree there.
+    NotStabilized is a fault, as for mc_periodic."""
     if not isinstance(model.domain, PeriodicDomain):
         raise TypeError("periodic tables need a periodic model")
-    raw, h, _ = _stabilized_tables(model, phi, max_rounds)
+    raw, h, _ = _stabilized_tables(model, phi)
     return {node: _decode(grid, h) for node, grid in raw.items()}, h
 
 

@@ -43,13 +43,6 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _nonnegative(value: Optional[int], what: str) -> None:
-    """Reject a negative budget on every path, also where it goes unread,
-    with the message the periodic procedures give."""
-    if value is not None and value < 0:
-        raise ValueError("%s must be at least 0, got %d" % (what, value))
-
-
 def _cmd_parse(args: argparse.Namespace) -> int:
     print(render(parse_formula(args.formula)))
     return 0
@@ -59,16 +52,10 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     model = load_model(_read(args.model))
     phi = parse_formula(args.formula)
     x, y = args.interval
-    _nonnegative(args.rounds, "the round budget")
     if isinstance(model.domain, FiniteDomain):
         value = mc_finite(model, (x, y), phi)
     else:
-        try:
-            value = mc_periodic(model, (x, y), phi, max_rounds=args.rounds)
-        except NotStabilized as exc:
-            print("unknown")
-            print("not stabilized: %s" % exc, file=sys.stderr)
-            return 1
+        value = mc_periodic(model, (x, y), phi)
     print("true" if value else "false")
     return 0 if value else 1
 
@@ -83,7 +70,10 @@ def _cmd_sat(args: argparse.Namespace) -> int:
         return 2
     text = args.formula if args.formula is not None else _read(args.file)
     phi = parse_formula(text)
-    _nonnegative(args.max_bound, "the periodic bound")
+    if args.max_bound is not None and args.max_bound < 0:
+        # also on the finite path, which never reads it; sat_bbll's message
+        raise ValueError("the periodic bound must be at least 0, got %d"
+                         % args.max_bound)
     if args.finite is not None:
         res = sat_bounded_finite(phi, args.finite)
     else:
@@ -213,8 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", nargs=2, type=int, required=True,
                    metavar=("X", "Y"))
     p.add_argument("--formula", required=True)
-    p.add_argument("--rounds", type=int, default=None,
-                   help="stabilization round cap for periodic models")
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("sat", help="decide satisfiability")

@@ -523,8 +523,9 @@ class _Encoder(_Candidate):
 
 
 def _recheck(phi: Formula, model: IntervalModel, witness: Interval) -> bool:
-    """Truth of phi at the witness by the model checker, with its default
-    periodic round budget, under which every capped scan is conclusive."""
+    """Truth of phi at the witness by the model checker: mc_finite, or
+    mc_periodic at the horizons it derives, under which every capped scan
+    is conclusive."""
     if isinstance(model.domain, FiniteDomain):
         return mc_finite(model, witness, phi)
     return mc_periodic(model, witness, phi)
@@ -651,8 +652,9 @@ def sat_bounded_finite(phi: Formula, max_points: int) -> SatResult:
 
 def check_certificate(phi: Formula, model: IntervalModel,
                       witness: Interval) -> bool:
-    """Re-check a Sat certificate from scratch. NotStabilized counts as a
-    failed check rather than an error."""
+    """Re-check a Sat certificate from scratch. NotStabilized, the checker's
+    fault of running out of horizons, counts as a failed check rather than
+    an error."""
     try:
         return _recheck(phi, model, tuple(witness))
     except (NotStabilized, ValueError):

@@ -10,13 +10,14 @@ with tests/gen.py, under NEW's hslogic, and are handed to each tree as
 text: formulas as syntax.render writes them, models as .ism text. Each tree answers in its own subprocess, with only that tree
 on its path, and each input has a time limit there.
 
-Three kinds of input are compared:
+Four kinds of answer are compared, on three kinds of input:
 
 * mc: a periodic model (prefix and period 1-3, letters p and q), a formula
   of depth <= 3 over all twelve modalities and an interval, near the origin
   or with endpoints up to 2*10^6. The answer is mc_periodic's verdict, or
-  the NotStabilized offender (subformula, cell, rounds), under the default
-  round budget and under budgets 0 to 3;
+  the NotStabilized offender (subformula, cell, rounds);
+* tables, on the same inputs: a SHA-256 of periodic_stable_tables' decoded
+  tables of every subformula and its horizon, or the offender;
 * sat: a begin/later formula of depth <= 3. The answer is sat_bbll's
   result: a Sat's model as .ism text and its witness, or the reason of an
   Unsat or an Unknown;
@@ -24,12 +25,14 @@ Three kinds of input are compared:
   of 1 to 6 points past the origin. The answer is sat_bounded_finite's
   result, as for sat.
 
-An exception is an answer too, by its class name. The counts of identical,
-differing and timed-out inputs are printed per kind, with the first
-differing inputs; the exit status is 1 when any input differs.
+Any other exception is an answer too, by its class name. The counts of
+identical, differing and timed-out inputs are printed per kind, with the
+first differing inputs; the exit status is 1 when any input differs, and
+timed-out inputs do not change it.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -39,7 +42,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-BUDGETS = (None, 0, 1, 2, 3)
 FAR = 2 * 10 ** 6
 
 
@@ -93,36 +95,47 @@ def draw_inputs(seed, n_mc, n_sat, n_finite=0):
 
 
 def _answer(item):
-    """One input's answer in the tree on this process's path."""
-    from hslogic.checking import NotStabilized, mc_periodic
+    """One input's answer in the tree on this process's path: for an mc
+    input, the mc answer and the tables answer."""
+    from hslogic.checking import (
+        NotStabilized, mc_periodic, periodic_stable_tables,
+    )
     from hslogic.models import load_model, save_model
     from hslogic.parser import parse_formula
     from hslogic.sat import Sat, sat_bbll, sat_bounded_finite
     from hslogic.syntax import render
 
-    phi = parse_formula(item["formula"])
-    if item["kind"] != "mc":
+    def guard(ask):
         try:
-            if item["kind"] == "sat":
-                res = sat_bbll(phi)
-            else:
-                res = sat_bounded_finite(phi, item["max_points"])
+            return ask()
+        except NotStabilized as exc:
+            return ["NotStabilized", render(exc.subformula), list(exc.cell),
+                    exc.rounds]
         except Exception as exc:
             return ["error", type(exc).__name__]
+
+    def tables_digest():
+        tables, h = periodic_stable_tables(model, phi)
+        grids = sorted([render(node), sorted(grid.items())]
+                       for node, grid in tables.items())
+        text = json.dumps([h, grids])
+        return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+    def solve():
+        if item["kind"] == "sat":
+            res = sat_bbll(phi)
+        else:
+            res = sat_bounded_finite(phi, item["max_points"])
         if isinstance(res, Sat):
             return ["Sat", save_model(res.model), list(res.witness)]
         return [type(res).__name__, res.reason]
+
+    phi = parse_formula(item["formula"])
+    if item["kind"] != "mc":
+        return guard(solve)
     model = load_model(item["model"])
-    out = []
-    for budget in BUDGETS:
-        try:
-            out.append(mc_periodic(model, tuple(item["cell"]), phi, budget))
-        except NotStabilized as exc:
-            out.append(["NotStabilized", render(exc.subformula),
-                        list(exc.cell), exc.rounds])
-        except Exception as exc:
-            out.append(["error", type(exc).__name__])
-    return out
+    return [guard(lambda: mc_periodic(model, tuple(item["cell"]), phi)),
+            guard(tables_digest)]
 
 
 def _worker(limit):
@@ -179,13 +192,13 @@ def answers(trees, inputs, limit):
 
 
 def _parts(item, answer):
-    """(kind, part of the answer) pairs: an mc answer is counted once under
-    the default budget and once under budgets 0 to 3."""
+    """(kind, part of the answer) pairs: an mc input's answer is counted
+    once as mc and once as tables."""
     if item["kind"] != "mc":
         return [(item["kind"], answer)]
     if answer == "timeout":
-        return [("mc", answer), ("mc, budgets 0-3", answer)]
-    return [("mc", answer[0]), ("mc, budgets 0-3", answer[1:])]
+        answer = [answer, answer]
+    return list(zip(("mc", "tables"), answer))
 
 
 def compare(inputs, old, new):

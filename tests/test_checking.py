@@ -9,13 +9,15 @@ from hslogic.checking import (
     FiniteEvaluator, NotStabilized, mc_finite, mc_periodic,
     periodic_stable_tables, postorder,
 )
+from hslogic.cli import main
 from hslogic.models import (
-    canonical_cells, finite_model, periodic_model, reverse_model,
+    canonical_cells, finite_model, periodic_model, reverse_model, save_model,
 )
 from hslogic.parser import parse_formula
+from hslogic.sat import check_certificate
 from hslogic.syntax import (
     ALL_MODALITIES, A, iA, B, iB, E, iE, L, iL, And, Atom, Box, Diamond,
-    Not, box, conj, dia, mirror_formula,
+    Not, box, conj, dia, mirror_formula, modal_depth,
 )
 
 from . import oracle
@@ -124,15 +126,43 @@ def test_periodic_against_three_valued_oracle():
     assert checked >= 100
 
 
+def _watched_values(m, nodes, bounds, watch, h):
+    """Every node's values at the watched cells, one engine build at
+    horizon h."""
+    engine = checking._model_engine(m, h, bounds)
+    keys = [x * engine.w + y for x, y in watch]
+    return [engine.table(node)[k] for node in nodes for k in keys]
+
+
 def test_periodic_stabilized_answer_fixed_across_horizons():
+    # a determined value does not depend on the horizon: at the first
+    # horizon base + k*per where every watched cell of every subformula is
+    # determined, the values are those one period further out, and phi's
+    # value at the query is mc_periodic's answer
     rng = random.Random(306)
-    for _ in range(60):
-        m = rand_periodic_model(rng, rng.randrange(1, 3),
-                                rng.randrange(1, 3), ["p"])
-        phi = rand_formula(rng, ["p"], [B, iB, L, iL], 2)
-        v1 = mc_periodic(m, (0, 1), phi)
-        v2 = mc_periodic(m, (0, 1), phi, max_rounds=9)
-        assert v1 == v2
+    checked = 0
+    while checked < 300:
+        pre, per = rng.randint(1, 3), rng.randint(1, 3)
+        m = rand_periodic_model(rng, pre, per, ["p", "q"],
+                                rng.choice((0.15, 0.4)))
+        phi = rand_formula(rng, ["p", "q"], ALL_MODALITIES, 3)
+        if modal_depth(phi) == 0:
+            continue
+        checked += 1
+        x = rng.randrange(0, 50)
+        i = (x, rng.randrange(x + 1, 100))
+        nodes = postorder(phi)
+        bounds = checking._fold_thresholds(nodes, pre, per)
+        query = checking._reduce_query(m.domain, i, bounds[phi])
+        watch = list(canonical_cells(m.domain)) + [query]
+        base = max(pre, query[1])
+        h = next(base + k * per for k in range(2, 100)
+                 if checking._U not in _watched_values(
+                     m, nodes, bounds, watch, base + k * per))
+        first = _watched_values(m, nodes, bounds, watch, h)
+        assert first == _watched_values(m, nodes, bounds, watch, h + per), \
+            (m, phi, h)
+        assert (first[-1] == checking._T) == mc_periodic(m, i, phi)
 
 
 def test_periodic_stable_tables_agree_with_mc_periodic():
@@ -163,49 +193,45 @@ def test_deep_conjunction_checks_without_recursion():
     assert not mc_finite(m, (1, 2), phi)
 
 
-def test_not_stabilized_raises_with_zero_budget():
+def test_not_stabilized_is_a_fault_naming_the_cell(monkeypatch, capsys,
+                                                   tmp_path):
+    # an injected fault: thresholds 50 too high and a round count that
+    # ignores the scans, so a scan that finds nothing stays undetermined
+    # in every round
+    lift = checking._lift
+    monkeypatch.setattr(checking, "_scan_frontier", lambda *args: 0)
+    monkeypatch.setattr(checking, "_lift", lambda name, b, per: tuple(
+        v + 50 for v in lift(name, b, per)))
     m = periodic_model(1, 1, {"p": [(1, 2)]})
-    with pytest.raises(NotStabilized):
-        mc_periodic(m, (0, 1), dia(L, p), max_rounds=0)
-
-
-# NotStabilized names the first (subformula, cell), subformulas children
-# first and cells in watch order, where two rounds differ or the later one
-# is undetermined. Each scan stops at the thresholds of what it joins
-# (checking._fold_thresholds): <iB> p first goes undetermined one cell
-# further right than under the per-depth caps these pins once followed.
-UNSTABLE = [
-    ((1, 1, {"p": [(1, 2)]}), (0, 1), "<L> p", "<L> p", (1, 2)),
-    ((2, 3, {"p": [(1, 2), (3, 4)], "q": [(0, 2)]}), (0, 1),
-     "q & <L> <iB> p", "<iB> p", (4, 6)),
-    ((2, 3, {"p": [(1, 2), (3, 4)], "q": [(0, 2)]}), (5, 14),
-     "[L] (p | <iB> q)", "[L] (p | <iB> q)", (4, 7)),
-    ((1, 2, {"p": [(1, 2)], "q": [(0, 2)]}), None,
-     "q | <L> <iB> p", "<iB> p", (2, 4)),
-]
-
-
-@pytest.mark.parametrize("spec, i, text, sub, cell", UNSTABLE)
-def test_not_stabilized_names_the_first_unstable_cell(spec, i, text, sub,
-                                                      cell):
-    m = periodic_model(*spec)
-    with pytest.raises(NotStabilized) as info:
-        if i is None:
-            periodic_stable_tables(m, parse_formula(text), max_rounds=0)
-        else:
-            mc_periodic(m, i, parse_formula(text), max_rounds=0)
-    exc = info.value
-    assert (exc.subformula, exc.cell, exc.rounds) == \
-        (parse_formula(sub), cell, 1)
+    phi = dia(L, q)
+    for ask in (lambda: mc_periodic(m, (0, 1), phi),
+                lambda: periodic_stable_tables(m, phi)):
+        with pytest.raises(NotStabilized) as info:
+            ask()
+        exc = info.value
+        assert (exc.subformula, exc.cell, exc.rounds) == (phi, (0, 1), 3)
+    # a certificate re-check counts the fault as a failed check
+    assert not check_certificate(phi, m, (0, 1))
+    assert check_certificate(dia(L, p), m, (0, 1))
+    # hs mc exits 2 with an error line and no answer
+    path = tmp_path / "m.ism"
+    path.write_text(save_model(m), encoding="ascii")
+    code = main(["mc", "--model", str(path), "--interval", "0", "1",
+                 "--formula", "<L> q"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == "error: evaluation did not stabilize: no stable " \
+        "value for <L> q at [0, 1] after 3 rounds\n"
 
 
 def test_zero_budget_answers_a_query_its_thresholds_pull_back():
     # [L] s depends on the right endpoint alone, past s's diagonal
     # threshold: (4, 9) pulls back to (4, 6), whose window settles in the
-    # one round a zero budget gives
+    # first round that compares two windows
     m = periodic_model(2, 3, {"p": [(1, 2), (3, 4)], "q": [(0, 2)]})
     phi = parse_formula("[L] (p | <iB> q)")
-    assert mc_periodic(m, (4, 9), phi, max_rounds=0) is False
+    _, h, query = checking._stabilized_tables(m, phi, (4, 9))
+    assert (h, query) == (6 + 3 * 3, (4, 6))
     assert mc_periodic(m, (4, 9), phi) is False
 
 
@@ -234,11 +260,3 @@ def test_periodic_rejects_finite_and_vice_versa():
         mc_finite(pm, (0, 1), p)
     with pytest.raises(ValueError):
         mc_finite(fm, (0, 5), p)
-
-
-def test_negative_round_budget_is_a_value_error():
-    m = periodic_model(1, 1, {"p": [(1, 2)]})
-    with pytest.raises(ValueError):
-        mc_periodic(m, (0, 1), dia(L, p), max_rounds=-2)
-    with pytest.raises(ValueError):
-        periodic_stable_tables(m, dia(L, p), max_rounds=-1)

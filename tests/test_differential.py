@@ -1,6 +1,7 @@
 """The parent-versus-change differential (tests/differential.py) on small
-runs: one tree against itself answers identically on all three kinds, and
-a copy whose mc_periodic answers the opposite is reported input by input."""
+runs: one tree against itself answers identically on all four kinds, and
+a copy whose mc_periodic answers the opposite is reported input by input,
+its stable tables still identical."""
 
 import shutil
 from pathlib import Path
@@ -21,6 +22,8 @@ def test_a_tree_against_itself_is_identical():
     old, counts, differing = _run(SRC, SRC, 40, 8, 30)
     assert differing == []
     assert counts["mc"] == {"identical": 40, "differing": 0, "timed out": 0}
+    assert counts["tables"] == {"identical": 40, "differing": 0,
+                                "timed out": 0}
     assert counts["sat"] == {"identical": 8, "differing": 0, "timed out": 0}
     assert counts["finite"] == {"identical": 30, "differing": 0,
                                 "timed out": 0}
@@ -41,4 +44,6 @@ def test_a_flipped_verdict_is_reported(tmp_path):
     assert decided > 20
     assert counts["mc"] == {"identical": 40 - decided, "differing": decided,
                             "timed out": 0}
+    assert counts["tables"] == {"identical": 40, "differing": 0,
+                                "timed out": 0}
     assert all(kind != "mc" or a == (not b) for kind, _, a, b in differing)

@@ -13,7 +13,7 @@ import random
 from hslogic.checking import (
     _F, _T, _U, _TableEngine, _join, allen_related,
 )
-from hslogic.models import FiniteDomain, PeriodicDomain
+from hslogic.models import FiniteDomain
 from hslogic.syntax import MODALITIES_BY_NAME
 
 from . import oracle
@@ -129,11 +129,10 @@ def test_allen_related_matches_oracle_for_rows():
                 got = allen_related(FiniteDomain(last), i, mod)
                 want = [j for j in cells if oracle.related(i, j, mod)]
                 assert got == want, (last, i, mod.name)
-    d = PeriodicDomain(2, 3)
     for h in (5, 11):
         cells = oracle.intervals_upto(h)
         for i in [(0, 1), (1, 4), (2, 5)]:
             for mod in mods:
-                got = allen_related(d, i, mod, horizon=h)
+                got = allen_related(FiniteDomain(h), i, mod)
                 want = [j for j in cells if oracle.related(i, j, mod)]
                 assert got == want, (h, i, mod.name)
