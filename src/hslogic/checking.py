@@ -210,12 +210,18 @@ class _TableEngine:
 
     def table(self, phi: Formula) -> List[int]:
         got = self.tables.get(phi)
-        if got is not None:
-            return got
-        for node in postorder(phi):
-            if node not in self.tables:
-                self.tables[node] = self._compute(node)
-        return self.tables[phi]
+        if got is None:
+            self.fill(postorder(phi))
+            got = self.tables[phi]
+        return got
+
+    def fill(self, order: List[Formula]) -> None:
+        """Compute the table of every node of order, a postorder, that has
+        none yet."""
+        tables = self.tables
+        for node in order:
+            if node not in tables:
+                tables[node] = self._compute(node)
 
     def _compute(self, f: Formula) -> List[int]:
         t = type(f)
@@ -492,9 +498,8 @@ def _stabilized_tables(model: IntervalModel, phi: Formula,
     for k in range(2, rounds + 3):
         h = base + k * per
         engine = _model_engine(model, h, bounds)
+        engine.fill(nodes)
         tables = engine.tables
-        for node in nodes:
-            tables[node] = engine._compute(node)
         keys = [x * engine.w + y for x, y in watch]
         cur = [tables[node][j] for node in nodes for j in keys]
         if cur == prev and _U not in cur:

@@ -247,7 +247,12 @@ class _Cnf:
     two inputs, drop constants, collapse complementary pairs, and cache
     gates by literal set, so the encodings of a diamond and of the matching
     negated box meet in the same variable and contradictions between them
-    surface as constants.
+    surface as constants. A gate of two inputs a, b, however made, is keyed
+    by the pair (min(a, b), max(a, b)), one of more by the frozenset of its
+    inputs.
+
+    The clause lists go to the solver as they are, and its watch scheme
+    reorders the literals inside them during solve.
 
     add_goal requires the disjunction of the goal's literals, phi's
     literal on each class or cell in ascending cell order, and keeps them
@@ -257,7 +262,7 @@ class _Cnf:
     def __init__(self):
         self.nvars = 1
         self.clauses: List[List[int]] = [[_TRUE]]
-        self._gate: Dict[frozenset, int] = {}
+        self._gate: Dict[Union[Tuple[int, int], frozenset], int] = {}
         self.goal: List[int] = []
 
     def new_var(self) -> int:
@@ -278,6 +283,8 @@ class _Cnf:
             return _FALSE
         if len(out) == 1:
             return out[0]
+        if len(out) == 2:
+            return self.define_or2(out[0], out[1])
         key = frozenset(out)
         got = self._gate.get(key)
         if got is not None:
@@ -291,14 +298,15 @@ class _Cnf:
 
     def define_or2(self, a: int, b: int) -> int:
         """define_or([a, b]) without the list: same folding, same gate
-        key and the same clauses in the same order."""
+        key and the same clauses in the same order; define_or hands its
+        two-input gates here."""
         if a == _TRUE or b == _TRUE or a == -b:
             return _TRUE
         if a == _FALSE or a == b:
             return b
         if b == _FALSE:
             return a
-        key = frozenset((a, b))
+        key = (a, b) if a < b else (b, a)
         got = self._gate.get(key)
         if got is not None:
             return got
@@ -636,9 +644,12 @@ def sat_bounded_finite(phi: Formula, max_points: int) -> SatResult:
     if max_points < 1:
         raise ValueError("need at least one point past the origin")
     letters = sorted(letters_of(phi))
+    order = postorder(phi)
     for n in range(1, max_points + 1):
         cand = _Candidate(FiniteDomain(n), letters)
-        table = _finite_engine(cand).table(phi)
+        engine = _finite_engine(cand)
+        engine.fill(order)
+        table = engine.tables[phi]
         cells = canonical_cells(cand.domain)
         lits = [table[x * (n + 1) + y] for x, y in cells]
         if not cand.cnf.add_goal(lits):

@@ -23,6 +23,12 @@ touches the decision policy or the propagation order: the search, and so
 the lex-least model, are step for step those of per-variable arrays and a
 full scan.
 
+add_clauses stores the clause lists it is handed, not copies, whenever
+add_clause would store them whole, and the watch scheme then reorders the
+literals inside them: a caller that reads its clauses after solve() sees
+the same clauses with their literals moved. Unit propagation skips the
+search for a replacement watch in a two-literal clause, which has none.
+
 Before that search, solve() probes the literals handed to probe_first, in
 their order, at level 0 (failed-literal probing, after Freeman,
 "Improvements to propositional satisfiability search algorithms", 1995).
@@ -30,9 +36,11 @@ A probe assumes its literal at a fresh level and runs unit propagation
 alone. If that conflicts, every model makes the literal false, so the
 probe is undone and the negated literal is added as a level-0 unit. The
 first probe that does not conflict is undone too, implications and all,
-and ends the probing. Literals already assigned are passed over, and one
-already true ends the probing. Each new unit follows from the clauses,
-so the instance keeps exactly its models, and the search that follows is
+and ends the probing. A probe is undone in place, as backjumping to level
+0 would undo it; the decision cursor needs no lowering, as it is still at
+variable 1. Literals already assigned are passed over, and one already
+true ends the probing. Each new unit follows from the clauses, so the
+instance keeps exactly its models, and the search that follows is
 the fixed-order search over those models: its first model is still the
 lex-least one. The satisfiability engine hands over the goal's
 literals, so a candidate whose goal fails on every literal is refuted
@@ -41,6 +49,7 @@ with no decision at all.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Optional
 
 
@@ -159,38 +168,67 @@ class Solver:
         and trail as one add_clause call per clause; returns False once the
         instance is unsatisfiable.
 
-        For clauses with no repeated and no complementary literals only:
-        add_clause's checks for those are skipped. The satisfiability
-        encoder's gates fold both away before a clause is made. A clause of
-        two or more literals over the variables, none of them assigned, is
-        stored and watched as it is; units and clauses that the range or
-        level-0 checks catch go through add_clause."""
+        For clauses with no repeated and no complementary literals, each
+        its own list object, only: add_clause's checks for those are
+        skipped. The satisfiability encoder's gates fold both away before a
+        clause is made. A clause of two or more literals over the
+        variables, none of them assigned, is stored and watched as the
+        list it is, not a copy, and the solver then reorders the literals
+        inside it. The clauses between two units are checked for that at
+        once, and clause by clause only when some literal of theirs fails
+        it. Units, and clauses the range or level-0 checks catch, go
+        through add_clause."""
         if not self.ok:
             return False
         if self._size != self.nvars:
             self._grow()
-        n = self.nvars
-        store = self.clauses
-        watches = self.watches
-        trail = self.trail
         # the literals a clause may hold and still skip add_clause: those of
         # the variables 1..nvars that are not assigned
+        n = self.nvars
         free = set(range(-n, n + 1))
         free.discard(0)
-        known = 0                # trail entries already taken out of free
+        for lit in self.trail:
+            free.discard(lit)
+            free.discard(-lit)
+        run = []        # the clauses of two or more literals since the last unit
         for c in clauses:
-            if known != len(trail):
-                for lit in trail[known:]:
-                    free.discard(lit)
-                    free.discard(-lit)
-                known = len(trail)
-            if len(c) > 1 and free.issuperset(c):
-                ci = len(store)
-                store.append(list(c))
+            if len(c) > 1:
+                run.append(c)
+                continue
+            if run and not self._add_run(run, free):
+                return False
+            run = []
+            if not self._add_checked(c, free):
+                return False
+        return self._add_run(run, free)
+
+    def _add_run(self, run: List[List[int]], free: set) -> bool:
+        """add_clauses for a run of clauses of two or more literals; free
+        holds the literals of the unassigned variables."""
+        store = self.clauses
+        if free.issuperset(chain.from_iterable(run)):
+            watches = self.watches
+            ci = len(store)
+            store += run
+            for c in run:
                 watches[c[0]].append(ci)
                 watches[c[1]].append(ci)
-            elif not self.add_clause(c):
-                return False
+                ci += 1
+            return True
+        if len(run) == 1:
+            return self._add_checked(run[0], free)
+        # clause by clause: the ones that pass are still stored as they are
+        return all(self._add_run([c], free) for c in run)
+
+    def _add_checked(self, lits, free: set) -> bool:
+        """add_clause(lits), then take what it assigned out of free."""
+        trail = self.trail
+        known = len(trail)
+        if not self.add_clause(lits):
+            return False
+        for lit in trail[known:]:
+            free.discard(lit)
+            free.discard(-lit)
         return True
 
     def probe_first(self, lits) -> None:
@@ -206,20 +244,38 @@ class Solver:
         """Probe self._probes at level 0 until one does not conflict;
         returns False on a conflict at level 0."""
         vals = self.vals
+        level = self.level
+        reason = self.reason
+        trail = self.trail
         for lit in self._probes:
             v = vals[lit]
             if v is False:
                 continue
             if v is True:
                 break
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(lit, -1)
+            # assume lit at level 1, propagate, and undo it all in place
+            mark = len(trail)
+            self.trail_lim.append(mark)
+            vals[lit] = True
+            vals[-lit] = False
+            level[lit] = 1
+            reason[lit] = -1
+            trail.append(lit)
             failed = self._propagate() is not None
-            self._cancel_until(0)
+            for t in trail[mark:]:
+                vals[t] = None
+                vals[-t] = None
+            del trail[mark:]
+            self.trail_lim.pop()
+            self.qhead = mark
             if not failed:
                 break
             self.conflicts += 1
-            self._enqueue(-lit, -1)
+            vals[-lit] = True
+            vals[lit] = False
+            level[-lit] = 0
+            reason[-lit] = -1
+            trail.append(-lit)
             if self._propagate() is not None:
                 return False
         return True
@@ -266,27 +322,33 @@ class Solver:
                 if vals[first] is True:
                     new_ws.append(ci)
                     continue
-                for k in range(2, len(cl)):
-                    other = cl[k]
-                    if vals[other] is not False:
-                        cl[1] = other
-                        cl[k] = falsified
-                        watches[other].append(ci)
-                        break
-                else:
-                    new_ws.append(ci)
-                    if vals[first] is False:
-                        # conflict: keep remaining watches before reporting
-                        new_ws.extend(ws[i:])
-                        watches[falsified] = new_ws
-                        self.propagations += qhead - start
-                        self.qhead = len(trail)
-                        return ci
-                    vals[first] = True
-                    vals[-first] = False
-                    level[first] = lvl
-                    reason[first] = ci
-                    trail.append(first)
+                # look for a replacement watch; a two-literal clause has none
+                if len(cl) > 2:
+                    for k in range(2, len(cl)):
+                        other = cl[k]
+                        if vals[other] is not False:
+                            cl[1] = other
+                            cl[k] = falsified
+                            watches[other].append(ci)
+                            break
+                    else:
+                        k = 0       # none found
+                    if k:
+                        continue
+                # the clause is unit or conflicting
+                new_ws.append(ci)
+                if vals[first] is False:
+                    # conflict: keep remaining watches before reporting
+                    new_ws.extend(ws[i:])
+                    watches[falsified] = new_ws
+                    self.propagations += qhead - start
+                    self.qhead = len(trail)
+                    return ci
+                vals[first] = True
+                vals[-first] = False
+                level[first] = lvl
+                reason[first] = ci
+                trail.append(first)
             watches[falsified] = new_ws
         self.propagations += qhead - start
         self.qhead = qhead

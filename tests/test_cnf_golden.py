@@ -83,6 +83,14 @@ clauses assigns every goal literal at level 0 and nothing is left to
 probe, and so did the three [L] p & [L] ~p runs that loading alone
 refutes, before solve() is called.
 
+No CNF digest and no solver-run digest moved when the solver came to store
+the clause lists it is handed instead of copies, to check their literals
+once per run of clauses between units, to skip the replacement-watch scan
+for two-literal clauses and to undo a probe in place, nor when _Cnf came
+to key its two-input gates by ordered pair. The CNF digest is taken before
+the solve, so the literals the solver then moves inside the lists are not
+in it; the solver-run digest, taken after, is where they show.
+
 To re-pin, print the current EXPECTED dict with
 
     PYTHONPATH=src python -m tests.test_cnf_golden

@@ -17,7 +17,8 @@ from hslogic.syntax import (
     A, B, iB, L, iL, And, Atom, Not, conj, dia, metrics, postorder,
 )
 
-from .gen import rand_formula, rand_periodic_model
+from .gen import all_mods, rand_formula, rand_periodic_model
+from .test_cnf_golden import CASES
 
 p = Atom("p")
 
@@ -197,3 +198,34 @@ def test_goal_probes_refute_every_candidate_without_a_decision(monkeypatch,
     assert sat_bbll(parse_formula(text)) == \
         Unsat("no model within the periodic bound")
     assert solvers and [s.decisions for s in solvers] == [0] * len(solvers)
+
+
+def test_encoders_hand_the_solver_what_add_clauses_takes_on_trust(
+        monkeypatch):
+    # Solver.add_clauses skips add_clause's checks for repeated and
+    # complementary literals, which the gates of _Cnf fold away before a
+    # clause is made, and stores the lists themselves, so no list may be
+    # handed over twice
+    handed, bad = [], []
+    base_solve = sat._Cnf.solve
+
+    def solve(cnf):
+        handed.append(len(cnf.clauses))
+        assert len(set(map(id, cnf.clauses))) == len(cnf.clauses)
+        bad.extend(list(c) for c in cnf.clauses
+                   if len(set(c)) < len(c) or any(-lit in c for lit in c))
+        return base_solve(cnf)
+
+    monkeypatch.setattr(sat._Cnf, "solve", solve)
+    for kind, text in CASES:
+        if kind == "bbll":
+            sat_bbll(parse_formula(text))
+        else:
+            sat_bounded_finite(parse_formula(text), int(kind.split()[1]))
+    rng = random.Random(2404)
+    for _ in range(100):
+        sat_bbll(rand_formula(rng, "pq", [B, iB, L, iL], 4), 8)
+    for _ in range(100):
+        sat_bounded_finite(rand_formula(rng, "pq", all_mods(), 4), 4)
+    assert len(handed) > 200 and sum(handed) > 10000
+    assert bad == []

@@ -255,7 +255,7 @@ def test_bulk_load_matches_one_add_clause_per_clause():
     # makes them; units among them assign literals of later clauses at
     # level 0, and some instances become unsatisfiable while loading
     rng = random.Random(402)
-    stopped = 0
+    stopped = kept = 0
     for _ in range(1500):
         num_vars = rng.randrange(1, 9)
         clauses = []
@@ -267,16 +267,34 @@ def test_bulk_load_matches_one_add_clause_per_clause():
         for s in (one, bulk):
             for _ in range(num_vars):
                 s.new_var()
-        ok = all(one.add_clause(list(c)) for c in clauses)
-        assert bulk.add_clauses([list(c) for c in clauses]) == ok
+        # per stored clause, the index of the input add_clause stored whole
+        # (no literal dropped), or None for one it shortened
+        whole = []
+        ok = True
+        for k, c in enumerate(clauses):
+            before = len(one.clauses)
+            ok = one.add_clause(list(c))
+            if len(one.clauses) > before:
+                whole.append(k if one.clauses[-1] == c else None)
+            if not ok:
+                break
+        handed = [list(c) for c in clauses]
+        assert bulk.add_clauses(handed) == ok
         stopped += not ok
         # with no clause at all, add_clause never re-laid the lists
         one.value(1)
         assert (bulk.clauses, bulk.watches, bulk.trail, bulk.ok) == \
             (one.clauses, one.watches, one.trail, one.ok)
+        # a clause stored whole is the caller's own list, not a copy
+        for stored, k in zip(bulk.clauses, whole):
+            if k is None:
+                assert all(stored is not h for h in handed)
+            else:
+                assert stored is handed[k]
+                kept += 1
         assert bulk.solve() == one.solve()
         assert (bulk.clauses, bulk.trail) == (one.clauses, one.trail)
-    assert stopped > 100
+    assert stopped > 100 and kept > 1000
 
 
 def test_probes_keep_the_lex_least_model():
