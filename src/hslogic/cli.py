@@ -278,8 +278,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # input errors of every module are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except MemoryError:
-        # exit 1 would read as an answer: false, UNSAT or UNKNOWN
+    except (MemoryError, OverflowError):
+        # exit 1 would read as an answer: false, UNSAT or UNKNOWN. A table
+        # too large to index, as for order finite 99999999999999999999,
+        # raises OverflowError before any MemoryError could
         print("error: out of memory", file=sys.stderr)
         return 2
 

@@ -15,10 +15,13 @@ Two procedures with different scopes:
 Every candidate is a _Candidate: a CNF whose first variables are the atom
 values on canonical cells, ordered by letter then cell, and one certificate
 path. Its goal is the disjunction of phi's literals over the candidate's
-classes or cells, which _Cnf.add_goal keeps in ascending cell order. The
-solver probes them before its search: a literal whose unit propagation
-conflicts is false in every model and becomes a level-0 unit, and the
-first one that does not conflict ends the probing. A candidate whose goal
+classes or cells, one clause with no gate variable, which _Cnf.add_goal
+lists last cell first and keeps in ascending cell order for the solver.
+The solver probes them in that order before its search: a literal whose
+unit propagation conflicts is false in every model and becomes a level-0
+unit, and the first one that does not conflict ends the probing. The
+clause is watched on the two literals probed last, so a failed probe does
+not make the solver rescan it (_Cnf docstring). A candidate whose goal
 fails on every literal is refuted with no decision. The probes remove no
 model, so the solver's first model is still lexicographically least in
 atom order, and the witness is the least cell where the formula holds:
@@ -240,6 +243,21 @@ def _letter(f: Formula):
     return (f.mod.base, f.mod.inverted, a, negated)
 
 
+def _fold_or(lits: Iterable[int]) -> List[int]:
+    """The literals of a disjunction as _Cnf writes it: the distinct ones
+    in order, _FALSE dropped; [_TRUE] when one is _TRUE or two are
+    complementary, and [] when none is left."""
+    out: List[int] = []
+    seen = set()
+    for lit in lits:
+        if lit == _TRUE or -lit in seen:
+            return [_TRUE]
+        if lit != _FALSE and lit not in seen:
+            seen.add(lit)
+            out.append(lit)
+    return out
+
+
 class _Cnf:
     """Clause store with a constant-true variable and folding gates.
 
@@ -251,13 +269,23 @@ class _Cnf:
     by the pair (min(a, b), max(a, b)), one of more by the frozenset of its
     inputs.
 
-    The clause lists go to the solver as they are, and its watch scheme
-    reorders the literals inside them during solve.
+    The clause lists go to the solver as they are. Its watch scheme
+    watches the first two literals of each and reorders the literals
+    inside them during solve, so the order they are made in is chosen for
+    the goal probes (solver module docstring):
 
-    add_goal requires the disjunction of the goal's literals, phi's
-    literal on each class or cell in ascending cell order, and keeps them
-    in goal; solve hands them to the solver to probe before its search
-    (solver module docstring)."""
+    * add_goal requires the disjunction of the goal's literals, phi's
+      literal on each class or cell in ascending cell order, folded as
+      define_or folds its inputs, as one clause with no gate. It keeps the
+      literals in goal, which solve hands to the solver to probe in that
+      order, least cell first. The clause lists them last cell first, so
+      it is watched on the two literals probed last: a failed probe
+      falsifies a literal it does not watch, and the clause is scanned
+      once per candidate instead of once per probe.
+    * A gate's long clause lists its inputs before its negated output,
+      [a, b, -g] for g = a | b. The level-0 unit a failed probe leaves is
+      mostly a gate's output, and it then wakes no watch of that gate's
+      long clause."""
 
     def __init__(self):
         self.nvars = 1
@@ -270,15 +298,7 @@ class _Cnf:
         return self.nvars
 
     def define_or(self, lits: List[int]) -> int:
-        out: List[int] = []
-        seen = set()
-        for lit in lits:
-            if lit == _TRUE or -lit in seen:
-                return _TRUE
-            if lit == _FALSE or lit in seen:
-                continue
-            seen.add(lit)
-            out.append(lit)
+        out = _fold_or(lits)
         if not out:
             return _FALSE
         if len(out) == 1:
@@ -290,9 +310,9 @@ class _Cnf:
         if got is not None:
             return got
         g = self.new_var()
-        self.clauses.append([-g] + out)
+        self.clauses.append(out + [-g])
         for lit in out:
-            self.clauses.append([g, -lit])
+            self.clauses.append([-lit, g])
         self._gate[key] = g
         return g
 
@@ -310,8 +330,8 @@ class _Cnf:
         got = self._gate.get(key)
         if got is not None:
             return got
-        g = self.new_var()
-        self.clauses += ([-g, a, b], [g, -a], [g, -b])
+        self.nvars = g = self.nvars + 1
+        self.clauses += ([a, b, -g], [-a, g], [-b, g])
         self._gate[key] = g
         return g
 
@@ -320,11 +340,12 @@ class _Cnf:
 
     def add_goal(self, lits: List[int]) -> bool:
         """Require one of lits to hold; False, with nothing added, when
-        their disjunction folds to false in the gates."""
-        root = self.define_or(lits)
-        if root == _FALSE:
+        their disjunction folds to false."""
+        out = _fold_or(lits)
+        if not out:
             return False
-        self.clauses.append([root])
+        out.reverse()
+        self.clauses.append(out)
         self.goal = lits
         return True
 
@@ -562,12 +583,12 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
     The search runs in three steps, after a pre-check:
 
     0. a phi that _prop_unsat refutes builds no candidate, a candidate
-       whose goal literal folds to false in _Cnf's gates is refuted
-       without a solver, and one where every class of phi fails its
-       probe (unit propagation from phi's literal on that class
-       conflicts) is refuted by the solver with no decision. This last
-       refutes every candidate of the well-foundedness shape
-       <B> s & [B] (s -> <B> s);
+       whose goal folds to false, phi's literal being constant false on
+       every class, is refuted without a solver, and one where every
+       class of phi fails its probe (unit propagation from phi's literal
+       on that class conflicts) is refuted by the solver with no
+       decision. This last refutes every candidate of the
+       well-foundedness shape <B> s & [B] (s -> <B> s);
     1. the ordered search (by total, then by prefix) over the totals t with
        4*t <= bound, where cheap candidates answer most satisfiable
        formulas;
@@ -608,7 +629,7 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
             enc = _Encoder(PeriodicDomain(pre, per), letters, order)
             cells = _cells(enc.tables[phi])
             if not enc.cnf.add_goal([lit for _, lit in cells]):
-                # refuted by the folding gates alone: no solver to build
+                # phi folded to false on every class: no solver to build
                 return None
             solver = enc.cnf.solve()
             if solver is not None:

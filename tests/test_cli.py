@@ -272,6 +272,17 @@ def test_out_of_memory_exits_2(capsys, monkeypatch, tmp_path):
         assert (code, out, err) == (2, "", "error: out of memory\n"), argv
 
 
+def test_model_too_large_to_index_exits_2(capsys, tmp_path):
+    # the atom table of order finite n has about n^2 entries, past what a
+    # list can index, so the checker fails before it allocates anything
+    model = tmp_path / "huge.ism"
+    for last in (10 ** 20 - 1, 2 ** 63 - 1):
+        model.write_text("order finite %d\n" % last, encoding="ascii")
+        code, out, err = run(capsys, "mc", "--model", str(model),
+                             "--interval", "0", "1", "--formula", "p")
+        assert (code, out, err) == (2, "", "error: out of memory\n"), last
+
+
 def test_encode_rejects_names_that_are_not_letters(capsys, tmp_path):
     # a state named Q1 would print an unparsable formula, and one named
     # true would re-parse as the constant

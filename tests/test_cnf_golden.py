@@ -91,6 +91,18 @@ to key its two-input gates by ordered pair. The CNF digest is taken before
 the solve, so the literals the solver then moves inside the lists are not
 in it; the solver-run digest, taken after, is where they show.
 
+Every entry was re-pinned, both digests, when _Cnf came to lay its
+clauses out for the goal probes. The goal is one clause with no gate, the
+folded goal literals last cell first, where it was a gate over them
+required by a unit; and a gate's clauses list its inputs before its
+output, [a, b, -g], [-a, g], [-b, g], where they were [-g, a, b], [g, -a],
+[g, -b]. So every CNF digest moved, and the solver-run digests moved with
+them, since the watches and the trail follow the clause layout. Checked
+against the parent commit's EXPECTED first: every case lists the same
+candidate domains in the same order with the same verdicts, and the
+results of sat_bbll and sat_bounded_finite, models and witnesses included,
+are unchanged.
+
 To re-pin, print the current EXPECTED dict with
 
     PYTHONPATH=src python -m tests.test_cnf_golden
@@ -140,102 +152,102 @@ EXPECTED = {
     'bbll <iB> p & [iB] ~p': [],
     'bbll [iB] p & [iB] ~p': [
         ('periodic 7 1',
-         '71dc8023a16d19b1fad2966fcaccd2832e9774aca529cd55ca5500613b48d4dd',
-         '63cba5db676215059314bfe239eea3f91038fa125547f40b3a832e6b8f25a746'),
+         '82c4e38248d302a2382c4197421f9d3a7a342f1dbd1083a1871ad92c03a384d1',
+         '7f5065b00bfb95adff126c642cbe9ceffedb2bce6367b2733b76c257f1e8ff6d'),
         ('periodic 6 2',
-         'fd3d7cc21bf880ba4d18b80b69d4ae6308d5f0b8689f74afa4e57e5d0541f6a8',
-         'b64f36a6ac0b11139b63ab3ae57bb33aabc99c2f1704d4d00171e5bfb6820770'),
+         'ed01c51f98504217e9a81f672fa60aed05576a7e136bfd46701e1a71ac8c5746',
+         '9140c8c26dec3ec527437e3181e51e512f3ceed573886bb80cb83e3f63107084'),
         ('periodic 5 3',
-         'ec635a55c0d91ea426f85d49185ce9afd123453f36eb4f39c99e4cb50dbca0ef',
-         '172beafbf4f113c30289ad95682c9e6725510b61060694a663d953ce97996202'),
+         'b90ac57e44fce264b8472bc050b5f28a5543a1e59ed24915bf59632fd5eafc94',
+         '939e8ca0e7a106a24f6fcfa7a3ef86036a87489c0ed89123536e21db4a0cecb1'),
         ('periodic 4 4',
-         'a6b5bbf3a603332c4b7b68d37a80b79e668ff24369634328519cecb115330b6a',
-         '61f6e41be4d3ccdbd397d7e1201644f3b2bc3cb047234be439d9a3239ea613fe'),
+         '3063396898643deacdf324d03a5b79652229e960c8fbee2e5213f4eaca5312e5',
+         '3b6f312493535c451452ce6427d1f360bfcd57e3eaed8139215daac42f115a51'),
         ('periodic 3 5',
-         'b0169c1ff051ef00d68bd11a4c6e91ccd7ace7752b0bebcd339e6637b61de0c4',
-         'a56670e369002f5bc6b7aeb0dcddb5999b3c23742ca1c9e61d1d4bb037a454dd'),
+         'cff8f94a5a3cb548ebe8dd524311b39a5bc95aa68506a9780a62870665f723e2',
+         '17f6a9b11255bee4d4538b7b8f0f1f639a99488d7e82b350679bba3d801f4137'),
         ('periodic 2 6',
-         'f00c2b0515d063d3ebc4ae38bf7538cb01f33c2ece196edafc93f9fdd091adc3',
-         'b4c23aef80acc2443a1d403352caa52fc838eafef6cdd8fc71aa3d0cbd7145c2'),
+         '7cfa63317f0b18a587488d74a0c0b23024e854cc5d7110ab62229e659e08eec3',
+         '41c3ee2e7620305c1018d28918535deea957564e9b1ca362313ee51aec7c4edb'),
         ('periodic 1 7',
-         'b91cce400d883764711e0a7beb962033e7eef6c58426721abf101c14fadec78b',
-         '848d419441002ca26ef5d0441e613a64871da08c553c380cf4e754d71a9dfe56'),
+         '63b3a1bf588e831797c6086b0d1e9bf1836447c0514ee585ec4dbc9389b5f9c7',
+         'f748f7f2518a94dcf7a70e288ebf2d74defa4852372b7dc2b425606e87c4d315'),
     ],
     'bbll [L] p & [L] ~p': [
         ('periodic 1 2',
-         'd00779480e7f66c7508ecb7ed2ba765ea75c94f735ece75a739dc960afefbceb',
-         '65adac3b831d7bfb80e836d3e9d4c64bdb792463cd09ecdc8e4dccacb5ad982d'),
+         '9324938668c2021e7cebc88da2eda1c633e12168ee41289a436c30ab38d515ec',
+         '032bd63b1e6580fe0ad835607115f11128a1faf4a8511c7e13a2640f3c394cfa'),
         ('periodic 11 1',
-         '1612e0303c3d980dcb79a7d6b4f01560ca221bb0ebcd77fb39e15ec20f38024e',
-         'e7a81359b686a27401d7267bcaaf727224a2941b042a5e1d3d29b0f4f29bff61'),
+         '030ad7ab2a464e69b31b6a499da935986d277aea2e62fb7f60c21fcbd7318a52',
+         '8a963d36d3c97d791cd7a67f1482302d3e2ecd58c1f37a90bd27012104ec21eb'),
         ('periodic 10 2',
-         'fd2d31c560ae669c7d7ae8804dea14ba3562307bb96267b88a60c05498fbf65f',
-         '649909a3ecf4b934ff3298e742daa8780d54719e603f32f6cb93f1784c34a9cc'),
+         'bd3948f1af8029255b1ff1af9014332a3efbbf8b95cdc9d61dcf00b8030518a8',
+         'c67af116df91402e52e407c75dc0cd9a68b9ce5a5bf950d95cf8e4a3a6a0a9a6'),
         ('periodic 9 3',
-         'bca19eff2059adba43e953b665f10eb3ea59d7f239de7adcb202f93504146a9f',
-         '6109ad82d7026f520cd389c28eaab374932315ab6fc26c1639a87903dc8eb5c8'),
+         '63bebd16dff637f61fa37741da6e2afc9fc8b9a769ad2f916a34c0ecea5f1038',
+         'b2f2e769a8999b80060601ebaeb4345703ebda96103dcab62548d487e42f3842'),
         ('periodic 8 4',
-         '2dd28801f07776ed4ba85aab87694ef266006ecddcfc8c26a2fa606c53a0b85c',
-         'feb070e45cca140557b4162b4ca628080389ec3dff59a740c297784b339bb91b'),
+         '3cde2c2ac70a4c915ea8ace06e50141b3347564c9e1149cabb3d07ca04ef1125',
+         '4b001019dade554b8a87e2fb286a94ce84a12b776582a14b77bb8a5d0f56c062'),
         ('periodic 7 5',
-         '11df2f60df179a81b7f4a7c3fd5672ba11bf91426fb70564b94e880b80ac4551',
-         '00172dc3a462ef760f1e2ece69332deba8ae9ea84aeeaf1e8a08c4faec465da8'),
+         'aad743c1f58586c878ad67f1f32f351d361fd7680eabe52760ec439efaed3172',
+         '01ede3ef243d2cf8a44f1e23622cf81d863df0ebe1225a4b4713f5e7a56de1a1'),
         ('periodic 6 6',
-         '5306c42dc0938631096fa01be72bef9b07e0bb592a089803dbbb88a7d7d3444f',
-         'e3b7194b4d564ecaa4799913b94817a9dafb6827fb7fc6de7972e8f7af975bfb'),
+         '8b4e4ee692e438876dbb23964001bfa6fa30663b42cc20cf2487676975a4cf02',
+         'abb61cc879917cca0ad96fff1907f958a812f92b29aa0320e399c5004e84675a'),
         ('periodic 5 7',
-         '6c9eeedfa8e9018203657cb72a3b931dad7a017862ad8cdfe96f1e7a6aaf3bd5',
-         'ede7c81946fc2c6376d61dcf3840868a8f8c7e1a76bd59d69dee78ad3d2da51e'),
+         '5135d903082b37e960cf9ea062d600151257f89ccd57800f1f4cb2151a4f80fc',
+         'b5a71fb6bba84811814f3a76716d7ee5fa2551e2d7fa2cdcc82135ed8cb7041c'),
         ('periodic 4 8',
-         '066b3b08bd333fa9c19d513651dc0e624a2a2915b10809b69b81b999167a4932',
-         'affa43ee71a9eb81417f5f34842be78f40b4a4fa7cd7ab9e02dd37d9dd23faae'),
+         '7ed0de253437e11fabdebbc7e54f73166edb3edd22fa263945225ca8cb3f2db4',
+         'c1e8960a7f97766dab3f8e83de5fc6fa2bb26c1bde46d6a4ac8e9f4224e825b1'),
         ('periodic 3 9',
-         '2d92614d486bbe5b2a5c931a0eeeab64c122609416dfab03977211e625fb67b9',
-         'b1f72517ec7c1f1ac934712abfd6491cf2ffaab72c916b5a31be53de819822b6'),
+         'a18cd9c8d91be9588ae08be7d9a2d654ce3c8275645bedff492c9a41a07c67cc',
+         'b9ec61957a63e96f3cc5eab4e28511f4696787ece141ffc785696f224ce36dd0'),
         ('periodic 2 10',
-         'a4f10be8e3bfb3f024a4cad5c9120503292dd94d00b38ed0a2e383fbd4ab67d2',
-         '896f7caee21929cb7f8c166b3f767f3523181d91147a73519a2f0dfedfd31472'),
+         '49326dd6043d1a7e6a99df6a3424d993c1c279d2b93cee68e4fca1b746c5d9e6',
+         '37b9a7402a4a389d593b6ee80e6e3ea8e1c9f025aeb4bb68e04c0552e8db374f'),
         ('periodic 1 11',
-         'f2401afa4c47f2616eb68aceee5c8965d0b550fd63587ea54ade079fd18d3c56',
-         'ac90270678c9f78523b3df6adb85ae2dfe693c8dfe8bd246adb8b877645b43d4'),
+         '3cdb2c94438d7b92f85a1717b665733c238a4965f17285339100f82594c3a199',
+         '8f413bb76f1b567972b022cfcb0bebfd9d946fa269548b63a8f7363e233c9739'),
     ],
     'bbll <B> ~p & [B] (~p -> <B> ~p)': [
         ('periodic 7 1',
-         '1244862e14a667559a59567cd23a1913374bcf75e6d7e64f1bcd871a772f6c86',
-         'bf3ca2a19cb2c7acd5717733f00139bce69409de229052795dc7d1278eff8aff'),
+         '20eb8c613d53a2c8b5672cbfcf22eaa687ea7eff20b8cf29c1681b87f84a7386',
+         '7a9c56430caf31f2342fd64cf330774fd15aacd3120ba6d910c736487f5165e0'),
         ('periodic 6 2',
-         '2a615a26a2e11fe2e8bd75e793d7d0dd693651a3ad10b789031b0b1869b4d650',
-         '7e661ea24e6c9f131707abbe0c18ce13b080981ffd1f1deee52099d5ae8d748e'),
+         '92f7faf528ce3f00935b2e52cce72089643c076f12ff086ea0cf6f8d94b22cd1',
+         '081f6893bec02c675966b7ea853989095479e931fae5224680df28989ee42f0a'),
         ('periodic 5 3',
-         'abcb91bb01601decb4fb26d0e2bc0e5c756a52e9b53030079b298fa4b3aa0430',
-         'e6dff93443b191c3a3808f3f84ae8af586c7761e947468a85a73389c2476d16a'),
+         '9b42a9a19aa9741d170e9e98a70a8a5505895a34eb4ae8e60e0fd8a80c27a933',
+         '411bea104af5e6e214de7a173176ea79b6792bc0d84b9ffa2d00aa89561cb0e7'),
         ('periodic 4 4',
-         '1b7a677457adaf7630ac3f1111e744e7787627a7f015e36634159b6c001a0ae3',
-         'fc0559ef435271e916c65f3d71cf8795c8429e21630a28c40d2c6bd9d139b45c'),
+         'f6d2cb6819810229b60369d9394b58ddf606c253bdd778c9fc87e072477923ff',
+         '88405da78d0e6ab3e1f2eed57080db564f7ce9315809ac6e3d32bde97afca4ee'),
         ('periodic 3 5',
-         '404a0bdda5a8b9c13ab00b7af00e7760da7459d089da7687f5148019b34ebb7b',
-         '189cb0fe8cc436beba8c701dfcff7bf9ba3165c78e1f7a1b166821b8c7da9f0b'),
+         '161b205fa3686be57fe2694ea97f39abc1eb1383e05f7fe49d9add279eb8cd0c',
+         'adbea929ba97d8763dff56e4dad36678cdc281fb8f5dd3442fe8eddc9530a235'),
         ('periodic 2 6',
-         '36a3062839fedf12e99c28f46772210b601fe0906c0c75e1e0ea33a872380888',
-         '611dee369c14e3edc55606c3693def2a8c2d3f70c4b7f5bacad300310e894a98'),
+         'd38a7ad79e69dfabddcf374c1ef8bc9d2b1ad12654697dda13799561e4c89259',
+         '250ebd5f166de6b225538a0dba46bb7916043f9a8e9dc3247b5551be4d4eeb1c'),
         ('periodic 1 7',
-         '63b6364fe3033f15f0f211c61575620e2b8ed6c5dddcc8aa213336a970499d9c',
-         'ac0b3f588bcbd67f800c2fa0cdd7c98e5b2a87885202268307bf8fc9bb2baab1'),
+         'df1d9ca240784c2bb130488c191cceb992c2616baf56bad3c52d78fe5aa4a259',
+         '23298e8c0411ec4d4898c8baf964546f3fa100a6c86d2c4d11e2e79c435cd6f0'),
     ],
     'bbll <B> p & <iB> ~p & <L> q & <iL> (p & q)': [
         ('periodic 1 2',
-         'e24c4ffafec3ba2d2166e4f4ac3c4690274d1c6bdac333705218f7bb736e2332',
-         '7c8eb84298ca5ba7796c3c804d1dc90c513d135ae6a3ed2467970ea181e91981'),
+         '8b64b2872e08d7afbb11672add8966a494ad19f099204ede8d5ed92e5e094148',
+         'f91366572da190a3b6754e0d9acc8139dd650463ec77c1f58214f62ac762c705'),
     ],
     'bbll <L> (p & [B] q) & <iL> <iB> ~q': [
         ('periodic 1 1',
-         '49217a312e0a8254289e8809f3014bb56a4782000aece761c50c7f91f25eb2e0',
-         '8eda15909355704c2ebd3cc0a1dfaf5e65aae7a48d886f0039b3c2ce95cea584'),
+         '49bc55d45686a48011c63de8d8533efd79ee74e8db867587fa30884e5790f82e',
+         'e7d68b7af1281cddd7f057273f69a66c076fe7dca02fe343b6a743644d65934c'),
     ],
     'finite 6 <A> p & <D> q & [O] ~p & <iE> (q | <iA> p)': [
         ('finite 5',
-         '727761899e7a520369f0b76b16b75c60def5832ca09f582de2dbafe61af3193e',
-         'a216ba4c7c58be232b9e93c68361a631467671375deeb6243b44cfd2f82ea555'),
+         'b7cf2908edb34498316ccbd3d858328ee9d6e284b6509dce82ff667cf53787de',
+         '96cd2601a3499198354971072e118b0b42a01e32ec5568e0a63e2aaf7add89cc'),
     ],
 }
 

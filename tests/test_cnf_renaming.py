@@ -33,6 +33,15 @@ literals inside them, so the digest is taken from a copy of the clauses
 made before the solve, as tests/test_cnf_golden.py does. No entry moved
 when that copy came in.
 
+Every entry was re-pinned when _Cnf came to lay its clauses out for the
+goal probes: the goal became one clause with no gate, its literals last
+cell first, and a gate's clauses came to list its inputs before its
+output. The goal gate and its clauses are gone and the named clauses
+keep their literal order, so every digest moved, as did the solver-run
+digests of tests/test_cnf_golden.py. Checked against the parent commit's
+EXPECTED first: every case lists the same candidate domains in the same
+order with the same verdicts.
+
 To re-pin, print the current EXPECTED dict with
 
     PYTHONPATH=src python -m tests.test_cnf_renaming
@@ -57,73 +66,73 @@ EXPECTED = {
     'bbll <iB> p & [iB] ~p': [],
     'bbll [iB] p & [iB] ~p': [
         ('periodic 7 1',
-         'da2a9c53842b6f13597f1738f31538c3d87accbc24c65a33bc91d476dbd64357'),
+         'a567b1511c81d133688f0f05d7230186fd2687fe76e48a8254ab405ef8ce0528'),
         ('periodic 6 2',
-         'cb2daccecc0f175f1397bf351f4ed6a05f2de2a7a8cd9ad3f481e3b68ec17de4'),
+         '9f25b1914453cf099a0450f3389079a7a20c7a34b9f7d7afc0aa6c84b9f6b07c'),
         ('periodic 5 3',
-         '9e76f5058c763ff3d71bae1f995b57cac7e63a7fa9a0c9ab6517496e2a9a1d07'),
+         '12b171c66e1ba6f6c079a228adec11d74145c462c8d0d47a79eaf1baf79fdcc9'),
         ('periodic 4 4',
-         '0368977a70b8c25e65c1d96155aa966c3d9167cbe2be1174722fc38db652b574'),
+         '46bcb3b0426a738356a737a8b90b10d28ee7ac1d5e403c35b1fca115b8ae9f51'),
         ('periodic 3 5',
-         '4cc53720b2f8d420d616c35ea609ea34d2565e7c2c30c0397d39f06735ad115a'),
+         '5c69d9ff415b00ec4926fa9893689a18cf5d16149f6ce6a6b4849bb37f118b17'),
         ('periodic 2 6',
-         '2288a04bb4997b0b99e8806ddec200e322e74d20c356be545945b5f339b1503c'),
+         '0011de4bac1b917e25badccae8c9fad7b5a92562d5b441623cce6381069ea278'),
         ('periodic 1 7',
-         '189586697c08bc69830b9e8e3cba82b80cd8fa1d3d1261f2099a9bd162d46c77'),
+         '7693218e40ad29229e7fe5e08b6177d07a9642712b15401637054e699c620478'),
     ],
     'bbll [L] p & [L] ~p': [
         ('periodic 1 2',
-         '9c5fe3a90ae7368a9f7c1c03565b962c9ed9a18451ce25fc9707c800279b7370'),
+         '5a1e9aeaa25eb0af2a1242b0bf65d5f03573804a75eaa7a6b2f3e14160e90771'),
         ('periodic 11 1',
-         '7813d463583be22ed134cf3973d5e5feed21ed46f29d66224d8ed7edd3177d8f'),
+         '9e01032bd6bbe43139cf1a03971cc541b1a1167fa53c2d12c3dc1d97da4e44d4'),
         ('periodic 10 2',
-         '2bb6f8260e930810373af5b1b1f82be50a1793248bb92993863af2f11bb4fe2e'),
+         '9d6cd63ea66ebed11e703748905b1725251046bae61ccaba3c00639a1d8c5d86'),
         ('periodic 9 3',
-         '89887e1cc4be79177c6032c86d85d3288849365e4bf89028c68b0337a1b3ba31'),
+         '4c8a05921cf5cd757cca2b8c6c3a6ce594efdac90d31d84a0072fb62154b43e4'),
         ('periodic 8 4',
-         '4a2daee017086a2b7431821746f14c99923bed3de298c8f9233974d3a086ec1b'),
+         '42f62712dc17efe3c360ca617cb23cbd2fb19a94e71e65c38b43412ba54e1096'),
         ('periodic 7 5',
-         'd2fc210df673c81d1d83ad5fba3274bb9d73c354b5fb0389ddb7eebb405aac16'),
+         '2d57b1abdd1b782a9fa9f51408bd62f34010f0d29f205fa7969bf000d93d72b1'),
         ('periodic 6 6',
-         'e19b5b3d6a7d53c55fe971fd737a9c6791675b0ffc5de4c4a2c0de7eaa58dcaa'),
+         'dfb917119eefccbf0ab2bc16ee3a7d09feeb10257116942e1ef2ab9522350852'),
         ('periodic 5 7',
-         '1d0bdd1495283ecbd95879e84223473f01b439b67f49ad841698e9b194e45415'),
+         '690db04eac77b091d15a23ace21fe4b7930cd34d86715014df5c8b1246001b71'),
         ('periodic 4 8',
-         'aefb2ccd9f160a62848303bf9620f88038496ff78e2fa029ba8965992c5262f5'),
+         '9367845bb9cd543d28a679d4950a834957db2b082e2b462373a364f6dedb201c'),
         ('periodic 3 9',
-         'c16d0fab9be836c09e77e05fafd0a0856a73b9ff9afd1129be8994b4dc16c65d'),
+         '9ebee3078b5604244527777bb92fb0f2b0134a684a8a3f3d0abf479cc8848050'),
         ('periodic 2 10',
-         '0f71a8c717ce2ce29ac5306be7a527ed6d65193dd74e598881bdcd2ddc0dc24b'),
+         '783677c4b38ee7427270f8904c8b96c39fb0769ffccc17895c1705f161623eca'),
         ('periodic 1 11',
-         'd241057acada826469d9f31e46a1f255a6e4369073d9e7a1151986b8ffbabb87'),
+         '175673175b70c4792adefb9d368873a01c3b3e6f5d8daffc6bebd1e3b87b0430'),
     ],
     'bbll <B> ~p & [B] (~p -> <B> ~p)': [
         ('periodic 7 1',
-         'cd2d5225c37bf0af26f72964a26758bc4f9a606e98ec6ffdc9478283df550b2c'),
+         '2ce4b299b6bb631de80fef6bd01e83c1df3facbaec39f4c001bef394777dff3e'),
         ('periodic 6 2',
-         '550755f264cef7e29bcf373bf39f55d88c3a917a68c24b6841737b3aa230a480'),
+         'c3042138434c3f630d8185e19bd00eb2707805856b27c11cfefcac7d56812f94'),
         ('periodic 5 3',
-         'bb25c27e4cc1215da93317f03edd7a3996703331b23ba197ff19f62c8decfd4b'),
+         'd8159edb1ebee26e66eea9ba02b40697c8c85e5a756b4a7bce9967b41acad172'),
         ('periodic 4 4',
-         'eada833c5ffcebabec3c919fd814920bc1589c662a84f38c86f62c1dcf8a91b3'),
+         '9c2031a2b126c5504d70f28283c3018dd385ed1c25627168b0e6d679c224b881'),
         ('periodic 3 5',
-         '07281e1a5aaab0c23aa61efb002a1edd5bdf70de589509b3b32be61dc372da91'),
+         'c365e8463c231dfbab18ed35d4bae1f49f3f5265ce9596f3145e26035de8da52'),
         ('periodic 2 6',
-         'ce3fa62c6ff7a7523ce9813f6f755bf7635a2ffd8c8ca3d934ff344db475ba89'),
+         '878b0654357a55e189f53befbc749a85613d496623cbf46219735525bb67eda4'),
         ('periodic 1 7',
-         '9209503045918f4b570059a04d92b70e0dd10a08d48d6995951e7317d95a8a4f'),
+         'a9180bd7dfb08602c91ca8bfba70b8d045599b2c66819472b0915a3a210c0be8'),
     ],
     'bbll <B> p & <iB> ~p & <L> q & <iL> (p & q)': [
         ('periodic 1 2',
-         '66f26fd46629cb057ac361ea31b32b2ad4987654a3294e492c2d30510bd2df94'),
+         '102d6825130ab2c4515e50f489350f91b856b4f63a611f6ec412edd4341cef75'),
     ],
     'bbll <L> (p & [B] q) & <iL> <iB> ~q': [
         ('periodic 1 1',
-         'fd50347cf9bc47a12d4cb2a45ff7f64408d97a894c0bf88b0ca6ab6eb7be859b'),
+         'bccaf2f084464f42418aeba86a2d27535ff1c4395b82d1caea572df69f50d211'),
     ],
     'finite 6 <A> p & <D> q & [O] ~p & <iE> (q | <iA> p)': [
         ('finite 5',
-         '0e8479c4d0c37ddfb77dbe2b83b34219ee6e886d4aed5b81096d4c98d34deccb'),
+         'd78b845da6574314990b1c55936ae0e534920af0c0aba297f7c27d3e83acc524'),
     ],
 }
 

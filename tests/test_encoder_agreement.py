@@ -329,10 +329,10 @@ def test_a_box_and_its_diamond_meet_in_one_variable():
 
 def test_well_foundedness_candidate_size():
     # the (1, 7) candidate of sat_unsat's well-foundedness shape, goal
-    # included, with one entry per periodicity class of each subformula:
-    # no more variables or clauses than a window of cells ever made
+    # included as sat_bbll adds it, with one entry per periodicity class of
+    # each subformula: the goal is one clause and makes no variable
     phi = parse_formula("<B> ~p & [B] (~p -> <B> ~p)")
     enc, _, tables = _class_tables(PeriodicDomain(1, 7), phi)
-    enc.cnf.define_or(list(tables[phi].values()))
+    assert enc.cnf.add_goal(list(tables[phi].values()))
     assert sum(len(table) for table in tables.values()) <= 700
-    assert enc.cnf.nvars <= 437 and len(enc.cnf.clauses) <= 1243
+    assert enc.cnf.nvars <= 417 and len(enc.cnf.clauses) <= 1082

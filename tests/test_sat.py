@@ -229,3 +229,69 @@ def test_encoders_hand_the_solver_what_add_clauses_takes_on_trust(
         sat_bounded_finite(rand_formula(rng, "pq", all_mods(), 4), 4)
     assert len(handed) > 200 and sum(handed) > 10000
     assert bad == []
+
+
+def _folded(lits):
+    """A disjunction's literals as the gates fold them: the distinct ones in
+    order, constant false (-1) dropped; [1] when one is constant true (1)
+    or two are complementary."""
+    out = []
+    for lit in lits:
+        if lit == 1 or -lit in out:
+            return [1]
+        if lit != -1 and lit not in out:
+            out.append(lit)
+    return out
+
+
+def test_candidate_cnfs_are_laid_out_for_the_goal_probes(monkeypatch):
+    # the solver watches the first two literals of a clause, and its probes
+    # falsify the goal's literals least cell first. So the goal is one
+    # clause, made with no variable, listing the folded goal literals last
+    # cell first, and watched on the two probed last; and a gate's long
+    # clause lists its inputs before its negated output, so the level-0
+    # unit a failed probe leaves on a gate output wakes no watch of it
+    goals = {}
+    base_add_goal, base_solve = sat._Cnf.add_goal, sat._Cnf.solve
+
+    def add_goal(cnf, lits):
+        nvars, nclauses = cnf.nvars, len(cnf.clauses)
+        added = base_add_goal(cnf, lits)
+        assert cnf.nvars == nvars
+        want = _folded(lits)[::-1]
+        assert added == bool(want)
+        assert cnf.clauses[nclauses:] == ([want] if want else [])
+        goals[id(cnf)] = want
+        return added
+
+    solved = []
+
+    def solve(cnf):
+        goal = goals.pop(id(cnf))
+        assert cnf.clauses[-1] == goal
+        # the last two distinct literals probed are the ones watched, unless
+        # the goal folded to true
+        if goal != [1]:
+            assert goal[:2] == [lit for lit in dict.fromkeys(cnf.goal[::-1])
+                                if lit != -1][:2]
+        inputs = {g: set(key) for key, g in cnf._gate.items()}
+        long = [c for c in cnf.clauses[:-1] if len(c) > 2]
+        assert sorted(-c[-1] for c in long) == sorted(inputs)
+        for c in long:
+            assert set(c[:-1]) == inputs[-c[-1]], c
+        solved.append(len(long))
+        return base_solve(cnf)
+
+    monkeypatch.setattr(sat._Cnf, "add_goal", add_goal)
+    monkeypatch.setattr(sat._Cnf, "solve", solve)
+    for kind, text in CASES:
+        if kind == "bbll":
+            sat_bbll(parse_formula(text))
+        else:
+            sat_bounded_finite(parse_formula(text), int(kind.split()[1]))
+    rng = random.Random(2505)
+    for _ in range(50):
+        sat_bbll(rand_formula(rng, "pq", [B, iB, L, iL], 4), 8)
+    for _ in range(50):
+        sat_bounded_finite(rand_formula(rng, "pq", all_mods(), 4), 4)
+    assert len(solved) > 100 and sum(solved) > 1000
