@@ -24,10 +24,7 @@ from .models import (
     load_model, periodic_model, reverse_interval, reverse_model, save_model,
     valid_interval,
 )
-from .checking import (
-    NotStabilized, allen_related, mc_finite, mc_periodic,
-    periodic_stable_tables,
-)
+from .checking import NotStabilized, allen_related, mc_finite, mc_periodic
 from .sat import (
     Sat, Unsat, Unknown, SatResult, UnsupportedFragmentError,
     check_certificate, later_somewhere, sat_bbll, sat_bounded_finite,

@@ -20,11 +20,13 @@ successors of an interval with one engine pass.
 Finite models are evaluated exactly over the whole domain. Periodic models
 are evaluated over windows of growing horizon: scans that reach right without
 bound stop where truth starts to repeat, at thresholds derived per
-subformula (_fold_thresholds, which the periodic encoder reads too), values
-a window cannot justify are undetermined, and _stabilized_tables decides
-when the windows agree. How many windows it tries is its own decision,
-derived from the formula and the model; no caller sets a budget or a
-horizon.
+subformula (_fold_thresholds, which the periodic encoder reads too), and
+values a window cannot justify are undetermined. A determined value is
+exact (strong Kleene logic), so mc_periodic watches only the formula at the
+query it is asked, pulled back under those thresholds, and stops once two
+consecutive windows give it the same determined value. How many windows it
+tries is its own decision, derived from the formula, the model and the
+query; no caller sets a budget or a horizon.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .models import (
     Bounds, FiniteDomain, Interval, IntervalModel, PeriodicDomain,
-    canonical_cells, read_row, reduce_cell, row_stop, valid_interval,
+    read_row, reduce_cell, row_stop, valid_interval,
 )
 from .syntax import (
     And, Atom, Box, Diamond, FalseConst, Formula, Implies, Modality, Not,
@@ -47,13 +49,13 @@ from .syntax import (
 # sat._Cnf, whose constants are 1 and -1.
 _F, _U, _T = -1, 0, 1
 _join = partial(max, default=_F)
-_DECODE = {_F: False, _U: None, _T: True}
 
 
 class NotStabilized(Exception):
     """A fault: the derived number of evaluation horizons ran out before
-    two consecutive ones agreed. The thresholds make every scan from a
-    watched cell conclusive within that number, so this signals a wrong
+    two consecutive ones gave the formula the same determined value at the
+    pulled-back query, the cell named. The thresholds make every scan from
+    that cell conclusive within that number, so this signals a wrong
     threshold or scan bound, not an answer."""
 
     def __init__(self, subformula: Formula, cell: Interval, rounds: int):
@@ -427,7 +429,9 @@ class FiniteEvaluator:
         self._engine = _model_engine(model, model.domain.last_point)
 
     def table(self, phi: Formula) -> Dict[Interval, bool]:
-        return _decode(self._engine.table(phi), self._engine.h)
+        grid, w = self._engine.table(phi), self._engine.w
+        return {(x, y): grid[x * w + y] == _T
+                for x in range(w - 1) for y in range(x + 1, w)}
 
     def value(self, phi: Formula, i: Interval) -> bool:
         x, y = i
@@ -462,87 +466,44 @@ def _scan_frontier(pre: int, per: int, b: Bounds, depth: int,
     return max(f, pre + per + 1)
 
 
-def _stabilized_tables(model: IntervalModel, phi: Formula,
-                       query: Optional[Interval] = None):
-    """Recompute tables at horizons base + k*per until two consecutive
-    horizons agree, with determined values, on every watched cell for every
-    subformula. The watched cells are the canonical cells and the query,
-    if any, pulled back under phi's thresholds. Returns (tables, horizon,
-    query), the tables flat as the engine's and the query pulled back.
-    phi's postorder is listed once, gives every node its thresholds
-    (_fold_thresholds) and fills each round's fresh engine; a round's
-    watched values are one list, node by node.
+def mc_periodic(model: IntervalModel, i: Interval, phi: Formula) -> bool:
+    """Truth of phi at interval i over an ultimately periodic model.
 
-    The number of rounds is derived here, and only here: enough for every
-    scan from a watched cell to end inside the window, max(depth + 2,
-    ceil((need - base) / per) + 1), need being _scan_frontier's horizon.
-    Running out of them is a fault, NotStabilized, naming the first
-    (subformula, cell) where the last two rounds differ or the last is
-    undetermined."""
+    The query is pulled back under phi's thresholds (_reduce_query), and
+    tables are built at horizons base + k*per, base the larger of pre and
+    the pulled-back right endpoint, k = 2, 3, ..., until phi's value there
+    is determined and the same at two consecutive horizons. A determined
+    value is exact, so nothing else is watched; the second horizon checks
+    that it does not move as the window grows. phi's postorder is listed
+    once, gives every node its thresholds (_fold_thresholds) and fills each
+    horizon's fresh engine.
+
+    The number of horizons is derived here, and only here: enough for every
+    scan from the query to end inside the window, max(depth + 2,
+    ceil((need - base) / per) + 1), need being _scan_frontier's horizon for
+    the query. Running out of them is a fault, NotStabilized, naming phi
+    and the pulled-back query."""
     domain = model.domain
+    if not isinstance(domain, PeriodicDomain):
+        raise TypeError("mc_periodic needs a periodic model")
+    i = tuple(i)
+    if not valid_interval(domain, i):
+        raise ValueError("not an interval: %r" % (i,))
     pre, per = domain.pre, domain.per
     depth = modal_depth(phi)
     nodes = postorder(phi)
     bounds = _fold_thresholds(nodes, pre, per)
-    watch = list(canonical_cells(domain))
-    base = pre
-    if query is not None:
-        query = _reduce_query(domain, query, bounds[phi])
-        if query not in watch:
-            watch.append(query)
-        base = max(base, query[1])
+    query = x, y = _reduce_query(domain, i, bounds[phi])
     top = tuple(map(max, zip(*bounds.values())))
-    need = _scan_frontier(pre, per, top, depth, max(c[1] for c in watch))
+    need = _scan_frontier(pre, per, top, depth, y)
+    base = max(pre, y)
     rounds = max(depth + 2, -((base - need) // per) + 1)
     prev = None
     for k in range(2, rounds + 3):
-        h = base + k * per
-        engine = _model_engine(model, h, bounds)
+        engine = _model_engine(model, base + k * per, bounds)
         engine.fill(nodes)
-        tables = engine.tables
-        keys = [x * engine.w + y for x, y in watch]
-        cur = [tables[node][j] for node in nodes for j in keys]
-        if cur == prev and _U not in cur:
-            return tables, h, query
-        if prev is not None:
-            j = next(j for j, (vp, vc) in enumerate(zip(prev, cur))
-                     if vc == _U or vp != vc)
-            offender = (nodes[j // len(keys)], watch[j % len(keys)])
+        cur = engine.tables[phi][x * engine.w + y]
+        if cur == prev and cur != _U:
+            return cur == _T
         prev = cur
-    raise NotStabilized(offender[0], offender[1], rounds)
-
-
-def mc_periodic(model: IntervalModel, i: Interval, phi: Formula) -> bool:
-    """Truth of phi at interval i over an ultimately periodic model.
-
-    The horizons are _stabilized_tables' to choose; NotStabilized is the
-    fault of their derived number running out."""
-    if not isinstance(model.domain, PeriodicDomain):
-        raise TypeError("mc_periodic needs a periodic model")
-    i = tuple(i)
-    if not valid_interval(model.domain, i):
-        raise ValueError("not an interval: %r" % (i,))
-    tables, h, (x, y) = _stabilized_tables(model, phi, i)
-    return tables[phi][x * (h + 1) + y] == _T
-
-
-def periodic_stable_tables(model: IntervalModel, phi: Formula):
-    """Stabilized three-valued tables for phi and all its subformulas.
-
-    Returns (tables, horizon) where tables maps each subformula to a grid
-    over the window 0..horizon with values False, None (undetermined), or
-    True: every canonical cell is determined, and the horizon is the first
-    at which _stabilized_tables saw two consecutive windows agree there.
-    NotStabilized is a fault, as for mc_periodic."""
-    if not isinstance(model.domain, PeriodicDomain):
-        raise TypeError("periodic tables need a periodic model")
-    raw, h, _ = _stabilized_tables(model, phi)
-    return {node: _decode(grid, h) for node, grid in raw.items()}, h
-
-
-def _decode(grid: List[int], h: int) -> Dict[Interval, Optional[bool]]:
-    """A flat table over the window 0..h keyed by (x, y), with values
-    False, None (undetermined) or True."""
-    w = h + 1
-    return {(x, y): _DECODE[grid[x * w + y]]
-            for x in range(h) for y in range(x + 1, w)}
+    raise NotStabilized(phi, query, rounds)

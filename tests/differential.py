@@ -10,14 +10,14 @@ with tests/gen.py, under NEW's hslogic, and are handed to each tree as
 text: formulas as syntax.render writes them, models as .ism text. Each tree answers in its own subprocess, with only that tree
 on its path, and each input has a time limit there.
 
-Four kinds of answer are compared, on three kinds of input:
+Three kinds of input and answer are compared:
 
 * mc: a periodic model (prefix and period 1-3, letters p and q), a formula
   of depth <= 3 over all twelve modalities and an interval, near the origin
   or with endpoints up to 2*10^6. The answer is mc_periodic's verdict, or
-  the NotStabilized offender (subformula, cell, rounds);
-* tables, on the same inputs: a SHA-256 of periodic_stable_tables' decoded
-  tables of every subformula and its horizon, or the offender;
+  the NotStabilized offender (subformula, cell, rounds), at that interval
+  and then at every canonical cell of the model, in models.canonical_cells
+  order;
 * sat: a begin/later formula of depth <= 3. The answer is sat_bbll's
   result: a Sat's model as .ism text and its witness, or the reason of an
   Unsat or an Unknown;
@@ -32,7 +32,6 @@ timed-out inputs do not change it.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import random
@@ -95,12 +94,9 @@ def draw_inputs(seed, n_mc, n_sat, n_finite=0):
 
 
 def _answer(item):
-    """One input's answer in the tree on this process's path: for an mc
-    input, the mc answer and the tables answer."""
-    from hslogic.checking import (
-        NotStabilized, mc_periodic, periodic_stable_tables,
-    )
-    from hslogic.models import load_model, save_model
+    """One input's answer in the tree on this process's path."""
+    from hslogic.checking import NotStabilized, mc_periodic
+    from hslogic.models import canonical_cells, load_model, save_model
     from hslogic.parser import parse_formula
     from hslogic.sat import Sat, sat_bbll, sat_bounded_finite
     from hslogic.syntax import render
@@ -113,13 +109,6 @@ def _answer(item):
                     exc.rounds]
         except Exception as exc:
             return ["error", type(exc).__name__]
-
-    def tables_digest():
-        tables, h = periodic_stable_tables(model, phi)
-        grids = sorted([render(node), sorted(grid.items())]
-                       for node, grid in tables.items())
-        text = json.dumps([h, grids])
-        return hashlib.sha256(text.encode("ascii")).hexdigest()
 
     def solve():
         if item["kind"] == "sat":
@@ -134,8 +123,8 @@ def _answer(item):
     if item["kind"] != "mc":
         return guard(solve)
     model = load_model(item["model"])
-    return [guard(lambda: mc_periodic(model, tuple(item["cell"]), phi)),
-            guard(tables_digest)]
+    cells = [tuple(item["cell"])] + canonical_cells(model.domain)
+    return [guard(lambda: mc_periodic(model, cell, phi)) for cell in cells]
 
 
 def _worker(limit):
@@ -191,31 +180,21 @@ def answers(trees, inputs, limit):
     return result
 
 
-def _parts(item, answer):
-    """(kind, part of the answer) pairs: an mc input's answer is counted
-    once as mc and once as tables."""
-    if item["kind"] != "mc":
-        return [(item["kind"], answer)]
-    if answer == "timeout":
-        answer = [answer, answer]
-    return list(zip(("mc", "tables"), answer))
-
-
 def compare(inputs, old, new):
     """Counts per kind of identical, differing and timed-out inputs, and the
     differing ones as (kind, input, old answer, new answer)."""
     counts, differing = {}, []
     for item, a, b in zip(inputs, old, new):
-        for (kind, pa), (_, pb) in zip(_parts(item, a), _parts(item, b)):
-            c = counts.setdefault(kind, {"identical": 0, "differing": 0,
-                                         "timed out": 0})
-            if pa == "timeout" or pb == "timeout":
-                c["timed out"] += 1
-            elif pa == pb:
-                c["identical"] += 1
-            else:
-                c["differing"] += 1
-                differing.append((kind, item, pa, pb))
+        kind = item["kind"]
+        c = counts.setdefault(kind, {"identical": 0, "differing": 0,
+                                     "timed out": 0})
+        if a == "timeout" or b == "timeout":
+            c["timed out"] += 1
+        elif a == b:
+            c["identical"] += 1
+        else:
+            c["differing"] += 1
+            differing.append((kind, item, a, b))
     return counts, differing
 
 

@@ -6,8 +6,7 @@ import pytest
 
 from hslogic import checking
 from hslogic.checking import (
-    FiniteEvaluator, NotStabilized, mc_finite, mc_periodic,
-    periodic_stable_tables, postorder,
+    FiniteEvaluator, NotStabilized, mc_finite, mc_periodic, postorder,
 )
 from hslogic.cli import main
 from hslogic.models import (
@@ -165,27 +164,6 @@ def test_periodic_stabilized_answer_fixed_across_horizons():
         assert (first[-1] == checking._T) == mc_periodic(m, i, phi)
 
 
-def test_periodic_stable_tables_agree_with_mc_periodic():
-    rng = random.Random(307)
-    checked = 0
-    for _ in range(100):
-        pre, per = rng.randrange(1, 3), rng.randrange(1, 3)
-        m = rand_periodic_model(rng, pre, per, ["p", "q"])
-        phi = rand_formula(rng, ["p", "q"], ALL_MODALITIES, 2)
-        tables, h = periodic_stable_tables(m, phi)
-        assert h >= pre + per
-        assert set(tables) == set(postorder(phi))
-        cells = canonical_cells(m.domain)
-        for node, grid in tables.items():
-            assert all(v is False or v is None or v is True
-                       for v in grid.values())
-            for c in cells:
-                if grid[c] is not None:
-                    assert grid[c] == mc_periodic(m, c, node), (node, c)
-                    checked += 1
-    assert checked > 1000
-
-
 def test_deep_conjunction_checks_without_recursion():
     phi = conj(Atom("p%d" % k) for k in range(1500))
     m = finite_model(2, {"p%d" % k: [(0, 1)] for k in range(1500)})
@@ -204,12 +182,10 @@ def test_not_stabilized_is_a_fault_naming_the_cell(monkeypatch, capsys,
         v + 50 for v in lift(name, b, per)))
     m = periodic_model(1, 1, {"p": [(1, 2)]})
     phi = dia(L, q)
-    for ask in (lambda: mc_periodic(m, (0, 1), phi),
-                lambda: periodic_stable_tables(m, phi)):
-        with pytest.raises(NotStabilized) as info:
-            ask()
-        exc = info.value
-        assert (exc.subformula, exc.cell, exc.rounds) == (phi, (0, 1), 3)
+    with pytest.raises(NotStabilized) as info:
+        mc_periodic(m, (0, 1), phi)
+    exc = info.value
+    assert (exc.subformula, exc.cell, exc.rounds) == (phi, (0, 1), 3)
     # a certificate re-check counts the fault as a failed check
     assert not check_certificate(phi, m, (0, 1))
     assert check_certificate(dia(L, p), m, (0, 1))
@@ -224,15 +200,42 @@ def test_not_stabilized_is_a_fault_naming_the_cell(monkeypatch, capsys,
         "value for <L> q at [0, 1] after 3 rounds\n"
 
 
-def test_zero_budget_answers_a_query_its_thresholds_pull_back():
+def test_a_pulled_back_query_settles_at_its_second_horizon(monkeypatch):
     # [L] s depends on the right endpoint alone, past s's diagonal
-    # threshold: (4, 9) pulls back to (4, 6), whose window settles in the
-    # first round that compares two windows
+    # threshold: (4, 9) pulls back to (4, 6), so the horizons are 6 + k*3,
+    # and the value found at k = 2 is confirmed at k = 3
+    pulled, horizons = [], []
+    reduce_query, model_engine = checking._reduce_query, checking._model_engine
+
+    def recording_reduce(domain, i, b):
+        pulled.append(reduce_query(domain, i, b))
+        return pulled[-1]
+
+    def recording_engine(model, horizon, bounds=None):
+        horizons.append(horizon)
+        return model_engine(model, horizon, bounds)
+
+    monkeypatch.setattr(checking, "_reduce_query", recording_reduce)
+    monkeypatch.setattr(checking, "_model_engine", recording_engine)
     m = periodic_model(2, 3, {"p": [(1, 2), (3, 4)], "q": [(0, 2)]})
     phi = parse_formula("[L] (p | <iB> q)")
-    _, h, query = checking._stabilized_tables(m, phi, (4, 9))
-    assert (h, query) == (6 + 3 * 3, (4, 6))
     assert mc_periodic(m, (4, 9), phi) is False
+    assert (pulled, horizons) == ([(4, 6)], [12, 15])
+
+
+def test_periodic_queries_list_no_canonical_cells(monkeypatch):
+    # a query watches only itself: listing the canonical cells, about
+    # pre^2/2 of them, would make a huge prefix hang before any table
+    def listing(*args):
+        raise AssertionError("canonical cells listed")
+
+    m = periodic_model(2, 3, {"p": [(1, 2), (3, 4)], "q": [(0, 2)]})
+    phi = parse_formula("q & <L> <iB> p | [B] <A> q")
+    queries = [(0, 1), (0, 2), (4, 9), (7, 100)]
+    want = [mc_periodic(m, i, phi) for i in queries]
+    assert want == [True, True, False, False]
+    monkeypatch.setattr(checking, "canonical_cells", listing, raising=False)
+    assert [mc_periodic(m, i, phi) for i in queries] == want
 
 
 def test_each_periodic_query_walks_the_formula_once(monkeypatch):

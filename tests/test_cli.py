@@ -1,13 +1,20 @@
 """Command line surface: grammars, exit codes, output determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import hslogic.cli
 import hslogic.sat
 from hslogic.automata import ifz_automaton, save_automaton
 from hslogic.cli import main
 from hslogic.models import finite_model, save_model
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -281,6 +288,33 @@ def test_model_too_large_to_index_exits_2(capsys, tmp_path):
         code, out, err = run(capsys, "mc", "--model", str(model),
                              "--interval", "0", "1", "--formula", "p")
         assert (code, out, err) == (2, "", "error: out of memory\n"), last
+
+
+def _limit_address_space():
+    # about 1 GiB: a checker that allocates without bound fails with
+    # MemoryError here instead of taking the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+def test_huge_periodic_model_exits_2_at_once(tmp_path):
+    # one query watches only itself, so no list of the about pre^2/2 or
+    # per^2/2 canonical cells is made: the first table cannot exist and
+    # fails at once. Run in a child process under an address-space limit,
+    # so that a regression fails without exhausting memory
+    model = tmp_path / "huge.ism"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for split in ("pre=99999999999999999999 per=1",
+                  "pre=1 per=99999999999999999999"):
+        model.write_text("order periodic %s\n" % split, encoding="ascii")
+        run = subprocess.run(
+            [sys.executable, "-m", "hslogic.cli", "mc", "--model",
+             str(model), "--interval", "0", "1", "--formula", "p"],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=_limit_address_space)
+        assert (run.returncode, run.stdout, run.stderr) == \
+            (2, "", "error: out of memory\n"), split
 
 
 def test_encode_rejects_names_that_are_not_letters(capsys, tmp_path):
