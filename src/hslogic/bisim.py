@@ -23,9 +23,11 @@ from the begin pair, one separating meets from begins and laters together.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, NamedTuple, Tuple
+from functools import reduce
+from operator import and_
+from typing import FrozenSet, Iterable, List, NamedTuple, Tuple
 
-from .checking import allen_related, mc_finite
+from .checking import _TableEngine, mc_finite
 from .models import (FiniteDomain, Interval, IntervalModel, canonical_cells,
                      finite_model, valid_interval)
 from .parser import is_letter
@@ -40,12 +42,37 @@ def _require_finite(ma: IntervalModel, mb: IntervalModel):
             raise TypeError("%s must be a finite model" % which)
 
 
+def _union(sets: List[int]) -> int:
+    return reduce(and_, sets, -1)
+
+
 def _moves(model: IntervalModel, fragment: Fragment):
     """Each cell's successor lists, one per modality of the fragment in
-    sorted order, listed once."""
-    mods = fragment.sorted_modalities()
-    return {i: [allen_related(model.domain, i, mod) for mod in mods]
-            for i in canonical_cells(model.domain)}
+    sorted order, by one grid-engine pass per modality over sets of cells.
+
+    Cell k's own table entry is its bit complemented, ~(1 << k), and a set
+    S is held as ~S. So the engine's false, -1, is the empty set, and its
+    join, here &, is union: a diamond's entry at a cell is the complement
+    of the set of the cell's successors."""
+    cells = canonical_cells(model.domain)
+    w = model.domain.last_point + 1
+    own = [-1] * ((w - 1) * w)
+    for k, (x, y) in enumerate(cells):
+        own[x * w + y] = ~(1 << k)
+    engine = _TableEngine(w - 1, None, _union, and_, None)
+    tables = [engine._diamond(mod.name, own, None)
+              for mod in fragment.sorted_modalities()]
+    moves = {}
+    for x, y in cells:
+        moves[(x, y)] = lists = []
+        for table in tables:
+            bits, succ = ~table[x * w + y], []
+            while bits:     # the set bits, lowest first
+                low = bits & -bits
+                succ.append(cells[low.bit_length() - 1])
+                bits ^= low
+            lists.append(succ)
+    return moves
 
 
 def is_f_bisimulation(pairs: Iterable[Pair], fragment: Fragment,

@@ -2,20 +2,23 @@
 
 One grid engine (_TableEngine) evaluates every formula: a table per
 subformula over a window of points 0..h, filled bottom up with one pass per
-connective or modality. A table is a flat list with cell (x, y) at
-x*(h+1) + y, so a run of cells along a row is a slice and a column is a
-strided slice. Truth values are -1 (false), 0 (undetermined) and 1 (true),
-with max as join, min as meet and unary minus as negation. The engine is
-written against those operations, not the values: sat_bounded_finite runs
-it with the SAT encoder's gates in their place, and so encodes a formula
-over a finite order with the recurrences this module checks it with. The
-public functions convert to tables keyed by (x, y) only at their boundary.
+connective or modality. Which pass a node takes is read in one place,
+_fill, which the periodic encoder and the threshold rule share. A table is
+a flat list with cell (x, y) at x*(h+1) + y, so a run of cells along a row
+is a slice and a column is a strided slice. Truth values are -1 (false), 0
+(undetermined) and 1 (true), with max as join, min as meet and unary minus
+as negation. The engine is written against those operations, not the
+values: sat_bounded_finite runs it with the SAT encoder's gates in their
+place, and so encodes a formula over a finite order with the recurrences
+this module checks it with. The public functions convert to tables keyed
+by (x, y) only at their boundary.
 
 The engine is the one statement of Allen's twelve relations outside the
 periodic begin/later encoder (sat._Encoder): six diamonds are written out
 (A, iA, B, iB, E, iE), and the other six are one of them over another, by
 the six definability equations (_COMPOSED). allen_related lists the
-successors of an interval with one engine pass.
+successors of an interval with one engine pass, and bisim._moves those of
+every cell of a finite model with one pass per modality.
 
 Finite models are evaluated exactly over the whole domain. Periodic models
 are evaluated over windows of growing horizon: scans that reach right without
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .models import (
     Bounds, FiniteDomain, Interval, IntervalModel, PeriodicDomain,
@@ -144,6 +147,80 @@ def _lift(name: str, b: Bounds, per: int) -> Bounds:
             "iE": (a, max(1, l - 1), d + per + max(0, l - 2))}[name]
 
 
+def _fill(order: List[Formula], out: Dict[Formula, Any], alg) -> dict:
+    """Give each node of order, a postorder, that has no entry in out the
+    value alg makes of it from its operands' entries; return out.
+
+    This is the one reading of the connectives. Its back-ends are the grid
+    engine's tables (_TableEngine), the periodic encoder's rows
+    (sat._Encoder) and the thresholds (_fold_thresholds), and each supplies
+    only its representation's operations:
+
+    * atom(name), a letter's value, and constant(v), v being 1 for true
+      and -1 for false;
+    * negation(x);
+    * and2 and or2, operations on two cells, and pointwise(f, op, x, y),
+      which applies op to the operand values x and y of node f cell by
+      cell;
+    * diamond(f, x), the diamond of the modality of f, a diamond or a box,
+      over the value x.
+
+    A conjunction and a disjunction are and2 and or2 cell by cell. An
+    implication s -> t is the disjunction of ~s with t. A box [M] s is ~<M>
+    ~s: the negation of the diamond over the negated operand. Anything else
+    is a TypeError. The pre-check's skeleton (sat._skeleton_unsat) keeps
+    its own walk, as its letters are whole diamonds and boxes."""
+    for f in order:
+        if f in out:
+            continue
+        t = type(f)
+        if t is Atom:
+            v = alg.atom(f.name)
+        elif t is Not:
+            v = alg.negation(out[f.sub])
+        elif t is And:
+            v = alg.pointwise(f, alg.and2, out[f.lhs], out[f.rhs])
+        elif t is Or:
+            v = alg.pointwise(f, alg.or2, out[f.lhs], out[f.rhs])
+        elif t is Implies:
+            v = alg.pointwise(f, alg.or2, alg.negation(out[f.lhs]), out[f.rhs])
+        elif t is Diamond:
+            v = alg.diamond(f, out[f.sub])
+        elif t is Box:
+            v = alg.negation(alg.diamond(f, alg.negation(out[f.sub])))
+        elif t is TrueConst or t is FalseConst:
+            v = alg.constant(_T if t is TrueConst else _F)
+        else:
+            raise TypeError("not a formula: %r" % (f,))
+        out[f] = v
+    return out
+
+
+class _Thresholds:
+    """_fill's algebra for _fold_thresholds: a node's value is its
+    thresholds (A, L, D) over the split (pre, per)."""
+
+    and2 = or2 = max
+
+    def __init__(self, pre: int, per: int):
+        self.pre, self.per = pre, per
+
+    def atom(self, name: str) -> Bounds:
+        return (self.pre, 1, self.pre)
+
+    def constant(self, v: int) -> Bounds:
+        return (0, 1, 0)
+
+    def negation(self, b: Bounds) -> Bounds:
+        return b
+
+    def pointwise(self, f: Formula, op, b: Bounds, c: Bounds) -> Bounds:
+        return tuple(map(op, b, c))
+
+    def diamond(self, f: Formula, b: Bounds) -> Bounds:
+        return _lift(f.mod.name, b, self.per)
+
+
 def _fold_thresholds(order: List[Formula], pre: int,
                      per: int) -> Dict[Formula, Bounds]:
     """The thresholds (A, L, D) of every node of order, a postorder, over
@@ -151,25 +228,10 @@ def _fold_thresholds(order: List[Formula], pre: int,
     periodic encoder (sat._Encoder). An atom repeats past (pre, 1, pre),
     the thresholds of models.canonical_interval, and a constant past (0,
     1, 0). A negation or a connective holds with its operands at the same
-    cell, so it repeats where all of them do: the componentwise max. A
-    diamond or a box lifts its operand's thresholds (_lift)."""
-    out: Dict[Formula, Bounds] = {}
-    for f in order:
-        t = type(f)
-        if t is Atom:
-            b = (pre, 1, pre)
-        elif t is Not:
-            b = out[f.sub]
-        elif t is And or t is Or or t is Implies:
-            b = tuple(map(max, out[f.lhs], out[f.rhs]))
-        elif t is Diamond or t is Box:
-            b = _lift(f.mod.name, out[f.sub], per)
-        elif t is TrueConst or t is FalseConst:
-            b = (0, 1, 0)
-        else:
-            raise TypeError("not a formula: %r" % (f,))
-        out[f] = b
-    return out
+    cell, so it repeats where all of them do: negation keeps its operand's
+    thresholds and a connective takes the componentwise max. A diamond, and
+    so a box, lifts its operand's thresholds (_lift)."""
+    return _fill(order, {}, _Thresholds(pre, per))
 
 
 class _TableEngine:
@@ -181,7 +243,10 @@ class _TableEngine:
     read. The algebra is atom(name), a letter's table, and three operations
     on values: join of a list, or2 and and2. In both algebras -1 is false, 1
     is true, negation is unary minus and a join over a true value is true.
-    For the three-valued lattice the operations are max and min. Passed
+    For the three-valued lattice the operations are max and min. The engine
+    is a back-end of _fill, which reads the connectives and the boxes, so it
+    supplies constant tables, negation and or2/and2 cell by cell, and the
+    diamonds. Passed
     sat._Cnf's folding gates, with atom variables as atom tables, the same
     recurrences encode a formula as CNF; unread slots then fold to
     constants and make no gates.
@@ -195,8 +260,8 @@ class _TableEngine:
     (_row_joins). Without a period the window is a whole finite domain and
     every value is exact.
 
-    Six diamonds are written out (A, iA, B, iB, E, iE), the other six are
-    two of them (_COMPOSED), and a box [M] s is the negation of <M> ~s."""
+    Six diamonds are written out (A, iA, B, iB, E, iE), and the other six
+    are two of them (_COMPOSED)."""
 
     def __init__(self, horizon: int, atom: Callable[[str], List[int]],
                  join: Callable[[List[int]], int],
@@ -211,44 +276,29 @@ class _TableEngine:
         self.tables: Dict[Formula, List[int]] = {}
 
     def table(self, phi: Formula) -> List[int]:
-        got = self.tables.get(phi)
-        if got is None:
+        if phi not in self.tables:
             self.fill(postorder(phi))
-            got = self.tables[phi]
-        return got
+        return self.tables[phi]
 
-    def fill(self, order: List[Formula]) -> None:
+    def fill(self, order: List[Formula]) -> Dict[Formula, List[int]]:
         """Compute the table of every node of order, a postorder, that has
-        none yet."""
-        tables = self.tables
-        for node in order:
-            if node not in tables:
-                tables[node] = self._compute(node)
+        none yet (_fill, with this engine as the algebra); return the
+        tables."""
+        return _fill(order, self.tables, self)
 
-    def _compute(self, f: Formula) -> List[int]:
-        t = type(f)
-        if t is Atom:
-            return self.atom(f.name)
-        if t is Not:
-            return [-v for v in self.tables[f.sub]]
-        if t is And:
-            return list(map(self.and2, self.tables[f.lhs],
-                            self.tables[f.rhs]))
-        if t is Or:
-            return list(map(self.or2, self.tables[f.lhs], self.tables[f.rhs]))
-        if t is Implies:
-            return list(map(self.or2, [-v for v in self.tables[f.lhs]],
-                            self.tables[f.rhs]))
-        if t is Diamond or t is Box:
-            C, b = self.tables[f.sub], None
-            if self.period is not None:
-                b = self.period[1][f.sub]
-            if t is Diamond:
-                return self._diamond(f.mod.name, C, b)
-            return [-v for v in self._diamond(f.mod.name, [-v for v in C], b)]
-        if t is TrueConst or t is FalseConst:
-            return [_T if t is TrueConst else _F] * (self.h * self.w)
-        raise TypeError("not a formula: %r" % (f,))
+    def constant(self, v: int) -> List[int]:
+        return [v] * (self.h * self.w)
+
+    def negation(self, C: List[int]) -> List[int]:
+        return [-v for v in C]
+
+    def pointwise(self, f: Formula, op, C: List[int],
+                  D: List[int]) -> List[int]:
+        return list(map(op, C, D))
+
+    def diamond(self, f: Formula, C: List[int]) -> List[int]:
+        return self._diamond(f.mod.name, C,
+                             self.period and self.period[1][f.sub])
 
     def _diamond(self, name: str, C: List[int],
                  b: Optional[Bounds]) -> List[int]:
@@ -501,8 +551,7 @@ def mc_periodic(model: IntervalModel, i: Interval, phi: Formula) -> bool:
     prev = None
     for k in range(2, rounds + 3):
         engine = _model_engine(model, base + k * per, bounds)
-        engine.fill(nodes)
-        cur = engine.tables[phi][x * engine.w + y]
+        cur = engine.fill(nodes)[phi][x * engine.w + y]
         if cur == prev and cur != _U:
             return cur == _T
         prev = cur

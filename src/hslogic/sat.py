@@ -36,10 +36,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .checking import (
-    _TableEngine, NotStabilized, _fold_thresholds, mc_finite, mc_periodic,
+    _TableEngine, NotStabilized, _fill, _fold_thresholds, mc_finite,
+    mc_periodic,
 )
 from .models import (
-    FiniteDomain, Interval, IntervalModel, PeriodicDomain,
+    Bounds, FiniteDomain, Interval, IntervalModel, PeriodicDomain,
     canonical_cells, later_stop, read_row, reduce_cell, row_stop,
 )
 # Not called here. bench/tracing.py patches these names to time or count
@@ -193,7 +194,7 @@ def _skeleton_unsat(members: Sequence[Formula]) -> bool:
             elif t is And or t is Or or t is Implies:
                 stack += (f.rhs, f.lhs)
             elif t is Atom or t is Diamond or t is Box:
-                letters[_letter(f)] = 0
+                letters[_skeleton_letter(f)] = 0
     if len(letters) > 12:
         return False
     size = 1 << len(letters)
@@ -212,9 +213,9 @@ def _skeleton_unsat(members: Sequence[Formula]) -> bool:
         if t is Not:
             mask[f] = full ^ mask[f.sub]
         elif t is Atom or t is Diamond:
-            mask[f] = letters[_letter(f)]
+            mask[f] = letters[_skeleton_letter(f)]
         elif t is Box:
-            mask[f] = full ^ letters[_letter(f)]
+            mask[f] = full ^ letters[_skeleton_letter(f)]
         elif t is And:
             mask[f] = mask[f.lhs] & mask[f.rhs]
         elif t is Or:
@@ -229,7 +230,7 @@ def _skeleton_unsat(members: Sequence[Formula]) -> bool:
     return both == 0
 
 
-def _letter(f: Formula):
+def _skeleton_letter(f: Formula):
     """The skeleton letter of an atom, itself, or of a diamond <M> a or a
     box [M] s, read as ~<M> neg(s): (M, b, negated) for a = b or a = ~b, so
     that the twin <M> neg(s) is never built."""
@@ -431,9 +432,11 @@ class _Encoder(_Candidate):
     for x < D + per, lists the literals at (x, x + 1) .. (x,
     models.row_stop(b, per, x, x)). Every read of an operand goes through
     the operand's thresholds (models.reduce_cell for a cell,
-    models.read_row for a run along a row). Tables are filled in
-    postorder, row by row and cell by cell, through the folding gates of
-    _Cnf, so the variable numbering is fixed.
+    models.read_row for a run along a row). The encoder is a back-end of
+    checking._fill, which reads the nodes in postorder: it supplies the
+    atom and constant rows, negation, _Cnf's and/or gates applied cell by
+    cell, and the diamonds. Tables are filled row by row and cell by cell
+    through the folding gates of _Cnf, so the variable numbering is fixed.
 
     The tables, for an operand s with thresholds (A, L, D), whose lift
     rules are argued at checking._lift:
@@ -452,7 +455,7 @@ class _Encoder(_Candidate):
 
     Any other modality is an UnsupportedFragmentError.
 
-    A box is [M] s = ~<M> ~s, as _TableEngine._compute writes it. A rung
+    A box is [M] s = ~<M> ~s, as checking._fill reads it. A rung
     is by induction the join of the literals it has taken in, so a covered
     one would change nothing; the covered sets are never iterated, so the
     gate numbering does not depend on the hash seed. Gates are full two-way
@@ -463,44 +466,37 @@ class _Encoder(_Candidate):
     def __init__(self, domain: PeriodicDomain, letters: List[str],
                  order: List[Formula]):
         super().__init__(domain, letters)
-        self.per = per = domain.per
-        self.bounds = _fold_thresholds(order, domain.pre, per)
-        self.tables: Dict[Formula, Rows] = {}
-        cnf, tables = self.cnf, self.tables
-        for f in order:
-            b = self.bounds[f]
-            his = [row_stop(b, per, x, x) for x in range(b[2] + per)]
-            t = type(f)
-            if t is Atom:
-                var, name = self.atom_var, f.name
-                tab = [[var[(name, (x, y))] for y in range(x + 1, hi + 1)]
-                       for x, hi in enumerate(his)]
-            elif t is Not:
-                tab = [[-lit for lit in row] for row in tables[f.sub]]
-            elif t is And or t is Or or t is Implies:
-                gate = cnf.define_and2 if t is And else cnf.define_or2
-                lhs, rhs = tables[f.lhs], tables[f.rhs]
-                if t is Implies:
-                    lhs = [[-lit for lit in row] for row in lhs]
-                tab = [list(map(gate, read_row(lhs, per, x, hi),
-                                read_row(rhs, per, x, hi)))
-                       for x, hi in enumerate(his)]
-            elif t is Diamond:
-                tab = self._diamond(f, tables[f.sub], his)
-            elif t is Box:
-                sub = [[-lit for lit in row] for row in tables[f.sub]]
-                tab = [[-lit for lit in row]
-                       for row in self._diamond(f, sub, his)]
-            else:
-                const = _TRUE if t is TrueConst else _FALSE
-                tab = [[const] * (hi - x) for x, hi in enumerate(his)]
-            tables[f] = tab
+        self.per = domain.per
+        self.bounds = _fold_thresholds(order, domain.pre, self.per)
+        self.and2, self.or2 = self.cnf.define_and2, self.cnf.define_or2
+        self.tables: Dict[Formula, Rows] = _fill(order, {}, self)
 
-    def _diamond(self, f: Union[Diamond, Box], sub: Rows,
-                 his: List[int]) -> Rows:
+    def _ends(self, b: Bounds) -> List[int]:
+        """Where each row of a table with thresholds b ends."""
+        return [row_stop(b, self.per, x, x) for x in range(b[2] + self.per)]
+
+    def atom(self, name: str) -> Rows:
+        pre, var = self.domain.pre, self.atom_var
+        return [[var[(name, (x, y))] for y in range(x + 1, hi + 1)]
+                for x, hi in enumerate(self._ends((pre, 1, pre)))]
+
+    def constant(self, v: int) -> Rows:
+        return [[v] * (hi - x) for x, hi in enumerate(self._ends((0, 1, 0)))]
+
+    def negation(self, rows: Rows) -> Rows:
+        return [[-lit for lit in row] for row in rows]
+
+    def pointwise(self, f: Formula, op, lhs: Rows, rhs: Rows) -> Rows:
+        per = self.per
+        return [list(map(op, read_row(lhs, per, x, hi),
+                         read_row(rhs, per, x, hi)))
+                for x, hi in enumerate(self._ends(self.bounds[f]))]
+
+    def diamond(self, f: Union[Diamond, Box], sub: Rows) -> Rows:
         """The rows of <M> over sub, f being <M> s or [M] s and sub the
-        rows of s (of ~s for a box); row x ends at his[x]."""
+        rows of s (of ~s for a box)."""
         name, per, cnf = f.mod.name, self.per, self.cnf
+        his, b = self._ends(self.bounds[f]), self.bounds[f.sub]
         tab = []
         if name == "B":
             for x, hi in enumerate(his):
@@ -512,13 +508,11 @@ class _Encoder(_Candidate):
                     covered.add(lit)
                 tab.append(row)
         elif name == "iB":
-            b = self.bounds[f.sub]
             for x, hi in enumerate(his):
                 s = read_row(sub, per, x, hi + per)
                 tab.append([cnf.define_or(s[y - x:row_stop(b, per, x, y) - x])
                             for y in range(x + 1, hi + 1)])
         elif name == "L":
-            b = self.bounds[f.sub]
             joins: Dict[int, int] = {}      # row of sub -> its join
             after = [_FALSE]                # y -> the join of the rows past y
             for y in range(1, his[-1] + 1):
@@ -531,7 +525,6 @@ class _Encoder(_Candidate):
                 after.append(cnf.define_or(lits))
             tab = [after[x + 1:hi + 1] for x, hi in enumerate(his)]
         elif name == "iL":
-            b = self.bounds[f.sub]
             rung = [_FALSE, _FALSE]
             covered = set()     # the literals rung[-1] is the disjunction of
             for v in range(2, len(his)):
@@ -668,9 +661,7 @@ def sat_bounded_finite(phi: Formula, max_points: int) -> SatResult:
     order = postorder(phi)
     for n in range(1, max_points + 1):
         cand = _Candidate(FiniteDomain(n), letters)
-        engine = _finite_engine(cand)
-        engine.fill(order)
-        table = engine.tables[phi]
+        table = _finite_engine(cand).fill(order)[phi]
         cells = canonical_cells(cand.domain)
         lits = [table[x * (n + 1) + y] for x, y in cells]
         if not cand.cnf.add_goal(lits):

@@ -18,9 +18,11 @@ the literal that became true. new_var only counts; the lists are rebuilt
 for the new size the next time add_clause, add_clauses, solve, value or
 model_value runs. Decisions scan upward from a cursor below which every
 variable is assigned, and backjumping lowers it to the least variable it
-unassigns, so the scan no longer restarts at variable 1. Neither change
-touches the decision policy or the propagation order: the search, and so
-the lex-least model, are step for step those of per-variable arrays and a
+unassigns, the decision variable of the first level undone, so the scan
+no longer restarts at variable 1. That variable is the least one undone
+only because decisions are made in variable order. Neither change touches
+the decision policy or the propagation order: the search, and so the
+lex-least model, are step for step those of per-variable arrays and a
 full scan.
 
 add_clauses stores the clause lists it is handed, not copies, whenever
@@ -401,20 +403,20 @@ class Solver:
         return learnt, back
 
     def _cancel_until(self, lvl: int):
+        """Undo every level above lvl. The first literal undone is the
+        decision of level lvl + 1, made on the least variable unassigned
+        then, so no variable below it is undone and the cursor comes down
+        to it at most."""
         trail = self.trail
         if len(self.trail_lim) > lvl:
             bound = self.trail_lim[lvl]
             del self.trail_lim[lvl:]
+            self.cursor = min(self.cursor, abs(trail[bound]))
             vals = self.vals
-            cursor = self.cursor
             for lit in trail[bound:]:
                 vals[lit] = None
                 vals[-lit] = None
-                var = lit if lit > 0 else -lit
-                if var < cursor:
-                    cursor = var
             del trail[bound:]
-            self.cursor = cursor
         self.qhead = len(trail)
 
     def _next_decision(self) -> int:

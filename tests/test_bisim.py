@@ -5,12 +5,12 @@ import random
 import pytest
 
 from hslogic.bisim import (
-    certify_undefinability, is_f_bisimulation, largest_f_bisimulation,
-    later_witness, meets_witness,
+    _moves, certify_undefinability, is_f_bisimulation,
+    largest_f_bisimulation, later_witness, meets_witness,
 )
 from hslogic.checking import mc_finite
-from hslogic.models import finite_model
-from hslogic.syntax import A, B, iB, L, iL, Fragment
+from hslogic.models import canonical_cells, finite_model
+from hslogic.syntax import ALL_MODALITIES, A, B, iB, L, iL, Fragment
 
 from . import oracle
 from .gen import rand_finite_model, rand_formula
@@ -97,3 +97,18 @@ def test_certify_fails_when_not_bisimilar():
     ma = finite_model(3, {"p": [(0, 1), (2, 3)]})
     mb = finite_model(3, {})
     assert not certify_undefinability(L, BB, ma, mb, (0, 1), (0, 1), "p")
+
+
+def test_moves_list_the_oracle_successors_on_every_small_domain():
+    # one engine pass per modality over sets of cells gives each cell's
+    # successors, in (x, y) order, as the relations' definitions do
+    everything = Fragment.of(*ALL_MODALITIES)
+    mods = everything.sorted_modalities()
+    for last in range(1, 7):
+        model = finite_model(last, {})
+        cells = canonical_cells(model.domain)
+        moves = _moves(model, everything)
+        assert list(moves) == cells
+        for i in cells:
+            assert moves[i] == [[j for j in cells if oracle.related(i, j, m)]
+                                for m in mods], (last, i)

@@ -368,3 +368,40 @@ def test_failing_every_probe_refutes_without_a_decision():
     s.probe_first([1, 2])
     assert not s.solve()
     assert (s.decisions, s.conflicts) == (0, 2)
+
+
+def test_backjumps_lower_the_cursor_to_the_least_undone_variable(monkeypatch):
+    # _cancel_until lowers the decision cursor to the variable of the first
+    # literal it undoes, the decision of the first level undone. That is
+    # the least variable it undoes only while decisions take the least
+    # unassigned variable, so check it against the minimum over every
+    # undone literal after each backjump, with probes before the search.
+    cancel = Solver._cancel_until
+    seen = {"jumps": 0, "lowered": 0}
+
+    def checked(s, lvl):
+        want = s.cursor
+        if len(s.trail_lim) > lvl:
+            undone = s.trail[s.trail_lim[lvl]:]
+            want = min([want] + [abs(lit) for lit in undone])
+            seen["jumps"] += 1
+            seen["lowered"] += want < s.cursor
+        cancel(s, lvl)
+        assert s.cursor == want
+
+    monkeypatch.setattr(Solver, "_cancel_until", checked)
+    rng = random.Random(4015)
+    for _ in range(300):
+        # random 3-CNF near the satisfiability threshold, where the search
+        # backjumps most
+        num_vars = rng.randrange(10, 26)
+        clauses = [[rng.choice([-1, 1]) * rng.randrange(1, num_vars + 1)
+                    for _ in range(3)]
+                   for _ in range(int(num_vars * rng.uniform(3.8, 4.8)))]
+        s = Solver()
+        for _ in range(num_vars):
+            s.new_var()
+        if s.add_clauses(clauses):
+            s.probe_first(rng.choice(clauses))
+            s.solve()
+    assert seen["jumps"] > 1000 and seen["lowered"] > 500
