@@ -51,8 +51,8 @@ from .syntax import modal_depth  # noqa: F401
 from .solver import Solver
 from .syntax import (
     And, Atom, Box, Diamond, Formula, Fragment, Implies, Not,
-    Or, TrueConst, B, iB, L, iL, dia, fragment_of, letters_of, metrics,
-    neg, nesting_depth, postorder,
+    Or, TrueConst, B, iB, L, iL, _MOD_BIT, dia, fragment_of, letters_of,
+    metrics, neg, postorder,
 )
 
 
@@ -84,6 +84,8 @@ class Unknown:
 SatResult = Union[Sat, Unsat, Unknown]
 
 _BBLL = Fragment.of(B, iB, L, iL)
+# the modalities of _BBLL as a bit set, as formula nodes record theirs
+_BBLL_MODS = sum(_MOD_BIT[m] for m in _BBLL)
 # the modalities _prop_unsat steps through, transitive on any linear order,
 # by their fields, which hash in C
 _K4 = {(m.base, m.inverted) for m in _BBLL}
@@ -109,10 +111,11 @@ def _prop_unsat(phi: Formula) -> Optional[Unsat]:
     members at one interval, starting from {phi}. A set is refuted
 
     * by its skeleton: every atom and diamond is an opaque letter and a box
-      [M] s reads as ~<M> neg(s), its twin. The conjunction is evaluated
-      under all assignments at once, as bit masks with bit j the value
-      under assignment j, and a set false under every one is refuted. The
-      check is skipped above 12 letters;
+      [M] s reads as ~<M> neg(s), its twin. One walk lists the skeleton,
+      operands before the nodes over them, and the conjunction is then
+      evaluated in that order under all assignments at once, as bit masks
+      with bit j the value under assignment j; a set false under every one
+      is refuted. The check is skipped above 12 letters;
     * or by a refuted successor. For each top-level conjunct <M> a of the
       set (or ~[M] s, with a = neg(s)), where M is B, iB, L or iL, the
       successor is {a} with b and [M] b for every conjunct [M] b (or
@@ -179,36 +182,42 @@ def _prop_unsat(phi: Formula) -> Optional[Unsat]:
 
 def _skeleton_unsat(members: Sequence[Formula]) -> bool:
     """The skeleton check of _prop_unsat: is the conjunction of members
-    false under every assignment to its letters?"""
-    # the boolean skeleton; the walk stops at the letters
+    false under every assignment to its letters? One walk lists the boolean
+    skeleton, operands first and stopping at the letters, as the keys of
+    the mask table; the masks are then evaluated in that order."""
     mask: Dict[Formula, int] = {}
     letters: Dict[object, int] = {}
+    # a None on the stack means: the node below it has had its operands
+    # listed, so list it. A node comes up again only once it is listed,
+    # since none is an operand of itself
     stack = list(members)
     while stack:
         f = stack.pop()
-        if f not in mask:
-            mask[f] = 0
+        if f is None:
+            mask[stack.pop()] = 0
+        elif f not in mask:
             t = type(f)
             if t is Not:
-                stack.append(f.sub)
+                stack += (f, None, f.sub)
             elif t is And or t is Or or t is Implies:
-                stack += (f.rhs, f.lhs)
+                stack += (f, None, f.rhs, f.lhs)
             elif t is Atom or t is Diamond or t is Box:
-                letters[_skeleton_letter(f)] = 0
+                letters[_skeleton_letter(f)] = mask[f] = 0
+            else:
+                mask[f] = 0
     if len(letters) > 12:
         return False
     size = 1 << len(letters)
     full = (1 << size) - 1
     for k, f in enumerate(letters):
         # letter k holds where bit k of the assignment is set: 2^k zeros
-        # then 2^k ones, doubled until the runs span every assignment
-        m, width = ((1 << (1 << k)) - 1) << (1 << k), 2 << k
-        while width < size:
-            m, width = m | m << width, width << 1
-        letters[f] = m
-    # operands nest less deeply than the nodes over them; false keeps its
+        # then 2^k ones, repeated to span every assignment, one repeat at
+        # each set bit of full // (2^(2^(k+1)) - 1)
+        run = 1 << k
+        letters[f] = full // ((1 << 2 * run) - 1) * ((1 << run) - 1) << run
+    # operands come before the nodes over them in mask; false keeps its
     # mask, and a box reads the complement of its twin's letter
-    for f in sorted(mask, key=nesting_depth):
+    for f in mask:
         t = type(f)
         if t is Not:
             mask[f] = full ^ mask[f.sub]
@@ -600,10 +609,10 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
     if max_bound is not None and max_bound < 0:
         raise ValueError("the periodic bound must be at least 0, got %d"
                          % max_bound)
-    frag = fragment_of(phi)
-    if not frag <= _BBLL:
-        raise UnsupportedFragmentError(
-            "sat_bbll handles fragment %s; got %s" % (_BBLL.name, frag.name))
+    # fragment_of raises the TypeError for what is no formula
+    if not isinstance(phi, Formula) or phi._mods & ~_BBLL_MODS:
+        raise UnsupportedFragmentError("sat_bbll handles fragment %s; got %s"
+                                       % (_BBLL.name, fragment_of(phi).name))
     refuted = _prop_unsat(phi)
     if refuted is not None:
         return refuted

@@ -7,6 +7,10 @@ each also has an inverse, written iX in concrete syntax. Besides the AST this
 module provides rendering, the mirror transformation (time reversal), the
 closure of a formula under subformulas and negations, and the size metrics
 that drive the periodic-model bound used by the satisfiability engine.
+
+Nodes are interned, and each records its modal depth, its nesting depth and
+its modalities, as a bit set, when it is built; modal_depth, nesting_depth
+and fragment_of read them in constant time.
 """
 
 from __future__ import annotations
@@ -86,9 +90,10 @@ _new_node = object.__new__
 
 class Formula:
     """Base class for formula nodes. Nodes are interned and immutable; each
-    records its modal depth and its nesting depth when it is built."""
+    records its modal depth, its nesting depth and its modalities when it
+    is built."""
 
-    __slots__ = ("_depth", "_height")
+    __slots__ = ("_depth", "_height", "_mods")
     _fields: Tuple[str, ...] = ()
     # the fields holding formulas, in the order fold passes their results
     _operands: Tuple[str, ...] = ()
@@ -108,13 +113,18 @@ class Formula:
 
 # Nodes are filled in through their slot descriptors, since the immutable
 # __setattr__ refuses assignment.
-_set_depth = Formula._depth.__set__
-_set_height = Formula._height.__set__
+_set_depth, _set_height, _set_mods = (
+    Formula._depth.__set__, Formula._height.__set__, Formula._mods.__set__)
+
+# A node's modalities are a bit set: bit i stands for ALL_MODALITIES[i].
+_MOD_BIT = {m: 1 << i for i, m in enumerate(ALL_MODALITIES)}
 
 
-def _record(key: tuple, node: Formula, depth: int, height: int) -> Formula:
+def _record(key: tuple, node: Formula, depth: int, height: int,
+            mods: int) -> Formula:
     _set_depth(node, depth)
     _set_height(node, height)
+    _set_mods(node, mods)
     _INTERNED[key] = node
     return node
 
@@ -129,7 +139,7 @@ class Atom(Formula):
         if node is None:
             node = _new_node(cls)
             _set_name(node, name)
-            _record(key, node, 0, 0)
+            _record(key, node, 0, 0, 0)
         return node
 
 
@@ -143,7 +153,7 @@ class _Constant(Formula):
         key = (cls,)
         node = _INTERNED.get(key)
         if node is None:
-            node = _record(key, _new_node(cls), 0, 0)
+            node = _record(key, _new_node(cls), 0, 0, 0)
         return node
 
 
@@ -165,7 +175,7 @@ class Not(Formula):
         if node is None:
             node = _new_node(cls)
             _set_not_sub(node, sub)
-            _record(key, node, sub._depth, sub._height + 1)
+            _record(key, node, sub._depth, sub._height + 1, sub._mods)
         return node
 
 
@@ -184,7 +194,7 @@ class _Binary(Formula):
             _set_lhs(node, lhs)
             _set_rhs(node, rhs)
             _record(key, node, max(lhs._depth, rhs._depth),
-                    max(lhs._height, rhs._height) + 1)
+                    max(lhs._height, rhs._height) + 1, lhs._mods | rhs._mods)
         return node
 
 
@@ -217,7 +227,8 @@ class _Modal(Formula):
             node = _new_node(cls)
             _set_mod(node, mod)
             _set_modal_sub(node, sub)
-            _record(key, node, sub._depth + 1, sub._height + 1)
+            _record(key, node, sub._depth + 1, sub._height + 1,
+                    sub._mods | _MOD_BIT[mod])
         return node
 
 
@@ -410,7 +421,13 @@ def closure(phi: Formula) -> set:
 def ast_size(phi: Formula) -> int:
     """Node count of the tree; each connective, modality, and atom occurrence
     counts as one symbol."""
-    return fold(phi, lambda f, args: 1 + sum(args))
+    size: Dict[Formula, int] = {}
+    for f in postorder(phi):
+        if isinstance(f, _Binary):
+            size[f] = size[f.lhs] + size[f.rhs] + 1
+        else:
+            size[f] = size[f.sub] + 1 if isinstance(f, (Not, _Modal)) else 1
+    return size[phi]
 
 
 def modal_depth(phi: Formula) -> int:
@@ -530,7 +547,8 @@ def mirror_fragment(f: Fragment) -> Fragment:
 
 
 def fragment_of(phi: Formula) -> Fragment:
-    mods = {
-        f.mod for f in subformulas(phi) if isinstance(f, (Diamond, Box))
-    }
-    return Fragment(frozenset(mods))
+    """The modalities phi uses; recorded at build time, so constant
+    time."""
+    if not isinstance(phi, Formula):
+        raise TypeError("not a formula: %r" % (phi,))
+    return Fragment(frozenset(m for m, b in _MOD_BIT.items() if phi._mods & b))

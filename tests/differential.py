@@ -18,16 +18,19 @@ Three kinds of input and answer are compared:
   the NotStabilized offender (subformula, cell, rounds), at that interval
   and then at every canonical cell of the model, in models.canonical_cells
   order;
-* sat: a begin/later formula of depth <= 3. The answer is sat_bbll's
+* sat: a formula of depth <= 3, over the begin/later modalities, and one
+  in ten over all twelve, so that which formulas the fragment check
+  refuses, and its message, are compared too. The answer is sat_bbll's
   result: a Sat's model as .ism text and its witness, or the reason of an
   Unsat or an Unknown;
 * finite: a formula of depth <= 4 over all twelve modalities and a bound
   of 1 to 6 points past the origin. The answer is sat_bounded_finite's
   result, as for sat.
 
-Any other exception is an answer too, by its class name. The counts of
-identical, differing and timed-out inputs are printed per kind, with the
-first differing inputs; the exit status is 1 when any input differs, and
+Any other exception is an answer too: by its class name, and an
+UnsupportedFragmentError by its message as well. The counts of identical,
+differing and timed-out inputs are printed per kind, with the first
+differing inputs; the exit status is 1 when any input differs, and
 timed-out inputs do not change it.
 """
 
@@ -83,8 +86,9 @@ def draw_inputs(seed, n_mc, n_sat, n_finite=0):
             cell = (x, rng.randint(x + 1, FAR))
         out.append({"kind": "mc", "model": save_model(model),
                     "formula": render(phi), "cell": cell})
-    for _ in range(n_sat):
-        phi = rand_formula(rng, ("p", "q"), (B, iB, L, iL), 3)
+    for k in range(n_sat):
+        mods = all_mods() if k % 10 == 0 else (B, iB, L, iL)
+        phi = rand_formula(rng, ("p", "q"), mods, 3)
         out.append({"kind": "sat", "formula": render(phi)})
     for _ in range(n_finite):
         phi = rand_formula(rng, ("p", "q"), all_mods(), 4)
@@ -98,7 +102,9 @@ def _answer(item):
     from hslogic.checking import NotStabilized, mc_periodic
     from hslogic.models import canonical_cells, load_model, save_model
     from hslogic.parser import parse_formula
-    from hslogic.sat import Sat, sat_bbll, sat_bounded_finite
+    from hslogic.sat import (
+        Sat, UnsupportedFragmentError, sat_bbll, sat_bounded_finite,
+    )
     from hslogic.syntax import render
 
     def guard(ask):
@@ -107,6 +113,8 @@ def _answer(item):
         except NotStabilized as exc:
             return ["NotStabilized", render(exc.subformula), list(exc.cell),
                     exc.rounds]
+        except UnsupportedFragmentError as exc:
+            return ["error", type(exc).__name__, str(exc)]
         except Exception as exc:
             return ["error", type(exc).__name__]
 

@@ -1,7 +1,8 @@
 """The parent-versus-change differential (tests/differential.py) on small
-runs: one tree against itself answers identically on all three kinds, and
-a copy whose mc_periodic answers the opposite is reported input by input,
-verdict by verdict."""
+runs: one tree against itself answers identically on all three kinds, a
+copy whose mc_periodic answers the opposite is reported input by input,
+verdict by verdict, and a copy whose fragment check words its refusal
+otherwise is reported on the refused formulas."""
 
 import shutil
 from pathlib import Path
@@ -28,6 +29,27 @@ def test_a_tree_against_itself_is_identical():
     # the finite inputs include certificates and exhausted searches
     finite = [answer[0] for answer in old[-30:]]
     assert "Sat" in finite and "Unknown" in finite
+    # the first sat input is drawn over all twelve modalities and refused
+    assert old[40] == ["error", "UnsupportedFragmentError",
+                       "sat_bbll handles fragment B iB L iL; got iE"]
+
+
+def test_a_reworded_refusal_is_reported(tmp_path):
+    shutil.copytree(SRC / "hslogic", tmp_path / "hslogic",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    sat = tmp_path / "hslogic" / "sat.py"
+    text = sat.read_text()
+    assert text.count("sat_bbll handles fragment") == 1
+    sat.write_text(text.replace("sat_bbll handles fragment",
+                                "sat_bbll decides fragment"))
+    old, counts, differing = _run(SRC, tmp_path, 0, 20)
+    refused = [a for a in old
+               if a[:2] == ["error", "UnsupportedFragmentError"]]
+    assert refused
+    assert counts["sat"] == {"identical": 20 - len(refused),
+                             "differing": len(refused), "timed out": 0}
+    for _, _, a, b in differing:
+        assert b == a[:2] + [a[2].replace("handles", "decides")]
 
 
 def test_a_flipped_verdict_is_reported(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hslogic.sat import Unsat, _prop_unsat
 from hslogic.syntax import (
     And, Atom, B, Box, Diamond, FALSE, Formula, Implies, Not, Or, TRUE,
-    ast_size, closure, conj, desugar, fold, letters_of, metrics,
+    ast_size, closure, conj, desugar, fold, fragment_of, letters_of, metrics,
     mirror_formula, neg, postorder, render, subformulas,
 )
 
@@ -181,7 +181,8 @@ def test_walks_take_deep_nesting():
 
 
 WALKS = [render, desugar, mirror_formula, ast_size, closure, letters_of,
-         metrics, _prop_unsat, lambda phi: fold(phi, lambda f, args: 0)]
+         metrics, fragment_of, _prop_unsat,
+         lambda phi: fold(phi, lambda f, args: 0)]
 
 
 @pytest.mark.parametrize("walk", WALKS)

@@ -10,8 +10,9 @@ from hslogic import sat, syntax
 from hslogic.checking import postorder
 from hslogic.parser import parse_formula
 from hslogic.syntax import (
-    ALL_MODALITIES, B, And, Atom, Box, Diamond, FalseConst, Implies, Modality,
-    Not, Or, TrueConst, modal_depth, mirror_formula, nesting_depth, render,
+    ALL_MODALITIES, B, And, Atom, Box, Diamond, FalseConst, Fragment, Implies,
+    Modality, Not, Or, TrueConst, desugar, fragment_of, modal_depth,
+    mirror_formula, nesting_depth, render,
 )
 
 # Formulas are drawn as plain nested tuples, so that each test can build
@@ -77,6 +78,16 @@ def recursive_height(f):
     return 0
 
 
+def recursive_mods(f):
+    if isinstance(f, Not):
+        return recursive_mods(f.sub)
+    if isinstance(f, (And, Or, Implies)):
+        return recursive_mods(f.lhs) | recursive_mods(f.rhs)
+    if isinstance(f, (Diamond, Box)):
+        return {f.mod} | recursive_mods(f.sub)
+    return set()
+
+
 @settings(max_examples=300, deadline=None)
 @given(trees)
 def test_independent_constructions_are_identical(tree):
@@ -103,6 +114,15 @@ def test_cached_depths_match_recursive_ones(tree):
     f = build(tree)
     assert modal_depth(f) == recursive_depth(f)
     assert nesting_depth(f) == recursive_height(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+def test_recorded_modalities_match_recursive_ones(tree):
+    f = build(tree)
+    for g in (f, mirror_formula(f), desugar(f),
+              pickle.loads(pickle.dumps(f))):
+        assert fragment_of(g) == Fragment(frozenset(recursive_mods(g)))
 
 
 @settings(max_examples=100, deadline=None)

@@ -56,6 +56,27 @@ def test_unsupported_fragment():
         sat_bbll(dia(A, p))
 
 
+# the fragment check comes before the pre-check, which would refute the
+# first two, and sees a modality the skeleton never enters, as in the third
+@pytest.mark.parametrize("text, got", [
+    ("<D> p & [D] ~p", "D"),
+    ("<A> p & ~<A> p", "A"),
+    ("<B> <D> p & [B] ~<D> p", "B D"),
+])
+def test_out_of_fragment_formulas_are_refused_not_refuted(text, got):
+    with pytest.raises(UnsupportedFragmentError) as info:
+        sat_bbll(parse_formula(text))
+    assert str(info.value) == \
+        "sat_bbll handles fragment B iB L iL; got " + got
+
+
+@pytest.mark.parametrize("bad", [None, 5])
+def test_sat_bbll_rejects_what_is_no_formula(bad):
+    with pytest.raises(TypeError) as info:
+        sat_bbll(bad)
+    assert str(info.value) == "not a formula: %r" % (bad,)
+
+
 @pytest.mark.parametrize("text", ["<A> p", "<D> p", "[A] p", "<B> <D> p"])
 def test_the_periodic_encoder_refuses_other_modalities(text):
     # the thresholds it shares with the model checker cover all twelve
