@@ -93,9 +93,16 @@ _K4 = {(m.base, m.inverted) for m in _BBLL}
 # and box sets carried along different paths can make a formula of n
 # diamonds reach 2^n sets.
 _WALK_SETS = 256
+# the most letters of a set the skeleton check reads: its truth table over
+# n letters is 2^n bits wide
+_SKELETON_LETTERS = 12
 
 _TRUE = 1
 _FALSE = -1
+
+# the two answers of _prop_unsat, shared
+_PROPOSITIONAL = Unsat("propositional refutation")
+_MODAL = Unsat("modal refutation")
 
 
 def later_somewhere(phi: Formula) -> Formula:
@@ -111,11 +118,13 @@ def _prop_unsat(phi: Formula) -> Optional[Unsat]:
     members at one interval, starting from {phi}. A set is refuted
 
     * by its skeleton: every atom and diamond is an opaque letter and a box
-      [M] s reads as ~<M> neg(s), its twin. One walk lists the skeleton,
-      operands before the nodes over them, and the conjunction is then
-      evaluated in that order under all assignments at once, as bit masks
-      with bit j the value under assignment j; a set false under every one
-      is refuted. The check is skipped above 12 letters;
+      [M] s reads as ~<M> neg(s), its twin. A set false under every
+      assignment to its letters is refuted, unless it has more than
+      _SKELETON_LETTERS letters. A set whose top-level conjuncts are all
+      literals, letters or their negations, is decided by its
+      complementary pairs: it is false under every assignment exactly when
+      a letter occurs both ways (_read_set). Any other set gets its truth
+      table (_skeleton_unsat);
     * or by a refuted successor. For each top-level conjunct <M> a of the
       set (or ~[M] s, with a = neg(s)), where M is B, iB, L or iL, the
       successor is {a} with b and [M] b for every conjunct [M] b (or
@@ -140,44 +149,78 @@ def _prop_unsat(phi: Formula) -> Optional[Unsat]:
         raise TypeError("not a formula: %r" % (phi,))
     # sets are tuples in the order the walk builds them, so the sets it
     # visits under the cap do not depend on hashing
-    seen = {frozenset((phi,))}
+    seen: Optional[set] = None
     stack = [(phi,)]
-    reason = "propositional refutation"
+    reason = _PROPOSITIONAL
     while stack:
-        members = stack.pop()
-        if _skeleton_unsat(members):
-            return Unsat(reason)
-        reason = "modal refutation"
-        # the set's top-level conjuncts: diamonds as (modality, operand),
-        # boxes as the formulas a successor carries, by modality
-        dias: List[Tuple[tuple, Formula]] = []
-        boxes: Dict[tuple, List[Formula]] = {}
-        todo = list(members)
-        while todo:
-            f = todo.pop()
-            t = type(f)
-            if t is And:
-                todo += (f.rhs, f.lhs)
-            elif t is Diamond:
-                dias.append(((f.mod.base, f.mod.inverted), f.sub))
-            elif t is Box:
-                boxes.setdefault((f.mod.base, f.mod.inverted),
-                                 []).extend((f, f.sub))
-            elif t is Not:
-                g = f.sub
-                if type(g) is Diamond:
-                    boxes.setdefault((g.mod.base, g.mod.inverted),
-                                     []).extend((f, neg(g.sub)))
-                elif type(g) is Box:
-                    dias.append(((g.mod.base, g.mod.inverted), neg(g.sub)))
+        refuted, dias, boxes = _read_set(stack.pop())
+        if refuted:
+            return reason
+        reason = _MODAL
         for mod, a in dias:
-            if mod in _K4 and len(seen) < _WALK_SETS:
-                succ = tuple(dict.fromkeys([a] + boxes.get(mod, [])))
-                key = frozenset(succ)
-                if key not in seen:
-                    seen.add(key)
-                    stack.append(succ)
+            if mod in _K4:
+                if seen is None:
+                    seen = {frozenset((phi,))}
+                if len(seen) < _WALK_SETS:
+                    succ = tuple(dict.fromkeys([a] + boxes.get(mod, [])))
+                    key = frozenset(succ)
+                    if key not in seen:
+                        seen.add(key)
+                        stack.append(succ)
     return None
+
+
+def _read_set(members: Sequence[Formula]) -> Tuple[
+        bool, List[Tuple[tuple, Formula]], Dict[tuple, List[Formula]]]:
+    """One pass over the top-level conjuncts of a set of _prop_unsat: whether
+    its skeleton is refuted, its diamonds as (modality, operand), and its
+    boxes as the formulas a successor carries, by modality.
+
+    While every conjunct is a literal, an atom, a diamond or a box, possibly
+    under one ~, the sign of each skeleton letter is recorded, a box being
+    the negation of its twin's letter. Such a conjunction is false under
+    every assignment exactly when a letter occurs both ways, the closure
+    rule of a tableau branch, and the set is refuted when it is and has at
+    most _SKELETON_LETTERS letters, as _skeleton_unsat would answer. Any
+    other set goes to _skeleton_unsat."""
+    dias: List[Tuple[tuple, Formula]] = []
+    boxes: Dict[tuple, List[Formula]] = {}
+    # letter -> sign, None once a conjunct is no literal
+    signs: Optional[Dict[object, bool]] = {}
+    clash = False
+    todo = list(members)
+    while todo:
+        f = todo.pop()
+        t = type(f)
+        if t is And:
+            todo += (f.rhs, f.lhs)
+            continue
+        g, sign = f, True
+        if t is Not:
+            g, sign = f.sub, False
+            t = type(g)
+        if t is Atom:
+            letter = g
+        elif t is Diamond or t is Box:
+            mod = (g.mod.base, g.mod.inverted)
+            a = g.sub if sign else neg(g.sub)
+            if t is Box:
+                sign = not sign
+            # <M> a and ~[M] s hold a successor, [M] b and ~<M> b are
+            # carried into the successors
+            if sign:
+                dias.append((mod, a))
+            else:
+                boxes.setdefault(mod, []).extend((f, a))
+            letter = _skeleton_letter(g)
+        else:
+            signs = None
+            continue
+        if signs is not None and signs.setdefault(letter, sign) is not sign:
+            clash = True
+    if signs is None:
+        return _skeleton_unsat(members), dias, boxes
+    return clash and len(signs) <= _SKELETON_LETTERS, dias, boxes
 
 
 def _skeleton_unsat(members: Sequence[Formula]) -> bool:
@@ -205,7 +248,7 @@ def _skeleton_unsat(members: Sequence[Formula]) -> bool:
                 letters[_skeleton_letter(f)] = mask[f] = 0
             else:
                 mask[f] = 0
-    if len(letters) > 12:
+    if len(letters) > _SKELETON_LETTERS:
         return False
     size = 1 << len(letters)
     full = (1 << size) - 1

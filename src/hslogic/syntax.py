@@ -285,7 +285,12 @@ def fold(phi: Formula, case: Callable[[Formula, tuple], object]) -> object:
     """Evaluate phi bottom-up: case(f, args) is called once per unique
     node f, children first, where args holds the results for f's formula
     operands left to right. Iterative, so nesting depth is no limit."""
-    order = postorder(phi)
+    return _fold(postorder(phi), case)
+
+
+def _fold(order: List[Formula],
+          case: Callable[[Formula, tuple], object]) -> object:
+    """fold over a postorder already listed; its root is last."""
     # each result is dropped once the last node using it is done, so that
     # a long chain of string results (render, repr) is not all held at once
     last = {getattr(f, n): f for f in order for n in f._operands}
@@ -296,7 +301,7 @@ def fold(phi: Formula, case: Callable[[Formula, tuple], object]) -> object:
         for g in kids:
             if last[g] is f:
                 done.pop(g, None)
-    return done[phi]
+    return done[order[-1]]
 
 
 def _repr_case(f: Formula, args: tuple) -> str:
@@ -357,9 +362,16 @@ def desugar(phi: Formula) -> Formula:
 
     p -> q becomes ~p | q; true becomes __t | ~__t over a reserved letter,
     and false becomes the negation of that. The result uses only atoms,
-    negation, conjunction, disjunction, diamonds, and boxes.
+    negation, conjunction, disjunction, diamonds, and boxes; a formula
+    that already does is returned as it is.
     """
-    return fold(phi, _desugar_case)
+    order = postorder(phi)
+    if _SUGAR.isdisjoint(map(type, order)):
+        return phi
+    return _fold(order, _desugar_case)
+
+
+_SUGAR = {Implies, TrueConst, FalseConst}
 
 
 def _desugar_case(f: Formula, args: tuple) -> Formula:

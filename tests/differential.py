@@ -1,7 +1,7 @@
 """Two source trees on the same inputs, answer by answer.
 
     python tests/differential.py OLD NEW [--seed N] [--mc N] [--sat N]
-                                 [--finite N] [--limit SECONDS]
+                                 [--finite N] [--pre N] [--limit SECONDS]
 
 OLD and NEW are source trees: a directory holding the hslogic package, or
 a checkout whose src/ holds it (for example a `git archive` of the parent
@@ -10,7 +10,7 @@ with tests/gen.py, under NEW's hslogic, and are handed to each tree as
 text: formulas as syntax.render writes them, models as .ism text. Each tree answers in its own subprocess, with only that tree
 on its path, and each input has a time limit there.
 
-Three kinds of input and answer are compared:
+Four kinds of input and answer are compared:
 
 * mc: a periodic model (prefix and period 1-3, letters p and q), a formula
   of depth <= 3 over all twelve modalities and an interval, near the origin
@@ -25,7 +25,14 @@ Three kinds of input and answer are compared:
   Unsat or an Unknown;
 * finite: a formula of depth <= 4 over all twelve modalities and a bound
   of 1 to 6 points past the origin. The answer is sat_bounded_finite's
-  result, as for sat.
+  result, as for sat;
+* pre: a begin/later formula for the pre-check alone: a contradiction
+  <M> s & [M] ~s over a random s, sometimes beside another formula, a
+  conjunction of up to 14 letters, atoms or diamonds and boxes over them,
+  some negated and often one both ways, or a formula of depth <= 3. The
+  answer is sat_bbll's with the periodic bound 0, which stops after the
+  pre-check: the reason of its Unsat, or the Unknown of a search cut
+  short.
 
 Any other exception is an answer too: by its class name, and an
 UnsupportedFragmentError by its message as well. The counts of identical,
@@ -61,14 +68,16 @@ def source_dir(tree):
     raise SystemExit("no hslogic package in %s or its src/" % tree)
 
 
-def draw_inputs(seed, n_mc, n_sat, n_finite=0):
+def draw_inputs(seed, n_mc, n_sat, n_finite=0, n_pre=0):
     """The inputs of a run, as JSON-ready dicts, drawn under the hslogic on
     this process's path."""
     root = str(Path(__file__).resolve().parent.parent)
     if root not in sys.path:
         sys.path.insert(0, root)
     from hslogic.models import save_model
-    from hslogic.syntax import B, L, iB, iL, render
+    from hslogic.syntax import (
+        And, Atom, B, Box, Diamond, L, Not, conj, iB, iL, neg, render,
+    )
     from tests.gen import all_mods, rand_formula, rand_periodic_model
 
     rng = random.Random(seed)
@@ -94,6 +103,28 @@ def draw_inputs(seed, n_mc, n_sat, n_finite=0):
         phi = rand_formula(rng, ("p", "q"), all_mods(), 4)
         out.append({"kind": "finite", "formula": render(phi),
                     "max_points": rng.randint(1, 6)})
+    bbll = (B, iB, L, iL)
+    for _ in range(n_pre):
+        r = rng.random()
+        if r < 0.4:
+            m = rng.choice(bbll)
+            s = rand_formula(rng, ("p", "q"), bbll, 2)
+            phi = And(Diamond(m, s), Box(m, neg(s)))
+            if rng.random() < 0.3:
+                phi = And(rand_formula(rng, ("p", "q"), bbll, 2), phi)
+        elif r < 0.7:
+            lits = [Atom("a%d" % i) for i in range(rng.randint(1, 14))]
+            if rng.random() < 0.3:
+                lits = [rng.choice((Diamond, Box))(rng.choice(bbll), a)
+                        for a in lits]
+            lits = [Not(a) if rng.random() < 0.2 else a for a in lits]
+            if rng.random() < 0.6:
+                lits.append(neg(rng.choice(lits)))
+            rng.shuffle(lits)
+            phi = conj(lits)
+        else:
+            phi = rand_formula(rng, ("p", "q"), bbll, 3)
+        out.append({"kind": "pre", "formula": render(phi)})
     return out
 
 
@@ -121,6 +152,8 @@ def _answer(item):
     def solve():
         if item["kind"] == "sat":
             res = sat_bbll(phi)
+        elif item["kind"] == "pre":
+            res = sat_bbll(phi, max_bound=0)
         else:
             res = sat_bounded_finite(phi, item["max_points"])
         if isinstance(res, Sat):
@@ -214,6 +247,7 @@ def main(argv=None):
     ap.add_argument("--mc", type=int, default=1000)
     ap.add_argument("--sat", type=int, default=200)
     ap.add_argument("--finite", type=int, default=200)
+    ap.add_argument("--pre", type=int, default=2000)
     ap.add_argument("--limit", type=float, default=10.0,
                     help="seconds per input in each tree")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -224,7 +258,8 @@ def main(argv=None):
     if args.new is None:
         ap.error("two source trees are required")
     sys.path.insert(0, str(source_dir(args.new)))
-    inputs = draw_inputs(args.seed, args.mc, args.sat, args.finite)
+    inputs = draw_inputs(args.seed, args.mc, args.sat, args.finite,
+                         args.pre)
     old, new = answers((args.old, args.new), inputs, args.limit)
     counts, differing = compare(inputs, old, new)
     for kind, c in sorted(counts.items()):

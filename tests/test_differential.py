@@ -1,8 +1,9 @@
 """The parent-versus-change differential (tests/differential.py) on small
-runs: one tree against itself answers identically on all three kinds, a
+runs: one tree against itself answers identically on all four kinds, a
 copy whose mc_periodic answers the opposite is reported input by input,
-verdict by verdict, and a copy whose fragment check words its refusal
-otherwise is reported on the refused formulas."""
+verdict by verdict, a copy whose fragment check words its refusal
+otherwise is reported on the refused formulas, and a copy whose pre-check
+ignores its letter cap is reported on the pre-check's inputs."""
 
 import shutil
 from pathlib import Path
@@ -12,22 +13,29 @@ from . import differential
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _run(old, new, n_mc, n_sat, n_finite=0):
-    inputs = differential.draw_inputs(3, n_mc, n_sat, n_finite)
+def _run(old, new, n_mc, n_sat, n_finite=0, n_pre=0):
+    inputs = differential.draw_inputs(3, n_mc, n_sat, n_finite, n_pre)
     old_answers, new_answers = differential.answers((old, new), inputs, 20.0)
     counts, differing = differential.compare(inputs, old_answers, new_answers)
     return old_answers, counts, differing
 
 
 def test_a_tree_against_itself_is_identical():
-    old, counts, differing = _run(SRC, SRC, 40, 8, 30)
+    old, counts, differing = _run(SRC, SRC, 40, 8, 30, 60)
     assert differing == []
     assert counts["mc"] == {"identical": 40, "differing": 0, "timed out": 0}
     assert counts["sat"] == {"identical": 8, "differing": 0, "timed out": 0}
     assert counts["finite"] == {"identical": 30, "differing": 0,
                                 "timed out": 0}
+    assert counts["pre"] == {"identical": 60, "differing": 0,
+                             "timed out": 0}
+    # the pre-check refutes some inputs and leaves the rest to a search the
+    # periodic bound 0 cuts short
+    assert {tuple(answer) for answer in old[-60:]} >= {
+        ("Unsat", "propositional refutation"),
+        ("Unknown", "search truncated below the periodic bound")}
     # the finite inputs include certificates and exhausted searches
-    finite = [answer[0] for answer in old[-30:]]
+    finite = [answer[0] for answer in old[-90:-60]]
     assert "Sat" in finite and "Unknown" in finite
     # the first sat input is drawn over all twelve modalities and refused
     assert old[40] == ["error", "UnsupportedFragmentError",
@@ -70,3 +78,19 @@ def test_a_flipped_verdict_is_reported(tmp_path):
         assert kind == "mc" and len(a) == len(b)
         assert all(va == (not vb) if isinstance(va, bool) else va == vb
                    for va, vb in zip(a, b))
+
+
+def test_a_pre_check_past_its_letter_cap_is_reported(tmp_path):
+    shutil.copytree(SRC / "hslogic", tmp_path / "hslogic",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    sat = tmp_path / "hslogic" / "sat.py"
+    text = sat.read_text()
+    cap = "clash and len(signs) <= _SKELETON_LETTERS"
+    assert text.count(cap) == 1
+    sat.write_text(text.replace(cap, "clash"))
+    old, counts, differing = _run(SRC, tmp_path, 0, 0, 0, 300)
+    assert 0 < counts["pre"]["differing"] < 300
+    # the copy refutes sets of over 12 letters, the formula itself or one
+    # of its successors
+    for kind, _, a, b in differing:
+        assert kind == "pre" and b[0] == "Unsat"

@@ -1,6 +1,8 @@
 """fold and the walks written on it: each against a recursive reference
 copy, at depths no recursion reaches, and on input that is no formula."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,6 +13,7 @@ from hslogic.syntax import (
     mirror_formula, neg, postorder, render, subformulas,
 )
 
+from .gen import all_mods, rand_formula
 from .test_interning import build, trees
 from .test_prop_unsat import _truth_table_unsat
 
@@ -109,6 +112,19 @@ def test_walks_match_their_recursive_references(tree):
         _truth_table_unsat(f)
     assert refuted in (None, Unsat("propositional refutation"),
                        Unsat("modal refutation"))
+
+
+def test_desugar_returns_a_sugar_free_formula_itself():
+    rng = random.Random(3011)
+    kept = 0
+    for _ in range(600):
+        f = rand_formula(rng, ("p", "q"), all_mods(), rng.randrange(1, 5))
+        assert desugar(f) is ref_desugar(f)
+        if not any(isinstance(g, (Implies, type(TRUE), type(FALSE)))
+                   for g in postorder(f)):
+            assert desugar(f) is f
+            kept += 1
+    assert 100 < kept < 500
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,8 +1,9 @@
 """The pre-check of sat_bbll, which refutes a formula before any periodic
 candidate is built. Its skeleton layer reads atoms and diamonds as opaque
 letters and a box [M] s as ~<M> neg(s), and refutes a formula false under
-every assignment to them; its K step goes on from <M> a to a with every box
-[M] b beside it and its b."""
+every assignment to them; a set whose conjuncts are all literals is decided
+by its complementary pairs instead. Its K step goes on from <M> a to a with
+every box [M] b beside it and its b."""
 
 import itertools
 import random
@@ -11,10 +12,13 @@ import pytest
 
 from hslogic import sat
 from hslogic.parser import parse_formula
-from hslogic.sat import Unsat, _prop_unsat, sat_bbll
+from hslogic.sat import Unsat, _prop_unsat, _skeleton_unsat, sat_bbll
 from hslogic.syntax import (
-    A, And, Atom, B, Box, Diamond, FALSE, Implies, Not, Or, TRUE, conj, neg,
+    A, And, Atom, B, Box, Diamond, FALSE, Implies, Not, Or, TRUE, conj, iB,
+    iL, L, neg,
 )
+
+from .gen import rand_formula
 
 PROPOSITIONAL = Unsat("propositional refutation")
 MODAL = Unsat("modal refutation")
@@ -106,14 +110,16 @@ def test_the_walk_visits_at_most_the_capped_number_of_sets(monkeypatch):
     n = 14
     g = conj([Diamond(B, Box(B, Atom("c%d" % i))) for i in range(n)])
     phi = And(Diamond(B, TRUE), Box(B, g))
+    # every visited set is read once, whether its conjuncts are literals
+    # or not
     calls = []
-    check = sat._skeleton_unsat
+    read = sat._read_set
 
     def counting(members):
         calls.append(members)
-        return check(members)
+        return read(members)
 
-    monkeypatch.setattr(sat, "_skeleton_unsat", counting)
+    monkeypatch.setattr(sat, "_read_set", counting)
     assert _prop_unsat(phi) is None
     assert len(calls) == sat._WALK_SETS
     assert len({frozenset(c) for c in calls}) == len(calls)
@@ -230,3 +236,163 @@ def test_prop_unsat_matches_a_truth_table():
         verdicts.add((expected, got))
     assert verdicts >= {(False, None), (True, PROPOSITIONAL),
                         (False, MODAL)}
+
+
+# A set of literals, each an atom, a diamond or a box, possibly under one ~,
+# is decided by its complementary pairs: refuted when a skeleton letter
+# occurs both ways among at most 12 letters, as the truth table answers.
+
+def _literal_signs(members):
+    """None unless every top-level conjunct of the set is a literal, else
+    the signs each letter occurs with, a box read through its twin
+    diamond."""
+    signs = {}
+    todo = list(members)
+    while todo:
+        f = todo.pop()
+        if isinstance(f, And):
+            todo += [f.lhs, f.rhs]
+            continue
+        sign = not isinstance(f, Not)
+        g = f if sign else f.sub
+        if isinstance(g, Box):
+            g, sign = Diamond(g.mod, neg(g.sub)), not sign
+        if not isinstance(g, (Atom, Diamond)):
+            return None
+        signs.setdefault(g, set()).add(sign)
+    return signs
+
+
+def _clash(signs):
+    return any(len(s) == 2 for s in signs.values())
+
+
+BBLL = (B, iB, L, iL)
+
+
+def _rand_literal(rng, atoms):
+    if rng.random() < 0.4:
+        f = Atom(rng.choice(atoms))
+    else:
+        # few operands, so that twins and complements meet often
+        s = rand_formula(rng, ("p", "q"), BBLL, rng.randrange(2))
+        cls = Diamond if rng.random() < 0.5 else Box
+        f = cls(rng.choice(BBLL[:2]), s if rng.random() < 0.6 else neg(s))
+    return Not(f) if rng.random() < 0.4 else f
+
+
+def _rand_set(rng):
+    """A set of the walk: mostly literals, with the contradiction shape
+    <M> s & [M] ~s, sometimes over more than 12 letters, sometimes with a
+    conjunct that is no literal."""
+    atoms = ["a%d" % i for i in range(rng.choice((3, 8, 16)))]
+    members = [_rand_literal(rng, atoms) for _ in range(rng.randrange(1, 6))]
+    if rng.random() < 0.3:
+        m = rng.choice(BBLL)
+        s = rand_formula(rng, ("p", "q"), BBLL, 2)
+        members.append(And(Diamond(m, s), Box(m, neg(s))))
+    if rng.random() < 0.3:
+        # every letter a conjunct, and one of them both ways
+        members.append(conj(Atom(a) for a in atoms))
+        members.append(Not(Atom(rng.choice(atoms))))
+    if rng.random() < 0.15:
+        members.append(rand_formula(rng, ("p", "q"), BBLL, 3))
+    rng.shuffle(members)
+    return tuple(members)
+
+
+def test_the_literal_rule_agrees_with_the_truth_table():
+    rng = random.Random(3007)
+    seen = set()
+    for _ in range(3000):
+        members = _rand_set(rng)
+        expected = _skeleton_unsat(members)
+        signs = _literal_signs(members)
+        if signs is None:
+            case = ("truth table", expected)
+        else:
+            assert (_clash(signs) and len(signs) <= 12) == expected, members
+            case = ("pair" if _clash(signs) else "no pair",
+                    len(signs) > 12, expected)
+        got = _prop_unsat(conj(members))
+        assert (got == PROPOSITIONAL) == expected, members
+        seen.add(case)
+    # decided both ways, a pair past the letter cap left unrefuted, and
+    # left to the truth table both ways
+    assert seen == {("pair", False, True), ("pair", True, False),
+                    ("no pair", False, False), ("truth table", True),
+                    ("truth table", False)}
+
+
+def _atoms_and_a_pair(n):
+    """a0 & ... & a(n-1) & p & ~p: n + 1 letters."""
+    p = Atom("p")
+    return conj([Atom("a%d" % i) for i in range(n)] + [p, Not(p)])
+
+
+@pytest.mark.parametrize("n, refuted", [(9, True), (12, False)])
+def test_a_complementary_pair_refutes_at_most_twelve_letters(n, refuted):
+    phi = _atoms_and_a_pair(n)
+    assert _skeleton_unsat((phi,)) is refuted
+    assert _prop_unsat(phi) == (PROPOSITIONAL if refuted else None)
+
+
+def test_the_letter_cap_counts_modal_letters():
+    p = Atom("p")
+    lits = [Diamond(B, Atom("a%d" % i)) for i in range(11)]
+    pair = [Box(L, p), Not(Box(L, p))]
+    assert _skeleton_unsat(lits + pair)
+    assert _prop_unsat(conj(lits + [p, Not(p)])) == PROPOSITIONAL
+    # a twelfth diamond makes 13 letters, and no successor is refuted
+    lits.append(Diamond(iB, Atom("b")))
+    assert not _skeleton_unsat(lits + pair)
+    assert _prop_unsat(conj(lits + [p, Not(p)])) is None
+
+
+POLARITY = [
+    # a box is the negation of its twin diamond, and ~ flips either
+    ("[B] p & ~[B] p", PROPOSITIONAL),
+    ("[B] p & <B> ~p", PROPOSITIONAL),
+    ("[iB] ~p & <iB> p", PROPOSITIONAL),
+    ("~<B> p & <B> p", PROPOSITIONAL),
+    ("~[B] p & ~<B> ~p", PROPOSITIONAL),
+    ("~<L> q & ~[L] ~q", PROPOSITIONAL),
+    ("[iL] ~~q & <iL> ~q", PROPOSITIONAL),
+    # the same letter with the same sign twice
+    ("~[B] p & <B> ~p", None),
+    ("[B] p & ~<B> ~p", None),
+    ("~[iL] ~q & <iL> q", None),
+    ("[L] ~q & ~<L> q", None),
+]
+
+
+@pytest.mark.parametrize("text, expected", POLARITY)
+def test_literals_keep_their_polarity(text, expected):
+    phi = parse_formula(text)
+    assert _prop_unsat(phi) == expected
+    assert _skeleton_unsat((phi,)) is (expected is not None)
+
+
+FALL_BACK = [
+    ("~~p & ~p", PROPOSITIONAL),
+    ("false & p", PROPOSITIONAL),
+    ("p & ~true", PROPOSITIONAL),
+    ("~~p & p", None),
+    ("(p | q) & ~p", None),
+    ("(p -> q) & p & ~q", PROPOSITIONAL),
+]
+
+
+@pytest.mark.parametrize("text, expected", FALL_BACK)
+def test_other_sets_fall_back_to_the_truth_table(text, expected, monkeypatch):
+    phi = parse_formula(text)
+    calls = []
+    check = sat._skeleton_unsat
+
+    def counting(members):
+        calls.append(members)
+        return check(members)
+
+    monkeypatch.setattr(sat, "_skeleton_unsat", counting)
+    assert _prop_unsat(phi) == expected
+    assert calls == [(phi,)]
