@@ -168,8 +168,9 @@ def _fill(order: List[Formula], out: Dict[Formula, Any], alg) -> dict:
     A conjunction and a disjunction are and2 and or2 cell by cell. An
     implication s -> t is the disjunction of ~s with t. A box [M] s is ~<M>
     ~s: the negation of the diamond over the negated operand. Anything else
-    is a TypeError. The pre-check's skeleton (sat._skeleton_unsat) keeps
-    its own walk, as its letters are whole diamonds and boxes."""
+    is a TypeError. The pre-check's tableau (sat._expand) keeps its own
+    walk, as its letters are whole diamonds and boxes and it reads a
+    formula one branch at a time."""
     for f in order:
         if f in out:
             continue

@@ -3,11 +3,11 @@
 Two procedures with different scopes:
 
 * sat_bbll decides formulas built from the begin modalities and the later
-  modalities over unbounded strongly discrete orders: a pre-check
-  (_prop_unsat), then ultimately periodic candidates by prefix/period
-  split, each encoded by _Encoder with one literal per periodicity class
-  of each subformula, and solved. Its docstring has the schedule and why
-  it is complete up to the periodic bound.
+  modalities over unbounded strongly discrete orders: a pre-check, a
+  signed K4 tableau (_prop_unsat), then ultimately periodic candidates by
+  prefix/period split, each encoded by _Encoder with one literal per
+  periodicity class of each subformula, and solved. Its docstring has the
+  schedule and why it is complete up to the periodic bound.
 * sat_bounded_finite searches finite orders of growing size for the full
   modality set, each encoded by the model checker's grid engine
   (_finite_engine). It can only ever answer Sat or Unknown.
@@ -50,9 +50,9 @@ from .models import canonical_interval  # noqa: F401
 from .syntax import modal_depth  # noqa: F401
 from .solver import Solver
 from .syntax import (
-    And, Atom, Box, Diamond, Formula, Fragment, Implies, Not,
-    Or, TrueConst, B, iB, L, iL, _MOD_BIT, dia, fragment_of, letters_of,
-    metrics, neg, postorder,
+    FALSE, TRUE, And, Atom, Box, Diamond, Formula, Fragment, Implies, Not,
+    Or, B, iB, L, iL, _MOD_BIT, dia, fragment_of, letters_of, metrics,
+    postorder,
 )
 
 
@@ -89,13 +89,10 @@ _BBLL_MODS = sum(_MOD_BIT[m] for m in _BBLL)
 # the modalities _prop_unsat steps through, transitive on any linear order,
 # by their fields, which hash in C
 _K4 = {(m.base, m.inverted) for m in _BBLL}
-# the most sets _prop_unsat visits. Satisfiability in K4 is PSPACE-complete,
-# and box sets carried along different paths can make a formula of n
-# diamonds reach 2^n sets.
+# the most nodes _prop_unsat visits, branches included. Satisfiability in K4
+# is PSPACE-complete, and box sets carried along different paths can make a
+# formula of n diamonds reach 2^n nodes.
 _WALK_SETS = 256
-# the most letters of a set the skeleton check reads: its truth table over
-# n letters is 2^n bits wide
-_SKELETON_LETTERS = 12
 
 _TRUE = 1
 _FALSE = -1
@@ -110,190 +107,195 @@ def later_somewhere(phi: Formula) -> Formula:
     return dia(L, dia(iL, phi))
 
 
+# a signed formula: (f, True) says f holds, (f, False) that ~f holds
+Signed = Tuple[Formula, bool]
+
+
 def _prop_unsat(phi: Formula) -> Optional[Unsat]:
     """Refute phi before any candidate is built: Unsat with the reason, or
     None. Sound, never complete.
 
-    The walk visits sets of formulas, each read as the conjunction of its
-    members at one interval, starting from {phi}. A set is refuted
+    The walk is a K4 tableau over signed formulas, in Smullyan's uniform
+    notation (First-Order Logic, 1968) with the K4 step of Goré's "Tableau
+    methods for modal and temporal logics" (1999). A node is a tuple of
+    signed formulas, read as their conjunction at one interval, and the
+    root is (phi, True). Expanding a node (_expand) reads ~ into the sign,
+    so the walk builds no formula, and:
 
-    * by its skeleton: every atom and diamond is an opaque letter and a box
-      [M] s reads as ~<M> neg(s), its twin. A set false under every
-      assignment to its letters is refuted, unless it has more than
-      _SKELETON_LETTERS letters. A set whose top-level conjuncts are all
-      literals, letters or their negations, is decided by its
-      complementary pairs: it is false under every assignment exactly when
-      a letter occurs both ways (_read_set). Any other set gets its truth
-      table (_skeleton_unsat);
-    * or by a refuted successor. For each top-level conjunct <M> a of the
-      set (or ~[M] s, with a = neg(s)), where M is B, iB, L or iL, the
-      successor is {a} with b and [M] b for every conjunct [M] b (or
-      ~<M> neg(b)) of the set.
+    * adds the parts of each α member: a & b, ~(a | b), ~(a -> b);
+    * keeps each β member, a | b, a -> b and ~(a & b), with two parts,
+      one of which holds. A β member with a part already true is
+      satisfied, and one with a part already false forces its other part;
+    * reads every atom, diamond and box as a skeleton letter, a box [M] s
+      being the negation of its twin <M> neg(s) (_skeleton_letter), and
+      closes when a letter, a compound member or a constant occurs both
+      ways, true and false being constants of either sign.
 
-    A successor step is the K rule of modal tableaux with the boxes carried
-    along, as for K4. It is sound because every HS modality is normal and
-    B, iB, L and iL are transitive on any linear order: if the set holds at
-    I, some J with I M J has a, every box [M] b of the set gives b at J,
-    and since each K with J M K has I M K, also [M] b at J. So J satisfies
-    the successor, and a refuted successor refutes the set. K4 knows neither
+    A node still open with a β member left splits into two branches, the
+    node with the one part and the node with the other. A node with none
+    left takes the K step of modal tableaux with the boxes carried along,
+    as for K4: for each diamond <M> a (or ~[M] s, with a = ~s), where M is
+    B, iB, L or iL, its successor is a with b and [M] b for every box
+    [M] b (or ~<M> b, with ~b) of the node. A node is refuted when it
+    closes, when both of its branches are refuted, or when one of its
+    successors is.
+
+    The K step is sound because every HS modality is normal and B, iB, L
+    and iL are transitive on any linear order: if the node holds at I,
+    some J with I M J has a, every box [M] b of the node gives b at J, and
+    since each K with J M K has I M K, also [M] b at J. So J satisfies the
+    successor, and a refuted successor refutes the node. Both branches are
+    at the node's interval, and one of them holds there. K4 knows neither
     that B is well-founded nor that iB and L always have a successor, so
     the well-foundedness shape <B> s & [B] (s -> <B> s) and [L] false are
-    left to the candidates.
+    left to the candidates. Without the K step, and within _WALK_SETS
+    nodes, the tableau decides the boolean skeleton exactly, atoms,
+    diamonds and boxes being opaque letters.
 
-    A refutation of {phi} by its skeleton is a "propositional refutation",
-    any deeper one a "modal refutation". The walk keeps an explicit stack,
-    so nesting depth is no limit, and visits each set once: carried boxes
-    come back along a chain of steps, and the seen sets end that loop. It
-    visits at most _WALK_SETS sets."""
+    A refutation with no K step is a "propositional refutation", any other
+    a "modal refutation". Each node is visited once: a node met again while
+    it is being decided, as carried boxes come back along a chain of steps,
+    counts as not refuted. At most _WALK_SETS nodes are visited, so
+    recursion is no deeper than that, and expansion keeps its own stack,
+    so nesting depth is no limit. A root that closes by itself is answered
+    before any node is keyed."""
     if not isinstance(phi, Formula):
         raise TypeError("not a formula: %r" % (phi,))
-    # sets are tuples in the order the walk builds them, so the sets it
-    # visits under the cap do not depend on hashing
-    seen: Optional[set] = None
-    stack = [(phi,)]
-    reason = _PROPOSITIONAL
-    while stack:
-        refuted, dias, boxes = _read_set(stack.pop())
-        if refuted:
-            return reason
-        reason = _MODAL
-        for mod, a in dias:
-            if mod in _K4:
-                if seen is None:
-                    seen = {frozenset((phi,))}
-                if len(seen) < _WALK_SETS:
-                    succ = tuple(dict.fromkeys([a] + boxes.get(mod, [])))
-                    key = frozenset(succ)
-                    if key not in seen:
-                        seen.add(key)
-                        stack.append(succ)
-    return None
+    root = ((phi, True),)
+    node = _expand(root)
+    if node is None:
+        return _PROPOSITIONAL
+    got = _refute(root, node, {frozenset(root): None})
+    return _MODAL if got == 2 else _PROPOSITIONAL if got else None
 
 
-def _read_set(members: Sequence[Formula]) -> Tuple[
-        bool, List[Tuple[tuple, Formula]], Dict[tuple, List[Formula]]]:
-    """One pass over the top-level conjuncts of a set of _prop_unsat: whether
-    its skeleton is refuted, its diamonds as (modality, operand), and its
-    boxes as the formulas a successor carries, by modality.
-
-    While every conjunct is a literal, an atom, a diamond or a box, possibly
-    under one ~, the sign of each skeleton letter is recorded, a box being
-    the negation of its twin's letter. Such a conjunction is false under
-    every assignment exactly when a letter occurs both ways, the closure
-    rule of a tableau branch, and the set is refuted when it is and has at
-    most _SKELETON_LETTERS letters, as _skeleton_unsat would answer. Any
-    other set goes to _skeleton_unsat."""
-    dias: List[Tuple[tuple, Formula]] = []
-    boxes: Dict[tuple, List[Formula]] = {}
-    # letter -> sign, None once a conjunct is no literal
-    signs: Optional[Dict[object, bool]] = {}
-    clash = False
-    todo = list(members)
-    while todo:
-        f = todo.pop()
-        t = type(f)
-        if t is And:
-            todo += (f.rhs, f.lhs)
-            continue
-        g, sign = f, True
-        if t is Not:
-            g, sign = f.sub, False
-            t = type(g)
-        if t is Atom:
-            letter = g
-        elif t is Diamond or t is Box:
-            mod = (g.mod.base, g.mod.inverted)
-            a = g.sub if sign else neg(g.sub)
-            if t is Box:
-                sign = not sign
-            # <M> a and ~[M] s hold a successor, [M] b and ~<M> b are
-            # carried into the successors
-            if sign:
-                dias.append((mod, a))
-            else:
-                boxes.setdefault(mod, []).extend((f, a))
-            letter = _skeleton_letter(g)
-        else:
-            signs = None
-            continue
-        if signs is not None and signs.setdefault(letter, sign) is not sign:
-            clash = True
-    if signs is None:
-        return _skeleton_unsat(members), dias, boxes
-    return clash and len(signs) <= _SKELETON_LETTERS, dias, boxes
+def _refute(members: Tuple[Signed, ...], node, memo: Dict[frozenset,
+            Optional[int]]) -> int:
+    """How the open node members, expanded to node, is refuted: 0 when it
+    is not, 1 when each branch below it closes with no K step, 2 when a K
+    step is taken. memo maps the members of each visited node, as a set,
+    to its answer, None while it is being decided. It is only looked up,
+    and nodes are tuples in the order the walk builds them, so the nodes
+    visited under the cap do not depend on hashing."""
+    split, dias, boxes = node
+    if split is None:
+        kids = [(a,) + tuple(boxes.get(mod, ())) for mod, a in dias
+                if mod in _K4]
+    else:
+        kids = [members + (part,) for part in split]
+    worst = 1
+    for kid in kids:
+        key = frozenset(kid)
+        if key not in memo and len(memo) < _WALK_SETS:
+            memo[key] = None
+            expanded = _expand(kid)
+            memo[key] = (1 if expanded is None
+                         else _refute(kid, expanded, memo))
+        got = memo.get(key)
+        if split is None:
+            if got:
+                return 2
+        elif not got:
+            return 0
+        elif got > worst:
+            worst = got
+    return 0 if split is None else worst
 
 
-def _skeleton_unsat(members: Sequence[Formula]) -> bool:
-    """The skeleton check of _prop_unsat: is the conjunction of members
-    false under every assignment to its letters? One walk lists the boolean
-    skeleton, operands first and stopping at the letters, as the keys of
-    the mask table; the masks are then evaluated in that order."""
-    mask: Dict[Formula, int] = {}
-    letters: Dict[object, int] = {}
-    # a None on the stack means: the node below it has had its operands
-    # listed, so list it. A node comes up again only once it is listed,
-    # since none is an operand of itself
-    stack = list(members)
-    while stack:
-        f = stack.pop()
-        if f is None:
-            mask[stack.pop()] = 0
-        elif f not in mask:
-            t = type(f)
-            if t is Not:
-                stack += (f, None, f.sub)
-            elif t is And or t is Or or t is Implies:
-                stack += (f, None, f.rhs, f.lhs)
-            elif t is Atom or t is Diamond or t is Box:
-                letters[_skeleton_letter(f)] = mask[f] = 0
-            else:
-                mask[f] = 0
-    if len(letters) > _SKELETON_LETTERS:
-        return False
-    size = 1 << len(letters)
-    full = (1 << size) - 1
-    for k, f in enumerate(letters):
-        # letter k holds where bit k of the assignment is set: 2^k zeros
-        # then 2^k ones, repeated to span every assignment, one repeat at
-        # each set bit of full // (2^(2^(k+1)) - 1)
-        run = 1 << k
-        letters[f] = full // ((1 << 2 * run) - 1) * ((1 << run) - 1) << run
-    # operands come before the nodes over them in mask; false keeps its
-    # mask, and a box reads the complement of its twin's letter
-    for f in mask:
-        t = type(f)
-        if t is Not:
-            mask[f] = full ^ mask[f.sub]
-        elif t is Atom or t is Diamond:
-            mask[f] = letters[_skeleton_letter(f)]
-        elif t is Box:
-            mask[f] = full ^ letters[_skeleton_letter(f)]
-        elif t is And:
-            mask[f] = mask[f.lhs] & mask[f.rhs]
-        elif t is Or:
-            mask[f] = mask[f.lhs] | mask[f.rhs]
-        elif t is Implies:
-            mask[f] = (full ^ mask[f.lhs]) | mask[f.rhs]
-        elif t is TrueConst:
-            mask[f] = full
-    both = full
-    for f in members:
-        both &= mask[f]
-    return both == 0
+def _signed(f: Formula, sign: bool) -> Tuple[Formula, object, bool]:
+    """The signed formula (f, sign) with its ~ read into the sign, and the
+    key and sign a node records it under: an atom, a diamond or a box by
+    its skeleton letter, a box with the sign of its twin, anything else by
+    itself."""
+    while type(f) is Not:
+        f, sign = f.sub, not sign
+    t = type(f)
+    if t is Diamond:
+        return f, _skeleton_letter(f), sign
+    if t is Box:
+        return f, _skeleton_letter(f), not sign
+    return f, f, sign
+
+
+def _holds(signs: Dict[object, bool], part: Signed) -> Optional[bool]:
+    """Whether a node's recorded signs make part true, false, or neither."""
+    _, key, sign = _signed(*part)
+    got = signs.get(key)
+    return None if got is None else got is sign
 
 
 def _skeleton_letter(f: Formula):
-    """The skeleton letter of an atom, itself, or of a diamond <M> a or a
-    box [M] s, read as ~<M> neg(s): (M, b, negated) for a = b or a = ~b, so
-    that the twin <M> neg(s) is never built."""
-    if type(f) is Atom:
-        return f
+    """The skeleton letter of a diamond <M> a or a box [M] s, read as
+    ~<M> neg(s): (M, b, negated) for a = b or a = ~b, so that the twin
+    <M> neg(s) is never built."""
     a, negated = f.sub, type(f) is Box
     if negated and type(a) is Not:      # neg(~b) is b
         a, negated = a.sub, False
     if not negated and type(a) is Not:
         a, negated = a.sub, True
     return (f.mod.base, f.mod.inverted, a, negated)
+
+
+def _expand(members: Sequence[Signed]):
+    """Expand a node of _prop_unsat: None when it closes, else its first β
+    member still open, as its two parts, or None; its diamonds as
+    (modality, signed operand); and the signed formulas its successors
+    carry, by modality."""
+    # key -> sign for each letter, compound member and constant
+    signs: Dict[object, bool] = {TRUE: True, FALSE: False}
+    dias: List[Tuple[tuple, Signed]] = []
+    boxes: Dict[tuple, List[Signed]] = {}
+    betas: List[Tuple[Signed, Signed]] = []
+    todo = list(members)
+    while True:
+        while todo:
+            f, key, sign = _signed(*todo.pop())
+            got = signs.get(key)
+            if got is not None:
+                if got is sign:
+                    continue
+                return None
+            signs[key] = sign
+            t = type(f)
+            if t is And:
+                if sign:
+                    todo += ((f.rhs, True), (f.lhs, True))
+                else:
+                    betas.append(((f.lhs, False), (f.rhs, False)))
+            elif t is Or:
+                if sign:
+                    betas.append(((f.lhs, True), (f.rhs, True)))
+                else:
+                    todo += ((f.rhs, False), (f.lhs, False))
+            elif t is Implies:
+                if sign:
+                    betas.append(((f.lhs, False), (f.rhs, True)))
+                else:
+                    todo += ((f.rhs, False), (f.lhs, True))
+            elif t is not Atom:
+                # a diamond or a box, sign telling whether its twin diamond
+                # holds: <M> a and ~[M] s hold a successor, [M] b and ~<M> b
+                # are carried into the successors
+                mod = (f.mod.base, f.mod.inverted)
+                if sign:
+                    dias.append((mod, (f.sub, t is Diamond)))
+                else:
+                    boxes.setdefault(mod, []).extend(
+                        ((f, t is Box), (f.sub, t is Box)))
+        # the β members, now that no other member is left to read
+        left = []
+        for parts in betas:
+            a, b = _holds(signs, parts[0]), _holds(signs, parts[1])
+            if a is False:
+                todo.append(parts[1])
+            elif b is False:
+                todo.append(parts[0])
+            elif not (a or b):
+                left.append(parts)
+        betas = left
+        if not todo:
+            break
+    return (betas[0] if betas else None), dias, boxes
 
 
 def _fold_or(lits: Iterable[int]) -> List[int]:
@@ -627,12 +629,13 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
     both shifts only lower a cell, is the witness.
     The search runs in three steps, after a pre-check:
 
-    0. a phi that _prop_unsat refutes builds no candidate, a candidate
-       whose goal folds to false, phi's literal being constant false on
-       every class, is refuted without a solver, and one where every
-       class of phi fails its probe (unit propagation from phi's literal
-       on that class conflicts) is refuted by the solver with no
-       decision. This last refutes every candidate of the
+    0. a phi whose tableau in _prop_unsat closes, on every branch and
+       with K steps or without, builds no candidate, whatever max_bound
+       is; a candidate whose goal folds to false, phi's literal being
+       constant false on every class, is refuted without a solver, and
+       one where every class of phi fails its probe (unit propagation
+       from phi's literal on that class conflicts) is refuted by the
+       solver with no decision. This last refutes every candidate of the
        well-foundedness shape <B> s & [B] (s -> <B> s);
     1. the ordered search (by total, then by prefix) over the totals t with
        4*t <= bound, where cheap candidates answer most satisfiable

@@ -35,10 +35,22 @@ Four kinds of input and answer are compared:
   short.
 
 Any other exception is an answer too: by its class name, and an
-UnsupportedFragmentError by its message as well. The counts of identical,
-differing and timed-out inputs are printed per kind, with the first
-differing inputs; the exit status is 1 when any input differs, and
-timed-out inputs do not change it.
+UnsupportedFragmentError by its message as well.
+
+Some differences are intended. A sat or pre answer moves when the new
+answer is a pre-check Unsat (a propositional or a modal refutation) and
+the old one is an Unknown or an Unsat of a later stage: the periodic
+search's, or a modal refutation where the new one is propositional. A move
+counts as moved, not differing, when the old tree refutes the input with
+no periodic bound. An old Unsat does so as it stands. For an old Unknown a
+second pass asks the old tree's worker for sat_bbll's unbounded answer,
+under the same time limit, and the input counts as timed out when that
+pass runs out of time. Every other difference differs, among them any
+Sat/Unsat flip and any pre-check Unsat that moves to another answer.
+
+The counts of identical, moved, differing and timed-out inputs are printed
+per kind, with the first differing inputs; the exit status is 1 when any
+input differs, and moved or timed-out inputs do not change it.
 """
 
 import argparse
@@ -52,6 +64,11 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 FAR = 2 * 10 ** 6
+
+# sat_bbll's Unsat reasons by the stage that gives them, the pre-check's
+# above the search's, and a refutation with no K step above one with it
+STAGE = {"no model within the periodic bound": 0, "modal refutation": 1,
+         "propositional refutation": 2}
 
 
 class _Timeout(BaseException):
@@ -221,22 +238,64 @@ def answers(trees, inputs, limit):
     return result
 
 
-def compare(inputs, old, new):
-    """Counts per kind of identical, differing and timed-out inputs, and the
-    differing ones as (kind, input, old answer, new answer)."""
+def _moves(item, a, b):
+    """Whether answer b refutes, by the pre-check, an input that answer a
+    left Unknown or refuted at a later stage."""
+    if item["kind"] not in ("sat", "pre") or "timeout" in (a, b) \
+            or b[0] != "Unsat":
+        return False
+    stage = STAGE.get(b[1], 0)
+    return stage > 0 and (a[0] == "Unknown" or a[0] == "Unsat"
+                          and STAGE.get(a[1], stage) < stage)
+
+
+def confirmed_moves(tree, inputs, old, new, limit):
+    """The inputs whose answer moves from old to new, by index: "moved"
+    where tree, the old one, refutes the input with no periodic bound, an
+    old Unsat as it stands and an old Unknown by a second pass in tree's
+    worker, and "timed out" where that pass runs out of time."""
+    moves = [i for i, item in enumerate(inputs)
+             if _moves(item, old[i], new[i])]
+    ask = [i for i in moves if old[i][0] == "Unknown"]
+    out = {i: "moved" for i in moves if old[i][0] == "Unsat"}
+    if ask:
+        got, = answers((tree,), [{"kind": "sat", "formula":
+                                  inputs[i]["formula"]} for i in ask], limit)
+        for i, a in zip(ask, got):
+            if a == "timeout":
+                out[i] = "timed out"
+            elif a[0] == "Unsat":
+                out[i] = "moved"
+    return out
+
+
+def compare(inputs, old, new, moved):
+    """Counts per kind of identical, moved, differing and timed-out inputs,
+    and the differing ones as (kind, input, old answer, new answer); moved
+    gives the count of each move by index, as confirmed_moves does."""
     counts, differing = {}, []
-    for item, a, b in zip(inputs, old, new):
+    for i, (item, a, b) in enumerate(zip(inputs, old, new)):
         kind = item["kind"]
-        c = counts.setdefault(kind, {"identical": 0, "differing": 0,
-                                     "timed out": 0})
+        c = counts.setdefault(kind, {"identical": 0, "moved": 0,
+                                     "differing": 0, "timed out": 0})
         if a == "timeout" or b == "timeout":
             c["timed out"] += 1
         elif a == b:
             c["identical"] += 1
+        elif i in moved:
+            c[moved[i]] += 1
         else:
             c["differing"] += 1
             differing.append((kind, item, a, b))
     return counts, differing
+
+
+def run(old_tree, new_tree, inputs, limit):
+    """The two trees' answers to the inputs, the old tree's first, with the
+    counts and differing inputs of compare."""
+    old, new = answers((old_tree, new_tree), inputs, limit)
+    moved = confirmed_moves(old_tree, inputs, old, new, limit)
+    return (old,) + compare(inputs, old, new, moved)
 
 
 def main(argv=None):
@@ -260,11 +319,11 @@ def main(argv=None):
     sys.path.insert(0, str(source_dir(args.new)))
     inputs = draw_inputs(args.seed, args.mc, args.sat, args.finite,
                          args.pre)
-    old, new = answers((args.old, args.new), inputs, args.limit)
-    counts, differing = compare(inputs, old, new)
+    _, counts, differing = run(args.old, args.new, inputs, args.limit)
     for kind, c in sorted(counts.items()):
-        print("%s: %d identical, %d differing, %d timed out"
-              % (kind, c["identical"], c["differing"], c["timed out"]))
+        print("%s: %d identical, %d moved, %d differing, %d timed out"
+              % (kind, c["identical"], c["moved"], c["differing"],
+                 c["timed out"]))
     for kind, item, a, b in differing[:10]:
         print("%s differs: %s\n  old: %s\n  new: %s"
               % (kind, json.dumps(item), json.dumps(a), json.dumps(b)))

@@ -2,8 +2,10 @@
 runs: one tree against itself answers identically on all four kinds, a
 copy whose mc_periodic answers the opposite is reported input by input,
 verdict by verdict, a copy whose fragment check words its refusal
-otherwise is reported on the refused formulas, and a copy whose pre-check
-ignores its letter cap is reported on the pre-check's inputs."""
+otherwise is reported on the refused formulas, a copy whose pre-check
+refutes a split node on either branch is reported on the pre-check's
+inputs, and a refutation the old tree confirms with no bound is counted as
+moved."""
 
 import shutil
 from pathlib import Path
@@ -15,20 +17,23 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def _run(old, new, n_mc, n_sat, n_finite=0, n_pre=0):
     inputs = differential.draw_inputs(3, n_mc, n_sat, n_finite, n_pre)
-    old_answers, new_answers = differential.answers((old, new), inputs, 20.0)
-    counts, differing = differential.compare(inputs, old_answers, new_answers)
-    return old_answers, counts, differing
+    return differential.run(old, new, inputs, 20.0)
+
+
+def _copy(tmp_path):
+    shutil.copytree(SRC / "hslogic", tmp_path / "hslogic",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path / "hslogic"
 
 
 def test_a_tree_against_itself_is_identical():
     old, counts, differing = _run(SRC, SRC, 40, 8, 30, 60)
     assert differing == []
-    assert counts["mc"] == {"identical": 40, "differing": 0, "timed out": 0}
-    assert counts["sat"] == {"identical": 8, "differing": 0, "timed out": 0}
-    assert counts["finite"] == {"identical": 30, "differing": 0,
-                                "timed out": 0}
-    assert counts["pre"] == {"identical": 60, "differing": 0,
-                             "timed out": 0}
+    same = {"moved": 0, "differing": 0, "timed out": 0}
+    assert counts["mc"] == {"identical": 40, **same}
+    assert counts["sat"] == {"identical": 8, **same}
+    assert counts["finite"] == {"identical": 30, **same}
+    assert counts["pre"] == {"identical": 60, **same}
     # the pre-check refutes some inputs and leaves the rest to a search the
     # periodic bound 0 cuts short
     assert {tuple(answer) for answer in old[-60:]} >= {
@@ -43,9 +48,7 @@ def test_a_tree_against_itself_is_identical():
 
 
 def test_a_reworded_refusal_is_reported(tmp_path):
-    shutil.copytree(SRC / "hslogic", tmp_path / "hslogic",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    sat = tmp_path / "hslogic" / "sat.py"
+    sat = _copy(tmp_path) / "sat.py"
     text = sat.read_text()
     assert text.count("sat_bbll handles fragment") == 1
     sat.write_text(text.replace("sat_bbll handles fragment",
@@ -54,16 +57,14 @@ def test_a_reworded_refusal_is_reported(tmp_path):
     refused = [a for a in old
                if a[:2] == ["error", "UnsupportedFragmentError"]]
     assert refused
-    assert counts["sat"] == {"identical": 20 - len(refused),
+    assert counts["sat"] == {"identical": 20 - len(refused), "moved": 0,
                              "differing": len(refused), "timed out": 0}
     for _, _, a, b in differing:
         assert b == a[:2] + [a[2].replace("handles", "decides")]
 
 
 def test_a_flipped_verdict_is_reported(tmp_path):
-    shutil.copytree(SRC / "hslogic", tmp_path / "hslogic",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "hslogic" / "checking.py", "a") as fh:
+    with open(_copy(tmp_path) / "checking.py", "a") as fh:
         fh.write("\n\n_mc_periodic = mc_periodic\n\n\n"
                  "def mc_periodic(*args):\n"
                  "    return not _mc_periodic(*args)\n")
@@ -72,25 +73,44 @@ def test_a_flipped_verdict_is_reported(tmp_path):
     decided = sum(any(isinstance(v, bool) for v in answer) for answer in old)
     assert decided > 20
     assert sum(len(answer) for answer in old) > 4 * 40
-    assert counts["mc"] == {"identical": 40 - decided, "differing": decided,
-                            "timed out": 0}
+    assert counts["mc"] == {"identical": 40 - decided, "moved": 0,
+                            "differing": decided, "timed out": 0}
     for kind, _, a, b in differing:
         assert kind == "mc" and len(a) == len(b)
         assert all(va == (not vb) if isinstance(va, bool) else va == vb
                    for va, vb in zip(a, b))
 
 
-def test_a_pre_check_past_its_letter_cap_is_reported(tmp_path):
-    shutil.copytree(SRC / "hslogic", tmp_path / "hslogic",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    sat = tmp_path / "hslogic" / "sat.py"
+def test_a_pre_check_refuting_on_either_branch_is_reported(tmp_path):
+    sat = _copy(tmp_path) / "sat.py"
     text = sat.read_text()
-    cap = "clash and len(signs) <= _SKELETON_LETTERS"
-    assert text.count(cap) == 1
-    sat.write_text(text.replace(cap, "clash"))
-    old, counts, differing = _run(SRC, tmp_path, 0, 0, 0, 300)
-    assert 0 < counts["pre"]["differing"] < 300
-    # the copy refutes sets of over 12 letters, the formula itself or one
-    # of its successors
+    both = ("        elif not got:\n            return 0\n"
+            "        elif got > worst:\n            worst = got\n"
+            "    return 0 if split is None else worst\n")
+    assert text.count(both) == 1
+    sat.write_text(text.replace(both, "        elif got:\n"
+                                "            return got\n    return 0\n"))
+    old, counts, differing = _run(SRC, tmp_path, 0, 0, 0, 100)
+    # the copy refutes satisfiable formulas, which the old tree's full
+    # search answers Sat, so none of them counts as moved
+    assert counts["pre"]["differing"] > 0
     for kind, _, a, b in differing:
         assert kind == "pre" and b[0] == "Unsat"
+        assert a == ["Unknown", "search truncated below the periodic bound"]
+
+
+def test_a_confirmed_move_is_counted_as_moved(tmp_path):
+    # the old tree has no pre-check, so with the periodic bound 0 it leaves
+    # the contradiction Unknown, and refutes it by its search with none
+    sat = _copy(tmp_path) / "sat.py"
+    text = sat.read_text()
+    call = "    refuted = _prop_unsat(phi)\n"
+    assert text.count(call) == 1
+    sat.write_text(text.replace(call, "    refuted = None\n"))
+    inputs = [{"kind": "pre", "formula": "<B> p & [B] ~p"},
+              {"kind": "pre", "formula": "<B> p & [L] ~p"}]
+    old, counts, differing = differential.run(tmp_path, SRC, inputs, 20.0)
+    assert old[0] == ["Unknown", "search truncated below the periodic bound"]
+    assert counts["pre"] == {"identical": 1, "moved": 1, "differing": 0,
+                             "timed out": 0}
+    assert differing == []

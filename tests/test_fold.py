@@ -173,7 +173,7 @@ def test_walks_take_a_wide_conjunction():
     m = metrics(WIDE)
     assert (m.length, m.m_b, m.r_size) == (2 * N - 1, 0, 0)
     assert repr(WIDE).startswith("And(lhs=And(lhs=And(")
-    # more than 12 letters: the pre-check steps aside
+    # satisfiable however many letters it has, refuted with a pair
     assert _prop_unsat(WIDE) is None
     assert _prop_unsat(And(conj([Atom("p")] * N), Not(Atom("p"))))
 

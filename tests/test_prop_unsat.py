@@ -1,9 +1,10 @@
 """The pre-check of sat_bbll, which refutes a formula before any periodic
-candidate is built. Its skeleton layer reads atoms and diamonds as opaque
-letters and a box [M] s as ~<M> neg(s), and refutes a formula false under
-every assignment to them; a set whose conjuncts are all literals is decided
-by its complementary pairs instead. Its K step goes on from <M> a to a with
-every box [M] b beside it and its b."""
+candidate is built. It is a signed tableau: it reads atoms and diamonds as
+opaque letters and a box [M] s as ~<M> neg(s), adds the parts of each
+conjunction, splits a node on each disjunction and implication, and closes
+a branch where a letter occurs both ways, so that it refutes exactly the
+formulas false under every assignment to their letters. Its K step goes on
+from <M> a to a with every box [M] b beside it and its b."""
 
 import itertools
 import random
@@ -12,7 +13,7 @@ import pytest
 
 from hslogic import sat
 from hslogic.parser import parse_formula
-from hslogic.sat import Unsat, _prop_unsat, _skeleton_unsat, sat_bbll
+from hslogic.sat import Unsat, _prop_unsat, sat_bbll
 from hslogic.syntax import (
     A, And, Atom, B, Box, Diamond, FALSE, Implies, Not, Or, TRUE, conj, iB,
     iL, L, neg,
@@ -53,6 +54,15 @@ MODAL_REFUTED = [
     # the carried box: B is transitive
     "<B> <B> p & [B] ~p",
     "<iL> (q & <iL> <iL> p) & ~<iL> p",
+    # a diamond under | or ->: each branch closes after one K step. The
+    # first takes the periodic search seconds
+    "(<L> (p & q) | <B> (q & p)) & [L] ~q & [B] ~p",
+    "(<L> (p & q) | <iL> (p & q)) & [L] ~q & [iL] ~q",
+    "(<B> (p & q) | <iB> (p & q)) & [B] ~p & [iB] ~p",
+    "<B> ((p -> p) -> <iB> false)",
+    # a disjunction whose first part is already a member of the successor
+    # is satisfied, not split into a branch that is the successor again
+    "<B> ((q & <B> <B> p) | r) & [B] (q & <B> <B> p) & [B] ~p",
 ]
 
 
@@ -104,25 +114,42 @@ def test_deep_chains_are_walked_without_recursion():
     assert _prop_unsat(And(_chain(200, And(p, Not(q))), Box(B, q))) == MODAL
 
 
+@pytest.mark.parametrize("nest", ["right", "left"])
+def test_deep_disjunctions_beside_a_false_part_are_refuted(nest):
+    # ~p & (p | (p | ... p)): each disjunction has a false part and forces
+    # the other, so the node never splits
+    p = Atom("p")
+    f = p
+    for _ in range(3000):
+        f = Or(p, f) if nest == "right" else Or(f, p)
+    assert _prop_unsat(And(Not(p), f)) == PROPOSITIONAL
+
+
 def test_the_walk_visits_at_most_the_capped_number_of_sets(monkeypatch):
-    # the box set a successor carries grows by one [B] ci per step, in any
-    # order, so 2^14 sets are reachable
-    n = 14
-    g = conj([Diamond(B, Box(B, Atom("c%d" % i))) for i in range(n)])
-    phi = And(Diamond(B, TRUE), Box(B, g))
-    # every visited set is read once, whether its conjuncts are literals
-    # or not
     calls = []
-    read = sat._read_set
+    expand = sat._expand
 
     def counting(members):
-        calls.append(members)
-        return read(members)
+        calls.append(frozenset(members))
+        return expand(members)
 
-    monkeypatch.setattr(sat, "_read_set", counting)
+    monkeypatch.setattr(sat, "_expand", counting)
+    # the box set a successor carries grows by one [B] ci per step, in any
+    # order, so 2^14 successors are reachable
+    n = 14
+    g = conj([Diamond(B, Box(B, Atom("c%d" % i))) for i in range(n)])
+    assert _prop_unsat(And(Diamond(B, TRUE), Box(B, g))) is None
+    # every node is expanded once, the root too
+    assert len(calls) == sat._WALK_SETS
+    assert len(set(calls)) == len(calls)
+    # branches count too: 2^10 leaves, each refuted by the same K step,
+    # are more than the cap, so this contradiction is left to the search
+    calls.clear()
+    splits = conj([Or(Atom("a%d" % i), Atom("b%d" % i)) for i in range(10)])
+    phi = And(splits, parse_formula("<B> <B> p & [B] ~p"))
     assert _prop_unsat(phi) is None
     assert len(calls) == sat._WALK_SETS
-    assert len({frozenset(c) for c in calls}) == len(calls)
+    assert len(set(calls)) == len(calls)
 
 
 def _all_true_but_one(n):
@@ -136,18 +163,19 @@ def test_twelve_letters_are_refuted():
     assert sat_bbll(phi) == PROPOSITIONAL
 
 
-def test_thirteen_letters_fall_through_to_the_periodic_search():
+def test_thirteen_letters_are_refuted(monkeypatch):
+    # no letter cap: the pair closes the set however many letters it has,
+    # and with the periodic bound 0 the answer is Unsat, not Unknown
     phi = _all_true_but_one(13)
-    assert _prop_unsat(phi) is None
-    assert sat_bbll(phi) == Unsat("no model within the periodic bound")
-
-
-def test_the_letter_cap_holds_per_set():
-    # the successor of <B> phi has phi's 13 letters and is not checked, but
-    # a small successor beside 13 letters is
-    phi = _all_true_but_one(13)
-    assert _prop_unsat(Diamond(B, phi)) is None
-    assert _prop_unsat(And(phi, Diamond(B, _all_true_but_one(3)))) == MODAL
+    monkeypatch.setattr(sat, "_Encoder", None)
+    assert _prop_unsat(phi) == PROPOSITIONAL
+    assert sat_bbll(phi) == PROPOSITIONAL
+    assert sat_bbll(phi, max_bound=0) == PROPOSITIONAL
+    # in a successor too, and among modal letters
+    assert _prop_unsat(Diamond(B, phi)) == MODAL
+    lits = [Diamond(B, Atom("a%d" % i)) for i in range(12)]
+    assert _prop_unsat(conj(lits + [Box(L, Atom("p")),
+                                    Not(Box(L, Atom("p")))])) == PROPOSITIONAL
 
 
 def test_satisfiable_skeletons_are_not_refuted():
@@ -178,17 +206,18 @@ def _rand_skeleton(rng, letters, depth):
                _rand_skeleton(rng, letters, depth - 1))
 
 
-def _truth_table_unsat(phi):
-    """Reference: collect the opaque letters, a box by its twin diamond,
-    then evaluate the skeleton under every assignment."""
-    letters = []
+def _twin(f):
+    return Diamond(f.mod, neg(f.sub))
 
-    def twin(f):
-        return Diamond(f.mod, neg(f.sub))
+
+def _skeleton_letters(phi):
+    """The opaque letters of phi in the order met, a box by its twin
+    diamond."""
+    letters = []
 
     def collect(f):
         if isinstance(f, Box):
-            collect(twin(f))
+            collect(_twin(f))
         elif isinstance(f, (Atom, Diamond)):
             if f not in letters:
                 letters.append(f)
@@ -198,9 +227,17 @@ def _truth_table_unsat(phi):
             collect(f.lhs)
             collect(f.rhs)
 
+    collect(phi)
+    return letters
+
+
+def _truth_table_unsat(phi):
+    """Reference: collect the opaque letters, a box by its twin diamond,
+    then evaluate the skeleton under every assignment."""
+
     def ev(f, env):
         if isinstance(f, Box):
-            return not env[twin(f)]
+            return not env[_twin(f)]
         if isinstance(f, (Atom, Diamond)):
             return env[f]
         if f is TRUE:
@@ -216,7 +253,7 @@ def _truth_table_unsat(phi):
             return a or b
         return (not a) or b
 
-    collect(phi)
+    letters = _skeleton_letters(phi)
     return not any(ev(phi, dict(zip(letters, bits)))
                    for bits in itertools.product((False, True),
                                                  repeat=len(letters)))
@@ -239,8 +276,8 @@ def test_prop_unsat_matches_a_truth_table():
 
 
 # A set of literals, each an atom, a diamond or a box, possibly under one ~,
-# is decided by its complementary pairs: refuted when a skeleton letter
-# occurs both ways among at most 12 letters, as the truth table answers.
+# is false under every assignment exactly when a skeleton letter occurs both
+# ways, however many letters it has.
 
 def _literal_signs(members):
     """None unless every top-level conjunct of the set is a literal, else
@@ -283,7 +320,7 @@ def _rand_literal(rng, atoms):
 
 def _rand_set(rng):
     """A set of the walk: mostly literals, with the contradiction shape
-    <M> s & [M] ~s, sometimes over more than 12 letters, sometimes with a
+    <M> s & [M] ~s, sometimes over 16 atoms and more, sometimes with a
     conjunct that is no literal."""
     atoms = ["a%d" % i for i in range(rng.choice((3, 8, 16)))]
     members = [_rand_literal(rng, atoms) for _ in range(rng.randrange(1, 6))]
@@ -306,22 +343,25 @@ def test_the_literal_rule_agrees_with_the_truth_table():
     seen = set()
     for _ in range(3000):
         members = _rand_set(rng)
-        expected = _skeleton_unsat(members)
+        phi = conj(members)
         signs = _literal_signs(members)
-        if signs is None:
-            case = ("truth table", expected)
+        if signs is not None:
+            expected = _clash(signs)
+            if len(signs) <= 8:
+                assert _truth_table_unsat(phi) is expected, members
+            case = ("pair" if expected else "no pair", len(signs) > 12)
+        elif len(_skeleton_letters(phi)) <= 12:
+            expected = _truth_table_unsat(phi)
+            case = ("other", expected)
         else:
-            assert (_clash(signs) and len(signs) <= 12) == expected, members
-            case = ("pair" if _clash(signs) else "no pair",
-                    len(signs) > 12, expected)
-        got = _prop_unsat(conj(members))
+            continue
+        got = _prop_unsat(phi)
         assert (got == PROPOSITIONAL) == expected, members
         seen.add(case)
-    # decided both ways, a pair past the letter cap left unrefuted, and
-    # left to the truth table both ways
-    assert seen == {("pair", False, True), ("pair", True, False),
-                    ("no pair", False, False), ("truth table", True),
-                    ("truth table", False)}
+    # pairs among more than 12 letters and fewer, and sets with other
+    # conjuncts both ways
+    assert seen == {("pair", False), ("pair", True), ("no pair", False),
+                    ("other", True), ("other", False)}
 
 
 def _atoms_and_a_pair(n):
@@ -330,23 +370,11 @@ def _atoms_and_a_pair(n):
     return conj([Atom("a%d" % i) for i in range(n)] + [p, Not(p)])
 
 
-@pytest.mark.parametrize("n, refuted", [(9, True), (12, False)])
-def test_a_complementary_pair_refutes_at_most_twelve_letters(n, refuted):
+@pytest.mark.parametrize("n", [9, 12, 3000])
+def test_a_complementary_pair_refutes_any_number_of_letters(n):
     phi = _atoms_and_a_pair(n)
-    assert _skeleton_unsat((phi,)) is refuted
-    assert _prop_unsat(phi) == (PROPOSITIONAL if refuted else None)
-
-
-def test_the_letter_cap_counts_modal_letters():
-    p = Atom("p")
-    lits = [Diamond(B, Atom("a%d" % i)) for i in range(11)]
-    pair = [Box(L, p), Not(Box(L, p))]
-    assert _skeleton_unsat(lits + pair)
-    assert _prop_unsat(conj(lits + [p, Not(p)])) == PROPOSITIONAL
-    # a twelfth diamond makes 13 letters, and no successor is refuted
-    lits.append(Diamond(iB, Atom("b")))
-    assert not _skeleton_unsat(lits + pair)
-    assert _prop_unsat(conj(lits + [p, Not(p)])) is None
+    assert _prop_unsat(phi) == PROPOSITIONAL
+    assert _prop_unsat(And(phi, Diamond(iB, Atom("b")))) == PROPOSITIONAL
 
 
 POLARITY = [
@@ -370,29 +398,26 @@ POLARITY = [
 def test_literals_keep_their_polarity(text, expected):
     phi = parse_formula(text)
     assert _prop_unsat(phi) == expected
-    assert _skeleton_unsat((phi,)) is (expected is not None)
+    assert _truth_table_unsat(phi) is (expected is not None)
 
 
-FALL_BACK = [
+CONNECTIVES = [
     ("~~p & ~p", PROPOSITIONAL),
     ("false & p", PROPOSITIONAL),
     ("p & ~true", PROPOSITIONAL),
     ("~~p & p", None),
     ("(p | q) & ~p", None),
     ("(p -> q) & p & ~q", PROPOSITIONAL),
+    # every branch closes, and a false part forces the other along a chain
+    ("(p | q) & (p | ~q) & (~p | q) & (~p | ~q)", PROPOSITIONAL),
+    ("~(p & q) & p & q", PROPOSITIONAL),
+    ("(p -> q) & (q -> r) & (r -> s) & p & ~s", PROPOSITIONAL),
+    ("(p | q) & (p -> <B> r) & (q -> r) & ~r", None),
 ]
 
 
-@pytest.mark.parametrize("text, expected", FALL_BACK)
-def test_other_sets_fall_back_to_the_truth_table(text, expected, monkeypatch):
+@pytest.mark.parametrize("text, expected", CONNECTIVES)
+def test_connectives_are_read_by_the_tableau(text, expected):
     phi = parse_formula(text)
-    calls = []
-    check = sat._skeleton_unsat
-
-    def counting(members):
-        calls.append(members)
-        return check(members)
-
-    monkeypatch.setattr(sat, "_skeleton_unsat", counting)
     assert _prop_unsat(phi) == expected
-    assert calls == [(phi,)]
+    assert _truth_table_unsat(phi) is (expected is not None)

@@ -21,7 +21,7 @@ import pytest
 from hslogic.models import PeriodicDomain, canonical_cells, periodic_model
 from hslogic.parser import parse_formula
 from hslogic.sat import Unsat, sat_bbll
-from hslogic.syntax import B, L, iB, iL, And, Box, Diamond, Implies, neg
+from hslogic.syntax import B, L, iB, iL, And, Box, Diamond, Implies, Or, neg
 
 from . import oracle
 from .gen import rand_formula
@@ -65,6 +65,19 @@ SHAPES = [
     # the interval is a successor of its successor under the converse
     "p & <iB> [B] ~p", "p & <B> [iB] ~p", "p & <L> [iL] ~p",
     "p & <iL> [L] ~p",
+    # a diamond under | or ->: every branch closes after one K step
+    "(<L> p | <B> p) & [L] ~p & [B] ~p",
+    "(<B> p | <iB> p) & [B] ~p & [iB] ~p",
+    "(<iL> p | ~p) & [iL] ~p & p",
+    "(<L> <L> p | <B> <B> p) & [L] ~p & [B] ~p",
+    "<B> ((p -> p) -> <iB> false)",
+    # a false part forces the other: a pre-check that read a | b or a -> b
+    # as a conjunction would refute them
+    "(p | <B> p) & ~p", "(<L> p | <iB> p) & [L] ~p",
+    "(~p -> [B] false) & ~p",
+    # a split where one branch closes and the other is satisfiable: a
+    # pre-check that refuted a node on either branch would refute them
+    "((p & <B> p) | ~p) & [B] ~p", "(<B> <B> p | ~p) & [B] ~p",
 ]
 
 
@@ -78,11 +91,12 @@ def test_unsat_shapes_have_no_small_model(text):
 def _biased(rng):
     """A one-letter begin/later formula drawn toward Unsat: a modal
     consequence conjoined with its negation (K, transitivity, converse or
-    well-foundedness), or a plain random formula."""
+    well-foundedness), one under a disjunction, or a plain random
+    formula."""
     converse = {B: iB, iB: B, L: iL, iL: L}
     mod = rng.choice((B, iB, L, iL))
     s = rand_formula(rng, ("p",), (B, iB, L, iL), 2)
-    shape = rng.randrange(5)
+    shape = rng.randrange(6)
     if shape == 0:
         return And(Diamond(mod, s), Box(mod, neg(s)))
     if shape == 1:
@@ -93,6 +107,10 @@ def _biased(rng):
         mod = rng.choice((B, iL))
         return And(Diamond(mod, s),
                    Box(mod, Implies(s, Diamond(mod, s))))
+    if shape == 4:
+        other = rng.choice((B, iB, L, iL))
+        return And(Or(Diamond(mod, Diamond(mod, s)), Diamond(other, s)),
+                    And(Box(mod, neg(s)), Box(other, neg(s))))
     return rand_formula(rng, ("p",), (B, iB, L, iL), 3)
 
 
