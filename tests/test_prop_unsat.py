@@ -171,11 +171,25 @@ def test_thirteen_letters_are_refuted(monkeypatch):
     assert _prop_unsat(phi) == PROPOSITIONAL
     assert sat_bbll(phi) == PROPOSITIONAL
     assert sat_bbll(phi, max_bound=0) == PROPOSITIONAL
-    # in a successor too, and among modal letters
-    assert _prop_unsat(Diamond(B, phi)) == MODAL
+
+
+def test_a_successor_of_thirteen_letters_is_refuted():
+    # every visited set is read whole: a successor with 13 letters, and a
+    # small refuted successor beside 13 letters at the root
+    assert _prop_unsat(Diamond(B, _all_true_but_one(13))) == MODAL
+    many = conj([Atom("q%d" % i) for i in range(13)])
+    assert _prop_unsat(And(many, Diamond(B, _all_true_but_one(3)))) == MODAL
+
+
+def test_modal_letters_past_twelve_are_refuted():
+    # diamonds are letters as atoms are, and a box pair among 12 diamonds
+    # (14 letters) or a letter pair among 13 closes the set
+    p = Atom("p")
     lits = [Diamond(B, Atom("a%d" % i)) for i in range(12)]
-    assert _prop_unsat(conj(lits + [Box(L, Atom("p")),
-                                    Not(Box(L, Atom("p")))])) == PROPOSITIONAL
+    assert _prop_unsat(conj(lits + [Box(L, p), Not(Box(L, p))])) \
+        == PROPOSITIONAL
+    lits.append(Diamond(iB, Atom("b")))
+    assert _prop_unsat(conj(lits + [p, Not(p)])) == PROPOSITIONAL
 
 
 def test_satisfiable_skeletons_are_not_refuted():
