@@ -141,10 +141,17 @@ def _lift(name: str, b: Bounds, per: int) -> Bounds:
         inner, outer = composed
         return _lift(outer, _lift(inner, b, per), per)
     a, l, d = b
-    return {"A": (d, 1, d), "iA": (0, 1, d + per + l - 1),
-            "B": (a + per, l + per, d), "iB": b,
-            "E": (d + per + l - 1, l + per, d),
-            "iE": (a, max(1, l - 1), d + per + max(0, l - 2))}[name]
+    if name == "B":
+        return (a + per, l + per, d)
+    if name == "iB":
+        return b
+    if name == "A":
+        return (d, 1, d)
+    if name == "iA":
+        return (0, 1, d + per + l - 1)
+    if name == "E":
+        return (d + per + l - 1, l + per, d)
+    return (a, max(1, l - 1), d + per + max(0, l - 2))     # iE
 
 
 def _fill(order: List[Formula], out: Dict[Formula, Any], alg) -> dict:

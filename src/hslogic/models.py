@@ -115,11 +115,14 @@ def later_stop(b: Bounds, per: int, y: int) -> int:
 def read_row(rows: List[List[int]], per: int, x: int, hi: int) -> List[int]:
     """The entries at (x, x + 1) .. (x, hi) of a table kept as its rows of
     fixed points: row x lowered by diagonal shifts, then continued by
-    repeating its last per entries."""
+    repeating its last per entries. A stored row of that length is
+    returned itself, not copied, so callers only read the result."""
     n = hi - x
     if x >= len(rows):
         x -= ((x - len(rows)) // per + 1) * per
     row = rows[x]
+    if n == len(row):
+        return row
     if n > len(row):
         row = row + row[-per:] * -((len(row) - n) // per)
     return row[:n]

@@ -47,12 +47,12 @@ from .models import (
 # them, so a traced benchmark run needs them importable from this module.
 from .checking import allen_related  # noqa: F401
 from .models import canonical_interval  # noqa: F401
-from .syntax import modal_depth  # noqa: F401
+from .syntax import letters_of, modal_depth  # noqa: F401
 from .solver import Solver
 from .syntax import (
     FALSE, TRUE, And, Atom, Box, Diamond, Formula, Fragment, Implies, Not,
-    Or, B, iB, L, iL, _MOD_BIT, dia, fragment_of, letters_of, metrics,
-    postorder,
+    Or, B, iB, L, iL, _MOD_BIT, _letters, _skeleton_letter, dia,
+    fragment_of, metrics, postorder,
 )
 
 
@@ -224,18 +224,6 @@ def _holds(signs: Dict[object, bool], part: Signed) -> Optional[bool]:
     return None if got is None else got is sign
 
 
-def _skeleton_letter(f: Formula):
-    """The skeleton letter of a diamond <M> a or a box [M] s, read as
-    ~<M> neg(s): (M, b, negated) for a = b or a = ~b, so that the twin
-    <M> neg(s) is never built."""
-    a, negated = f.sub, type(f) is Box
-    if negated and type(a) is Not:      # neg(~b) is b
-        a, negated = a.sub, False
-    if not negated and type(a) is Not:
-        a, negated = a.sub, True
-    return (f.mod.base, f.mod.inverted, a, negated)
-
-
 def _expand(members: Sequence[Signed]):
     """Expand a node of _prop_unsat: None when it closes, else its first β
     member still open, as its two parts, or None; its diamonds as
@@ -391,7 +379,22 @@ class _Cnf:
         return g
 
     def define_and2(self, a: int, b: int) -> int:
-        return -self.define_or2(-a, -b)
+        """-define_or2(-a, -b) without the negations: same folding, same
+        gate key and the same clauses in the same order."""
+        if a == _FALSE or b == _FALSE or a == -b:
+            return _FALSE
+        if a == _TRUE or a == b:
+            return b
+        if b == _TRUE:
+            return a
+        key = (-a, -b) if a > b else (-b, -a)
+        got = self._gate.get(key)
+        if got is not None:
+            return -got
+        self.nvars = g = self.nvars + 1
+        self.clauses += ([-a, -b, -g], [a, g], [b, g])
+        self._gate[key] = g
+        return -g
 
     def add_goal(self, lits: List[int]) -> bool:
         """Require one of lits to hold; False, with nothing added, when
@@ -523,11 +526,18 @@ class _Encoder(_Candidate):
         self.per = domain.per
         self.bounds = _fold_thresholds(order, domain.pre, self.per)
         self.and2, self.or2 = self.cnf.define_and2, self.cnf.define_or2
+        self._row_ends: Dict[Bounds, List[int]] = {}
         self.tables: Dict[Formula, Rows] = _fill(order, {}, self)
 
     def _ends(self, b: Bounds) -> List[int]:
-        """Where each row of a table with thresholds b ends."""
-        return [row_stop(b, self.per, x, x) for x in range(b[2] + self.per)]
+        """Where each row of a table with thresholds b ends, listed once
+        per thresholds; callers only read the list."""
+        ends = self._row_ends.get(b)
+        if ends is None:
+            per = self.per
+            ends = self._row_ends[b] = [row_stop(b, per, x, x)
+                                        for x in range(b[2] + per)]
+        return ends
 
     def atom(self, name: str) -> Rows:
         pre, var = self.domain.pre, self.atom_var
@@ -612,9 +622,10 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
 
     Only begin and later modalities are allowed. Returns Sat with an
     ultimately periodic model and a witness interval, or Unsat once every
-    prefix/period split up to the periodic bound is refuted. If max_bound
-    trims the search below the formula's own bound the failure case is
-    reported as Unknown instead.
+    prefix/period split up to the periodic bound is refuted. max_bound
+    only truncates: the search stops at the lesser of it and the formula's
+    own bound, so one at or above the own bound changes nothing, and one
+    below it reports the failure case as Unknown instead.
 
     A split (pre, per) covers the splits (pre', per') with pre' <= pre and
     per' dividing per: a canonical-cell valuation for (pre', per') reads the
@@ -663,9 +674,9 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
     if refuted is not None:
         return refuted
     own_bound = metrics(phi).periodic_bound
-    bound = own_bound if max_bound is None else max_bound
+    bound = own_bound if max_bound is None else min(max_bound, own_bound)
     order = postorder(phi)
-    letters = sorted(letters_of(phi))
+    letters = sorted(_letters(order))
     solved: Dict[Tuple[int, int], Tuple[_Encoder, Solver, Cells]] = {}
 
     def candidate(pre: int,
@@ -712,8 +723,8 @@ def sat_bounded_finite(phi: Formula, max_points: int) -> SatResult:
     phi. Full modality set; answers Sat or Unknown, never Unsat."""
     if max_points < 1:
         raise ValueError("need at least one point past the origin")
-    letters = sorted(letters_of(phi))
     order = postorder(phi)
+    letters = sorted(_letters(order))
     for n in range(1, max_points + 1):
         cand = _Candidate(FiniteDomain(n), letters)
         table = _finite_engine(cand).fill(order)[phi]

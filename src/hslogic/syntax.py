@@ -433,13 +433,21 @@ def closure(phi: Formula) -> set:
 def ast_size(phi: Formula) -> int:
     """Node count of the tree; each connective, modality, and atom occurrence
     counts as one symbol."""
+    return _ast_size(postorder(phi))
+
+
+def _ast_size(order: List[Formula]) -> int:
+    """ast_size over a postorder already listed; its root is last."""
     size: Dict[Formula, int] = {}
-    for f in postorder(phi):
-        if isinstance(f, _Binary):
+    for f in order:
+        t = type(f)
+        if t is And or t is Or or t is Implies:
             size[f] = size[f.lhs] + size[f.rhs] + 1
+        elif t is Not or t is Diamond or t is Box:
+            size[f] = size[f.sub] + 1
         else:
-            size[f] = size[f.sub] + 1 if isinstance(f, (Not, _Modal)) else 1
-    return size[phi]
+            size[f] = 1
+    return size[order[-1]]
 
 
 def modal_depth(phi: Formula) -> int:
@@ -456,15 +464,28 @@ def nesting_depth(phi: Formula) -> int:
 def letters_of(phi: Formula) -> set:
     """The letters of desugar(phi): the atoms of phi, and the reserved
     letter if phi has a constant."""
-    subs = subformulas(phi)
-    out = {f.name for f in subs if isinstance(f, Atom)}
-    if TRUE in subs or FALSE in subs:
+    return _letters(postorder(phi))
+
+
+def _letters(order: List[Formula]) -> set:
+    """letters_of over a postorder already listed."""
+    out = {f.name for f in order if type(f) is Atom}
+    if TRUE in order or FALSE in order:
         out.add(RESERVED_TAUTOLOGY_LETTER)
     return out
 
 
-def _temporal_core(member: Formula) -> Formula:
-    return member.sub if isinstance(member, Not) else member
+def _skeleton_letter(f: Formula) -> tuple:
+    """The skeleton letter of a diamond <M> a or a box [M] s, read as
+    ~<M> neg(s): (M, b, negated) for a = b or a = ~b, so that the twin
+    <M> neg(s) is never built. Two modal nodes share a letter exactly when
+    they are a diamond and its twin, or the same node."""
+    a, negated = f.sub, type(f) is Box
+    if negated and type(a) is Not:      # neg(~b) is b
+        a, negated = a.sub, False
+    if not negated and type(a) is Not:
+        a, negated = a.sub, True
+    return (f.mod.base, f.mod.inverted, a, negated)
 
 
 @dataclass(frozen=True)
@@ -481,32 +502,49 @@ class FormulaMetrics:
 
 
 def metrics(phi: Formula) -> FormulaMetrics:
-    cl = closure(phi)
-    # Begin-family diamonds: diamond-shaped members count directly, negated
-    # boxes count through their diamond form with one negation pushed in.
-    begin_forms = set()
-    for member in cl:
-        if isinstance(member, Diamond) and member.mod.base == "B":
-            begin_forms.add((member.mod, member.sub))
-        elif isinstance(member, Not) and isinstance(member.sub, Box) \
-                and member.sub.mod.base == "B":
-            begin_forms.add((member.sub.mod, neg(member.sub.sub)))
-    m_b = len(begin_forms)
-    r_members = {
-        member for member in cl
-        if isinstance(_temporal_core(member), (Diamond, Box))
-        and _temporal_core(member).mod.base == "L"
-    }
-    r_size = len(r_members)
+    """phi's size measures, read off one walk of desugar(phi), with no
+    closure built: two walks when phi has sugar, as desugar(phi) is then
+    another formula.
+
+    * closure_size counts each node of desugar(phi) and its designated
+      negation, unless that negation is a node too: a negation's is its
+      operand, and the negation of a node that is no negation is a node
+      when it is the operand of one;
+    * m_b counts the begin-family diamonds of the closure, a negated box
+      [M] s as its twin <M> neg(s), by their skeleton letters: every
+      begin-family diamond and box of desugar(phi), and no other member,
+      gives one;
+    * r_size counts the later-family diamonds and boxes of desugar(phi)
+      and the negation of each."""
+    order = postorder(phi)
+    length = _ast_size(order)
+    if not _SUGAR.isdisjoint(map(type, order)):
+        order = postorder(_fold(order, _desugar_case))
+    closure_size = len(order)
+    begin = set()
+    later = 0
+    for f in order:
+        t = type(f)
+        if t is Not:
+            if type(f.sub) is not Not:
+                closure_size -= 1
+        else:
+            closure_size += 1
+            if t is Diamond or t is Box:
+                base = f.mod.base
+                if base == "B":
+                    begin.add(_skeleton_letter(f))
+                elif base == "L":
+                    later += 1
+    m_b, r_size = len(begin), 2 * later
     m_l = 2 * r_size
-    bound = (m_l + 2) * m_b + m_l + 4
     return FormulaMetrics(
-        length=ast_size(phi),
-        closure_size=len(cl),
+        length=length,
+        closure_size=closure_size,
         m_b=m_b,
         r_size=r_size,
         m_l=m_l,
-        periodic_bound=bound,
+        periodic_bound=(m_l + 2) * m_b + m_l + 4,
     )
 
 

@@ -4,10 +4,10 @@ name it defines is used somewhere in the package.
 __init__.py re-exports what it imports, and `from __future__` imports are
 directives, so both are left out. A name kept on purpose carries
 `# noqa: F401` on its import line; the only such names are sat's
-allen_related, canonical_interval and modal_depth, which the benchmark's
-tracer (bench/tracing.py) patches by name to time or count them. Every
-name the tracer patches must exist where it patches it, or a traced run
-fails before its first query.
+allen_related, canonical_interval, letters_of and modal_depth, which the
+benchmark's tracer (bench/tracing.py) patches by name to time or count
+them. Every name the tracer patches must exist where it patches it, or a
+traced run fails before its first query.
 """
 
 import ast
@@ -56,7 +56,8 @@ def test_every_imported_name_is_used():
                 unused.append("%s:%d %s" % (path.name, line, name))
     assert unused == []
     assert kept == [("sat.py", "allen_related"),
-                    ("sat.py", "canonical_interval"), ("sat.py", "modal_depth")]
+                    ("sat.py", "canonical_interval"), ("sat.py", "letters_of"),
+                    ("sat.py", "modal_depth")]
 
 
 def _patched():

@@ -103,3 +103,6 @@ def test_row_reader_reads_the_reduced_cell():
             hi = rng.randint(x + 1, row_stop(b, per, x, x) + 3 * per)
             want = [reduce_cell(b, per, x, y) for y in range(x + 1, hi + 1)]
             assert read_row(rows, per, x, hi) == want, (b, per, x, hi)
+        # a stored row read to its own end is handed back itself
+        for x, row in enumerate(rows):
+            assert read_row(rows, per, x, x + len(row)) is row

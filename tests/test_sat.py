@@ -2,9 +2,11 @@
 certificates."""
 
 import random
+import time
 
 import pytest
 
+from hslogic import syntax
 from hslogic.checking import mc_periodic
 from hslogic.models import FiniteDomain, PeriodicDomain
 from hslogic import sat
@@ -316,3 +318,71 @@ def test_candidate_cnfs_are_laid_out_for_the_goal_probes(monkeypatch):
     for _ in range(50):
         sat_bounded_finite(rand_formula(rng, "pq", all_mods(), 4), 4)
     assert len(solved) > 100 and sum(solved) > 1000
+
+
+@pytest.mark.parametrize("text", ["<B> p & <L> ~p",
+                                  "<B> p & [B] (p -> <B> p)"])
+def test_max_bound_truncates_the_search_and_never_extends_it(monkeypatch,
+                                                             text):
+    # no split past the formula's own periodic bound is encoded, so a
+    # max_bound at or above it gives the unbounded answer, Sat
+    # certificates included, as fast
+    phi = parse_formula(text)
+    own = metrics(phi).periodic_bound
+    want = sat_bbll(phi)
+    init = sat._Encoder.__init__
+
+    def bounded_init(enc, domain, *args):
+        assert domain.pre + domain.per <= own, (domain, own)
+        init(enc, domain, *args)
+
+    monkeypatch.setattr(sat._Encoder, "__init__", bounded_init)
+    for max_bound in (own, own + 8, 10 ** 20):
+        start = time.perf_counter()
+        assert sat_bbll(phi, max_bound=max_bound) == want
+        assert time.perf_counter() - start < 1.0
+    assert isinstance(want, Sat if "<L>" in text else Unsat)
+
+
+def test_a_satisfiable_call_walks_the_formula_at_most_twice(monkeypatch):
+    # postorder walks of phi before the certificate re-check: one in
+    # metrics, one in sat_bbll, whose list the letters are read off
+    walks, at_recheck = [], []
+
+    def counting(f):
+        walks.append(f)
+        return postorder(f)
+
+    def recheck(f, model, witness):
+        at_recheck.append(len(walks))
+        return recheck_base(f, model, witness)
+
+    recheck_base = sat._recheck
+    monkeypatch.setattr(syntax, "postorder", counting)
+    monkeypatch.setattr(sat, "postorder", counting)
+    monkeypatch.setattr(sat, "_recheck", recheck)
+    phi = parse_formula("<B> (p & <iL> q) & [L] ~<B> q | <iB> ~p")
+    assert isinstance(sat_bbll(phi), Sat)
+    assert len(at_recheck) == 1
+    assert walks[:at_recheck[0]] == [phi] * 2
+
+
+def test_and_gates_are_or_gates_of_the_negations():
+    # define_and2(a, b) folds, keys and writes its gate as
+    # -define_or2(-a, -b) would, call for call
+    rng = random.Random(3201)
+    lits = [1, -1, 2, -2, 3, -3, 4, -4]
+    for _ in range(200):
+        calls = [(rng.random() < 0.5, rng.choice(lits), rng.choice(lits))
+                 for _ in range(12)]
+        ours, theirs = sat._Cnf(), sat._Cnf()
+        for cnf in (ours, theirs):
+            cnf.nvars = 4
+        for is_and, a, b in calls:
+            if is_and:
+                got, want = ours.define_and2(a, b), -theirs.define_or2(-a, -b)
+            else:
+                got, want = ours.define_or2(a, b), theirs.define_or2(a, b)
+            assert got == want, calls
+        assert (ours.nvars, ours.clauses, ours._gate) == \
+            (theirs.nvars, theirs.clauses, theirs._gate)

@@ -61,6 +61,41 @@ def test_metrics_frozen_bounds():
     assert m.periodic_bound == 10
 
 
+def closure_metrics(phi):
+    """metrics as the paper defines it, over the closure as a set."""
+    cl = closure(phi)
+    begin = set()
+    for member in cl:
+        if isinstance(member, Diamond) and member.mod.base == "B":
+            begin.add((member.mod, member.sub))
+        elif isinstance(member, Not) and isinstance(member.sub, Box) \
+                and member.sub.mod.base == "B":
+            begin.add((member.sub.mod, neg(member.sub.sub)))
+    r_size = sum(isinstance(core, (Diamond, Box)) and core.mod.base == "L"
+                 for core in (m.sub if isinstance(m, Not) else m for m in cl))
+    m_l = 2 * r_size
+    return (ast_size(phi), len(cl), len(begin), r_size, m_l,
+            (m_l + 2) * len(begin) + m_l + 4)
+
+
+def test_metrics_counts_what_the_closure_holds():
+    # metrics counts the closure without building it; constants, -> and
+    # stacked negations, under boxes and diamonds of every family
+    rng = random.Random(3202)
+    for k in range(400):
+        phi = rand_formula(rng, ["p", "q"], ALL_MODALITIES, 4)
+        if k % 3 == 0:
+            phi = Implies(phi, Not(Not(box(B, Or(TRUE, Not(phi))))))
+        m = metrics(phi)
+        assert (m.length, m.closure_size, m.m_b, m.r_size, m.m_l,
+                m.periodic_bound) == closure_metrics(phi), phi
+    # a box and its twin diamond are one begin-family letter
+    for phi in (And(dia(B, Not(p)), box(B, p)),
+                And(dia(iB, p), box(iB, Not(p))),
+                And(dia(B, Not(Not(p))), box(B, Not(Not(Not(p)))))):
+        assert metrics(phi).m_b == 1 == closure_metrics(phi)[2]
+
+
 def test_metrics_formula_shape():
     rng = random.Random(103)
     for _ in range(150):
