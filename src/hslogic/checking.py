@@ -242,6 +242,40 @@ def _fold_thresholds(order: List[Formula], pre: int,
     return _fill(order, {}, _Thresholds(pre, per))
 
 
+def _conjuncts(order: List[Formula]) -> Tuple[List[Formula], List[Formula]]:
+    """phi's conjuncts and the nodes of order, a postorder with phi last,
+    that they need, in order. When phi is a chain of And links, nested any
+    way, over at least three distinct conjuncts, those are its conjuncts,
+    left to right, and its value at a cell is their meet there: the
+    checkers take the min and the decider one and-gate per cell, so the
+    links need no tables. If another node reads a link, which is rare,
+    every node is kept. Any other phi is its one conjunct and needs every
+    node; two conjuncts have no link to skip."""
+    phi = order[-1]
+    if type(phi) is not And:
+        return [phi], order
+    links, parts, todo = set(), {}, [phi]
+    while todo:
+        f = todo.pop()
+        if type(f) is not And:
+            parts[f] = None
+        elif f not in links:
+            links.add(f)
+            todo += (f.rhs, f.lhs)
+    if len(parts) < 3:
+        return [phi], order
+    needed = []
+    for f in order:
+        if f not in links:
+            t = type(f)
+            if ((t is Not or t is Diamond or t is Box) and f.sub in links
+                    or (t is And or t is Or or t is Implies)
+                    and (f.lhs in links or f.rhs in links)):
+                return list(parts), order
+            needed.append(f)
+    return list(parts), needed
+
+
 class _TableEngine:
     """The one grid evaluator: a table per subformula over the window
     0..horizon, with the semantics written once against an algebra.
@@ -499,10 +533,26 @@ class FiniteEvaluator:
         return self._engine.table(phi)[x * w + y] == _T
 
 
+def _meet(engine: _TableEngine, parts: List[Formula], needed: List[Formula],
+          x: int, y: int) -> int:
+    """The value at (x, y) of a formula with the conjuncts parts, which
+    need the nodes needed (_conjuncts): the meet of theirs there."""
+    tables = engine.fill(needed)
+    at = x * engine.w + y
+    return min([tables[f][at] for f in parts])
+
+
 def mc_finite(model: IntervalModel, i: Interval, phi: Formula) -> bool:
+    """Truth of phi at interval i over a finite model, by one engine over
+    the whole domain that fills the nodes phi's conjuncts need."""
     if not isinstance(model.domain, FiniteDomain):
         raise TypeError("mc_finite needs a finite model")
-    return FiniteEvaluator(model).value(phi, tuple(i))
+    x, y = i = tuple(i)
+    n = model.domain.last_point
+    if not 0 <= x < y <= n:
+        raise ValueError("interval %r outside the domain" % (i,))
+    parts, needed = _conjuncts(postorder(phi))
+    return _meet(_model_engine(model, n), parts, needed, x, y) == _T
 
 
 def _reduce_query(domain: PeriodicDomain, i: Interval, b: Bounds) -> Interval:
@@ -533,8 +583,10 @@ def mc_periodic(model: IntervalModel, i: Interval, phi: Formula) -> bool:
     is determined and the same at two consecutive horizons. A determined
     value is exact, so nothing else is watched; the second horizon checks
     that it does not move as the window grows. phi's postorder is listed
-    once, gives every node its thresholds (_fold_thresholds) and fills each
-    horizon's fresh engine.
+    once and gives every node its thresholds (_fold_thresholds). Each
+    horizon's fresh engine fills the nodes phi's conjuncts need, and phi's
+    value is their meet (_conjuncts), so a root chain's links get no
+    tables.
 
     The number of horizons is derived here, and only here: enough for every
     scan from the query to end inside the window, max(depth + 2,
@@ -550,16 +602,18 @@ def mc_periodic(model: IntervalModel, i: Interval, phi: Formula) -> bool:
     pre, per = domain.pre, domain.per
     depth = modal_depth(phi)
     nodes = postorder(phi)
-    bounds = _fold_thresholds(nodes, pre, per)
-    query = x, y = _reduce_query(domain, i, bounds[phi])
+    parts, needed = _conjuncts(nodes)
+    bounds = _fold_thresholds(needed, pre, per)
+    own = tuple(map(max, zip(*[bounds[f] for f in parts])))
+    query = x, y = _reduce_query(domain, i, own)
     top = tuple(map(max, zip(*bounds.values())))
     need = _scan_frontier(pre, per, top, depth, y)
     base = max(pre, y)
     rounds = max(depth + 2, -((base - need) // per) + 1)
     prev = None
     for k in range(2, rounds + 3):
-        engine = _model_engine(model, base + k * per, bounds)
-        cur = engine.fill(nodes)[phi][x * engine.w + y]
+        cur = _meet(_model_engine(model, base + k * per, bounds), parts,
+                    needed, x, y)
         if cur == prev and cur != _U:
             return cur == _T
         prev = cur

@@ -17,6 +17,10 @@ values on canonical cells, ordered by letter then cell, and one certificate
 path. Its goal is the disjunction of phi's literals over the candidate's
 classes or cells, one clause with no gate variable, which _Cnf.add_goal
 lists last cell first and keeps in ascending cell order for the solver.
+When phi's root is a chain of three or more conjuncts, phi's literal on a
+class or cell is one and-gate over the conjuncts' literals there, and the
+links of the chain get no gates unless another node reads them
+(checking._conjuncts).
 The solver probes them in that order before its search: a literal whose
 unit propagation conflicts is false in every model and becomes a level-0
 unit, and the first one that does not conflict ends the probing. The
@@ -36,8 +40,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .checking import (
-    _TableEngine, NotStabilized, _fill, _fold_thresholds, mc_finite,
-    mc_periodic,
+    _TableEngine, NotStabilized, _conjuncts, _fill, _fold_thresholds,
+    mc_finite, mc_periodic,
 )
 from .models import (
     Bounds, FiniteDomain, Interval, IntervalModel, PeriodicDomain,
@@ -396,6 +400,10 @@ class _Cnf:
         self._gate[key] = g
         return -g
 
+    def define_and(self, lits: Iterable[int]) -> int:
+        """-define_or of the negations: the one n-ary and-gate."""
+        return -self.define_or([-lit for lit in lits])
+
     def add_goal(self, lits: List[int]) -> bool:
         """Require one of lits to hold; False, with nothing added, when
         their disjunction folds to false."""
@@ -539,6 +547,20 @@ class _Encoder(_Candidate):
                                         for x in range(b[2] + per)]
         return ends
 
+    def goal(self, phi: Formula, parts: List[Formula]) -> Cells:
+        """phi's (fixed point, literal) pairs in ascending cell order, phi
+        having the conjuncts parts (checking._conjuncts): its own table's
+        literals, or one and-gate per class over the parts' literals, the
+        classes being those of the componentwise max of their thresholds."""
+        if len(parts) == 1:
+            return _cells(self.tables[phi])
+        per, tabs = self.per, [self.tables[f] for f in parts]
+        top = tuple(map(max, zip(*[self.bounds[f] for f in parts])))
+        return [((x, y), self.cnf.define_and(lits))
+                for x, hi in enumerate(self._ends(top))
+                for y, lits in enumerate(
+                    zip(*[read_row(tab, per, x, hi) for tab in tabs]), x + 1)]
+
     def atom(self, name: str) -> Rows:
         pre, var = self.domain.pre, self.atom_var
         return [[var[(name, (x, y))] for y in range(x + 1, hi + 1)]
@@ -676,6 +698,7 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
     own_bound = metrics(phi).periodic_bound
     bound = own_bound if max_bound is None else min(max_bound, own_bound)
     order = postorder(phi)
+    parts, needed = _conjuncts(order)
     letters = sorted(_letters(order))
     solved: Dict[Tuple[int, int], Tuple[_Encoder, Solver, Cells]] = {}
 
@@ -685,8 +708,8 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
         for a refuted one."""
         got = solved.get((pre, per))
         if got is None:
-            enc = _Encoder(PeriodicDomain(pre, per), letters, order)
-            cells = _cells(enc.tables[phi])
+            enc = _Encoder(PeriodicDomain(pre, per), letters, needed)
+            cells = enc.goal(phi, parts)
             if not enc.cnf.add_goal([lit for _, lit in cells]):
                 # phi folded to false on every class: no solver to build
                 return None
@@ -724,12 +747,15 @@ def sat_bounded_finite(phi: Formula, max_points: int) -> SatResult:
     if max_points < 1:
         raise ValueError("need at least one point past the origin")
     order = postorder(phi)
+    parts, needed = _conjuncts(order)
     letters = sorted(_letters(order))
     for n in range(1, max_points + 1):
         cand = _Candidate(FiniteDomain(n), letters)
-        table = _finite_engine(cand).fill(order)[phi]
+        tables = _finite_engine(cand).fill(needed)
         cells = canonical_cells(cand.domain)
-        lits = [table[x * (n + 1) + y] for x, y in cells]
+        cols = [[tables[f][x * (n + 1) + y] for x, y in cells] for f in parts]
+        lits = (cols[0] if len(parts) == 1
+                else [cand.cnf.define_and(c) for c in zip(*cols)])
         if not cand.cnf.add_goal(lits):
             continue
         solver = cand.cnf.solve()

@@ -34,6 +34,16 @@ Four kinds of input and answer are compared:
   pre-check: the reason of its Unsat, or the Unknown of a search cut
   short.
 
+Every third mc, sat and finite input (the second, the fifth, ...) asks a
+conjunction of 3-8 random parts instead, of depth <= 1 for sat and <= 2
+for mc and finite, nested to the left, to the right or in two groups; one
+in four repeats a part or adds one that reads the chain's first link.
+Those inputs are where a root chain's conjuncts are met in one gate
+(checking._conjuncts), which rand_formula rarely draws. Their formulas
+come from a second stream of the seed, after the one the input would have
+asked is drawn and set aside, so every other input is the one the seed
+gave before the conjunctions came in.
+
 Any other exception is an answer too: by its class name, and an
 UnsupportedFragmentError by its message as well.
 
@@ -95,15 +105,20 @@ def draw_inputs(seed, n_mc, n_sat, n_finite=0, n_pre=0):
     from hslogic.syntax import (
         And, Atom, B, Box, Diamond, L, Not, conj, iB, iL, neg, render,
     )
-    from tests.gen import all_mods, rand_formula, rand_periodic_model
+    from tests.gen import (
+        all_mods, rand_conjunction, rand_formula, rand_periodic_model,
+    )
 
     rng = random.Random(seed)
+    chains = random.Random("%d conjunctions" % seed)
     out = []
-    for _ in range(n_mc):
+    for k in range(n_mc):
         pre, per = rng.randint(1, 3), rng.randint(1, 3)
         model = rand_periodic_model(rng, pre, per, ("p", "q"),
                                     rng.choice((0.15, 0.4)))
         phi = rand_formula(rng, ("p", "q"), all_mods(), 3)
+        if k % 3 == 1:
+            phi = rand_conjunction(chains, ("p", "q"), all_mods(), 2)
         if rng.random() < 0.7:
             x = rng.randint(0, 7)
             cell = (x, x + rng.randint(1, 8))
@@ -115,9 +130,13 @@ def draw_inputs(seed, n_mc, n_sat, n_finite=0, n_pre=0):
     for k in range(n_sat):
         mods = all_mods() if k % 10 == 0 else (B, iB, L, iL)
         phi = rand_formula(rng, ("p", "q"), mods, 3)
+        if k % 3 == 1:
+            phi = rand_conjunction(chains, ("p", "q"), mods, 1)
         out.append({"kind": "sat", "formula": render(phi)})
-    for _ in range(n_finite):
+    for k in range(n_finite):
         phi = rand_formula(rng, ("p", "q"), all_mods(), 4)
+        if k % 3 == 1:
+            phi = rand_conjunction(chains, ("p", "q"), all_mods(), 2)
         out.append({"kind": "finite", "formula": render(phi),
                     "max_points": rng.randint(1, 6)})
     bbll = (B, iB, L, iL)

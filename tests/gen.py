@@ -1,6 +1,7 @@
 """Seeded random generators shared by the test modules."""
 
 import random
+from functools import reduce
 from typing import List, Sequence
 
 from hslogic.models import (
@@ -34,6 +35,29 @@ def rand_formula(rng: random.Random, letters: Sequence[str],
     if k == 4:
         return Diamond(rng.choice(list(mods)), sub())
     return Box(rng.choice(list(mods)), sub())
+
+
+def rand_conjunction(rng: random.Random, letters: Sequence[str],
+                     mods: Sequence[Modality], depth: int) -> Formula:
+    """A conjunction of 3-8 parts drawn by rand_formula, nested to the
+    left, to the right or in two groups. One in four repeats a part or
+    adds a diamond or a box over the chain's first link, which another
+    node then reads."""
+    parts = [rand_formula(rng, letters, mods, depth)
+             for _ in range(rng.randint(3, 8))]
+    r = rng.random()
+    if r < 0.125:
+        parts.insert(rng.randrange(len(parts) + 1), rng.choice(parts))
+    elif r < 0.25:
+        parts.append(rng.choice((Diamond, Box))(rng.choice(list(mods)),
+                                                And(parts[0], parts[1])))
+    shape = rng.randrange(3)
+    if shape == 0:
+        return reduce(And, parts)
+    if shape == 1:
+        return reduce(lambda t, f: And(f, t), parts[::-1])
+    k = rng.randint(1, len(parts) - 1)
+    return And(reduce(And, parts[:k]), reduce(And, parts[k:]))
 
 
 def rand_finite_model(rng: random.Random, last: int,

@@ -20,7 +20,9 @@ from hslogic.syntax import (
 )
 
 from . import oracle
-from .gen import rand_finite_model, rand_formula, rand_periodic_model
+from .gen import (
+    rand_conjunction, rand_finite_model, rand_formula, rand_periodic_model,
+)
 
 p, q = Atom("p"), Atom("q")
 
@@ -247,11 +249,13 @@ def test_each_periodic_query_walks_the_formula_once(monkeypatch):
 
     monkeypatch.setattr(checking, "postorder", counting)
     m = periodic_model(2, 3, {"p": [(1, 2), (3, 4)], "q": [(0, 2)]})
-    phi = parse_formula("q & <L> <iB> p | [B] <A> q")
-    for i in [(0, 1), (4, 9), (7, 100)]:
-        calls.clear()
-        mc_periodic(m, i, phi)
-        assert calls == [phi]
+    # an | root, and a root chain of conjuncts, whose reading walks nothing
+    for text in ("q & <L> <iB> p | [B] <A> q", "q & <L> <iB> p & [B] <A> q"):
+        phi = parse_formula(text)
+        for i in [(0, 1), (4, 9), (7, 100)]:
+            calls.clear()
+            mc_periodic(m, i, phi)
+            assert calls == [phi]
 
 
 def test_periodic_rejects_finite_and_vice_versa():
@@ -263,3 +267,54 @@ def test_periodic_rejects_finite_and_vice_versa():
         mc_finite(pm, (0, 1), p)
     with pytest.raises(ValueError):
         mc_finite(fm, (0, 5), p)
+
+
+# root chains of three or more conjuncts: left-nested, right-nested and
+# grouped, with a repeated conjunct, and with a link another node reads
+CHAINS = [
+    "<B> p & <iL> q & [L] ~p & <iB> (p | q)",
+    "<A> p & (<D> q & ([O] ~p & <iE> (q | <iA> p)))",
+    "(<B> p & <E> q) & ([L] ~p & <iB> (p | q))",
+    "<L> q & [B] ~q & <L> q & <iB> p",
+    "((p & q) & r) & <B> (p & q)",
+    "((p & q) & <A> ~p) & <iL> [B] (p & q) & <iB> q",
+    "(((p & q) & r) & ~q) & [E] ((p & q) & r)",
+]
+
+
+def test_finite_root_chains_against_naive():
+    rng = random.Random(3302)
+    formulas = [parse_formula(text) for text in CHAINS]
+    formulas += [rand_conjunction(rng, ["p", "q"], ALL_MODALITIES, 2)
+                 for _ in range(150)]
+    checked = 0
+    for phi in formulas:
+        m = rand_finite_model(rng, rng.randrange(1, 6), ["p", "q", "r"])
+        for i in oracle.intervals_upto(m.domain.last_point):
+            assert mc_finite(m, i, phi) == oracle.mc_naive(m, i, phi), \
+                (phi, i)
+            checked += 1
+    assert checked > 1000
+
+
+def test_periodic_root_chains_against_three_valued_oracle():
+    rng = random.Random(3303)
+    mods = [A, iA, B, iB, E, iE, L, iL]
+    formulas = [parse_formula(text) for text in CHAINS]
+    formulas += [rand_conjunction(rng, ["p", "q"], mods, 1)
+                 for _ in range(150)]
+    checked = 0
+    for phi in formulas:
+        pre, per = rng.randrange(1, 4), rng.randrange(1, 4)
+        m = rand_periodic_model(rng, pre, per, ["p", "q", "r"])
+        x = rng.randrange(0, 3)
+        i = (x, x + rng.randrange(1, 4))
+        got = mc_periodic(m, i, phi)
+        base = max(pre + per, i[1])
+        for h in (base + 2 * per, base + 5 * per):
+            want = oracle.mc3_naive(m, i, phi, h)
+            if want is not None:
+                assert got == want, (m, i, phi)
+                checked += 1
+                break
+    assert checked >= 100

@@ -103,6 +103,17 @@ candidate domains in the same order with the same verdicts, and the
 results of sat_bbll and sat_bounded_finite, models and witnesses included,
 are unchanged.
 
+The two cases whose root is a chain of four conjuncts, the satisfiable
+bbll case and the finite 6 case, were re-pinned, both digests, when both
+procedures came to meet a root chain's conjuncts in one n-ary and-gate
+per class or cell instead of filling a two-input gate for each link of
+the chain (checking._conjuncts). The links' gates are gone (the bbll
+candidate went from 53 variables and 124 clauses to 41 and 108, the
+finite one from 78 and 149 to 72 and 133), so the gate numbering and the
+clauses moved. Checked against the parent commit first: both cases list
+the same candidate domains with the same verdicts and certificates, and
+every entry of one or two conjuncts kept its digests.
+
 To re-pin, print the current EXPECTED dict with
 
     PYTHONPATH=src python -m tests.test_cnf_golden
@@ -236,8 +247,8 @@ EXPECTED = {
     ],
     'bbll <B> p & <iB> ~p & <L> q & <iL> (p & q)': [
         ('periodic 1 2',
-         '8b64b2872e08d7afbb11672add8966a494ad19f099204ede8d5ed92e5e094148',
-         'f91366572da190a3b6754e0d9acc8139dd650463ec77c1f58214f62ac762c705'),
+         '8ada62c35a7dc08186f797125f5ed62a0097ad6535ce1429405b2bafbaa79289',
+         '222619ca992f527ee46ca07e36f29890a32a2df229d7eb510d0c73a3321ea254'),
     ],
     'bbll <L> (p & [B] q) & <iL> <iB> ~q': [
         ('periodic 1 1',
@@ -246,8 +257,8 @@ EXPECTED = {
     ],
     'finite 6 <A> p & <D> q & [O] ~p & <iE> (q | <iA> p)': [
         ('finite 5',
-         'b7cf2908edb34498316ccbd3d858328ee9d6e284b6509dce82ff667cf53787de',
-         '96cd2601a3499198354971072e118b0b42a01e32ec5568e0a63e2aaf7add89cc'),
+         '9cd963d072f1451945e7191b50597ed54b998771f87b4edcf0c1543762e854aa',
+         '81d4791e036a460dbb46a39acf77e8b37eff6fa2c345bcd1db0d82b32edf6eae'),
     ],
 }
 

@@ -8,7 +8,7 @@ import pytest
 
 from hslogic import syntax
 from hslogic.checking import mc_periodic
-from hslogic.models import FiniteDomain, PeriodicDomain
+from hslogic.models import FiniteDomain, PeriodicDomain, save_model
 from hslogic import sat
 from hslogic.parser import parse_formula
 from hslogic.sat import (
@@ -16,10 +16,12 @@ from hslogic.sat import (
     later_somewhere, sat_bbll, sat_bounded_finite,
 )
 from hslogic.syntax import (
-    A, B, iB, L, iL, And, Atom, Not, conj, dia, metrics, postorder,
+    A, B, iB, L, iL, And, Atom, Not, conj, dia, disj, metrics, postorder,
 )
 
-from .gen import all_mods, rand_formula, rand_periodic_model
+from .gen import (
+    all_mods, rand_conjunction, rand_formula, rand_periodic_model,
+)
 from .test_cnf_golden import CASES
 
 p = Atom("p")
@@ -361,10 +363,15 @@ def test_a_satisfiable_call_walks_the_formula_at_most_twice(monkeypatch):
     monkeypatch.setattr(syntax, "postorder", counting)
     monkeypatch.setattr(sat, "postorder", counting)
     monkeypatch.setattr(sat, "_recheck", recheck)
-    phi = parse_formula("<B> (p & <iL> q) & [L] ~<B> q | <iB> ~p")
-    assert isinstance(sat_bbll(phi), Sat)
-    assert len(at_recheck) == 1
-    assert walks[:at_recheck[0]] == [phi] * 2
+    # an | root, and a root chain of conjuncts, whose reading walks nothing
+    for text in ("<B> (p & <iL> q) & [L] ~<B> q | <iB> ~p",
+                 "<B> (p & <iL> q) & [L] ~<B> q & <iB> ~p"):
+        walks.clear()
+        at_recheck.clear()
+        phi = parse_formula(text)
+        assert isinstance(sat_bbll(phi), Sat)
+        assert len(at_recheck) == 1
+        assert walks[:at_recheck[0]] == [phi] * 2
 
 
 def test_and_gates_are_or_gates_of_the_negations():
@@ -386,3 +393,82 @@ def test_and_gates_are_or_gates_of_the_negations():
             assert got == want, calls
         assert (ours.nvars, ours.clauses, ours._gate) == \
             (theirs.nvars, theirs.clauses, theirs._gate)
+
+
+# root chains of three or more conjuncts: left-nested, right-nested and
+# grouped, with a repeated conjunct, and with a link another node reads
+CHAINS = [
+    "<B> p & <iL> q & [L] ~p & <iB> (p | q)",
+    "<B> p & (<iL> q & ([L] ~p & <iB> (p | q)))",
+    "(<B> p & <iL> q) & ([L] ~p & <iB> (p | q))",
+    "<L> q & [B] ~q & <L> q & <iB> p",
+    "((p & q) & r) & <B> (p & q)",
+    "((p & q) & <L> ~p) & <iL> [B] (p & q) & <iB> q",
+    "<B> p & [B] (p -> <B> p) & q",
+    "[iB] p & <B> q & [iB] ~p",
+]
+FINITE_CHAINS = [
+    "<A> p & <D> q & [O] ~p & <iE> (q | <iA> p)",
+    "<A> p & (<D> q & ([O] ~p & <iE> (q | <iA> p)))",
+    "(<A> p & <D> q) & ([O] ~p & <iE> (q | <iA> p))",
+    "<E> q & [iD] ~p & <E> q & <O> (p | q)",
+    "((p & q) & r) & <B> (p & q)",
+    "((p & <A> q) & <iO> ~p) & <D> (p & <A> q)",
+]
+
+
+def _unchained(phi):
+    """phi's root chain written as ~(~a | ~b | ...): the same models and
+    thresholds, with no conjunction at the root."""
+    def parts(f):
+        return parts(f.lhs) + parts(f.rhs) if type(f) is And else [f]
+    return Not(disj(Not(a) for a in parts(phi)))
+
+
+@pytest.mark.parametrize("text", CHAINS)
+def test_a_root_chain_gives_the_certificate_of_its_unchained_form(text):
+    phi = parse_formula(text)
+    assert sat_bbll(phi) == sat_bbll(_unchained(phi))
+    assert sat_bbll(phi, 6) == sat_bbll(_unchained(phi), 6)
+
+
+@pytest.mark.parametrize("text", FINITE_CHAINS)
+def test_a_finite_root_chain_gives_the_certificate_of_its_unchained_form(
+        text):
+    phi = parse_formula(text)
+    for n in (1, 3, 5):
+        assert sat_bounded_finite(phi, n) == \
+            sat_bounded_finite(_unchained(phi), n)
+
+
+def test_random_root_chains_give_the_certificates_of_their_unchained_forms():
+    rng = random.Random(3301)
+    found = set()
+    for _ in range(120):
+        phi = rand_conjunction(rng, "pq", [B, iB, L, iL], 1)
+        got = sat_bbll(phi, 8)
+        assert got == sat_bbll(_unchained(phi), 8), phi
+        found.add(type(got))
+        phi = rand_conjunction(rng, "pq", all_mods(), 2)
+        assert sat_bounded_finite(phi, 3) == \
+            sat_bounded_finite(_unchained(phi), 3), phi
+    assert {Sat, Unsat} <= found
+
+
+def test_a_root_chain_meets_its_conjuncts_in_one_gate(monkeypatch):
+    # on the (1, 1) candidate ~[L] p and <L> p read one class, p's, so one
+    # and-gate over the three conjuncts folds to false there and no solver
+    # is built; two-input gates down the chain do not see that pair
+    solvers = []
+
+    class Recording(sat.Solver):
+        def __init__(self):
+            super().__init__()
+            solvers.append(self)
+
+    monkeypatch.setattr(sat, "Solver", Recording)
+    res = sat_bbll(parse_formula("~[L] p & <L> q & <L> p"))
+    assert len(solvers) == 1
+    assert save_model(res.model) == \
+        "order periodic pre=1 per=2\nval p 2 4\nval q 2 4\n"
+    assert res.witness == (0, 1)
