@@ -89,15 +89,16 @@ def _cmd_sat(args: argparse.Namespace) -> int:
         print("error: certificate failed re-verification", file=sys.stderr)
         return 2
     cert = save_model(res.model)
-    print("SAT")
-    print("witness %d %d" % res.witness)
-    _emit(cert)
     out = args.out
     if out is None and args.file is not None:
         out = args.file + ".cert.ism"
     if out is not None:
+        # first, so that a path that cannot be written leaves stdout empty
         with open(out, "w", encoding="ascii") as fh:
             fh.write(cert)
+    print("SAT")
+    print("witness %d %d" % res.witness)
+    _emit(cert)
     return 0
 
 

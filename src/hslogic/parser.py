@@ -12,11 +12,19 @@ Grammar, loosest binding first:
              | atom
     atom    := "true" | "false" | IDENT | "(" formula ")"
 
+Tokens, read by one regular expression (_TOKEN_RE):
+
+    blank    := " " | TAB | CR | NEWLINE | "#" ... end of line
+    punct    := "->" | "(" | ")" | "&" | "|" | "~"
+    modality := "<" MOD ">" | "[" MOD "]"      no blank inside
+    word     := IDENT | "true" | "false"
+
 MOD is one of A iA B iB D iD E iE L iL O iO. IDENT matches [a-z_][a-zA-Z0-9_]*
 except true and false (is_letter); names beginning with two underscores are
 reserved for generated letters but parse normally so rendered output
-round-trips. Whitespace is insignificant and "#" starts a comment running to
-end of line.
+round-trips. Blanks only separate tokens; a newline starts the next line of
+the (line, column) that errors report. Any other character, a lone "-" or a
+bracket without a known modality and its closing bracket is a ParseError.
 
 A formula may nest at most MAX_NESTING (100) levels deep: no branch of its
 tree may carry more than that many operators, and no more than that many
@@ -46,10 +54,16 @@ _TOO_DEEP = "formula nested too deeply (more than %d levels)" % MAX_NESTING
 
 _IDENT_RE = re.compile(r"[a-z_][a-zA-Z0-9_]*")
 _KEYWORDS = ("true", "false")
-_MOD_RE = re.compile(r"[A-Za-z]+")
 _PUNCT_KINDS = {"(": "lparen", ")": "rparen", "&": "and", "|": "or",
-                "~": "not"}
+                "~": "not", "->": "implies"}
 _PUNCT_SHOWN = {kind: repr(c) for c, kind in _PUNCT_KINDS.items()}
+# one token per match, the commonest kinds tried first: blanks and comments
+# are unnamed, and a modality ends in close, possibly empty, once a name
+# follows its bracket
+_TOKEN_RE = re.compile(
+    r"(?P<word>" + _IDENT_RE.pattern + r")|[ \t\r]+|(?P<punct>->|[()&|~])"
+    r"|(?P<open>[<\[])(?:(?P<mod>[A-Za-z]+)(?P<close>[>\]]?))?"
+    r"|#[^\n]*|(?P<newline>\n)|(?P<other>.)", re.DOTALL)
 
 
 class _Token:
@@ -64,60 +78,41 @@ class _Token:
 
 def _tokenize(text: str):
     tokens = []
-    i = 0
     line = 1
     line_start = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "newline":
             line += 1
-            i += 1
-            line_start = i
+            line_start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            continue
-        col = i - line_start + 1
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in _PUNCT_KINDS:
-            tokens.append(_Token(_PUNCT_KINDS[c], c, line, col))
-            i += 1
-            continue
-        if c == "-":
-            if text.startswith("->", i):
-                tokens.append(_Token("implies", "->", line, col))
-                i += 2
-                continue
-            raise ParseError("stray '-'", line, col)
-        if c in "<[":
+        col = m.start() - line_start + 1
+        value = m.group()
+        if kind == "word":
+            kind = value if value in _KEYWORDS else "ident"
+        elif kind == "punct":
+            kind = _PUNCT_KINDS[value]
+        elif kind == "close":
+            c, name, end = m.group("open", "mod", "close")
             closing = ">" if c == "<" else "]"
-            m = _MOD_RE.match(text, i + 1)
-            if not m:
-                raise ParseError("expected modality name after %r" % c, line, col)
-            name = m.group(0)
-            j = m.end()
-            if j >= n or text[j] != closing:
-                raise ParseError("expected %r after modality %r" % (closing, name),
-                                 line, col)
+            if end != closing:
+                raise ParseError("expected %r after modality %r"
+                                 % (closing, name), line, col)
             if name not in MODALITIES_BY_NAME:
                 raise ParseError("unknown modality %r" % name, line, col)
             kind = "diamond" if c == "<" else "box"
-            tokens.append(_Token(kind, MODALITIES_BY_NAME[name], line, col))
-            i = j + 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, line, col))
-            i = m.end()
-            continue
-        raise ParseError("unexpected character %r" % c, line, col)
-    tokens.append(_Token("eof", None, line, n - line_start + 1))
+            value = MODALITIES_BY_NAME[name]
+        elif kind == "open":
+            raise ParseError("expected modality name after %r" % value,
+                             line, col)
+        elif value == "-":
+            raise ParseError("stray '-'", line, col)
+        else:
+            raise ParseError("unexpected character %r" % value, line, col)
+        tokens.append(_Token(kind, value, line, col))
+    tokens.append(_Token("eof", None, line, len(text) - line_start + 1))
     return tokens
 
 

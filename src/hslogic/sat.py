@@ -308,13 +308,14 @@ def _fold_or(lits: Iterable[int]) -> List[int]:
 class _Cnf:
     """Clause store with a constant-true variable and folding gates.
 
-    Variable 1 is pinned true. define_or, and define_or2/define_and2 for
-    two inputs, drop constants, collapse complementary pairs, and cache
-    gates by literal set, so the encodings of a diamond and of the matching
-    negated box meet in the same variable and contradictions between them
-    surface as constants. A gate of two inputs a, b, however made, is keyed
-    by the pair (min(a, b), max(a, b)), one of more by the frozenset of its
-    inputs.
+    Variable 1 is pinned true. Every gate is an or-gate: define_or, and
+    define_or2 for two inputs, drop constants, collapse complementary
+    pairs, and cache gates by literal set, and the and-gates define_and
+    and define_and2 are the or-gates of the negated inputs, negated. So the
+    encodings of a diamond and of the matching negated box meet in the same
+    variable and contradictions between them surface as constants. A gate
+    of two inputs a, b is keyed by the pair (min(a, b), max(a, b)), one of
+    more by the frozenset of its inputs.
 
     The clause lists go to the solver as they are. Its watch scheme
     watches the first two literals of each and reorders the literals
@@ -383,22 +384,8 @@ class _Cnf:
         return g
 
     def define_and2(self, a: int, b: int) -> int:
-        """-define_or2(-a, -b) without the negations: same folding, same
-        gate key and the same clauses in the same order."""
-        if a == _FALSE or b == _FALSE or a == -b:
-            return _FALSE
-        if a == _TRUE or a == b:
-            return b
-        if b == _TRUE:
-            return a
-        key = (-a, -b) if a > b else (-b, -a)
-        got = self._gate.get(key)
-        if got is not None:
-            return -got
-        self.nvars = g = self.nvars + 1
-        self.clauses += ([-a, -b, -g], [a, g], [b, g])
-        self._gate[key] = g
-        return -g
+        """-define_or2 of the negations: the two-input and-gate."""
+        return -self.define_or2(-a, -b)
 
     def define_and(self, lits: Iterable[int]) -> int:
         """-define_or of the negations: the one n-ary and-gate."""

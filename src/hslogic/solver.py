@@ -38,13 +38,14 @@ A probe assumes its literal at a fresh level and runs unit propagation
 alone. If that conflicts, every model makes the literal false, so the
 probe is undone and the negated literal is added as a level-0 unit. The
 first probe that does not conflict is undone too, implications and all,
-and ends the probing. A probe is undone in place, as backjumping to level
-0 would undo it; the decision cursor needs no lowering, as it is still at
-variable 1. Literals already assigned are passed over, and one already
-true ends the probing. Each new unit follows from the clauses, so the
-instance keeps exactly its models, and the search that follows is
-the fixed-order search over those models: its first model is still the
-lex-least one. The satisfiability engine hands over the goal's
+and ends the probing. A probe runs on the trail as MiniSat runs an
+assumption: it opens level 1 as a decision would, and the backjump to
+level 0 that search uses undoes it, leaving the decision cursor at
+variable 1, where it was. Literals already assigned are passed over, and
+one already true ends the probing. Each new unit follows from the
+clauses, so the instance keeps exactly its models, and the search that
+follows is the fixed-order search over those models: its first model is
+still the lex-least one. The satisfiability engine hands over the goal's
 literals, so a candidate whose goal fails on every literal is refuted
 with no decision at all.
 """
@@ -246,38 +247,21 @@ class Solver:
         """Probe self._probes at level 0 until one does not conflict;
         returns False on a conflict at level 0."""
         vals = self.vals
-        level = self.level
-        reason = self.reason
-        trail = self.trail
         for lit in self._probes:
             v = vals[lit]
             if v is False:
                 continue
             if v is True:
                 break
-            # assume lit at level 1, propagate, and undo it all in place
-            mark = len(trail)
-            self.trail_lim.append(mark)
-            vals[lit] = True
-            vals[-lit] = False
-            level[lit] = 1
-            reason[lit] = -1
-            trail.append(lit)
+            # assume lit at level 1, propagate, and backjump to level 0
+            self.trail_lim.append(len(self.trail))
+            self._enqueue(lit, -1)
             failed = self._propagate() is not None
-            for t in trail[mark:]:
-                vals[t] = None
-                vals[-t] = None
-            del trail[mark:]
-            self.trail_lim.pop()
-            self.qhead = mark
+            self._cancel_until(0)
             if not failed:
                 break
             self.conflicts += 1
-            vals[-lit] = True
-            vals[lit] = False
-            level[-lit] = 0
-            reason[-lit] = -1
-            trail.append(-lit)
+            self._enqueue(-lit, -1)
             if self._propagate() is not None:
                 return False
         return True
@@ -406,7 +390,8 @@ class Solver:
         """Undo every level above lvl. The first literal undone is the
         decision of level lvl + 1, made on the least variable unassigned
         then, so no variable below it is undone and the cursor comes down
-        to it at most."""
+        to it at most. A probe's level 1 is undone with the cursor at 1,
+        where it stays."""
         trail = self.trail
         if len(self.trail_lim) > lvl:
             bound = self.trail_lim[lvl]

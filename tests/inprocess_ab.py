@@ -12,12 +12,15 @@ not read.
 
 Each pair runs BASE and HEAD once each, in fresh processes, the side that
 goes first alternating from pair to pair. A process imports its own tree's
-src/ and prepares every query of the workload, then makes one warm-up pass
-over them and times five more, each query on its own. Per side it keeps
-the best of the five passes for each of three figures: the pass time, and
-the median (p50) and 90th percentile (p90) of the per-query times of a
-pass. Outputs are reduced to plain data by the workload's keys, and the
-two sides' warm-up outputs are compared.
+src/ and prepares every query of the workload, which it times once: the
+prepare time is the workload's set-up in process, its JSON inputs read and
+their formulas parsed and models loaded, as bench/probe.py's set-up does
+after the import. It then makes one warm-up pass over the queries and
+times five more, each query on its own. Per side it keeps the best of the
+five passes for each of three more figures: the pass time, and the median
+(p50) and 90th percentile (p90) of the per-query times of a pass. Outputs
+are reduced to plain data by the workload's keys, and the two sides'
+warm-up outputs are compared.
 
 Per workload it prints, for each figure, the median over the pairs of
 HEAD's figure over BASE's, the quartiles of that ratio, the pairs HEAD won
@@ -42,6 +45,7 @@ from time import perf_counter
 
 WORKLOADS = ("sat_unsat", "sat_models", "mc_periodic", "mc_finite")
 FIGURES = ("pass_s", "p50_ms", "p90_ms")
+SETUP = "prepare_s"     # once per process, not per pass
 PASSES = 5
 TIMEOUT = 900
 
@@ -69,7 +73,10 @@ def worker(tree: Path, bench: Path, workload: str, limit: int) -> dict:
         raise SystemExit("imported hslogic from %s" % hslogic.__file__)
     import workloads
 
-    rounds = workloads.prepare(workload, json.loads(sys.stdin.read()))
+    inputs = sys.stdin.read()
+    t0 = perf_counter()
+    rounds = workloads.prepare(workload, json.loads(inputs))
+    prepare_s = perf_counter() - t0
     queries = [q for rnd in rounds for q in rnd]
     if limit > 0:
         queries = queries[:limit]
@@ -95,6 +102,7 @@ def worker(tree: Path, bench: Path, workload: str, limit: int) -> dict:
         runs["p90_ms"].append(1000 * _percentile(times, 0.9))
     return {"queries": len(queries),
             "outputs": hashlib.sha256("\n".join(keys).encode()).hexdigest(),
+            SETUP: prepare_s,
             **{name: min(values) for name, values in runs.items()}}
 
 
@@ -111,10 +119,10 @@ def _run_side(tree: Path, bench: Path, workload: str, inputs: str,
 
 
 def _summary(pairs) -> dict:
-    """Per figure: HEAD over BASE per pair, its median and quartiles, the
-    pairs HEAD won, and each side's median."""
+    """Per figure, the prepare time included: HEAD over BASE per pair, its
+    median and quartiles, the pairs HEAD won, and each side's median."""
     out = {}
-    for name in FIGURES:
+    for name in (SETUP,) + FIGURES:
         ratios = [head[name] / base[name] for base, head in pairs]
         if len(ratios) > 1:
             q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
@@ -155,9 +163,9 @@ def compare(base: Path, head: Path, workloads, seed: int, pairs: int,
         print("%s seed %d: %d pairs, %d queries, outputs %s"
               % (workload, seed, pairs, runs[0][0]["queries"],
                  "identical" if same else "DIFFER"), file=out)
-        for name in FIGURES:
+        for name in (SETUP,) + FIGURES:
             s = summary[name]
-            scale = 1000 if name == "pass_s" else 1
+            scale = 1000 if name.endswith("_s") else 1
             print("  %-6s HEAD/BASE %.3f (quartiles %.3f-%.3f), won %d/%d;"
                   " base %.4g ms, head %.4g ms"
                   % (name, s["ratio"], s["q1"], s["q3"], s["won"], pairs,

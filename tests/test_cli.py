@@ -363,3 +363,23 @@ def test_mirror_reports_the_formula_error(capsys):
     code, out, err = run(capsys, "mirror", "--fragment", "p&")
     assert (code, out) == (2, "")
     assert err == "error: unknown modality 'p&' (line 1, column 1)\n"
+
+
+def test_an_unwritable_certificate_leaves_stdout_empty(capsys, tmp_path):
+    # the certificate file is written before anything is printed, so exit
+    # 2 comes with no SAT verdict on stdout
+    code, out, err = run(capsys, "sat", "<B> p",
+                         "--out", str(tmp_path / "missing" / "x.ism"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] ")
+    src = tmp_path / "f.hsf"
+    src.write_text("<B> p\n", encoding="ascii")
+    (tmp_path / "f.hsf.cert.ism").mkdir()   # the default path
+    code, out, err = run(capsys, "sat", "--file", str(src))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    # a path that can be written still gets the certificate printed too
+    cert = tmp_path / "c.ism"
+    code, out, _ = run(capsys, "sat", "--file", str(src), "--out", str(cert))
+    assert code == 0
+    assert out == "SAT\nwitness 1 3\n" + cert.read_text(encoding="ascii")

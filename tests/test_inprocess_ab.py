@@ -61,3 +61,26 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         inprocess_ab.main([str(ROOT), str(ROOT), "--pairs", "0"])
     assert info.value.code == 2
+
+
+def test_the_prepare_time_is_reported_and_shows_a_slower_parser(tmp_path):
+    got, printed = _compare(ROOT)
+    s = got["summary"][inprocess_ab.SETUP]
+    assert s["q1"] <= s["ratio"] <= s["q3"]
+    assert all(side[inprocess_ab.SETUP] > 0
+               for pair in got["runs"] for side in pair)
+    assert printed.count("  prepare_s HEAD/BASE") == 1
+    # a parser slowed by 1 ms a formula: the set-up parses every formula
+    # of the workload, the thirty timed queries take their formulas ready
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    parser = tmp_path / "src" / "hslogic" / "parser.py"
+    text = parser.read_text()
+    head = "    tokens = _tokenize(text)\n"
+    assert text.count(head) == 1
+    parser.write_text(text.replace(
+        head, "    __import__('time').sleep(0.001)\n" + head))
+    got, _ = _compare(tmp_path)
+    assert got["same_outputs"]
+    s = got["summary"][inprocess_ab.SETUP]
+    assert s["won"] == 0 and s["ratio"] > 1.5, s

@@ -126,3 +126,50 @@ def test_very_deep_input_is_a_parse_error():
                  " & ".join(["p"] * 5000)):
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_formula(text)
+
+
+# scanner errors, each with the column of its token on a one-line input
+_SCAN_ERRORS = [
+    ("p - q", "stray '-'", 3),
+    ("p -", "stray '-'", 3),
+    ("<> p", "expected modality name after '<'", 1),
+    ("p & [1] q", "expected modality name after '['", 5),
+    ("<B] p", "expected '>' after modality 'B'", 1),
+    ("<B1> p", "expected '>' after modality 'B'", 1),
+    ("p & <B", "expected '>' after modality 'B'", 5),
+    ("[iL> p", "expected ']' after modality 'iL'", 1),
+    ("~<Bx> p", "unknown modality 'Bx'", 2),
+    ("p & P", "unexpected character 'P'", 5),
+    ("p > q", "unexpected character '>'", 3),
+    ("p\vq", "unexpected character '\\x0b'", 2),
+    ("p & é", "unexpected character 'é'", 5),
+]
+
+
+@pytest.mark.parametrize("text, message, col", _SCAN_ERRORS)
+def test_scanner_errors_and_their_positions(text, message, col):
+    with pytest.raises(ParseError) as e:
+        parse_formula(text)
+    assert str(e.value) == "%s (line 1, column %d)" % (message, col)
+    # on line 2 the column restarts; a tab or a carriage return is a
+    # blank of one column and a comment runs to the end of its line
+    for before, shift in (("p # a <B] comment\n", 0), ("p\n\t\t", 2),
+                          ("p\r\n\r", 1)):
+        with pytest.raises(ParseError) as e:
+            parse_formula(before + text)
+        assert str(e.value) == "%s (line 2, column %d)" % (message,
+                                                          col + shift)
+        assert (e.value.line, e.value.col) == (2, col + shift)
+
+
+@pytest.mark.parametrize("text, line, col", [
+    ("p &\n  q &\n", 3, 1),
+    ("p &\n\tq &  ", 2, 7),
+    ("p & # comment\n", 2, 1),
+    ("p &\r\n", 2, 1),
+])
+def test_end_of_input_column_of_multi_line_input(text, line, col):
+    with pytest.raises(ParseError) as e:
+        parse_formula(text)
+    assert str(e.value) == ("expected a formula, found end of input "
+                            "(line %d, column %d)" % (line, col))

@@ -405,3 +405,41 @@ def test_backjumps_lower_the_cursor_to_the_least_undone_variable(monkeypatch):
             s.probe_first(rng.choice(clauses))
             s.solve()
     assert seen["jumps"] > 1000 and seen["lowered"] > 500
+
+
+def test_probing_leaves_only_level_0_behind():
+    # after the probes, whether one survived, all failed or one failed at
+    # level 0, the solver is where a search starts: no open level, nothing
+    # left to propagate, the cursor at variable 1, and each assigned
+    # variable on the trail at level 0
+    rng = random.Random(4016)
+    survived = refuted = failed = 0
+    for _ in range(600):
+        num_vars = rng.randrange(2, 13)
+        clauses = [[rng.choice([-1, 1]) * rng.randrange(1, num_vars + 1)
+                    for _ in range(rng.choice((2, 2, 3, 3, 4)))]
+                   for _ in range(rng.randrange(num_vars, 5 * num_vars))]
+        s = Solver()
+        for _ in range(num_vars):
+            s.new_var()
+        if not s.add_clauses(clauses):
+            continue
+        s.probe_first(rng.choice(clauses) if rng.random() < 0.5 else
+                      [rng.choice([-1, 1]) * rng.randrange(1, num_vars + 1)
+                       for _ in range(rng.randrange(1, 6))])
+        ok = s._probe()
+        survived += ok
+        refuted += not ok
+        failed += s.conflicts
+        assert s.trail_lim == []
+        assert s.qhead == len(s.trail)
+        assert s.cursor == 1
+        on_trail = {abs(lit) for lit in s.trail}
+        assert len(on_trail) == len(s.trail)
+        for lit in s.trail:
+            assert s.vals[lit] is True and s.vals[-lit] is False
+            assert s.level[lit] == 0
+        for v in range(1, num_vars + 1):
+            if v not in on_trail:
+                assert s.vals[v] is None and s.vals[-v] is None
+    assert survived > 200 and refuted > 20 and failed > 200
