@@ -16,9 +16,12 @@ by (x, y) only at their boundary.
 The engine is the one statement of Allen's twelve relations outside the
 periodic begin/later encoder (sat._Encoder): six diamonds are written out
 (A, iA, B, iB, E, iE), and the other six are one of them over another, by
-the six definability equations (_COMPOSED). allen_related lists the
-successors of an interval with one engine pass, and bisim._moves those of
-every cell of a finite model with one pass per modality.
+the six definability equations (_COMPOSED). A box [M] s is ~<M> ~s, which
+the engine reads as the dual pass of <M> over s's own table, meets where
+the diamond joins, with no negated table; the periodic encoder still reads
+it as ~<M> ~s. allen_related lists the successors of an interval with one
+engine pass, and bisim._moves those of every cell of a finite model with
+one pass per modality.
 
 Finite models are evaluated exactly over the whole domain. Periodic models
 are evaluated over windows of growing horizon: scans that reach right without
@@ -29,7 +32,8 @@ exact (strong Kleene logic), so mc_periodic watches only the formula at the
 query it is asked, pulled back under those thresholds, and stops once two
 consecutive windows give it the same determined value. How many windows it
 tries is its own decision, derived from the formula, the model and the
-query; no caller sets a budget or a horizon.
+query; no caller sets a budget or a horizon. Each letter's fixed-point
+rows are listed once per mc_periodic call, and every window reads them.
 """
 
 from __future__ import annotations
@@ -169,13 +173,15 @@ def _fill(order: List[Formula], out: Dict[Formula, Any], alg) -> dict:
     * and2 and or2, operations on two cells, and pointwise(f, op, x, y),
       which applies op to the operand values x and y of node f cell by
       cell;
-    * diamond(f, x), the diamond of the modality of f, a diamond or a box,
-      over the value x.
+    * diamond(f, x) and box(f, x), the diamond and the box of the
+      modality of f over the value x.
 
     A conjunction and a disjunction are and2 and or2 cell by cell. An
     implication s -> t is the disjunction of ~s with t. A box [M] s is ~<M>
-    ~s: the negation of the diamond over the negated operand. Anything else
-    is a TypeError. The pre-check's tableau (sat._expand) keeps its own
+    ~s. The periodic encoder computes it so, the negation of the diamond
+    over the negated operand; the grid engine as the dual pass of the
+    diamond over the operand itself, with no negated table; and the
+    thresholds lift a box as its diamond. Anything else is a TypeError. The pre-check's tableau (sat._expand) keeps its own
     walk, as its letters are whole diamonds and boxes and it reads a
     formula one branch at a time."""
     for f in order:
@@ -195,7 +201,7 @@ def _fill(order: List[Formula], out: Dict[Formula, Any], alg) -> dict:
         elif t is Diamond:
             v = alg.diamond(f, out[f.sub])
         elif t is Box:
-            v = alg.negation(alg.diamond(f, alg.negation(out[f.sub])))
+            v = alg.box(f, out[f.sub])
         elif t is TrueConst or t is FalseConst:
             v = alg.constant(_T if t is TrueConst else _F)
         else:
@@ -227,6 +233,8 @@ class _Thresholds:
 
     def diamond(self, f: Formula, b: Bounds) -> Bounds:
         return _lift(f.mod.name, b, self.per)
+
+    box = diamond
 
 
 def _fold_thresholds(order: List[Formula], pre: int,
@@ -286,12 +294,16 @@ class _TableEngine:
     on values: join of a list, or2 and and2. In both algebras -1 is false, 1
     is true, negation is unary minus and a join over a true value is true.
     For the three-valued lattice the operations are max and min. The engine
-    is a back-end of _fill, which reads the connectives and the boxes, so it
-    supplies constant tables, negation and or2/and2 cell by cell, and the
-    diamonds. Passed
-    sat._Cnf's folding gates, with atom variables as atom tables, the same
-    recurrences encode a formula as CNF; unread slots then fold to
-    constants and make no gates.
+    is a back-end of _fill, which reads the connectives, so it supplies
+    constant tables, negation and or2/and2 cell by cell, the diamonds and
+    the boxes. A box [M] s is the dual pass of <M> over s's own table, the
+    negation of <M> ~s without a negated table: and2 for or2, the meet for
+    the join (the negation of the join of the negations) and every ladder
+    started at true. Passed sat._Cnf's folding gates, with atom variables
+    as atom tables, the same recurrences encode a formula as CNF, and as
+    _Cnf's and-gates are its or-gates of the negated inputs, negated, a box
+    makes the gates ~<M> ~s makes; unread slots fold to constants and make
+    no gates.
 
     period=(per, bounds) makes the window a prefix of a periodic domain of
     period per, which only the lattice is used with; bounds maps each node
@@ -338,62 +350,78 @@ class _TableEngine:
                   D: List[int]) -> List[int]:
         return list(map(op, C, D))
 
-    def diamond(self, f: Formula, C: List[int]) -> List[int]:
+    def diamond(self, f: Formula, C: List[int],
+                dual: bool = False) -> List[int]:
         return self._diamond(f.mod.name, C,
-                             self.period and self.period[1][f.sub])
+                             self.period and self.period[1][f.sub], dual)
 
-    def _diamond(self, name: str, C: List[int],
-                 b: Optional[Bounds]) -> List[int]:
+    def box(self, f: Formula, C: List[int]) -> List[int]:
+        return self.diamond(f, C, True)
+
+    def _meet(self, C: List[int]) -> int:
+        """The meet of C: the negation of the join of the negations."""
+        return -self.join([-v for v in C])
+
+    def _diamond(self, name: str, C: List[int], b: Optional[Bounds],
+                 dual: bool = False) -> List[int]:
         """The table of a diamond over the child table C, whose formula
-        has the thresholds b (None without a period)."""
+        has the thresholds b (None without a period). With dual, the table
+        of the box, [M] s being ~<M> ~s: the same pass over C itself with
+        and2 for or2, the meet for the join, and every ladder started at
+        true. Undetermined is its own negation, so the padding of a scan
+        the window cuts short stays undetermined."""
         composed = _COMPOSED.get(name)
         if composed is not None:
             inner, outer = composed
             lifted = b and _lift(inner, b, self.period[0])
-            return self._diamond(outer, self._diamond(inner, C, b), lifted)
-        h, w, or2 = self.h, self.w, self.or2
-        out = [_F] * (h * w)
+            return self._diamond(outer, self._diamond(inner, C, b, dual),
+                                 lifted, dual)
+        h, w = self.h, self.w
+        join, op, start = ((self._meet, self.and2, _T) if dual
+                           else (self.join, self.or2, _F))
+        out = [start] * (h * w)
         if name == "A":
             # (y, y') with y' > y, the same for every x: fill column y
             for y in range(1, h + 1):
-                v = self._scan(C, b, y)
+                v = self._scan(C, b, y, join, op)
                 out[y:y * w + y:w] = [v] * y
         elif name == "iA":
             # (x', x): column x, the same for every y: fill row x
             for x in range(1, h):
                 r = x * w
-                out[r + x + 1:r + h + 1] = [self.join(C[x:r + x:w])] * (h - x)
+                out[r + x + 1:r + h + 1] = [join(C[x:r + x:w])] * (h - x)
         elif name == "B":
             # (x, y') with y' < y: a ladder along each row
             for x in range(h):
                 r = x * w
-                out[r + x + 1:r + h + 1] = accumulate(C[r + x + 1:r + h], or2,
-                                                      initial=_F)
+                out[r + x + 1:r + h + 1] = accumulate(C[r + x + 1:r + h], op,
+                                                      initial=start)
         elif name == "iB":
             # (x, y') with y' > y: a ladder along each row, from the right
             for x in range(h):
                 r = x * w
-                out[r + x + 1:r + h + 1] = self._row_joins(C, b, x)
+                out[r + x + 1:r + h + 1] = self._row_joins(C, b, x, op, start)
         elif name == "E":
             # (x', y) with x' > x: a ladder up each column, from y - 1 down
             for y in range(1, h + 1):
-                col = list(accumulate(C[(y - 1) * w + y:y:-w], or2,
-                                      initial=_F))
+                col = list(accumulate(C[(y - 1) * w + y:y:-w], op,
+                                      initial=start))
                 col.reverse()
                 out[y:y * w + y:w] = col
         elif name == "iE":
             # (x', y) with x' < x: a ladder down each column
             for y in range(1, h + 1):
-                out[y:y * w + y:w] = accumulate(C[y:(y - 1) * w + y:w], or2,
-                                                initial=_F)
+                out[y:y * w + y:w] = accumulate(C[y:(y - 1) * w + y:w], op,
+                                                initial=start)
         else:
             raise ValueError("unknown modality %r" % name)
         return out
 
-    def _row_joins(self, C: List[int], b: Optional[Bounds],
-                   x: int) -> List[int]:
+    def _row_joins(self, C: List[int], b: Optional[Bounds], x: int,
+                   op: Callable[[int, int], int], start: int) -> List[int]:
         """Row x of <iB> over C: for each y in x+1..h the join of C over
-        the cells (x, y'), y' > y, by running joins along the row.
+        the cells (x, y'), y' > y, by running joins along the row; with op
+        and2 and start true, row x of [iB] over C, by running meets.
 
         Without a period this is a ladder from the end of the row, the
         mirror of E's column ladder. With one, let cap = models.row_stop(b,
@@ -401,19 +429,19 @@ class _TableEngine:
         same cap, and every y >= t the cap y + per. So the cells before t
         are one ladder from min(cap, h), started at undetermined when the
         window ends before cap, and from t on each cell joins the window
-        y < y' <= y + per: per shifted slices of the row under or2, each
+        y < y' <= y + per: per shifted slices of the row under op, each
         padded with undetermined past h, as a scan cut short by the window
         joins in undetermined."""
-        h, or2 = self.h, self.or2
+        h = self.h
         r = x * self.w
-        t, hi, start = h + 1, h, _F
+        t, hi = h + 1, h
         if self.period is not None:
             per = self.period[0]
             cap = row_stop(b, per, x, x)
             t, hi = cap - per + 1, min(cap, h)
             if cap > h:
                 start = _U
-        row = list(accumulate(C[r + hi:r + x + 1:-1], or2, initial=start))
+        row = list(accumulate(C[r + hi:r + x + 1:-1], op, initial=start))
         row.reverse()
         n = h + 1 - t
         if n <= 0:
@@ -421,21 +449,24 @@ class _TableEngine:
         del row[t - x - 1:]
         win = C[r + t + 1:r + h + 1] + [_U]
         for k in range(2, per + 1):
-            win = list(map(or2, win,
+            win = list(map(op, win,
                            C[r + t + k:r + h + 1] + [_U] * min(k, n)))
         return row + win
 
-    def _scan(self, C: List[int], b: Optional[Bounds], y: int) -> int:
-        """Join of C over the cells (y, y'), y' > y, for A. Unbounded to
-        the right; on a periodic domain the scan stops at models.row_stop
-        and joins in undetermined if the window ends first."""
+    def _scan(self, C: List[int], b: Optional[Bounds], y: int,
+              join: Callable[[List[int]], int],
+              op: Callable[[int, int], int]) -> int:
+        """The value join gives C over the cells (y, y'), y' > y, for A:
+        the join, or for a box the meet, with op and2. Unbounded to the
+        right; on a periodic domain the scan stops at models.row_stop and
+        takes in undetermined by op if the window ends first."""
         hi, exact = self.h, True
         if self.period is not None:
             cap = row_stop(b, self.period[0], y, y)
             hi, exact = min(hi, cap), cap <= hi
         r = y * self.w
-        v = self.join(C[r + y + 1:r + hi + 1])
-        return v if exact else self.or2(v, _U)
+        v = join(C[r + y + 1:r + hi + 1])
+        return v if exact else op(v, _U)
 
 
 def allen_related(domain, i: Interval, mod: Modality) -> List[Interval]:
@@ -468,7 +499,8 @@ def allen_related(domain, i: Interval, mod: Modality) -> List[Interval]:
 
 
 def _model_engine(model: IntervalModel, horizon: int,
-                  bounds: Optional[Dict[Formula, Bounds]] = None
+                  bounds: Optional[Dict[Formula, Bounds]] = None,
+                  rows: Optional[Dict[str, List[List[int]]]] = None
                   ) -> _TableEngine:
     """The engine over a model's window 0..horizon in the three-valued
     lattice; on a periodic domain bounds gives the thresholds of the nodes
@@ -478,13 +510,18 @@ def _model_engine(model: IntervalModel, horizon: int,
     model.atom_cells(letter). On a finite domain the window is the whole
     domain, so each cell is stamped where it stands. On a periodic domain
     the canonical cells are the fixed points of the atom thresholds
-    (pre, 1, pre) (models.reduce_cell): each row x < pre + per is read from
-    them by models.read_row, and each later row x is row x - per one cell
-    on, by a diagonal shift. Each row is one slice assignment, with no
-    canonical_interval call."""
+    (pre, 1, pre) (models.reduce_cell). They are stamped once into the
+    letter's fixed-point rows, x < pre + per, each to models.row_stop,
+    which rows keeps by letter: mc_periodic hands one dict to the engine
+    of every horizon, so it lists them once per call. Each row x < pre +
+    per of the window is read from them by models.read_row, and each later
+    row x is row x - per one cell on, by a diagonal shift. Each row is one
+    slice assignment, with no canonical_interval call."""
     d = model.domain
     h, w = horizon, horizon + 1
     period = (d.per, bounds) if isinstance(d, PeriodicDomain) else None
+    if rows is None:
+        rows = {}
 
     def atom(name: str) -> List[int]:
         table = [_F] * (h * w)
@@ -493,16 +530,18 @@ def _model_engine(model: IntervalModel, horizon: int,
                 table[x * w + y] = _T
             return table
         pre, per = d.pre, d.per
-        b, cut = (pre, 1, pre), pre + per
-        rows = [[_F] * (row_stop(b, per, x, x) - x)
-                for x in range(min(cut, h))]
-        for x, y in model.atom_cells(name):
-            if x < h:
-                rows[x][y - x - 1] = _T
+        cut = pre + per
+        own = rows.get(name)
+        if own is None:
+            b = (pre, 1, pre)
+            own = rows[name] = [[_F] * (row_stop(b, per, x, x) - x)
+                                for x in range(cut)]
+            for x, y in model.atom_cells(name):
+                own[x][y - x - 1] = _T
         for x in range(h):
             r = x * w
             if x < cut:
-                table[r + x + 1:r + h + 1] = read_row(rows, per, x, h)
+                table[r + x + 1:r + h + 1] = read_row(own, per, x, h)
             else:
                 q = r - per * (w + 1)   # row x - per, one cell on
                 table[r + x + 1:r + h + 1] = table[q + x + 1:q + h + 1]
@@ -583,10 +622,11 @@ def mc_periodic(model: IntervalModel, i: Interval, phi: Formula) -> bool:
     is determined and the same at two consecutive horizons. A determined
     value is exact, so nothing else is watched; the second horizon checks
     that it does not move as the window grows. phi's postorder is listed
-    once and gives every node its thresholds (_fold_thresholds). Each
-    horizon's fresh engine fills the nodes phi's conjuncts need, and phi's
-    value is their meet (_conjuncts), so a root chain's links get no
-    tables.
+    once and gives every node its thresholds (_fold_thresholds), and each
+    letter's fixed-point rows are listed once, on the first horizon that
+    reads the letter (_model_engine). Each horizon's fresh engine fills the
+    nodes phi's conjuncts need, and phi's value is their meet
+    (_conjuncts), so a root chain's links get no tables.
 
     The number of horizons is derived here, and only here: enough for every
     scan from the query to end inside the window, max(depth + 2,
@@ -610,10 +650,10 @@ def mc_periodic(model: IntervalModel, i: Interval, phi: Formula) -> bool:
     need = _scan_frontier(pre, per, top, depth, y)
     base = max(pre, y)
     rounds = max(depth + 2, -((base - need) // per) + 1)
-    prev = None
+    prev, rows = None, {}
     for k in range(2, rounds + 3):
-        cur = _meet(_model_engine(model, base + k * per, bounds), parts,
-                    needed, x, y)
+        cur = _meet(_model_engine(model, base + k * per, bounds, rows),
+                    parts, needed, x, y)
         if cur == prev and cur != _U:
             return cur == _T
         prev = cur

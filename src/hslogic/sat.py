@@ -507,7 +507,8 @@ class _Encoder(_Candidate):
 
     Any other modality is an UnsupportedFragmentError.
 
-    A box is [M] s = ~<M> ~s, as checking._fill reads it. A rung
+    A box [M] s is ~<M> ~s, the diamond over the negated rows, negated
+    (box); the grid engine reads it as the dual of its diamond. A rung
     is by induction the join of the literals it has taken in, so a covered
     one would change nothing; the covered sets are never iterated, so the
     gate numbering does not depend on the hash seed. Gates are full two-way
@@ -615,6 +616,9 @@ class _Encoder(_Candidate):
             raise UnsupportedFragmentError(
                 "modality %s outside the begin/later fragment" % name)
         return tab
+
+    def box(self, f: Box, sub: Rows) -> Rows:
+        return self.negation(self.diamond(f, self.negation(sub)))
 
 
 def _recheck(phi: Formula, model: IntervalModel, witness: Interval) -> bool:
@@ -730,17 +734,32 @@ def sat_bbll(phi: Formula, max_bound: Optional[int] = None) -> SatResult:
 
 def sat_bounded_finite(phi: Formula, max_points: int) -> SatResult:
     """Search finite orders with up to max_points+1 points for a model of
-    phi. Full modality set; answers Sat or Unknown, never Unsat."""
+    phi. Full modality set; answers Sat or Unknown, never Unsat.
+
+    The nodes of each size are filled in order, and the size is dropped
+    once every cell has a conjunct whose literal is false there: phi then
+    folds to false on every cell, as add_goal would find, and the nodes
+    left need no gates."""
     if max_points < 1:
         raise ValueError("need at least one point past the origin")
     order = postorder(phi)
     parts, needed = _conjuncts(order)
+    conjuncts = set(parts)
     letters = sorted(_letters(order))
     for n in range(1, max_points + 1):
         cand = _Candidate(FiniteDomain(n), letters)
-        tables = _finite_engine(cand).fill(needed)
+        engine, w = _finite_engine(cand), n + 1
         cells = canonical_cells(cand.domain)
-        cols = [[tables[f][x * (n + 1) + y] for x, y in cells] for f in parts]
+        live = at = [x * w + y for x, y in cells]
+        for f in needed:
+            tab = engine.fill([f])[f]
+            if f in conjuncts:
+                live = [k for k in live if tab[k] != _FALSE]
+                if not live:
+                    break
+        if not live:
+            continue
+        cols = [[engine.tables[f][k] for k in at] for f in parts]
         lits = (cols[0] if len(parts) == 1
                 else [cand.cnf.define_and(c) for c in zip(*cols)])
         if not cand.cnf.add_goal(lits):

@@ -1,7 +1,8 @@
 """Two source trees on the same inputs, answer by answer.
 
     python tests/differential.py OLD NEW [--seed N] [--mc N] [--sat N]
-                                 [--finite N] [--pre N] [--limit SECONDS]
+                                 [--finite N] [--pre N] [--fe N]
+                                 [--limit SECONDS]
 
 OLD and NEW are source trees: a directory holding the hslogic package, or
 a checkout whose src/ holds it (for example a `git archive` of the parent
@@ -10,7 +11,7 @@ with tests/gen.py, under NEW's hslogic, and are handed to each tree as
 text: formulas as syntax.render writes them, models as .ism text. Each tree answers in its own subprocess, with only that tree
 on its path, and each input has a time limit there.
 
-Four kinds of input and answer are compared:
+Five kinds of input and answer are compared:
 
 * mc: a periodic model (prefix and period 1-3, letters p and q), a formula
   of depth <= 3 over all twelve modalities and an interval, near the origin
@@ -32,7 +33,12 @@ Four kinds of input and answer are compared:
   some negated and often one both ways, or a formula of depth <= 3. The
   answer is sat_bbll's with the periodic bound 0, which stops after the
   pre-check: the reason of its Unsat, or the Unknown of a search cut
-  short.
+  short;
+* fe: a finite model (1-8 points past the origin, letters p and q) and a
+  formula of depth <= 3 over all twelve modalities: one drawn by
+  rand_formula, a box over one of depth <= 2, or the negation of such a
+  box, a third of the inputs each. The answer is FiniteEvaluator.value
+  at every cell of the model, in models.canonical_cells order.
 
 Every third mc, sat and finite input (the second, the fifth, ...) asks a
 conjunction of 3-8 random parts instead, of depth <= 1 for sat and <= 2
@@ -95,7 +101,7 @@ def source_dir(tree):
     raise SystemExit("no hslogic package in %s or its src/" % tree)
 
 
-def draw_inputs(seed, n_mc, n_sat, n_finite=0, n_pre=0):
+def draw_inputs(seed, n_mc, n_sat, n_finite=0, n_pre=0, n_fe=0):
     """The inputs of a run, as JSON-ready dicts, drawn under the hslogic on
     this process's path."""
     root = str(Path(__file__).resolve().parent.parent)
@@ -106,7 +112,8 @@ def draw_inputs(seed, n_mc, n_sat, n_finite=0, n_pre=0):
         And, Atom, B, Box, Diamond, L, Not, conj, iB, iL, neg, render,
     )
     from tests.gen import (
-        all_mods, rand_conjunction, rand_formula, rand_periodic_model,
+        all_mods, rand_conjunction, rand_finite_model, rand_formula,
+        rand_periodic_model,
     )
 
     rng = random.Random(seed)
@@ -161,12 +168,25 @@ def draw_inputs(seed, n_mc, n_sat, n_finite=0, n_pre=0):
         else:
             phi = rand_formula(rng, ("p", "q"), bbll, 3)
         out.append({"kind": "pre", "formula": render(phi)})
+    for _ in range(n_fe):
+        model = rand_finite_model(rng, rng.randint(1, 8), ("p", "q"),
+                                  rng.choice((0.15, 0.4)))
+        r = rng.random()
+        if r < 1 / 3:
+            phi = rand_formula(rng, ("p", "q"), all_mods(), 3)
+        else:
+            phi = Box(rng.choice(all_mods()),
+                      rand_formula(rng, ("p", "q"), all_mods(), 2))
+            if r < 2 / 3:
+                phi = Not(phi)
+        out.append({"kind": "fe", "model": save_model(model),
+                    "formula": render(phi)})
     return out
 
 
 def _answer(item):
     """One input's answer in the tree on this process's path."""
-    from hslogic.checking import NotStabilized, mc_periodic
+    from hslogic.checking import FiniteEvaluator, NotStabilized, mc_periodic
     from hslogic.models import canonical_cells, load_model, save_model
     from hslogic.parser import parse_formula
     from hslogic.sat import (
@@ -197,10 +217,14 @@ def _answer(item):
         return [type(res).__name__, res.reason]
 
     phi = parse_formula(item["formula"])
-    if item["kind"] != "mc":
+    if item["kind"] not in ("mc", "fe"):
         return guard(solve)
     model = load_model(item["model"])
-    cells = [tuple(item["cell"])] + canonical_cells(model.domain)
+    cells = canonical_cells(model.domain)
+    if item["kind"] == "fe":
+        ev = FiniteEvaluator(model)
+        return [guard(lambda: ev.value(phi, cell)) for cell in cells]
+    cells = [tuple(item["cell"])] + cells
     return [guard(lambda: mc_periodic(model, cell, phi)) for cell in cells]
 
 
@@ -326,6 +350,7 @@ def main(argv=None):
     ap.add_argument("--sat", type=int, default=200)
     ap.add_argument("--finite", type=int, default=200)
     ap.add_argument("--pre", type=int, default=2000)
+    ap.add_argument("--fe", type=int, default=1000)
     ap.add_argument("--limit", type=float, default=10.0,
                     help="seconds per input in each tree")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -337,7 +362,7 @@ def main(argv=None):
         ap.error("two source trees are required")
     sys.path.insert(0, str(source_dir(args.new)))
     inputs = draw_inputs(args.seed, args.mc, args.sat, args.finite,
-                         args.pre)
+                         args.pre, args.fe)
     _, counts, differing = run(args.old, args.new, inputs, args.limit)
     for kind, c in sorted(counts.items()):
         print("%s: %d identical, %d moved, %d differing, %d timed out"

@@ -10,7 +10,8 @@ from hslogic.checking import (
 )
 from hslogic.cli import main
 from hslogic.models import (
-    canonical_cells, finite_model, periodic_model, reverse_model, save_model,
+    IntervalModel, canonical_cells, finite_model, periodic_model,
+    reverse_model, save_model,
 )
 from hslogic.parser import parse_formula
 from hslogic.sat import check_certificate
@@ -213,9 +214,9 @@ def test_a_pulled_back_query_settles_at_its_second_horizon(monkeypatch):
         pulled.append(reduce_query(domain, i, b))
         return pulled[-1]
 
-    def recording_engine(model, horizon, bounds=None):
+    def recording_engine(model, horizon, bounds=None, rows=None):
         horizons.append(horizon)
-        return model_engine(model, horizon, bounds)
+        return model_engine(model, horizon, bounds, rows)
 
     monkeypatch.setattr(checking, "_reduce_query", recording_reduce)
     monkeypatch.setattr(checking, "_model_engine", recording_engine)
@@ -256,6 +257,33 @@ def test_each_periodic_query_walks_the_formula_once(monkeypatch):
             calls.clear()
             mc_periodic(m, i, phi)
             assert calls == [phi]
+
+
+def test_each_periodic_query_lists_a_letter_once(monkeypatch):
+    # every horizon's engine reads the one listing of a letter's
+    # fixed-point rows that its mc_periodic call makes
+    listed, horizons = [], []
+    atom_cells, model_engine = IntervalModel.atom_cells, checking._model_engine
+
+    def counting(model, letter):
+        listed.append(letter)
+        return atom_cells(model, letter)
+
+    def recording_engine(model, horizon, bounds=None, rows=None):
+        horizons.append(horizon)
+        return model_engine(model, horizon, bounds, rows)
+
+    m = periodic_model(2, 3, {"p": [(1, 2), (3, 4)], "q": [(0, 2)]})
+    monkeypatch.setattr(IntervalModel, "atom_cells", counting)
+    monkeypatch.setattr(checking, "_model_engine", recording_engine)
+    for text in ("[L] (p | <iB> q)", "q & <L> <iB> p & [B] <A> q"):
+        phi = parse_formula(text)
+        for i in [(0, 1), (4, 9), (7, 100)]:
+            listed.clear()
+            horizons.clear()
+            mc_periodic(m, i, phi)
+            assert len(horizons) >= 2
+            assert sorted(listed) == ["p", "q"]
 
 
 def test_periodic_rejects_finite_and_vice_versa():

@@ -1,7 +1,8 @@
 """The parent-versus-change differential (tests/differential.py) on small
-runs: one tree against itself answers identically on all four kinds, a
+runs: one tree against itself answers identically on all five kinds, a
 copy whose mc_periodic answers the opposite is reported input by input,
-verdict by verdict, a copy whose fragment check words its refusal
+verdict by verdict, and so is a copy whose FiniteEvaluator.value answers
+the opposite, value by value, a copy whose fragment check words its refusal
 otherwise is reported on the refused formulas, a copy whose pre-check
 refutes a split node on either branch is reported on the pre-check's
 inputs, and a refutation the old tree confirms with no bound is counted as
@@ -15,8 +16,8 @@ from . import differential
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _run(old, new, n_mc, n_sat, n_finite=0, n_pre=0):
-    inputs = differential.draw_inputs(3, n_mc, n_sat, n_finite, n_pre)
+def _run(old, new, n_mc, n_sat, n_finite=0, n_pre=0, n_fe=0):
+    inputs = differential.draw_inputs(3, n_mc, n_sat, n_finite, n_pre, n_fe)
     return differential.run(old, new, inputs, 20.0)
 
 
@@ -79,6 +80,24 @@ def test_a_flipped_verdict_is_reported(tmp_path):
         assert kind == "mc" and len(a) == len(b)
         assert all(va == (not vb) if isinstance(va, bool) else va == vb
                    for va, vb in zip(a, b))
+
+
+def test_a_flipped_finite_value_is_reported(tmp_path):
+    same = {"moved": 0, "differing": 0, "timed out": 0}
+    old, counts, _ = _run(SRC, SRC, 0, 0, 0, 0, 30)
+    assert counts["fe"] == {"identical": 30, **same}
+    values = [v for answer in old for v in answer]
+    assert True in values and False in values
+    assert all(isinstance(v, bool) for v in values)
+    with open(_copy(tmp_path) / "checking.py", "a") as fh:
+        fh.write("\n\n_value = FiniteEvaluator.value\n"
+                 "FiniteEvaluator.value = lambda *args: not _value(*args)\n")
+    flipped, counts, differing = _run(SRC, tmp_path, 0, 0, 0, 0, 30)
+    assert flipped == old
+    assert counts["fe"] == {"identical": 0, "moved": 0, "differing": 30,
+                            "timed out": 0}
+    for kind, _, a, b in differing:
+        assert kind == "fe" and b == [not v for v in a]
 
 
 def test_a_pre_check_refuting_on_either_branch_is_reported(tmp_path):

@@ -7,8 +7,10 @@ import time
 import pytest
 
 from hslogic import syntax
-from hslogic.checking import mc_periodic
-from hslogic.models import FiniteDomain, PeriodicDomain, save_model
+from hslogic.checking import _conjuncts, mc_periodic
+from hslogic.models import (
+    FiniteDomain, PeriodicDomain, canonical_cells, save_model,
+)
 from hslogic import sat
 from hslogic.parser import parse_formula
 from hslogic.sat import (
@@ -472,3 +474,41 @@ def test_a_root_chain_meets_its_conjuncts_in_one_gate(monkeypatch):
     assert save_model(res.model) == \
         "order periodic pre=1 per=2\nval p 2 4\nval q 2 4\n"
     assert res.witness == (0, 1)
+
+
+def test_a_size_with_a_false_conjunct_on_every_cell_is_dropped(monkeypatch):
+    # <E> p is false on the one cell of one point past the origin, so that
+    # size is dropped before q and r are filled, with no gate made. On two
+    # points <E> p can hold at [0, 2] alone: the size is kept, and its CNF
+    # is the one a fill of every node gives
+    phi = parse_formula("<E> p & q & r")
+    finite_engine, solve = sat._finite_engine, sat._Cnf.solve
+    engines, solved = [], []
+
+    def recording_engine(cand):
+        engines.append((cand, finite_engine(cand)))
+        return engines[-1][1]
+
+    def recording_solve(cnf):
+        solved.append((cnf.nvars, [list(c) for c in cnf.clauses], cnf.goal))
+        return solve(cnf)
+
+    monkeypatch.setattr(sat, "_finite_engine", recording_engine)
+    monkeypatch.setattr(sat._Cnf, "solve", recording_solve)
+    res = sat_bounded_finite(phi, 3)
+    assert save_model(res.model) == \
+        "order finite 2\nval p 1 2\nval q 0 2\nval r 0 2\n"
+    assert res.witness == (0, 2)
+    (one, dropped), (two, _) = engines
+    assert Atom("q") not in dropped.tables
+    assert Atom("r") not in dropped.tables
+    assert one.cnf.nvars == 1 + len(one.atom_var)
+    assert one.cnf.clauses == [[1]]
+
+    parts, needed = _conjuncts(postorder(phi))
+    cand = sat._Candidate(FiniteDomain(2), ["p", "q", "r"])
+    tables = finite_engine(cand).fill(needed)
+    lits = [cand.cnf.define_and([tables[f][x * 3 + y] for f in parts])
+            for x, y in canonical_cells(cand.domain)]
+    assert cand.cnf.add_goal(lits)
+    assert solved == [(cand.cnf.nvars, cand.cnf.clauses, cand.cnf.goal)]
