@@ -15,13 +15,16 @@ by (x, y) only at their boundary.
 
 The engine is the one statement of Allen's twelve relations outside the
 periodic begin/later encoder (sat._Encoder): six diamonds are written out
-(A, iA, B, iB, E, iE), and the other six are one of them over another, by
-the six definability equations (_COMPOSED). A box [M] s is ~<M> ~s, which
-the engine reads as the dual pass of <M> over s's own table, meets where
-the diamond joins, with no negated table; the periodic encoder still reads
-it as ~<M> ~s. allen_related lists the successors of an interval with one
-engine pass, and bisim._moves those of every cell of a finite model with
-one pass per modality.
+(A, iA, B, iB, E, iE), and the other six are one of them over another, as
+the right-hand sides of the six definability equations read them
+(_COMPOSED). The two sides of each equation then make the same tables, so
+atlas.check_equation folds the negation of each to false at every size and
+runs no solver. A box [M] s is ~<M> ~s, which the engine reads as the dual
+pass of <M> over s's own table, meets where the diamond joins, with no
+negated table; the periodic encoder still reads it as ~<M> ~s.
+allen_related lists the successors of an interval with one engine pass,
+and bisim._moves those of every cell of a finite model with one pass per
+modality.
 
 Finite models are evaluated exactly over the whole domain. Periodic models
 are evaluated over windows of growing horizon: scans that reach right without
@@ -77,12 +80,14 @@ class NotStabilized(Exception):
 # The six diamonds that are one diamond over another, <M> s being
 # <outer> <inner> s: inner is applied to s's table with s's thresholds,
 # outer to the result with the thresholds inner lifts them to (_lift).
-# These are the six definability equations atlas.cited_equations lists. L
-# is <A> <A>: <A> s holds at (y, u) when s holds somewhere on row u, so
-# <L> s holds at (x, y) when s holds on some row past y.
+# Each pair is (inner, outer) as the right-hand side of its definability
+# equation in atlas.cited_equations reads them, so that both sides of an
+# equation make the same tables and, in sat_bounded_finite, the same
+# gates. L is <A> <A>: <A> s holds at (y, u) when s holds somewhere on row
+# u, so <L> s holds at (x, y) when s holds on some row past y.
 _COMPOSED = {
     "D": ("E", "B"),        # x < x' < y' < y
-    "iD": ("iB", "iE"),     # x' < x, y' > y
+    "iD": ("iE", "iB"),     # x' < x, y' > y
     "O": ("iB", "E"),       # x < x' < y < y'
     "iO": ("iE", "B"),      # x' < x < y' < y
     "L": ("A", "A"),        # y < x'

@@ -415,14 +415,16 @@ class _Cnf:
 class _Candidate:
     """One candidate domain's CNF. Its first variables are the atoms, one per
     letter and canonical cell, by letter then cell; an atom at any cell
-    reads the variable of its canonical cell."""
+    reads the variable of its canonical cell. cells lists the canonical
+    cells in (x, y) order."""
 
     def __init__(self, domain, letters: List[str]):
         self.domain = domain
+        self.cells = cells = canonical_cells(domain)
         self.cnf = cnf = _Cnf()
         self.atom_var: Dict[Tuple[str, Interval], int] = {
             (letter, cell): cnf.new_var()
-            for letter in letters for cell in canonical_cells(domain)}
+            for letter in letters for cell in cells}
 
     def certificate(self, solver: Solver,
                     table: Iterable[Tuple[Interval, int]],
@@ -749,7 +751,7 @@ def sat_bounded_finite(phi: Formula, max_points: int) -> SatResult:
     for n in range(1, max_points + 1):
         cand = _Candidate(FiniteDomain(n), letters)
         engine, w = _finite_engine(cand), n + 1
-        cells = canonical_cells(cand.domain)
+        cells = cand.cells
         live = at = [x * w + y for x, y in cells]
         for f in needed:
             tab = engine.fill([f])[f]

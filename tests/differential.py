@@ -2,7 +2,7 @@
 
     python tests/differential.py OLD NEW [--seed N] [--mc N] [--sat N]
                                  [--finite N] [--pre N] [--fe N]
-                                 [--limit SECONDS]
+                                 [--atlas N] [--limit SECONDS]
 
 OLD and NEW are source trees: a directory holding the hslogic package, or
 a checkout whose src/ holds it (for example a `git archive` of the parent
@@ -11,7 +11,7 @@ with tests/gen.py, under NEW's hslogic, and are handed to each tree as
 text: formulas as syntax.render writes them, models as .ism text. Each tree answers in its own subprocess, with only that tree
 on its path, and each input has a time limit there.
 
-Five kinds of input and answer are compared:
+Six kinds of input and answer are compared:
 
 * mc: a periodic model (prefix and period 1-3, letters p and q), a formula
   of depth <= 3 over all twelve modalities and an interval, near the origin
@@ -38,7 +38,11 @@ Five kinds of input and answer are compared:
   formula of depth <= 3 over all twelve modalities: one drawn by
   rand_formula, a box over one of depth <= 2, or the negation of such a
   box, a third of the inputs each. The answer is FiniteEvaluator.value
-  at every cell of the model, in models.canonical_cells order.
+  at every cell of the model, in models.canonical_cells order;
+* atlas: the equation <M> p == <M1> <M2> p for a triple of modalities, not
+  drawn but taken in turn: all 12^3 = 1728 triples, M slowest, by default.
+  The answer is atlas.check_equation's result: NoCountermodel with its
+  bound, or a Countermodel's model as .ism text and its witness.
 
 Every third mc, sat and finite input (the second, the fifth, ...) asks a
 conjunction of 3-8 random parts instead, of depth <= 1 for sat and <= 2
@@ -70,6 +74,7 @@ input differs, and moved or timed-out inputs do not change it.
 """
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -101,15 +106,16 @@ def source_dir(tree):
     raise SystemExit("no hslogic package in %s or its src/" % tree)
 
 
-def draw_inputs(seed, n_mc, n_sat, n_finite=0, n_pre=0, n_fe=0):
+def draw_inputs(seed, n_mc, n_sat, n_finite=0, n_pre=0, n_fe=0, n_atlas=0):
     """The inputs of a run, as JSON-ready dicts, drawn under the hslogic on
-    this process's path."""
+    this process's path; the first n_atlas modality triples in turn."""
     root = str(Path(__file__).resolve().parent.parent)
     if root not in sys.path:
         sys.path.insert(0, root)
     from hslogic.models import save_model
     from hslogic.syntax import (
-        And, Atom, B, Box, Diamond, L, Not, conj, iB, iL, neg, render,
+        ALL_MODALITIES, And, Atom, B, Box, Diamond, L, Not, conj, iB, iL,
+        neg, render,
     )
     from tests.gen import (
         all_mods, rand_conjunction, rand_finite_model, rand_formula,
@@ -181,11 +187,17 @@ def draw_inputs(seed, n_mc, n_sat, n_finite=0, n_pre=0, n_fe=0):
                 phi = Not(phi)
         out.append({"kind": "fe", "model": save_model(model),
                     "formula": render(phi)})
+    p = Atom("p")
+    triples = itertools.product(ALL_MODALITIES, repeat=3)
+    for m, m1, m2 in itertools.islice(triples, n_atlas):
+        out.append({"kind": "atlas", "lhs": render(Diamond(m, p)),
+                    "rhs": render(Diamond(m1, Diamond(m2, p)))})
     return out
 
 
 def _answer(item):
     """One input's answer in the tree on this process's path."""
+    from hslogic.atlas import Countermodel, check_equation
     from hslogic.checking import FiniteEvaluator, NotStabilized, mc_periodic
     from hslogic.models import canonical_cells, load_model, save_model
     from hslogic.parser import parse_formula
@@ -216,6 +228,15 @@ def _answer(item):
             return ["Sat", save_model(res.model), list(res.witness)]
         return [type(res).__name__, res.reason]
 
+    def equation():
+        res = check_equation(parse_formula(item["lhs"]),
+                             parse_formula(item["rhs"]))
+        if isinstance(res, Countermodel):
+            return ["Countermodel", save_model(res.model), list(res.witness)]
+        return [type(res).__name__, res.max_points]
+
+    if item["kind"] == "atlas":
+        return guard(equation)
     phi = parse_formula(item["formula"])
     if item["kind"] not in ("mc", "fe"):
         return guard(solve)
@@ -351,6 +372,7 @@ def main(argv=None):
     ap.add_argument("--finite", type=int, default=200)
     ap.add_argument("--pre", type=int, default=2000)
     ap.add_argument("--fe", type=int, default=1000)
+    ap.add_argument("--atlas", type=int, default=12 ** 3)
     ap.add_argument("--limit", type=float, default=10.0,
                     help="seconds per input in each tree")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -362,7 +384,7 @@ def main(argv=None):
         ap.error("two source trees are required")
     sys.path.insert(0, str(source_dir(args.new)))
     inputs = draw_inputs(args.seed, args.mc, args.sat, args.finite,
-                         args.pre, args.fe)
+                         args.pre, args.fe, args.atlas)
     _, counts, differing = run(args.old, args.new, inputs, args.limit)
     for kind, c in sorted(counts.items()):
         print("%s: %d identical, %d moved, %d differing, %d timed out"

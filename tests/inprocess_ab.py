@@ -18,18 +18,22 @@ their formulas parsed and models loaded, as bench/probe.py's set-up does
 after the import. It then makes one warm-up pass over the queries and
 times five more, each query on its own. Per side it keeps the best of the
 five passes for each of three more figures: the pass time, and the median
-(p50) and 90th percentile (p90) of the per-query times of a pass. Outputs
-are reduced to plain data by the workload's keys, and the two sides'
-warm-up outputs are compared.
+(p50) and 90th percentile (p90) of the per-query times of a pass. When
+the workload's inputs carry more than one query kind (sat_models: bbll,
+finite, equation and countermodel; mc_finite: fe and verify), it keeps the
+same three figures for each kind's queries alone too. Outputs are reduced
+to plain data by the workload's keys, and the two sides' warm-up outputs
+are compared.
 
 Per workload it prints, for each figure, the median over the pairs of
 HEAD's figure over BASE's, the quartiles of that ratio, the pairs HEAD won
-(a ratio below 1) and each side's median in milliseconds. The last line of
-standard output is one JSON object with every run. There is no
-calibration and no memory figure: the pairs are what keeps host drift
-out, and bench/run.py remains the end-to-end measurement. The exit status
-is 1 when the two sides' outputs differ on a workload, 2 on bad arguments
-or a failed process, and 0 otherwise.
+(a ratio below 1) and each side's median in milliseconds, and then one line
+per kind with the median ratio, quartiles and pairs won of each of its
+three figures. The last line of standard output is one JSON object with
+every run. There is no calibration and no memory figure: the pairs are
+what keeps host drift out, and bench/run.py remains the end-to-end
+measurement. The exit status is 1 when the two sides' outputs differ on a
+workload, 2 on bad arguments or a failed process, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -73,13 +77,20 @@ def worker(tree: Path, bench: Path, workload: str, limit: int) -> dict:
         raise SystemExit("imported hslogic from %s" % hslogic.__file__)
     import workloads
 
-    inputs = sys.stdin.read()
+    inputs = json.loads(sys.stdin.read())
     t0 = perf_counter()
-    rounds = workloads.prepare(workload, json.loads(inputs))
+    rounds = workloads.prepare(workload, inputs)
     prepare_s = perf_counter() - t0
     queries = [q for rnd in rounds for q in rnd]
+    # prepare makes one query per input item, in order
+    kinds = [item["kind"] for rnd in inputs["rounds"] for item in rnd]
     if limit > 0:
-        queries = queries[:limit]
+        queries, kinds = queries[:limit], kinds[:limit]
+    by_kind = {}
+    for k, kind in enumerate(kinds):
+        by_kind.setdefault(kind, []).append(k)
+    if len(by_kind) < 2:
+        by_kind = {}
 
     def call(query):
         try:
@@ -87,23 +98,32 @@ def worker(tree: Path, bench: Path, workload: str, limit: int) -> dict:
         except Exception as exc:  # a failed query is an output too
             return ("error", repr(exc))
 
+    def figures(times, runs):
+        times = sorted(times)
+        runs["pass_s"].append(sum(times))
+        runs["p50_ms"].append(1000 * _percentile(times, 0.5))
+        runs["p90_ms"].append(1000 * _percentile(times, 0.9))
+
     keys = [repr(q.key(call(q))) for q in queries]
     runs = {name: [] for name in FIGURES}
+    kind_runs = {kind: {name: [] for name in FIGURES} for kind in by_kind}
     for _ in range(PASSES):
         times = []
         for q in queries:
             t0 = perf_counter()
             call(q)
             times.append(perf_counter() - t0)
-        total = sum(times)
-        times.sort()
-        runs["pass_s"].append(total)
-        runs["p50_ms"].append(1000 * _percentile(times, 0.5))
-        runs["p90_ms"].append(1000 * _percentile(times, 0.9))
+        figures(times, runs)
+        for kind, at in by_kind.items():
+            figures([times[k] for k in at], kind_runs[kind])
     return {"queries": len(queries),
             "outputs": hashlib.sha256("\n".join(keys).encode()).hexdigest(),
             SETUP: prepare_s,
-            **{name: min(values) for name, values in runs.items()}}
+            **{name: min(values) for name, values in runs.items()},
+            "kinds": {kind: {"queries": len(by_kind[kind]),
+                             **{name: min(values)
+                                for name, values in kr.items()}}
+                      for kind, kr in kind_runs.items()}}
 
 
 def _run_side(tree: Path, bench: Path, workload: str, inputs: str,
@@ -118,11 +138,11 @@ def _run_side(tree: Path, bench: Path, workload: str, inputs: str,
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _summary(pairs) -> dict:
-    """Per figure, the prepare time included: HEAD over BASE per pair, its
-    median and quartiles, the pairs HEAD won, and each side's median."""
+def _summary(pairs, names=(SETUP,) + FIGURES) -> dict:
+    """Per figure of names: HEAD over BASE per pair, its median and
+    quartiles, the pairs HEAD won, and each side's median."""
     out = {}
-    for name in (SETUP,) + FIGURES:
+    for name in names:
         ratios = [head[name] / base[name] for base, head in pairs]
         if len(ratios) > 1:
             q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
@@ -157,9 +177,12 @@ def compare(base: Path, head: Path, workloads, seed: int, pairs: int,
                 sides[side] = _run_side(tree, bench, workload, inputs, limit)
             runs.append((sides["base"], sides["head"]))
         summary = _summary(runs)
+        kinds = {kind: _summary([(b["kinds"][kind], h["kinds"][kind])
+                                 for b, h in runs], FIGURES)
+                 for kind in runs[0][0]["kinds"]}
         same = len({r["outputs"] for pair in runs for r in pair}) == 1
         report[workload] = {"runs": runs, "summary": summary,
-                            "same_outputs": same}
+                            "kinds": kinds, "same_outputs": same}
         print("%s seed %d: %d pairs, %d queries, outputs %s"
               % (workload, seed, pairs, runs[0][0]["queries"],
                  "identical" if same else "DIFFER"), file=out)
@@ -170,6 +193,13 @@ def compare(base: Path, head: Path, workloads, seed: int, pairs: int,
                   " base %.4g ms, head %.4g ms"
                   % (name, s["ratio"], s["q1"], s["q3"], s["won"], pairs,
                      scale * s["base"], scale * s["head"]), file=out)
+        for kind, ks in kinds.items():
+            print("  kind %s, %d queries: %s" % (
+                kind, runs[0][0]["kinds"][kind]["queries"], "; ".join(
+                    "%s %.3f (%.3f-%.3f) won %d/%d"
+                    % (name, ks[name]["ratio"], ks[name]["q1"],
+                       ks[name]["q3"], ks[name]["won"], pairs)
+                    for name in FIGURES)), file=out)
         out.flush()
     return report
 

@@ -2,6 +2,7 @@
 
 import random
 
+from hslogic import sat
 from hslogic.atlas import (
     _CLOSURE_RULES, DECIDABLE_NONPR, UNDECIDABLE, Countermodel,
     NoCountermodel, check_equation, cited_equations, classify,
@@ -108,13 +109,30 @@ def test_cited_equations_hold_on_small_orders():
 def test_composed_diamonds_are_the_cited_equations():
     """The grid engine composes each of six diamonds from the premise of the
     closure rule that yields it, which is the pair of diamonds on the
-    right-hand side of its cited equation."""
+    right-hand side of its cited equation, and in that side's order:
+    _COMPOSED[M] is (inner, outer) for <M> p == <outer> <inner> p."""
     rules = {gain.name: {m.name for m in need} for need, gain in _CLOSURE_RULES}
-    rhs = {lhs.mod.name: {rhs.mod.name, rhs.sub.mod.name}
+    rhs = {lhs.mod.name: (rhs.sub.mod.name, rhs.mod.name)
            for _, lhs, rhs in cited_equations()}
     assert set(_COMPOSED) == set(rules) == set(rhs)
     for name, pair in _COMPOSED.items():
-        assert set(pair) == rules[name] == rhs[name], name
+        assert pair == rhs[name], name
+        assert set(pair) == rules[name], name
+
+
+def test_cited_equations_fold_with_no_solver(monkeypatch):
+    """Both sides of a cited equation make the same gates, so the negation
+    of their equivalence folds to false at every size: check_equation
+    answers each of the six with no solver run."""
+    solves = []
+    monkeypatch.setattr(sat._Cnf, "solve",
+                        lambda cnf: solves.append(cnf) or None)
+    for name, lhs, rhs in cited_equations():
+        assert isinstance(check_equation(lhs, rhs), NoCountermodel), name
+        assert solves == [], name
+    # the counter sees a solve: an equation that does not hold reaches one
+    check_equation(dia(L, p), dia(B, p), max_points=2)
+    assert solves
 
 
 def test_false_equation_has_countermodel():

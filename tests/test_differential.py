@@ -1,12 +1,13 @@
 """The parent-versus-change differential (tests/differential.py) on small
-runs: one tree against itself answers identically on all five kinds, a
-copy whose mc_periodic answers the opposite is reported input by input,
-verdict by verdict, and so is a copy whose FiniteEvaluator.value answers
-the opposite, value by value, a copy whose fragment check words its refusal
-otherwise is reported on the refused formulas, a copy whose pre-check
-refutes a split node on either branch is reported on the pre-check's
-inputs, and a refutation the old tree confirms with no bound is counted as
-moved."""
+runs: one tree against itself answers identically on all six kinds. A copy
+whose mc_periodic answers the opposite is reported input by input, verdict
+by verdict; so is a copy whose FiniteEvaluator.value answers the opposite,
+value by value, and a copy whose check_equation moves a countermodel's
+witness, equation by equation. A copy whose fragment check words its
+refusal otherwise is reported on the refused formulas, a copy whose
+pre-check refutes a split node on either branch is reported on the
+pre-check's inputs, and a refutation the old tree confirms with no bound is
+counted as moved."""
 
 import shutil
 from pathlib import Path
@@ -16,8 +17,9 @@ from . import differential
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _run(old, new, n_mc, n_sat, n_finite=0, n_pre=0, n_fe=0):
-    inputs = differential.draw_inputs(3, n_mc, n_sat, n_finite, n_pre, n_fe)
+def _run(old, new, n_mc, n_sat, n_finite=0, n_pre=0, n_fe=0, n_atlas=0):
+    inputs = differential.draw_inputs(3, n_mc, n_sat, n_finite, n_pre, n_fe,
+                                      n_atlas)
     return differential.run(old, new, inputs, 20.0)
 
 
@@ -98,6 +100,33 @@ def test_a_flipped_finite_value_is_reported(tmp_path):
                             "timed out": 0}
     for kind, _, a, b in differing:
         assert kind == "fe" and b == [not v for v in a]
+
+
+def test_a_moved_countermodel_witness_is_reported(tmp_path):
+    same = {"moved": 0, "differing": 0, "timed out": 0}
+    old, counts, _ = _run(SRC, SRC, 0, 0, 0, 0, 0, 12 ** 3)
+    assert counts["atlas"] == {"identical": 12 ** 3, **same}
+    # every triple is answered; the six cited equations, and six more that
+    # hold, have no countermodel within the default bound of 6 points
+    assert sum(a == ["NoCountermodel", 6] for a in old) == 12
+    assert sum(a[0] == "Countermodel" for a in old) == 12 ** 3 - 12
+    with open(_copy(tmp_path) / "atlas.py", "a") as fh:
+        fh.write("\n\n_check_equation = check_equation\n\n\n"
+                 "def check_equation(*args):\n"
+                 "    res = _check_equation(*args)\n"
+                 "    if isinstance(res, Countermodel):\n"
+                 "        x, y = res.witness\n"
+                 "        res = Countermodel(res.model, (x, y + 1))\n"
+                 "    return res\n")
+    moved, counts, differing = _run(SRC, tmp_path, 0, 0, 0, 0, 0, 40)
+    assert moved == old[:40]
+    cms = sum(a[0] == "Countermodel" for a in moved)
+    assert cms > 30
+    assert counts["atlas"] == {"identical": 40 - cms, "moved": 0,
+                               "differing": cms, "timed out": 0}
+    for kind, _, a, b in differing:
+        assert kind == "atlas" and b[:2] == a[:2]
+        assert b[2] == [a[2][0], a[2][1] + 1]
 
 
 def test_a_pre_check_refuting_on_either_branch_is_reported(tmp_path):

@@ -1,6 +1,7 @@
 """The in-process A/B timer (tests/inprocess_ab.py) on a few queries: one
-tree against itself gives the same outputs and no clear winner, and a copy
-slowed in sat_bbll loses every pair by far."""
+tree against itself gives the same outputs and no clear winner, overall
+and per query kind, and a copy slowed in sat_bbll loses every pair by far,
+in the bbll kind's figures as well, and not in the equation kind's."""
 
 import io
 import shutil
@@ -13,11 +14,11 @@ from . import inprocess_ab
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _compare(head, pairs=2):
+def _compare(head, pairs=2, workload="sat_models", limit=30):
     out = io.StringIO()
-    report = inprocess_ab.compare(ROOT, head, ["sat_models"], 1, pairs,
-                                  limit=30, out=out)
-    return report["sat_models"], out.getvalue()
+    report = inprocess_ab.compare(ROOT, head, [workload], 1, pairs,
+                                  limit=limit, out=out)
+    return report[workload], out.getvalue()
 
 
 def test_a_tree_against_itself():
@@ -33,6 +34,18 @@ def test_a_tree_against_itself():
         assert printed.count("  %s HEAD/BASE" % name.ljust(6)) == 1
     assert printed.startswith(
         "sat_models seed 1: 2 pairs, 30 queries, outputs identical\n")
+    # the first thirty queries: ten each of bbll and finite, nine cited
+    # equations and one countermodel, each kind on one printed line
+    counts = {"bbll": 10, "finite": 10, "equation": 9, "countermodel": 1}
+    assert list(got["kinds"]) == list(counts)
+    for kind, n in counts.items():
+        assert all(side["kinds"][kind]["queries"] == n
+                   for pair in got["runs"] for side in pair)
+        assert printed.count("  kind %s, %d queries: " % (kind, n)) == 1
+        for name in inprocess_ab.FIGURES:
+            s = got["kinds"][kind][name]
+            assert s["q1"] <= s["ratio"] <= s["q3"]
+            assert 0 < s["base"] and 0 < s["head"]
 
 
 def test_a_copy_slowed_in_sat_bbll_loses_every_pair(tmp_path):
@@ -51,6 +64,18 @@ def test_a_copy_slowed_in_sat_bbll_loses_every_pair(tmp_path):
     for name in ("pass_s", "p90_ms"):
         s = got["summary"][name]
         assert s["won"] == 0 and s["ratio"] > 1.5, (name, s)
+    # every bbll query is 2 ms slower; no equation query calls sat_bbll
+    for name in inprocess_ab.FIGURES:
+        s = got["kinds"]["bbll"][name]
+        assert s["won"] == 0 and s["ratio"] > 1.5, (name, s)
+        assert got["kinds"]["equation"][name]["ratio"] < 1.5, name
+
+
+def test_a_workload_of_one_kind_reports_no_kinds():
+    got, printed = _compare(ROOT, 1, "mc_periodic", 10)
+    assert got["kinds"] == {}
+    assert all(side["kinds"] == {} for pair in got["runs"] for side in pair)
+    assert "  kind " not in printed
 
 
 def test_bad_arguments_exit_2(tmp_path, capsys):

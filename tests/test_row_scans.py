@@ -3,15 +3,16 @@
 The engine fills an iB row with running joins. The reference here scans
 each cell on its own: the join of the child over (x, y'), y' > y, cut at
 the stop _row_cap writes out for the child's thresholds on a periodic grid
-and joined with undetermined where the stop lies past the horizon. iD and O
-are the exact iE and E joins over that scan (checking._COMPOSED), written
-out per cell too.
+and joined with undetermined where the stop lies past the horizon. O is
+the exact E join over that scan, and iD that scan over the exact iE join,
+with the thresholds iE lifts the child's to (checking._COMPOSED, _lift),
+each written out per cell too.
 """
 
 import random
 
 from hslogic.checking import (
-    _F, _T, _U, _TableEngine, _join, allen_related,
+    _F, _T, _U, _TableEngine, _join, _lift, allen_related,
 )
 from hslogic.models import FiniteDomain
 from hslogic.syntax import MODALITIES_BY_NAME
@@ -55,9 +56,10 @@ def _ref_column(C, h, later):
 
 
 def _reference(name, C, h, b, per):
-    ib = _ref_ib(C, h, b, per)
     if name == "iD":
-        return _ref_column(ib, h, later=False)
+        lifted = None if per is None else _lift("iE", b, per)
+        return _ref_ib(_ref_column(C, h, later=False), h, lifted, per)
+    ib = _ref_ib(C, h, b, per)
     if name == "O":
         return _ref_column(ib, h, later=True)
     return ib
