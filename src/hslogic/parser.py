@@ -26,11 +26,11 @@ round-trips. Blanks only separate tokens; a newline starts the next line of
 the (line, column) that errors report. Any other character, a lone "-" or a
 bracket without a known modality and its closing bracket is a ParseError.
 
-A formula may nest at most MAX_NESTING (100) levels deep: no branch of its
-tree may carry more than that many operators, and no more than that many
-parentheses may be open at once. Deeper input raises ParseError ("nested too
-deeply"), so what still recurses over formulas (this parser and pickling)
-never runs out of stack.
+The whole text is scanned before any of it is parsed, so a scanner error
+anywhere wins over a parse error. The parser is one loop over the tokens
+with an operand stack and an operator stack, an open parenthesis being a
+mark on the latter; nothing recurses, so nesting depth is no limit, and
+deep input is a resource limit like any large input.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import re
 
 from .syntax import (
     Atom, Box, Diamond, Formula, Fragment, Implies, And, Or, Not,
-    TRUE, FALSE, MAX_NESTING, MODALITIES_BY_NAME, nesting_depth,
+    TRUE, FALSE, MODALITIES_BY_NAME,
 )
 
 
@@ -50,184 +50,84 @@ class ParseError(ValueError):
         self.col = col
 
 
-_TOO_DEEP = "formula nested too deeply (more than %d levels)" % MAX_NESTING
-
 _IDENT_RE = re.compile(r"[a-z_][a-zA-Z0-9_]*")
-_KEYWORDS = ("true", "false")
-_PUNCT_KINDS = {"(": "lparen", ")": "rparen", "&": "and", "|": "or",
-                "~": "not", "->": "implies"}
-_PUNCT_SHOWN = {kind: repr(c) for c, kind in _PUNCT_KINDS.items()}
+_KEYWORDS = {"true": TRUE, "false": FALSE}
 # one token per match, the commonest kinds tried first: blanks and comments
 # are unnamed, and a modality ends in close, possibly empty, once a name
 # follows its bracket
 _TOKEN_RE = re.compile(
-    r"(?P<word>" + _IDENT_RE.pattern + r")|[ \t\r]+|(?P<punct>->|[()&|~])"
+    r"(?P<word>" + _IDENT_RE.pattern + r")|[ \t\r\n]+|(?P<punct>->|[()&|~])"
     r"|(?P<open>[<\[])(?:(?P<mod>[A-Za-z]+)(?P<close>[>\]]?))?"
-    r"|#[^\n]*|(?P<newline>\n)|(?P<other>.)", re.DOTALL)
+    r"|#[^\n]*|(?P<other>.)", re.DOTALL)
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
+def _error(message: str, text: str, at: int) -> ParseError:
+    """A ParseError at offset at of text, by its line and column."""
+    line_start = text.rfind("\n", 0, at) + 1
+    return ParseError(message, text.count("\n", 0, at) + 1,
+                      at - line_start + 1)
 
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
+
+def _found(template: str, text: str, at: int) -> ParseError:
+    """A ParseError at the token at offset at, which template's %s names."""
+    shown = ("end of input" if at == len(text)
+             else repr(_TOKEN_RE.match(text, at).group()))
+    return _error(template % shown, text, at)
 
 
 def _tokenize(text: str):
+    """The tokens of text as (kind, value, offset) tuples, the last of kind
+    "eof": an atom or a constant is of kind "formula" with the node as its
+    value, a modality of kind "<" or "[" with the Modality, and punctuation
+    of its own text."""
     tokens = []
-    line = 1
-    line_start = 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind is None:
             continue
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            continue
-        col = m.start() - line_start + 1
-        value = m.group()
+        value, at = m.group(), m.start()
         if kind == "word":
-            kind = value if value in _KEYWORDS else "ident"
+            kind = "formula"
+            value = _KEYWORDS[value] if value in _KEYWORDS else Atom(value)
         elif kind == "punct":
-            kind = _PUNCT_KINDS[value]
+            kind = value
         elif kind == "close":
-            c, name, end = m.group("open", "mod", "close")
-            closing = ">" if c == "<" else "]"
+            kind, name, end = m.group("open", "mod", "close")
+            closing = ">" if kind == "<" else "]"
             if end != closing:
-                raise ParseError("expected %r after modality %r"
-                                 % (closing, name), line, col)
+                raise _error("expected %r after modality %r"
+                             % (closing, name), text, at)
             if name not in MODALITIES_BY_NAME:
-                raise ParseError("unknown modality %r" % name, line, col)
-            kind = "diamond" if c == "<" else "box"
+                raise _error("unknown modality %r" % name, text, at)
             value = MODALITIES_BY_NAME[name]
         elif kind == "open":
-            raise ParseError("expected modality name after %r" % value,
-                             line, col)
+            raise _error("expected modality name after %r" % value, text, at)
         elif value == "-":
-            raise ParseError("stray '-'", line, col)
+            raise _error("stray '-'", text, at)
         else:
-            raise ParseError("unexpected character %r" % value, line, col)
-        tokens.append(_Token(kind, value, line, col))
-    tokens.append(_Token("eof", None, line, len(text) - line_start + 1))
+            raise _error("unexpected character %r" % value, text, at)
+        tokens.append((kind, value, at))
+    tokens.append(("eof", None, len(text)))
     return tokens
 
 
-_PREFIX = ("not", "diamond", "box")
+# Pending operators are (precedence, node class, modality): a prefix is 4,
+# an infix operator 1-3 and an open parenthesis 0, above a bottom of -1.
+# Before an infix operator is pushed, the pending ones of at least its
+# least precedence are applied: & and | are left associative, so that
+# least is their own precedence, and -> is right associative.
+_PREFIX = {"~": Not, "<": Diamond, "[": Box}
+_INFIX = {"&": (3, And, 3), "|": (2, Or, 2), "->": (1, Implies, 2)}
+_MARK = (0, None, None)
+_BOTTOM = (-1, None, None)
 
 
-def _shown(tok: _Token) -> str:
-    """How an error message names the token it stopped at."""
-    if tok.kind == "eof":
-        return "end of input"
-    if tok.kind in ("diamond", "box"):
-        return repr(("<%s>" if tok.kind == "diamond" else "[%s]")
-                    % tok.value.name)
-    return repr(tok.value)
-
-
-def _checked(node: Formula, tok: _Token) -> Formula:
-    if nesting_depth(node) > MAX_NESTING:
-        raise ParseError(_TOO_DEEP, tok.line, tok.col)
-    return node
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-        self.open_parens = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self, kind: str) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            raise ParseError("expected %s, found %s"
-                             % (_PUNCT_SHOWN.get(kind, kind), _shown(tok)),
-                             tok.line, tok.col)
-        self.pos += 1
-        return tok
-
-    def formula(self) -> Formula:
-        return self.impl()
-
-    def impl(self) -> Formula:
-        lhs = self.disj()
-        if self.peek().kind != "implies":
-            return lhs
-        # right associative: collect the chain, then fold from the right
-        parts = [lhs]
-        arrows = []
-        while self.peek().kind == "implies":
-            arrows.append(self.take("implies"))
-            parts.append(self.disj())
-        out = parts.pop()
-        while parts:
-            out = _checked(Implies(parts.pop(), out), arrows.pop())
-        return out
-
-    def disj(self) -> Formula:
-        out = self.conj()
-        while self.peek().kind == "or":
-            tok = self.take("or")
-            out = _checked(Or(out, self.conj()), tok)
-        return out
-
-    def conj(self) -> Formula:
-        out = self.unary()
-        while self.peek().kind == "and":
-            tok = self.take("and")
-            out = _checked(And(out, self.unary()), tok)
-        return out
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind not in _PREFIX:
-            return self.atom()
-        # collect the prefix operators, then apply them from the inside out
-        ops = []
-        while tok.kind in _PREFIX:
-            ops.append(tok)
-            self.pos += 1
-            tok = self.peek()
-        out = self.atom()
-        for tok in reversed(ops):
-            if tok.kind == "not":
-                node = Not(out)
-            elif tok.kind == "diamond":
-                node = Diamond(tok.value, out)
-            else:
-                node = Box(tok.value, out)
-            out = _checked(node, tok)
-        return out
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "true":
-            self.take("true")
-            return TRUE
-        if tok.kind == "false":
-            self.take("false")
-            return FALSE
-        if tok.kind == "ident":
-            self.take("ident")
-            return Atom(tok.value)
-        if tok.kind == "lparen":
-            self.take("lparen")
-            self.open_parens += 1
-            if self.open_parens > MAX_NESTING:
-                raise ParseError(_TOO_DEEP, tok.line, tok.col)
-            inner = self.formula()
-            self.take("rparen")
-            self.open_parens -= 1
-            return inner
-        raise ParseError("expected a formula, found %s" % _shown(tok),
-                         tok.line, tok.col)
+def _reduce(out: list, ops: list, least: int) -> None:
+    """Apply the pending infix operators of precedence least or more."""
+    while ops[-1][0] >= least:
+        cls = ops.pop()[1]
+        rhs = out.pop()
+        out[-1] = cls(out[-1], rhs)
 
 
 def is_letter(name: str) -> bool:
@@ -238,12 +138,48 @@ def is_letter(name: str) -> bool:
 
 def parse_formula(text: str) -> Formula:
     tokens = _tokenize(text)
-    parser = _Parser(tokens)
-    phi = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError("trailing input %s" % _shown(tok), tok.line, tok.col)
-    return phi
+    out = []
+    ops = [_BOTTOM]
+    i = 0
+    while True:
+        # where an operand starts: prefixes and parentheses pile up until
+        # an atom or a constant
+        kind, value, at = tokens[i]
+        i += 1
+        if kind in _PREFIX:
+            ops.append((4, _PREFIX[kind], value))
+            continue
+        if kind == "(":
+            ops.append(_MARK)
+            continue
+        if kind != "formula":
+            raise _found("expected a formula, found %s", text, at)
+        out.append(value)
+        # the operand is complete: apply the prefixes before it, and close
+        # each parenthesis that follows it
+        while True:
+            while ops[-1][0] == 4:
+                _, cls, mod = ops.pop()
+                out[-1] = cls(out[-1]) if cls is Not else cls(mod, out[-1])
+            kind, value, at = tokens[i]
+            i += 1
+            if kind != ")":
+                break
+            _reduce(out, ops, 1)
+            if ops[-1] is not _MARK:
+                raise _found("trailing input %s", text, at)
+            ops.pop()
+        if kind in _INFIX:
+            prec, cls, least = _INFIX[kind]
+            _reduce(out, ops, least)
+            ops.append((prec, cls, None))
+            continue
+        _reduce(out, ops, 1)
+        if ops[-1] is _MARK:
+            raise _found("expected ')', found %s", text, at)
+        if kind != "eof":
+            raise _found("trailing input %s", text, at)
+        return out[0]
 
 
 def parse_fragment(text: str) -> Fragment:

@@ -8,9 +8,10 @@ module provides rendering, the mirror transformation (time reversal), the
 closure of a formula under subformulas and negations, and the size metrics
 that drive the periodic-model bound used by the satisfiability engine.
 
-Nodes are interned, and each records its modal depth, its nesting depth and
-its modalities, as a bit set, when it is built; modal_depth, nesting_depth
-and fragment_of read them in constant time.
+Nodes are interned, and each records its modal depth and its modalities, as
+a bit set, when it is built; modal_depth and fragment_of read them in
+constant time. Every walk over formulas is iterative, pickling included, so
+nesting depth is no limit; pickling and copying hand back the interned node.
 """
 
 from __future__ import annotations
@@ -90,10 +91,9 @@ _new_node = object.__new__
 
 class Formula:
     """Base class for formula nodes. Nodes are interned and immutable; each
-    records its modal depth, its nesting depth and its modalities when it
-    is built."""
+    records its modal depth and its modalities when it is built."""
 
-    __slots__ = ("_depth", "_height", "_mods")
+    __slots__ = ("_depth", "_mods")
     _fields: Tuple[str, ...] = ()
     # the fields holding formulas, in the order fold passes their results
     _operands: Tuple[str, ...] = ()
@@ -105,7 +105,21 @@ class Formula:
         raise AttributeError("formula nodes are immutable")
 
     def __reduce__(self):
-        return (type(self), tuple(getattr(self, f) for f in self._fields))
+        # one flat postorder of the unique nodes, each entry its class and
+        # fields with operands as indices of earlier entries, so that
+        # neither pickling nor unpickling recurses down the formula
+        order = postorder(self)
+        at = {f: i for i, f in enumerate(order)}
+        return _unflatten, (tuple(
+            (type(f),) + tuple(at[getattr(f, n)] if n in f._operands
+                               else getattr(f, n) for n in f._fields)
+            for f in order),)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __repr__(self) -> str:
         return fold(self, _repr_case)
@@ -113,17 +127,14 @@ class Formula:
 
 # Nodes are filled in through their slot descriptors, since the immutable
 # __setattr__ refuses assignment.
-_set_depth, _set_height, _set_mods = (
-    Formula._depth.__set__, Formula._height.__set__, Formula._mods.__set__)
+_set_depth, _set_mods = Formula._depth.__set__, Formula._mods.__set__
 
 # A node's modalities are a bit set: bit i stands for ALL_MODALITIES[i].
 _MOD_BIT = {m: 1 << i for i, m in enumerate(ALL_MODALITIES)}
 
 
-def _record(key: tuple, node: Formula, depth: int, height: int,
-            mods: int) -> Formula:
+def _record(key: tuple, node: Formula, depth: int, mods: int) -> Formula:
     _set_depth(node, depth)
-    _set_height(node, height)
     _set_mods(node, mods)
     _INTERNED[key] = node
     return node
@@ -139,7 +150,7 @@ class Atom(Formula):
         if node is None:
             node = _new_node(cls)
             _set_name(node, name)
-            _record(key, node, 0, 0, 0)
+            _record(key, node, 0, 0)
         return node
 
 
@@ -153,7 +164,7 @@ class _Constant(Formula):
         key = (cls,)
         node = _INTERNED.get(key)
         if node is None:
-            node = _record(key, _new_node(cls), 0, 0, 0)
+            node = _record(key, _new_node(cls), 0, 0)
         return node
 
 
@@ -175,7 +186,7 @@ class Not(Formula):
         if node is None:
             node = _new_node(cls)
             _set_not_sub(node, sub)
-            _record(key, node, sub._depth, sub._height + 1, sub._mods)
+            _record(key, node, sub._depth, sub._mods)
         return node
 
 
@@ -194,7 +205,7 @@ class _Binary(Formula):
             _set_lhs(node, lhs)
             _set_rhs(node, rhs)
             _record(key, node, max(lhs._depth, rhs._depth),
-                    max(lhs._height, rhs._height) + 1, lhs._mods | rhs._mods)
+                    lhs._mods | rhs._mods)
         return node
 
 
@@ -227,8 +238,7 @@ class _Modal(Formula):
             node = _new_node(cls)
             _set_mod(node, mod)
             _set_modal_sub(node, sub)
-            _record(key, node, sub._depth + 1, sub._height + 1,
-                    sub._mods | _MOD_BIT[mod])
+            _record(key, node, sub._depth + 1, sub._mods | _MOD_BIT[mod])
         return node
 
 
@@ -246,12 +256,6 @@ class Box(_Modal):
 
 TRUE = TrueConst()
 FALSE = FalseConst()
-
-# Deepest nesting parse_formula accepts (see nesting_depth). It keeps what
-# still recurses over formulas, the parser and pickling, well inside
-# Python's default recursion limit; the walks in this module and the SAT
-# encoder are iterative and have no depth limit.
-MAX_NESTING = 100
 
 # Letter reserved for the boolean-constant rewriting in desugar().
 RESERVED_TAUTOLOGY_LETTER = "__t"
@@ -311,6 +315,16 @@ def _repr_case(f: Formula, args: tuple) -> str:
         for n in f._fields))
 
 
+def _unflatten(entries: tuple) -> Formula:
+    """The formula Formula.__reduce__ flattened, built bottom-up through
+    the constructors, so that interning hands back the same node."""
+    built = []
+    for cls, *fields in entries:
+        built.append(cls(*[built[v] if n in cls._operands else v
+                           for n, v in zip(cls._fields, fields)]))
+    return built[-1]
+
+
 def _rebuild(f: Formula, args: tuple, mods: Optional[dict] = None) -> Formula:
     """f's node class over new operands, a modality mapped through mods."""
     if isinstance(f, _Modal):
@@ -326,35 +340,51 @@ _PREC_AND = 3
 _PREC_UNARY = 4
 _PREC_ATOM = 5
 
-# Per node class: template (modal ones take the modality name first), own
-# precedence, and the least precedence of each operand left unbracketed:
-# & and | are left associative, -> is right associative.
+# Per node class: its operator text (a modal one takes the modality name),
+# own precedence, and the least precedence of each operand left
+# unbracketed: & and | are left associative, -> is right associative.
 _RENDER = {
     TrueConst: ("true", _PREC_ATOM, ()),
     FalseConst: ("false", _PREC_ATOM, ()),
-    Not: ("~%s", _PREC_UNARY, (_PREC_UNARY,)),
-    Diamond: ("<%s> %s", _PREC_UNARY, (_PREC_UNARY,)),
-    Box: ("[%s] %s", _PREC_UNARY, (_PREC_UNARY,)),
-    And: ("%s & %s", _PREC_AND, (_PREC_AND, _PREC_AND + 1)),
-    Or: ("%s | %s", _PREC_OR, (_PREC_OR, _PREC_OR + 1)),
-    Implies: ("%s -> %s", _PREC_IMPLIES, (_PREC_IMPLIES + 1, _PREC_IMPLIES)),
+    Not: ("~", _PREC_UNARY, (_PREC_UNARY,)),
+    Diamond: ("<%s> ", _PREC_UNARY, (_PREC_UNARY,)),
+    Box: ("[%s] ", _PREC_UNARY, (_PREC_UNARY,)),
+    And: (" & ", _PREC_AND, (_PREC_AND, _PREC_AND + 1)),
+    Or: (" | ", _PREC_OR, (_PREC_OR, _PREC_OR + 1)),
+    Implies: (" -> ", _PREC_IMPLIES, (_PREC_IMPLIES + 1, _PREC_IMPLIES)),
 }
 
 
 def render(phi: Formula) -> str:
-    """Concrete syntax for a formula; parse(render(phi)) == phi."""
-    return fold(phi, _render_case)[0]
-
-
-def _render_case(f: Formula, args: tuple) -> Tuple[str, int]:
-    if type(f) is Atom:
-        return f.name, _PREC_ATOM
-    template, prec, needs = _RENDER[type(f)]
-    parts = tuple(s if p >= need else "(" + s + ")"
-                  for (s, p), need in zip(args, needs))
-    if isinstance(f, _Modal):
-        parts = (f.mod.name,) + parts
-    return template % parts, prec
+    """Concrete syntax for a formula; parse(render(phi)) == phi. A walk down
+    the tree with an explicit stack that writes each piece of the text
+    once, so its time is linear in the text's length at any depth."""
+    if not isinstance(phi, Formula):
+        raise TypeError("not a formula: %r" % (phi,))
+    out = []
+    # a formula with the least precedence it is shown unbracketed at, or
+    # a piece of text with None
+    stack = [(phi, _PREC_IMPLIES)]
+    while stack:
+        f, need = stack.pop()
+        if need is None:
+            out.append(f)
+            continue
+        t = type(f)
+        if t is Atom:
+            out.append(f.name)
+            continue
+        text, prec, needs = _RENDER[t]
+        if prec < need:
+            out.append("(")
+            stack.append((")", None))
+        if len(needs) == 2:
+            stack += ((f.rhs, needs[1]), (text, None), (f.lhs, needs[0]))
+            continue
+        out.append(text % f.mod.name if isinstance(f, _Modal) else text)
+        if needs:
+            stack.append((f.sub, needs[0]))
+    return "".join(out)
 
 
 def desugar(phi: Formula) -> Formula:
@@ -453,12 +483,6 @@ def _ast_size(order: List[Formula]) -> int:
 def modal_depth(phi: Formula) -> int:
     """Greatest number of modalities on one branch; recorded at build time."""
     return phi._depth
-
-
-def nesting_depth(phi: Formula) -> int:
-    """Greatest number of operators on one branch (0 for an atom or a
-    constant); recorded at build time."""
-    return phi._height
 
 
 def letters_of(phi: Formula) -> set:

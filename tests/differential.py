@@ -2,7 +2,7 @@
 
     python tests/differential.py OLD NEW [--seed N] [--mc N] [--sat N]
                                  [--finite N] [--pre N] [--fe N]
-                                 [--atlas N] [--limit SECONDS]
+                                 [--atlas N] [--parse N] [--limit SECONDS]
 
 OLD and NEW are source trees: a directory holding the hslogic package, or
 a checkout whose src/ holds it (for example a `git archive` of the parent
@@ -11,7 +11,7 @@ with tests/gen.py, under NEW's hslogic, and are handed to each tree as
 text: formulas as syntax.render writes them, models as .ism text. Each tree answers in its own subprocess, with only that tree
 on its path, and each input has a time limit there.
 
-Six kinds of input and answer are compared:
+Seven kinds of input and answer are compared:
 
 * mc: a periodic model (prefix and period 1-3, letters p and q), a formula
   of depth <= 3 over all twelve modalities and an interval, near the origin
@@ -42,7 +42,15 @@ Six kinds of input and answer are compared:
 * atlas: the equation <M> p == <M1> <M2> p for a triple of modalities, not
   drawn but taken in turn: all 12^3 = 1728 triples, M slowest, by default.
   The answer is atlas.check_equation's result: NoCountermodel with its
-  bound, or a Countermodel's model as .ism text and its witness.
+  bound, or a Countermodel's model as .ism text and its witness;
+* parse: a string over the formula alphabet: letters, true and false, the
+  24 modality tokens and malformed ones, parentheses, the connectives, a
+  lone "-", blanks, comments and newlines. Most are a random formula's
+  tokens with up to three of them deleted, replaced or inserted, the rest
+  a random run of tokens; one in ten has a stray character put in, and
+  one in fifty is a long chain or tower, 50 to 400 levels deep, without
+  error. The answer is render(parse_formula(text)), or the ParseError's
+  text with its line and column.
 
 Every third mc, sat and finite input (the second, the fifth, ...) asks a
 conjunction of 3-8 random parts instead, of depth <= 1 for sat and <= 2
@@ -57,15 +65,17 @@ gave before the conjunctions came in.
 Any other exception is an answer too: by its class name, and an
 UnsupportedFragmentError by its message as well.
 
-Some differences are intended. A sat or pre answer moves when the new
-answer is a pre-check Unsat (a propositional or a modal refutation) and
-the old one is an Unknown or an Unsat of a later stage: the periodic
-search's, or a modal refutation where the new one is propositional. A move
-counts as moved, not differing, when the old tree refutes the input with
-no periodic bound. An old Unsat does so as it stands. For an old Unknown a
-second pass asks the old tree's worker for sat_bbll's unbounded answer,
-under the same time limit, and the input counts as timed out when that
-pass runs out of time. Every other difference differs, among them any
+Some differences are intended. A parse answer moves when the old answer
+is a ParseError for input "nested too deeply" and the new one a formula:
+parsing once refused input nested more than 100 levels. A sat or pre
+answer moves when the new answer is a pre-check Unsat (a propositional or
+a modal refutation) and the old one is an Unknown or an Unsat of a later
+stage: the periodic search's, or a modal refutation where the new one is
+propositional. Such a move counts as moved, not differing, when the old
+tree refutes the input with no periodic bound. An old Unsat does so as it
+stands. For an old Unknown a second pass asks the old tree's worker for
+sat_bbll's unbounded answer, under the same time limit, and the input
+counts as timed out when that pass runs out of time. Every other difference differs, among them any
 Sat/Unsat flip and any pre-check Unsat that moves to another answer.
 
 The counts of identical, moved, differing and timed-out inputs are printed
@@ -106,7 +116,8 @@ def source_dir(tree):
     raise SystemExit("no hslogic package in %s or its src/" % tree)
 
 
-def draw_inputs(seed, n_mc, n_sat, n_finite=0, n_pre=0, n_fe=0, n_atlas=0):
+def draw_inputs(seed, n_mc, n_sat, n_finite=0, n_pre=0, n_fe=0, n_atlas=0,
+                n_parse=0):
     """The inputs of a run, as JSON-ready dicts, drawn under the hslogic on
     this process's path; the first n_atlas modality triples in turn."""
     root = str(Path(__file__).resolve().parent.parent)
@@ -192,7 +203,65 @@ def draw_inputs(seed, n_mc, n_sat, n_finite=0, n_pre=0, n_fe=0, n_atlas=0):
     for m, m1, m2 in itertools.islice(triples, n_atlas):
         out.append({"kind": "atlas", "lhs": render(Diamond(m, p)),
                     "rhs": render(Diamond(m1, Diamond(m2, p)))})
+    texts = random.Random("%d parse" % seed)
+    for _ in range(n_parse):
+        out.append({"kind": "parse", "formula": _parse_text(texts)})
     return out
+
+
+_MODAL_TOKENS = [o + m + c for m in ("A", "iA", "B", "iB", "D", "iD", "E",
+                                     "iE", "L", "iL", "O", "iO")
+                 for o, c in ("<>", "[]")]
+_ATOMS = ["p", "q", "r_1", "_x", "true", "false", "trueish"]
+_BAD = ["<", "<>", "<Q>", "[B>", "<B", "-"]
+_PIECES = (_ATOMS + _MODAL_TOKENS + _BAD
+           + ["(", ")", "&", "|", "~", "->"] * 4)
+_BLANKS = [" "] * 12 + ["", "  ", "\t", "\n", "\r\n", " # note\n",
+                        "\n# line ( <B\n"]
+_STRAY = ["P", ">", "]", "!", "\v", "\u00e9", "1", "=", "$"]
+
+
+def _parse_text(rng):
+    """One parse input: see the module docstring."""
+    if rng.random() < 0.02:
+        n = rng.randint(50, 400)
+        return rng.choice((
+            " & ".join(rng.choice("pq") for _ in range(n)),
+            " -> ".join(["p"] * n),
+            "~<B> " * n + "q",
+            "(" * n + "p" + ")" * n,
+            "[iL] (" * n + "p | q" + ")" * n,
+        ))
+
+    def tokens(depth):
+        r = rng.random()
+        if depth == 0 or r < 0.25:
+            return [rng.choice(_ATOMS)]
+        if r < 0.45:
+            return [rng.choice(["~"] + _MODAL_TOKENS)] + tokens(depth - 1)
+        if r < 0.55:
+            return ["("] + tokens(depth - 1) + [")"]
+        return (tokens(depth - 1) + [rng.choice(["&", "|", "->"])]
+                + tokens(depth - 1))
+
+    if rng.random() < 0.8:
+        toks = tokens(rng.randint(0, 5))
+        for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+            k = rng.randint(0, len(toks))
+            r = rng.random()
+            if r < 1 / 3 and toks:
+                del toks[min(k, len(toks) - 1)]
+            elif r < 2 / 3 and k < len(toks):
+                toks[k] = rng.choice(_PIECES)
+            else:
+                toks.insert(k, rng.choice(_PIECES))
+    else:
+        toks = [rng.choice(_PIECES) for _ in range(rng.randint(0, 12))]
+    text = "".join(t + rng.choice(_BLANKS) for t in toks)
+    if rng.random() < 0.1:
+        k = rng.randint(0, len(text))
+        text = text[:k] + rng.choice(_STRAY) + text[k:]
+    return text
 
 
 def _answer(item):
@@ -200,7 +269,7 @@ def _answer(item):
     from hslogic.atlas import Countermodel, check_equation
     from hslogic.checking import FiniteEvaluator, NotStabilized, mc_periodic
     from hslogic.models import canonical_cells, load_model, save_model
-    from hslogic.parser import parse_formula
+    from hslogic.parser import ParseError, parse_formula
     from hslogic.sat import (
         Sat, UnsupportedFragmentError, sat_bbll, sat_bounded_finite,
     )
@@ -235,8 +304,16 @@ def _answer(item):
             return ["Countermodel", save_model(res.model), list(res.witness)]
         return [type(res).__name__, res.max_points]
 
+    def parse():
+        try:
+            return ["formula", render(parse_formula(item["formula"]))]
+        except ParseError as exc:
+            return ["ParseError", str(exc)]
+
     if item["kind"] == "atlas":
         return guard(equation)
+    if item["kind"] == "parse":
+        return guard(parse)
     phi = parse_formula(item["formula"])
     if item["kind"] not in ("mc", "fe"):
         return guard(solve)
@@ -304,9 +381,14 @@ def answers(trees, inputs, limit):
 
 def _moves(item, a, b):
     """Whether answer b refutes, by the pre-check, an input that answer a
-    left Unknown or refuted at a later stage."""
-    if item["kind"] not in ("sat", "pre") or "timeout" in (a, b) \
-            or b[0] != "Unsat":
+    left Unknown or refuted at a later stage, or parses a text that a
+    refused as nested too deeply."""
+    if "timeout" in (a, b):
+        return False
+    if item["kind"] == "parse":
+        return (a[0] == "ParseError" and "nested too deeply" in a[1]
+                and b[0] == "formula")
+    if item["kind"] not in ("sat", "pre") or b[0] != "Unsat":
         return False
     stage = STAGE.get(b[1], 0)
     return stage > 0 and (a[0] == "Unknown" or a[0] == "Unsat"
@@ -315,13 +397,14 @@ def _moves(item, a, b):
 
 def confirmed_moves(tree, inputs, old, new, limit):
     """The inputs whose answer moves from old to new, by index: "moved"
-    where tree, the old one, refutes the input with no periodic bound, an
-    old Unsat as it stands and an old Unknown by a second pass in tree's
-    worker, and "timed out" where that pass runs out of time."""
+    for a parse move, and where tree, the old one, refutes the input with
+    no periodic bound, an old Unsat as it stands and an old Unknown by a
+    second pass in tree's worker; "timed out" where that pass runs out of
+    time."""
     moves = [i for i, item in enumerate(inputs)
              if _moves(item, old[i], new[i])]
     ask = [i for i in moves if old[i][0] == "Unknown"]
-    out = {i: "moved" for i in moves if old[i][0] == "Unsat"}
+    out = {i: "moved" for i in moves if old[i][0] != "Unknown"}
     if ask:
         got, = answers((tree,), [{"kind": "sat", "formula":
                                   inputs[i]["formula"]} for i in ask], limit)
@@ -373,6 +456,7 @@ def main(argv=None):
     ap.add_argument("--pre", type=int, default=2000)
     ap.add_argument("--fe", type=int, default=1000)
     ap.add_argument("--atlas", type=int, default=12 ** 3)
+    ap.add_argument("--parse", type=int, default=5000)
     ap.add_argument("--limit", type=float, default=10.0,
                     help="seconds per input in each tree")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -384,7 +468,7 @@ def main(argv=None):
         ap.error("two source trees are required")
     sys.path.insert(0, str(source_dir(args.new)))
     inputs = draw_inputs(args.seed, args.mc, args.sat, args.finite,
-                         args.pre, args.fe, args.atlas)
+                         args.pre, args.fe, args.atlas, args.parse)
     _, counts, differing = run(args.old, args.new, inputs, args.limit)
     for kind, c in sorted(counts.items()):
         print("%s: %d identical, %d moved, %d differing, %d timed out"

@@ -249,9 +249,26 @@ def test_mc_far_interval_is_fast(capsys, tmp_path):
 
 
 def test_parse_too_deep_exits_2(capsys):
+    # no input is too deep: 10^5 nested negations parse and print back
+    n = 10 ** 5
+    code, out, err = run(capsys, "parse", "~(" * n + "p" + ")" * n)
+    assert (code, out, err) == (0, "~" * n + "p\n", "")
+
+
+def test_parse_deep_input_prints_its_canonical_form(capsys):
     code, out, err = run(capsys, "parse", "~" * 3000 + "p")
-    assert code == 2 and out == ""
-    assert "nested too deeply" in err and "Traceback" not in err
+    assert (code, out, err) == (0, "~" * 3000 + "p\n", "")
+
+
+def test_sat_file_of_a_long_conjunction(capsys, tmp_path):
+    # 150 conjuncts, one a line, so the left chain nests 149 levels deep
+    src = tmp_path / "long.hs"
+    src.write_text("".join("%s<B> p%d &\n" % ("~" * (i % 2), i)
+                           for i in range(149)) + "p\n", encoding="ascii")
+    code, out, err = run(capsys, "sat", "--file", str(src))
+    assert code == 0 and err == ""
+    assert out.startswith("SAT\nwitness ")
+    assert (tmp_path / "long.hs.cert.ism").read_text() in out
 
 
 def test_sat_failed_recheck_exits_2(capsys, monkeypatch):

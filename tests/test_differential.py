@@ -1,5 +1,5 @@
 """The parent-versus-change differential (tests/differential.py) on small
-runs: one tree against itself answers identically on all six kinds. A copy
+runs: one tree against itself answers identically on all seven kinds. A copy
 whose mc_periodic answers the opposite is reported input by input, verdict
 by verdict; so is a copy whose FiniteEvaluator.value answers the opposite,
 value by value, and a copy whose check_equation moves a countermodel's
@@ -7,7 +7,9 @@ witness, equation by equation. A copy whose fragment check words its
 refusal otherwise is reported on the refused formulas, a copy whose
 pre-check refutes a split node on either branch is reported on the
 pre-check's inputs, and a refutation the old tree confirms with no bound is
-counted as moved."""
+counted as moved. A copy whose parse errors name another column is
+reported on the refused texts, and a copy that refuses long texts as
+nested too deeply counts them as moved."""
 
 import shutil
 from pathlib import Path
@@ -17,9 +19,10 @@ from . import differential
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _run(old, new, n_mc, n_sat, n_finite=0, n_pre=0, n_fe=0, n_atlas=0):
+def _run(old, new, n_mc, n_sat, n_finite=0, n_pre=0, n_fe=0, n_atlas=0,
+         n_parse=0):
     inputs = differential.draw_inputs(3, n_mc, n_sat, n_finite, n_pre, n_fe,
-                                      n_atlas)
+                                      n_atlas, n_parse)
     return differential.run(old, new, inputs, 20.0)
 
 
@@ -30,13 +33,21 @@ def _copy(tmp_path):
 
 
 def test_a_tree_against_itself_is_identical():
-    old, counts, differing = _run(SRC, SRC, 40, 8, 30, 60)
+    old, counts, differing = _run(SRC, SRC, 40, 8, 30, 60, 0, 0, 300)
     assert differing == []
     same = {"moved": 0, "differing": 0, "timed out": 0}
     assert counts["mc"] == {"identical": 40, **same}
     assert counts["sat"] == {"identical": 8, **same}
     assert counts["finite"] == {"identical": 30, **same}
     assert counts["pre"] == {"identical": 60, **same}
+    assert counts["parse"] == {"identical": 300, **same}
+    # the parse inputs include formulas and refusals by both the scanner
+    # and the parser
+    parsed = [a for a in old[-300:] if a[0] == "formula"]
+    assert 50 < len(parsed) < 250
+    refused = {a[1].split(" ")[0] for a in old[-300:] if a[0] != "formula"}
+    assert {"expected", "unexpected", "trailing", "stray"} <= refused
+    old = old[:-300]
     # the pre-check refutes some inputs and leaves the rest to a search the
     # periodic bound 0 cuts short
     assert {tuple(answer) for answer in old[-60:]} >= {
@@ -162,3 +173,41 @@ def test_a_confirmed_move_is_counted_as_moved(tmp_path):
     assert counts["pre"] == {"identical": 1, "moved": 1, "differing": 0,
                              "timed out": 0}
     assert differing == []
+
+
+def test_a_moved_parse_error_column_is_reported(tmp_path):
+    with open(_copy(tmp_path) / "parser.py", "a") as fh:
+        fh.write("\n\n_parse_formula = parse_formula\n\n\n"
+                 "def parse_formula(text):\n"
+                 "    try:\n"
+                 "        return _parse_formula(text)\n"
+                 "    except ParseError as exc:\n"
+                 "        message = str(exc).rsplit(' (line', 1)[0]\n"
+                 "        raise ParseError(message, exc.line, exc.col + 1)\n")
+    old, counts, differing = _run(SRC, tmp_path, 0, 0, n_parse=100)
+    refused = sum(a[0] == "ParseError" for a in old)
+    assert 20 < refused < 90
+    assert counts["parse"] == {"identical": 100 - refused, "moved": 0,
+                               "differing": refused, "timed out": 0}
+    for kind, _, a, b in differing:
+        assert kind == "parse" and a[0] == b[0] == "ParseError"
+
+
+def test_a_text_once_too_deep_is_counted_as_moved(tmp_path):
+    # the copy refuses long texts before it parses them, as parsing once
+    # refused what nests past 100 levels
+    with open(_copy(tmp_path) / "parser.py", "a") as fh:
+        fh.write("\n\n_parse_formula = parse_formula\n\n\n"
+                 "def parse_formula(text):\n"
+                 "    if len(text) > 300:\n"
+                 "        raise ParseError('formula nested too deeply', 1, 1)\n"
+                 "    return _parse_formula(text)\n")
+    inputs = [{"kind": "parse", "formula": text} for text in (
+        "p & q", "~" * 400 + "p", "(" * 200 + "p" + ")" * 200,
+        " -> ".join(["p"] * 200) + " ->")]
+    old, counts, differing = differential.run(tmp_path, SRC, inputs, 20.0)
+    assert [a[0] for a in old] == ["formula"] + ["ParseError"] * 3
+    # the last text is refused by both trees, for two reasons: that differs
+    assert counts["parse"] == {"identical": 1, "moved": 2, "differing": 1,
+                               "timed out": 0}
+    assert [item for _, item, _, _ in differing] == [inputs[3]]

@@ -1,11 +1,14 @@
 """fold and the walks written on it: each against a recursive reference
 copy, at depths no recursion reaches, and on input that is no formula."""
 
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 
+from hslogic.parser import parse_formula
 from hslogic.sat import Unsat, _prop_unsat
 from hslogic.syntax import (
     And, Atom, B, Box, Diamond, FALSE, Formula, Implies, Not, Or, TRUE,
@@ -163,6 +166,14 @@ def _deep():
 DEEP = _deep()
 
 
+def _round_trips(f):
+    """Pickling, copying and parsing the rendered text hand back f."""
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert parse_formula(render(f)) is f
+
+
 def test_walks_take_a_wide_conjunction():
     assert render(WIDE) == " & ".join("p%d" % i for i in range(N))
     assert desugar(WIDE) is WIDE
@@ -176,6 +187,7 @@ def test_walks_take_a_wide_conjunction():
     # satisfiable however many letters it has, refuted with a pair
     assert _prop_unsat(WIDE) is None
     assert _prop_unsat(And(conj([Atom("p")] * N), Not(Atom("p"))))
+    _round_trips(WIDE)
 
 
 def test_walks_take_deep_nesting():
@@ -194,6 +206,7 @@ def test_walks_take_deep_nesting():
     assert repr(DEEP).endswith("Atom(name='p')" + "))" * N)
     assert _prop_unsat(DEEP) is None
     assert _prop_unsat(And(DEEP, DEEP.sub))
+    _round_trips(DEEP)
 
 
 WALKS = [render, desugar, mirror_formula, ast_size, closure, letters_of,

@@ -12,7 +12,7 @@ from hslogic.parser import parse_formula
 from hslogic.syntax import (
     ALL_MODALITIES, B, And, Atom, Box, Diamond, FalseConst, Fragment, Implies,
     Modality, Not, Or, TrueConst, desugar, fragment_of, modal_depth,
-    mirror_formula, nesting_depth, render,
+    mirror_formula, render,
 )
 
 # Formulas are drawn as plain nested tuples, so that each test can build
@@ -68,16 +68,6 @@ def recursive_depth(f):
     return 0
 
 
-def recursive_height(f):
-    if isinstance(f, Not):
-        return 1 + recursive_height(f.sub)
-    if isinstance(f, (And, Or, Implies)):
-        return 1 + max(recursive_height(f.lhs), recursive_height(f.rhs))
-    if isinstance(f, (Diamond, Box)):
-        return 1 + recursive_height(f.sub)
-    return 0
-
-
 def recursive_mods(f):
     if isinstance(f, Not):
         return recursive_mods(f.sub)
@@ -113,7 +103,6 @@ def test_mirror_twice_is_the_same_node(tree):
 def test_cached_depths_match_recursive_ones(tree):
     f = build(tree)
     assert modal_depth(f) == recursive_depth(f)
-    assert nesting_depth(f) == recursive_height(f)
 
 
 @settings(max_examples=300, deadline=None)
